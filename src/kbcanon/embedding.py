@@ -72,16 +72,6 @@ def circular_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.fft.ifft(np.fft.fft(a) * np.fft.fft(b)).real
 
 
-def _corr_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Row-wise circular correlation of two (n, d) arrays."""
-    return np.fft.ifft(np.conj(np.fft.fft(A, axis=1)) * np.fft.fft(B, axis=1), axis=1).real
-
-
-def _conv_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Row-wise circular convolution of two (n, d) arrays."""
-    return np.fft.ifft(np.fft.fft(A, axis=1) * np.fft.fft(B, axis=1), axis=1).real
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x, dtype=float)
     pos = x >= 0
@@ -243,18 +233,16 @@ def make_batch(
 
 # The objective family below evaluates the written objective exactly: the
 # ranking term over the given batch, side and regularization terms at full
-# weight over the whole vocabulary. The trainer rescales the side and
-# regularization terms per step by the batch fraction so that one epoch
-# applies them at full weight exactly once.
+# weight over the whole vocabulary. ``gradient`` and ``train`` share one
+# step function, ``_step``: gradient() calls it with the side terms at full
+# weight and adds the L2 term; the trainer scales the side terms by the
+# batch fraction, so that one epoch applies them at full weight exactly
+# once, and folds L2 in as a multiplicative decay.
 
 
 def _flatten_negatives(batch: TrainingBatch) -> tuple[list[Triple], list[int]]:
-    negs: list[Triple] = []
-    owner: list[int] = []
-    for i, group in enumerate(batch.negatives):
-        for t in group:
-            negs.append(t)
-            owner.append(i)
+    negs = [t for group in batch.negatives for t in group]
+    owner = [i for i, group in enumerate(batch.negatives) for _ in group]
     return negs, owner
 
 
@@ -265,51 +253,62 @@ def _spo_arrays(triples: Sequence[Triple]):
     return s, p, o
 
 
-def _batch_scores(E: np.ndarray, R: np.ndarray, triples: Sequence[Triple]) -> np.ndarray:
-    if not triples:
-        return np.zeros(0)
-    s, p, o = _spo_arrays(triples)
-    corr = _corr_rows(E[s], E[o])
-    return np.einsum("ij,ij->i", R[p], corr)
-
-
-def _hinge_pair_indices(batch: TrainingBatch, pairing: str):
-    """(pos index, neg index) arrays into the positives list / flattened
-    negatives list, one row per hinge pair."""
-    _, owner = _flatten_negatives(batch)
+def _hinge_pair_indices(owner: list[int], b: int, pairing: str):
+    """(pos index, neg index) arrays into the instance list (b positives,
+    then the flattened negatives), one row per hinge pair."""
     m = len(owner)
     if pairing == "per_positive":
-        return np.asarray(owner, dtype=np.intp), np.arange(m, dtype=np.intp)
-    b = len(batch.positives)
+        return np.asarray(owner, dtype=np.intp), np.arange(b, b + m, dtype=np.intp)
     pos_idx = np.repeat(np.arange(b, dtype=np.intp), m)
-    neg_idx = np.tile(np.arange(m, dtype=np.intp), b)
+    neg_idx = np.tile(np.arange(b, b + m, dtype=np.intp), b)
     return pos_idx, neg_idx
+
+
+def _sharded(fn, n: int, threads: int):
+    """fn(slice) over contiguous row shards of range(n), on a thread pool
+    when threads > 1; the shards' output tuples are joined row-wise."""
+    if threads <= 1 or n < 2 * threads:
+        return fn(slice(0, n))
+    bounds = np.linspace(0, n, threads + 1, dtype=int)
+    shards = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        parts = list(pool.map(fn, shards))
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
 
 def _ranking_margins(
     E: np.ndarray, R: np.ndarray, batch: TrainingBatch, h: HyperParams
 ):
-    """Per-hinge-pair margin expressions plus everything the gradient needs."""
-    negs, _ = _flatten_negatives(batch)
-    eta_pos = _batch_scores(E, R, batch.positives)
-    eta_neg = _batch_scores(E, R, negs)
-    pos_idx, neg_idx = _hinge_pair_indices(batch, h.pairing)
+    """One forward pass over the batch: positives then flattened negatives
+    as instances, each row transformed once by rfft. Returns
+    ((s, p, o), (F_s, F_o, F_r, e_s * e_o), (pos index, neg index),
+    per-hinge-pair margins, d sig(eta)/d eta per instance)."""
+    negs, owner = _flatten_negatives(batch)
+    b = len(batch.positives)
+    s, p, o = _spo_arrays(batch.positives + tuple(negs))
+
+    def forward(sl):
+        Fs, Fo, Fr = (np.fft.rfft(W[i[sl]], axis=1) for W, i in ((E, s), (E, o), (R, p)))
+        corr_so = np.fft.irfft(np.conj(Fs) * Fo, n=E.shape[1], axis=1)
+        return Fs, Fo, Fr, corr_so, np.einsum("ij,ij->i", R[p[sl]], corr_so)
+
+    *spectra, eta = _sharded(forward, len(s), h.threads)
+    pos_idx, neg_idx = _hinge_pair_indices(owner, b, h.pairing)
     gamma = h.effective_margin
     if h.hinge == "sigmoid":
-        sp, sn = _sigmoid(eta_pos), _sigmoid(eta_neg)
-        margins = gamma + sn[neg_idx] - sp[pos_idx]
-        dpos, dneg = sp * (1.0 - sp), sn * (1.0 - sn)
+        sig = _sigmoid(eta)
+        margins = gamma + sig[neg_idx] - sig[pos_idx]
+        slopes = sig * (1.0 - sig)
     else:
-        margins = gamma + eta_neg[neg_idx] - eta_pos[pos_idx]
-        dpos = np.ones_like(eta_pos)
-        dneg = np.ones_like(eta_neg)
-    return negs, pos_idx, neg_idx, margins, dpos, dneg
+        margins = gamma + eta[neg_idx] - eta[pos_idx]
+        slopes = np.ones_like(eta)
+    return (s, p, o), spectra, (pos_idx, neg_idx), margins, slopes
 
 
 def _ranking_loss(E, R, batch: TrainingBatch, h: HyperParams) -> float:
     if not batch.positives:
         return 0.0
-    *_, margins, _, _ = _ranking_margins(E, R, batch, h)
+    margins = _ranking_margins(E, R, batch, h)[3]
     return float(np.maximum(margins, 0.0).sum())
 
 
@@ -362,59 +361,46 @@ def objective(
     return objective_terms(emb, batch, side, h)["total"]
 
 
-def _ranking_instances(E, R, batch: TrainingBatch, h: HyperParams):
-    """Stack positive and negative triple instances with the coefficient
-    each contributes to d(loss)/d(eta): hinge-active pairs contribute
+def _scatter(idx: np.ndarray, rows: np.ndarray, shape) -> np.ndarray:
+    """Dense array of ``shape`` holding the sum of rows[i] at row idx[i]."""
+    flat = (idx[:, None] * shape[1] + np.arange(shape[1])).ravel()
+    return np.bincount(flat, weights=rows.ravel(), minlength=shape[0] * shape[1]).reshape(shape)
+
+
+def _step(E, R, batch: TrainingBatch, h: HyperParams, np_terms, rel_terms,
+          side_scale: float):
+    """Loss and gradient of lambda_str * ranking + side_scale * side terms
+    (no L2) from one forward pass. Hinge-active pairs contribute
     -sig'(eta_pos) through their positive and +sig'(eta_neg) through their
-    negative (1 in raw mode). The subgradient at the hinge kink is 0."""
-    negs, pos_idx, neg_idx, margins, dpos, dneg = _ranking_margins(E, R, batch, h)
+    negative (1 in raw mode) to d(loss)/d(eta); the subgradient at the
+    kink is 0. With c that coefficient, g_r += c (e_s * e_o),
+    g_es += c (r * e_o) and g_eo += c (r conv e_s). Returns
+    (ranking loss, g_np, g_rel, hinge-active mask)."""
+    (s, p, o), (Fs, Fo, Fr, corr_so), (pos_idx, neg_idx), margins, slopes = (
+        _ranking_margins(E, R, batch, h))
     active = margins > 0.0
-    b, m = len(batch.positives), len(negs)
-    coef_pos = np.zeros(b)
-    coef_neg = np.zeros(m)
-    np.add.at(coef_pos, pos_idx[active], -dpos[pos_idx[active]])
-    np.add.at(coef_neg, neg_idx[active], dneg[neg_idx[active]])
-    sp, pp, op = _spo_arrays(batch.positives)
-    sn, pn, on = _spo_arrays(negs)
-    s_all = np.concatenate([sp, sn])
-    p_all = np.concatenate([pp, pn])
-    o_all = np.concatenate([op, on])
-    coef = np.concatenate([coef_pos, coef_neg])
-    return s_all, p_all, o_all, coef
+    pa, na = pos_idx[active], neg_idx[active]
+    coef = np.bincount(np.concatenate([pa, na]),
+                       weights=np.concatenate([-slopes[pa], slopes[na]]), minlength=len(s))
+    c = (h.lambda_str * coef)[:, None]
 
+    def backward(sl):
+        return (np.fft.irfft(np.conj(Fr[sl]) * Fo[sl], n=E.shape[1], axis=1),
+                np.fft.irfft(Fr[sl] * Fs[sl], n=E.shape[1], axis=1))
 
-def _accumulate_ranking_grad(
-    g_np: np.ndarray, g_rel: np.ndarray, E, R,
-    s_all, p_all, o_all, coef, scale: float, threads: int = 1,
-) -> None:
-    """g_r += c * (e_s * e_o); g_es += c * (r * e_o); g_eo += c * (r conv e_s)."""
-    if len(coef) == 0:
-        return
-    c = (scale * coef)[:, None]
-
-    def pieces(sl):
-        Es, Eo, Rp = E[s_all[sl]], E[o_all[sl]], R[p_all[sl]]
-        return (_corr_rows(Es, Eo), _corr_rows(Rp, Eo), _conv_rows(Rp, Es))
-
-    if threads <= 1 or len(coef) < 2 * threads:
-        shards = [slice(0, len(coef))]
-        results = [pieces(shards[0])]
-    else:
-        bounds = np.linspace(0, len(coef), threads + 1, dtype=int)
-        shards = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(pieces, shards))
-    for sl, (corr_so, corr_ro, conv_rs) in zip(shards, results):
-        np.add.at(g_rel, p_all[sl], c[sl] * corr_so)
-        np.add.at(g_np, s_all[sl], c[sl] * corr_ro)
-        np.add.at(g_np, o_all[sl], c[sl] * conv_rs)
-
-
-def _accumulate_side_grad(g: np.ndarray, W: np.ndarray, terms, scale: float) -> None:
-    for ia, ib, w in terms:
-        diff = (2.0 * w * scale) * (W[ia] - W[ib])
-        np.add.at(g, ia, diff)
-        np.add.at(g, ib, -diff)
+    corr_ro, conv_rs = _sharded(backward, len(s), h.threads)
+    for rows in (corr_so, corr_ro, conv_rs):
+        rows *= c
+    g_np = _scatter(s, corr_ro, E.shape)
+    g_np += _scatter(o, conv_rs, E.shape)
+    g_rel = _scatter(p, corr_so, R.shape)
+    for g, W, terms in ((g_np, E, np_terms), (g_rel, R, rel_terms)):
+        for ia, ib, w in terms:
+            diff = (2.0 * w * side_scale) * (W[ia] - W[ib])
+            g += _scatter(ia, diff, W.shape)
+            g += _scatter(ib, np.negative(diff, out=diff), W.shape)
+    loss = h.lambda_str * float(np.maximum(margins, 0.0).sum())
+    return loss, g_np, g_rel, active
 
 
 def gradient(
@@ -423,14 +409,8 @@ def gradient(
     """Analytic gradient of ``objective`` with respect to every vector;
     returns (d/d np_vectors, d/d rel_vectors)."""
     E, R = emb.np_vectors, emb.rel_vectors
-    g_np = np.zeros_like(E)
-    g_rel = np.zeros_like(R)
-    if batch.positives:
-        s_all, p_all, o_all, coef = _ranking_instances(E, R, batch, h)
-        _accumulate_ranking_grad(g_np, g_rel, E, R, s_all, p_all, o_all,
-                                 coef, h.lambda_str)
-    _accumulate_side_grad(g_np, E, _side_pair_arrays(side, PhraseKind.NP, h), 1.0)
-    _accumulate_side_grad(g_rel, R, _side_pair_arrays(side, PhraseKind.REL, h), 1.0)
+    _, g_np, g_rel, _ = _step(E, R, batch, h, _side_pair_arrays(side, PhraseKind.NP, h),
+                              _side_pair_arrays(side, PhraseKind.REL, h), 1.0)
     g_np += 2.0 * h.lambda_reg * E
     g_rel += 2.0 * h.lambda_reg * R
     return g_np, g_rel
@@ -449,13 +429,19 @@ def default_init_rng(seed: int) -> np.random.Generator:
 
 
 def load_word_vectors(path) -> tuple[dict[str, np.ndarray], int]:
-    """Read `token v_1 ... v_d` lines; all rows must share one dimension."""
+    """Read `token v_1 ... v_d` lines; all rows must share one dimension.
+    Trailing whitespace is ignored, and a first line of exactly two
+    integers is a word2vec / fastText `count dim` header whose dim the
+    rows must match."""
     path = Path(path)
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
     with path.open(encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            parts = line.rstrip("\n").split(" ")
+            parts = line.rstrip().split(" ")
+            if line_no == 1 and len(parts) == 2 and parts[0].isdigit() and parts[1].isdigit():
+                dim, dim_from = int(parts[1]), "header"
+                continue
             if len(parts) < 2:
                 if not line.strip():
                     continue
@@ -465,13 +451,13 @@ def load_word_vectors(path) -> tuple[dict[str, np.ndarray], int]:
             except ValueError as e:
                 raise ParseError(path, line_no, f"non-numeric vector entry: {e}") from e
             if dim is None:
-                dim = vec.shape[0]
+                dim, dim_from = vec.shape[0], "first row"
             elif vec.shape[0] != dim:
                 raise ParseError(
-                    path, line_no, f"dimension {vec.shape[0]} != first row's {dim}"
+                    path, line_no, f"dimension {vec.shape[0]} != {dim_from}'s {dim}"
                 )
             vectors[parts[0]] = vec
-    if dim is None:
+    if not vectors:
         raise ParseError(path, 1, "vectors file is empty")
     return vectors, dim
 
@@ -555,7 +541,8 @@ def train(
     """Seeded mini-batch gradient descent on the full objective.
 
     Each epoch shuffles the triples, samples fresh negatives per batch, and
-    applies one SGD step per batch. The ranking gradient enters at full
+    applies one SGD step per batch. The loss and gradient come from the
+    same step function as ``gradient``: the ranking gradient enters at full
     weight; side and regularization gradients are scaled by the batch
     fraction so an epoch applies each exactly once (regularization is
     folded in as an equivalent multiplicative decay). Side penalties and
@@ -582,7 +569,7 @@ def train(
             t0 = time.perf_counter()
             order = rng_shuffle.permutation(n)
             ranking_loss = 0.0
-            skipped = 0
+            skipped = active_pairs = pairs = 0
             for start in range(0, n, h.batch_size):
                 idx = order[start:start + h.batch_size]
                 positives = [kb.triples[i] for i in idx]
@@ -595,14 +582,10 @@ def train(
                         for t in group:
                             assert t.spo not in kb.triple_index
                 frac = len(positives) / n
-                s_all, p_all, o_all, coef = _ranking_instances(E, R, batch, h)
-                g_np = np.zeros_like(E)
-                g_rel = np.zeros_like(R)
-                _accumulate_ranking_grad(g_np, g_rel, E, R, s_all, p_all, o_all,
-                                         coef, h.lambda_str, h.threads)
-                _accumulate_side_grad(g_np, E, np_terms, frac)
-                _accumulate_side_grad(g_rel, R, rel_terms, frac)
-                ranking_loss += h.lambda_str * _ranking_loss(E, R, batch, h)
+                loss, g_np, g_rel, active = _step(E, R, batch, h, np_terms, rel_terms, frac)
+                ranking_loss += loss
+                active_pairs += int(active.sum())
+                pairs += active.size
                 decay = 1.0 - 2.0 * lr * h.lambda_reg * frac
                 E *= decay
                 R *= decay
@@ -626,6 +609,7 @@ def train(
                 "reg": reg,
                 "total": total,
                 "negatives_skipped": skipped,
+                "hinge_active_fraction": active_pairs / pairs if pairs else 0.0,
                 "wall_time_s": round(time.perf_counter() - t0, 6),
             }
             if log_fh:

@@ -232,10 +232,21 @@ def load_triples(path, format: TripleFormat = TripleFormat.JSONL) -> OpenKB:
 
     JSONL is one record per line; JSON is a single array of records. Every
     record must carry ``subject``, ``relation`` and ``object``; malformed
-    records raise :class:`ParseError` naming the offending line.
+    records raise :class:`ParseError` naming the offending line, and a
+    ``triple_id`` (defaulting to the line number) used twice names both.
     """
     path = Path(path)
     records: list[dict] = []
+    first_line: dict[int, int] = {}
+
+    def add(raw, line_no: int) -> None:
+        rec = _parse_record(raw, path, line_no)
+        first = first_line.setdefault(rec["triple_id"], line_no)
+        if first != line_no:
+            raise ParseError(path, line_no,
+                             f"duplicate triple_id {rec['triple_id']} (also on line {first})")
+        records.append(rec)
+
     if format is TripleFormat.JSONL:
         with path.open(encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
@@ -245,7 +256,7 @@ def load_triples(path, format: TripleFormat = TripleFormat.JSONL) -> OpenKB:
                     raw = json.loads(line)
                 except json.JSONDecodeError as e:
                     raise ParseError(path, line_no, f"invalid JSON: {e.msg}") from e
-                records.append(_parse_record(raw, path, line_no))
+                add(raw, line_no)
     elif format is TripleFormat.JSON:
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
@@ -253,7 +264,8 @@ def load_triples(path, format: TripleFormat = TripleFormat.JSONL) -> OpenKB:
             raise ParseError(path, e.lineno, f"invalid JSON: {e.msg}") from e
         if not isinstance(data, list):
             raise ParseError(path, 1, "top-level JSON value must be an array")
-        records = [_parse_record(raw, path, i + 1) for i, raw in enumerate(data)]
+        for i, raw in enumerate(data):
+            add(raw, i + 1)
     else:
         raise ValueError(f"unknown triple format: {format!r}")
     if not records:
@@ -307,6 +319,9 @@ def audit(kb: OpenKB) -> None:
             raise InvariantViolation(f"phrase {p.id} text not whitespace-normalized")
         if p.frequency < 1:
             raise InvariantViolation(f"phrase {p.id} has frequency {p.frequency}")
+    repeated = [i for i, c in Counter(t.triple_id for t in kb.triples).items() if c > 1]
+    if repeated:
+        raise InvariantViolation(f"duplicate triple ids {sorted(repeated)}")
     freq: Counter = Counter()
     for t in kb.triples:
         for pid in (t.subject, t.object):

@@ -8,11 +8,14 @@ the package under test.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
+from typing import Sequence
 
 import numpy as np
 
-from kbcanon.kb import OpenKB, build_kb
+from kbcanon.embedding import HyperParams, TrainingBatch, _side_pair_arrays, make_batch
+from kbcanon.kb import OpenKB, PhraseKind, Triple, build_kb
 from kbcanon.side_info import morph_normalize
 
 
@@ -198,6 +201,179 @@ def naive_attribute_overlap(kb: OpenKB, a: int, b: int) -> float:
     A, B = attrs(a), attrs(b)
     union = A | B
     return len(A & B) / len(union) if union else 0.0
+
+
+# ---------------------------------------------------------------------------
+# the embedding trainer's per-batch update, in its original complex-FFT form
+
+
+def _corr_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Row-wise circular correlation of two (n, d) arrays."""
+    return np.fft.ifft(np.conj(np.fft.fft(A, axis=1)) * np.fft.fft(B, axis=1), axis=1).real
+
+
+def _conv_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Row-wise circular convolution of two (n, d) arrays."""
+    return np.fft.ifft(np.fft.fft(A, axis=1) * np.fft.fft(B, axis=1), axis=1).real
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    out = np.empty_like(x, dtype=float)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _flatten_negatives(batch: TrainingBatch) -> tuple[list[Triple], list[int]]:
+    negs: list[Triple] = []
+    owner: list[int] = []
+    for i, group in enumerate(batch.negatives):
+        for t in group:
+            negs.append(t)
+            owner.append(i)
+    return negs, owner
+
+
+def _spo_arrays(triples: Sequence[Triple]):
+    s = np.fromiter((t.subject for t in triples), dtype=np.intp, count=len(triples))
+    p = np.fromiter((t.relation for t in triples), dtype=np.intp, count=len(triples))
+    o = np.fromiter((t.object for t in triples), dtype=np.intp, count=len(triples))
+    return s, p, o
+
+
+def _batch_scores(E: np.ndarray, R: np.ndarray, triples: Sequence[Triple]) -> np.ndarray:
+    if not triples:
+        return np.zeros(0)
+    s, p, o = _spo_arrays(triples)
+    corr = _corr_rows(E[s], E[o])
+    return np.einsum("ij,ij->i", R[p], corr)
+
+
+def _hinge_pair_indices(batch: TrainingBatch, pairing: str):
+    """(pos index, neg index) arrays into the positives list / flattened
+    negatives list, one row per hinge pair."""
+    _, owner = _flatten_negatives(batch)
+    m = len(owner)
+    if pairing == "per_positive":
+        return np.asarray(owner, dtype=np.intp), np.arange(m, dtype=np.intp)
+    b = len(batch.positives)
+    pos_idx = np.repeat(np.arange(b, dtype=np.intp), m)
+    neg_idx = np.tile(np.arange(m, dtype=np.intp), b)
+    return pos_idx, neg_idx
+
+
+def _ranking_margins(
+    E: np.ndarray, R: np.ndarray, batch: TrainingBatch, h: HyperParams
+):
+    """Per-hinge-pair margin expressions plus everything the gradient needs."""
+    negs, _ = _flatten_negatives(batch)
+    eta_pos = _batch_scores(E, R, batch.positives)
+    eta_neg = _batch_scores(E, R, negs)
+    pos_idx, neg_idx = _hinge_pair_indices(batch, h.pairing)
+    gamma = h.effective_margin
+    if h.hinge == "sigmoid":
+        sp, sn = _sigmoid(eta_pos), _sigmoid(eta_neg)
+        margins = gamma + sn[neg_idx] - sp[pos_idx]
+        dpos, dneg = sp * (1.0 - sp), sn * (1.0 - sn)
+    else:
+        margins = gamma + eta_neg[neg_idx] - eta_pos[pos_idx]
+        dpos = np.ones_like(eta_pos)
+        dneg = np.ones_like(eta_neg)
+    return negs, pos_idx, neg_idx, margins, dpos, dneg
+
+
+def _ranking_instances(E, R, batch: TrainingBatch, h: HyperParams):
+    """Stack positive and negative triple instances with the coefficient
+    each contributes to d(loss)/d(eta): hinge-active pairs contribute
+    -sig'(eta_pos) through their positive and +sig'(eta_neg) through their
+    negative (1 in raw mode). The subgradient at the hinge kink is 0."""
+    negs, pos_idx, neg_idx, margins, dpos, dneg = _ranking_margins(E, R, batch, h)
+    active = margins > 0.0
+    b, m = len(batch.positives), len(negs)
+    coef_pos = np.zeros(b)
+    coef_neg = np.zeros(m)
+    np.add.at(coef_pos, pos_idx[active], -dpos[pos_idx[active]])
+    np.add.at(coef_neg, neg_idx[active], dneg[neg_idx[active]])
+    sp, pp, op = _spo_arrays(batch.positives)
+    sn, pn, on = _spo_arrays(negs)
+    s_all = np.concatenate([sp, sn])
+    p_all = np.concatenate([pp, pn])
+    o_all = np.concatenate([op, on])
+    coef = np.concatenate([coef_pos, coef_neg])
+    return s_all, p_all, o_all, coef
+
+
+def _accumulate_ranking_grad(
+    g_np: np.ndarray, g_rel: np.ndarray, E, R,
+    s_all, p_all, o_all, coef, scale: float, threads: int = 1,
+) -> None:
+    """g_r += c * (e_s * e_o); g_es += c * (r * e_o); g_eo += c * (r conv e_s)."""
+    if len(coef) == 0:
+        return
+    c = (scale * coef)[:, None]
+
+    def pieces(sl):
+        Es, Eo, Rp = E[s_all[sl]], E[o_all[sl]], R[p_all[sl]]
+        return (_corr_rows(Es, Eo), _corr_rows(Rp, Eo), _conv_rows(Rp, Es))
+
+    if threads <= 1 or len(coef) < 2 * threads:
+        shards = [slice(0, len(coef))]
+        results = [pieces(shards[0])]
+    else:
+        bounds = np.linspace(0, len(coef), threads + 1, dtype=int)
+        shards = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(pieces, shards))
+    for sl, (corr_so, corr_ro, conv_rs) in zip(shards, results):
+        np.add.at(g_rel, p_all[sl], c[sl] * corr_so)
+        np.add.at(g_np, s_all[sl], c[sl] * corr_ro)
+        np.add.at(g_np, o_all[sl], c[sl] * conv_rs)
+
+
+def _accumulate_side_grad(g: np.ndarray, W: np.ndarray, terms, scale: float) -> None:
+    for ia, ib, w in terms:
+        diff = (2.0 * w * scale) * (W[ia] - W[ib])
+        np.add.at(g, ia, diff)
+        np.add.at(g, ib, -diff)
+
+
+def reference_train(kb: OpenKB, side, h, init) -> tuple[np.ndarray, np.ndarray]:
+    """Mini-batch SGD as first written: three separate s*o correlations
+    per step through complex FFTs and np.add.at scatters. Batches come
+    from the package's ``make_batch`` and side pairs from its
+    ``_side_pair_arrays``, so the random streams are consumed exactly as
+    in ``kbcanon.embedding.train`` and only the update arithmetic is
+    independent. Returns the final (np_vectors, rel_vectors)."""
+    E = init.np_vectors.copy()
+    R = init.rel_vectors.copy()
+    n = len(kb.triples)
+    rng_shuffle = np.random.default_rng([h.seed, 1])
+    rng_neg = np.random.default_rng([h.seed, 2])
+    np_terms = _side_pair_arrays(side, PhraseKind.NP, h)
+    rel_terms = _side_pair_arrays(side, PhraseKind.REL, h)
+    lr = h.learning_rate
+    for _ in range(h.epochs):
+        order = rng_shuffle.permutation(n)
+        for start in range(0, n, h.batch_size):
+            idx = order[start:start + h.batch_size]
+            positives = [kb.triples[i] for i in idx]
+            batch = make_batch(kb, positives, h.negatives_per_positive, rng_neg)
+            frac = len(positives) / n
+            s_all, p_all, o_all, coef = _ranking_instances(E, R, batch, h)
+            g_np = np.zeros_like(E)
+            g_rel = np.zeros_like(R)
+            _accumulate_ranking_grad(g_np, g_rel, E, R, s_all, p_all, o_all,
+                                     coef, h.lambda_str, h.threads)
+            _accumulate_side_grad(g_np, E, np_terms, frac)
+            _accumulate_side_grad(g_rel, R, rel_terms, frac)
+            decay = 1.0 - 2.0 * lr * h.lambda_reg * frac
+            E *= decay
+            R *= decay
+            E -= lr * g_np
+            R -= lr * g_rel
+    return E, R
 
 
 # ---------------------------------------------------------------------------

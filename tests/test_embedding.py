@@ -486,7 +486,8 @@ class TestTrain:
         assert [r["epoch"] for r in records] == [0, 1, 2]
         for r in records:
             for key in ("ranking", "side_np", "side_rel", "reg", "total",
-                        "negatives_skipped", "wall_time_s"):
+                        "negatives_skipped", "hinge_active_fraction",
+                        "wall_time_s"):
                 assert key in r
 
     def test_monotone_side_weight_effect(self):

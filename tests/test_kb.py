@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from kbcanon.canonicalize import cluster_phrases
 from kbcanon.embedding import HyperParams, default_init_rng, init_embeddings, train
-from kbcanon.errors import EmptyKBError, ParseError
+from kbcanon.errors import EmptyKBError, InvariantViolation, ParseError
 from kbcanon.kb import (
     GoldClustering,
     PhraseKind,
@@ -114,6 +114,15 @@ class TestLoadTriples:
         assert kb.n_nps == 3
         assert kb.np_phrase(kb.np_id("New York")).frequency == 2
 
+    def test_duplicate_triple_id_names_both_lines(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        write_jsonl(path, [
+            {"subject": "a", "relation": "r", "object": "b"},
+            {"triple_id": 1, "subject": "c", "relation": "r", "object": "d"},
+        ])
+        with pytest.raises(ParseError, match=r":2: duplicate triple_id 1 \(also on line 1\)"):
+            load_triples(path)
+
     def test_case_is_preserved(self):
         kb = build_kb(records_from_spo([("Apple", "r", "apple")]))
         assert kb.n_nps == 2
@@ -156,6 +165,12 @@ class TestAudit:
 
         for _ in range(20):
             audit(random_kb(rand))
+
+    def test_duplicate_triple_ids_rejected(self):
+        kb = build_kb([{"triple_id": 7, "subject": "a", "relation": "r", "object": "b"},
+                       {"triple_id": 7, "subject": "c", "relation": "r", "object": "d"}])
+        with pytest.raises(InvariantViolation, match="duplicate triple ids"):
+            audit(kb)
 
 
 class TestGold:
