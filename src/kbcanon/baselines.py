@@ -21,9 +21,9 @@ from .canonicalize import (
     DEFAULT_THRESHOLD_GRID,
     Cluster,
     Clustering,
+    best_cut,
     build_clustering,
     cosine_distance_matrix,
-    cut_history,
     hac_from_distance_matrix,
     hac_merge_history,
 )
@@ -35,9 +35,8 @@ from .embedding import (
     load_word_vectors,
     train,
 )
-from .errors import ConfigError, MetricsUndefinedError
+from .errors import ConfigError
 from .kb import GoldClustering, OpenKB, PhraseKind
-from .metrics import evaluate
 from .side_info import (
     EMPTY_SIDE_INFO,
     DisjointSet,
@@ -45,7 +44,7 @@ from .side_info import (
     content_tokens,
     entity_link_equivalences,
     idf_overlap_score,
-    morph_normalize,
+    morph_equivalences,
     ppdb_equivalences,
     tokenize,
 )
@@ -202,16 +201,7 @@ def tune_threshold_on_matrix(
     """choose_threshold for a precomputed distance matrix."""
     if not gold.assignment:
         raise ConfigError("cannot tune a threshold without validation gold")
-    history = hac_merge_history(D)
-    best_t, best_score = None, -1.0
-    for t in sorted(grid):
-        try:
-            score = evaluate(cut_history(ids, history, t), gold.assignment).mean_f1()
-        except MetricsUndefinedError:
-            score = 0.0
-        if score > best_score:
-            best_t, best_score = t, score
-    return float(best_t)
+    return best_cut(ids, hac_merge_history(D), gold, grid)[0]
 
 
 def _freq_representative(members, frequencies, texts) -> int:
@@ -240,6 +230,22 @@ def _equivalence_clustering(
     return Clustering(kind=kind, clusters=clusters, threshold_used=threshold)
 
 
+def _hac_at_threshold(D: np.ndarray, ids: Sequence[int], cfg: BaselineConfig,
+                      validation_gold: GoldClustering | None, grid: Sequence[float],
+                      ) -> tuple[list[frozenset[int]], float]:
+    """(member sets, threshold): complete-linkage HAC over ``D`` cut at the
+    configured threshold, or at one tuned on the validation gold."""
+    if cfg.threshold is not None:
+        threshold = cfg.threshold
+    elif validation_gold is not None:
+        threshold = tune_threshold_on_matrix(ids, D, validation_gold, grid)
+    else:
+        raise ConfigError(
+            f"{cfg.name.value} needs a threshold or validation gold to tune one"
+        )
+    return hac_from_distance_matrix(ids, D, threshold), threshold
+
+
 def _similarity_hac(
     kb: OpenKB,
     kind: PhraseKind,
@@ -249,15 +255,8 @@ def _similarity_hac(
     validation_gold: GoldClustering | None,
     grid: Sequence[float],
 ) -> Clustering:
-    if cfg.threshold is not None:
-        threshold = cfg.threshold
-    elif validation_gold is not None:
-        threshold = tune_threshold_on_matrix(ids, D, validation_gold, grid)
-    else:
-        raise ConfigError(
-            f"{cfg.name.value} needs a threshold or validation gold to tune one"
-        )
-    member_sets = hac_from_distance_matrix(ids, D, threshold)
+    """HAC over 1 - similarity; representatives by frequency."""
+    member_sets, threshold = _hac_at_threshold(D, ids, cfg, validation_gold, grid)
     vocab = kb.vocab(kind)
     freqs = {p.id: p.frequency for p in vocab}
     texts = {p.id: p.text for p in vocab}
@@ -276,18 +275,11 @@ def _embedding_hac(
     validation_gold: GoldClustering | None,
     grid: Sequence[float],
 ) -> Clustering:
+    """HAC over cosine distance; representatives nearest the weighted mean."""
     ids = sorted(vectors)
     X = np.stack([vectors[i] for i in ids])
     D = cosine_distance_matrix(X, labels=ids)
-    if cfg.threshold is not None:
-        threshold = cfg.threshold
-    elif validation_gold is not None:
-        threshold = tune_threshold_on_matrix(ids, D, validation_gold, grid)
-    else:
-        raise ConfigError(
-            f"{cfg.name.value} needs a threshold or validation gold to tune one"
-        )
-    member_sets = hac_from_distance_matrix(ids, D, threshold)
+    member_sets, threshold = _hac_at_threshold(D, ids, cfg, validation_gold, grid)
     vocab = kb.vocab(kind)
     freqs = {p.id: p.frequency for p in vocab}
     texts = {p.id: p.text for p in vocab}
@@ -314,13 +306,7 @@ def run_baseline(
     name = cfg.name
 
     if name is BaselineName.MORPH:
-        groups: dict[str, list[int]] = {}
-        for p in vocab:
-            groups.setdefault(morph_normalize(p.text), []).append(p.id)
-        pairs = [
-            (ids[0], other) for ids in groups.values() for other in ids[1:]
-        ]
-        return _equivalence_clustering(kb, kind, pairs)
+        return _equivalence_clustering(kb, kind, morph_equivalences(kb, kind).pairs)
 
     if name is BaselineName.PPDB:
         if ppdb_file is None:

@@ -208,6 +208,16 @@ def choose_threshold(
     X = np.stack([vectors[i] for i in ids])
     D = cosine_distance_matrix(X, labels=ids)
     history = hac_merge_history(D)
+    best_t, best_score = best_cut(ids, history, validation_gold, grid)
+    logger.info("chose threshold %s (validation mean F1 %.4f)", best_t, best_score)
+    return best_t
+
+
+def best_cut(ids: Sequence[int], history: Sequence[tuple[float, int, int]],
+             validation_gold: GoldClustering, grid: Sequence[float]) -> tuple[float, float]:
+    """(threshold, score): the grid value whose cut of the merge history
+    has the highest validation mean F1, ties to the smallest value;
+    undefined scores count as 0."""
     best_t, best_score = None, -1.0
     for t in sorted(grid):
         clusters = cut_history(ids, history, t)
@@ -217,8 +227,7 @@ def choose_threshold(
             score = 0.0
         if score > best_score:
             best_t, best_score = t, score
-    logger.info("chose threshold %s (validation mean F1 %.4f)", best_t, best_score)
-    return float(best_t)
+    return float(best_t), best_score
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Command line interface.
 
-Subcommands mirror the pipeline stages so each can run as its own
-process against a shared run directory, plus `pipeline` for the whole
-chain, `grid-search` for hyperparameter sweeps, and `synth` for
-generating a labeled benchmark KB with a matching config file.
+The stage subcommands (`ingest`, `sideinfo`, `embed`, and `cluster` for
+every stage after embed) run as separate processes against a shared run
+directory: each loads the previous stage's artifact and calls the same
+stage function as `run_pipeline`. Plus `pipeline` for the whole chain,
+`evaluate` for scoring a cluster file, `grid-search` for hyperparameter
+sweeps, and `synth` for generating a labeled benchmark KB with a matching
+config file.
 """
 
 from __future__ import annotations
@@ -16,42 +19,25 @@ from pathlib import Path
 
 import yaml
 
-from . import canonicalize as canon
-from .embedding import (
-    default_init_rng,
-    init_embeddings,
-    load_embeddings,
-    save_embeddings,
-    train,
-    vocab_hash,
-)
+from .embedding import load_embeddings, vocab_hash
 from .errors import KBCanonError
-from .kb import (
-    PhraseKind,
-    TripleFormat,
-    audit,
-    load_triples,
-    save_triples,
-    split_validation,
-)
+from .kb import TripleFormat, load_triples
 from .metrics import format_report
 from .pipeline import (
     PipelineConfig,
     config_from_dict,
+    embed_stage,
     evaluate_clusters_file,
     grid_search,
+    ingest_stage,
     load_config,
-    load_np_gold,
-    load_rel_gold,
+    run_after_embed,
     run_pipeline,
-    select_thresholds,
+    run_stage,
+    sideinfo_stage,
+    split_stage,
 )
-from .side_info import (
-    assemble_side_info,
-    coverage_report,
-    load_side_info,
-    save_side_info,
-)
+from .side_info import load_side_info
 from .synth import make_synthetic_kb
 
 logger = logging.getLogger(__name__)
@@ -86,10 +72,12 @@ def _load_run_config(args) -> PipelineConfig:
     return config
 
 
-def _out_dir(config: PipelineConfig) -> Path:
+def _stage_run(args) -> tuple[PipelineConfig, Path]:
+    """The run config and its run directory, created if missing."""
+    config = _load_run_config(args)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return out
+    return config, out
 
 
 def _load_kb(config: PipelineConfig, out: Path):
@@ -102,11 +90,8 @@ def _load_kb(config: PipelineConfig, out: Path):
 
 
 def cmd_ingest(args) -> int:
-    config = _load_run_config(args)
-    out = _out_dir(config)
-    kb = load_triples(config.triples_file, TripleFormat(config.format))
-    audit(kb)
-    save_triples(kb, out / "kb.jsonl")
+    config, out = _stage_run(args)
+    kb = ingest_stage(config, out)
     print(f"ingested {len(kb.triples)} triples "
           f"({kb.n_nps} noun phrases, {kb.n_rels} relation phrases) "
           f"-> {out / 'kb.jsonl'}")
@@ -114,65 +99,43 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_sideinfo(args) -> int:
-    config = _load_run_config(args)
-    out = _out_dir(config)
-    kb = _load_kb(config, out)
-    side = assemble_side_info(kb, config.side)
-    save_side_info(side, out / "side_info.json")
-    report = coverage_report(side, kb)
-    (out / "coverage.txt").write_text("\n".join(report) + "\n", encoding="utf-8")
-    for line in report:
-        print(line)
+    config, out = _stage_run(args)
+    sideinfo_stage(config, out, _load_kb(config, out))
+    print((out / "coverage.txt").read_text(encoding="utf-8"), end="")
     return 0
 
 
 def cmd_embed(args) -> int:
-    config = _load_run_config(args)
-    out = _out_dir(config)
+    config, out = _stage_run(args)
     kb = _load_kb(config, out)
-    side_file = Path(args.side) if args.side else out / "side_info.json"
+    side_file = out / "side_info.json"
     if not side_file.is_file():
         raise KBCanonError(
             f"side information file not found: {side_file} (run sideinfo first)"
         )
-    side = load_side_info(side_file)
-    h = config.effective_hyperparams()
-    init = init_embeddings(kb, config.vectors_file, h.dim, default_init_rng(h.seed))
-    emb = train(kb, side, h, init, log_file=out / "training_log.jsonl")
-    save_embeddings(emb, out / "embeddings.npz", h.seed, vocab_hash(kb))
-    print(f"trained {h.dim}-dimensional embeddings for "
+    emb = embed_stage(config, out, kb, load_side_info(side_file))
+    print(f"trained {emb.dim}-dimensional embeddings for "
           f"{kb.n_nps} + {kb.n_rels} phrases -> {out / 'embeddings.npz'}")
     return 0
 
 
 def cmd_cluster(args) -> int:
-    config = _load_run_config(args)
-    out = _out_dir(config)
+    config, out = _stage_run(args)
     kb = _load_kb(config, out)
-    emb_file = Path(args.embeddings) if args.embeddings else out / "embeddings.npz"
+    emb_file = out / "embeddings.npz"
     if not emb_file.is_file():
         raise KBCanonError(
             f"embeddings file not found: {emb_file} (run embed first)"
         )
     emb, _ = load_embeddings(emb_file, expect_vocab_hash=vocab_hash(kb))
-    np_gold = load_np_gold(kb, config)
-    rel_gold = load_rel_gold(kb, config)
-    val_kb, _ = split_validation(kb, np_gold, config.validation_fraction, config.seed)
-    np_t, rel_t, detail = select_thresholds(emb, val_kb, np_gold, rel_gold, config)
-    (out / "thresholds.json").write_text(
-        json.dumps(detail, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
-    np_vectors = {p.id: emb.np_vectors[p.id] for p in kb.np_vocab}
-    rel_vectors = {p.id: emb.rel_vectors[p.id] for p in kb.rel_vocab}
-    np_clustering = canon.cluster_phrases(kb, PhraseKind.NP, np_vectors, np_t)
-    rel_clustering = canon.cluster_phrases(kb, PhraseKind.REL, rel_vectors, rel_t)
-    canon.save_clusters(np_clustering, kb, out / "clusters_np.jsonl")
-    canon.save_clusters(rel_clustering, kb, out / "clusters_rel.jsonl")
-    result = canon.canonicalize_kb(kb, np_clustering, rel_clustering)
-    canon.save_canonicalized(result, out / "canonical_triples.jsonl")
-    print(f"clustered at thresholds np={np_t} rel={rel_t}: "
+    timings: dict[str, float] = {}
+    split = run_stage(timings, "split", split_stage, config, out, kb)
+    np_clustering, rel_clustering = run_after_embed(config, out, kb, split, emb, timings)
+    print(f"clustered at thresholds np={np_clustering.threshold_used} "
+          f"rel={rel_clustering.threshold_used}: "
           f"{len(np_clustering.clusters)} noun phrase clusters, "
           f"{len(rel_clustering.clusters)} relation clusters")
+    print((out / "metrics.txt").read_text(encoding="utf-8"))
     return 0
 
 
@@ -277,14 +240,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("embed", help="train phrase embeddings")
     add_common(p)
-    p.add_argument("--side", help="side information file "
-                                  "(default: <out>/side_info.json)")
     p.set_defaults(fn=cmd_embed)
 
-    p = sub.add_parser("cluster", help="cluster phrases and rewrite the KB")
+    p = sub.add_parser("cluster", help="every stage after embed: split, thresholds, "
+                                       "cluster, rewrite, evaluate, baselines")
     add_common(p)
-    p.add_argument("--embeddings", help="embeddings file "
-                                        "(default: <out>/embeddings.npz)")
     p.set_defaults(fn=cmd_cluster)
 
     p = sub.add_parser("evaluate", help="score a cluster file against gold")

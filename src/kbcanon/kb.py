@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import EmptyKBError, InvariantViolation, ParseError
 
@@ -348,26 +348,37 @@ def audit(kb: OpenKB) -> None:
 # gold clusterings
 
 
-def load_gold(path, kb: OpenKB, kind: PhraseKind) -> GoldClustering:
-    """Read a ``phrase_text <TAB> gold_id`` file. Phrases absent from the KB
-    are skipped (logged); a repeated phrase keeps its last assignment."""
-    path = Path(path)
-    assignment: dict[int, str] = {}
-    skipped = 0
-    with path.open(encoding="utf-8") as fh:
+_GOLD_LINE = "expected 'phrase_text<TAB>gold_id'"
+
+
+def read_gold_lines(path) -> Iterator[tuple[int, str, str | None]]:
+    """(line number, phrase text, gold id) for every non-blank line of a
+    ``phrase_text <TAB> gold_id`` file. A line holding only a phrase has
+    gold id None; any other shape raises ParseError."""
+    with Path(path).open(encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip():
                 continue
             parts = line.split("\t")
-            if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
-                raise ParseError(path, line_no, "expected 'phrase_text<TAB>gold_id'")
-            text, gold_id = parts[0], parts[1].strip()
-            pid = kb.np_id(text) if kind is PhraseKind.NP else kb.rel_id(text)
-            if pid is None:
-                skipped += 1
-                continue
-            assignment[pid] = gold_id
+            if len(parts) > 2 or not all(part.strip() for part in parts):
+                raise ParseError(path, line_no, _GOLD_LINE)
+            yield line_no, parts[0], parts[1].strip() if len(parts) == 2 else None
+
+
+def load_gold(path, kb: OpenKB, kind: PhraseKind) -> GoldClustering:
+    """Read a ``phrase_text <TAB> gold_id`` file. Phrases absent from the KB
+    are skipped (logged); a repeated phrase keeps its last assignment."""
+    assignment: dict[int, str] = {}
+    skipped = 0
+    for line_no, text, gold_id in read_gold_lines(path):
+        if gold_id is None:
+            raise ParseError(path, line_no, _GOLD_LINE)
+        pid = kb.np_id(text) if kind is PhraseKind.NP else kb.rel_id(text)
+        if pid is None:
+            skipped += 1
+            continue
+        assignment[pid] = gold_id
     if skipped:
         logger.info("load_gold: %d phrases not in KB, skipped", skipped)
     return GoldClustering(kind, assignment)

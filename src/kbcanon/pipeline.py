@@ -1,12 +1,15 @@
-"""End-to-end orchestration: ingest, side info, training, threshold
-selection on a validation split, clustering, canonicalization, evaluation,
-and hyperparameter grid search.
+"""End-to-end orchestration: ingest, validation split, side info,
+training, threshold selection, clustering, canonicalization, evaluation
+and baselines, plus hyperparameter grid search.
 
-Every stage writes its artifact to the run directory, and later stages
-consume only those artifacts (plus the config), so stages can also run as
-separate processes through the CLI. A manifest records the resolved
-config, its hash, the seed, and library versions; in deterministic mode a
-re-run from the manifest reproduces every artifact byte for byte.
+Each stage is one function, ``<stage>_stage(config, run_dir, *inputs)``,
+that writes the stage's artifacts to the run directory and returns its
+outputs. `run_pipeline` runs the stages in order and hands outputs on in
+memory; the CLI subcommands call the same functions on artifacts read back
+from the run directory, so a staged chain writes the same run directory.
+A manifest records the resolved config, its hash, the seed, and library
+versions; in deterministic mode a re-run from the manifest reproduces
+every artifact byte for byte.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .kb import (
     gold_from_triples,
     load_gold,
     load_triples,
+    read_gold_lines,
     save_triples,
     split_validation,
 )
@@ -216,16 +220,24 @@ LEADERBOARD_HEADER = f"{'system':<40} {'macro':>5}  {'micro':>5}  {'pair':>5}"
 
 
 # ---------------------------------------------------------------------------
-# shared stage pieces
+# stages
 
 
-def _run_stage(name: str, fn):
+def run_stage(timings: dict[str, float], name: str, fn, *args):
+    """``fn(*args)`` with its wall time recorded under ``name``; a failure
+    raises StageError naming the stage."""
     t0 = time.perf_counter()
     try:
-        result = fn()
+        result = fn(*args)
     except Exception as e:
         raise StageError(name, e) from e
-    return result, time.perf_counter() - t0
+    timings[name] = time.perf_counter() - t0
+    return result
+
+
+def _write_json(path: Path, payload) -> None:
+    path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n",
+                    encoding="utf-8")
 
 
 def load_np_gold(kb: OpenKB, config: PipelineConfig) -> GoldClustering:
@@ -251,10 +263,6 @@ def _view_ids(view: OpenKB, kind: PhraseKind) -> set[int]:
     return {p.id for p in view.vocab(kind)}
 
 
-def _subset_gold(gold: GoldClustering, ids: set[int]) -> GoldClustering:
-    return gold.restricted_to(ids)
-
-
 def select_thresholds(
     emb: EmbeddingSet,
     val_kb: OpenKB,
@@ -271,7 +279,7 @@ def select_thresholds(
         detail["np_source"] = "config"
     else:
         val_np_ids = _view_ids(val_kb, PhraseKind.NP)
-        val_gold = _subset_gold(np_gold, val_np_ids)
+        val_gold = np_gold.restricted_to(val_np_ids)
         vectors = {i: emb.np_vectors[i] for i in sorted(val_np_ids)}
         np_t = choose_threshold(vectors, val_gold, config.threshold_grid)
         detail["np_source"] = "validation"
@@ -280,7 +288,7 @@ def select_thresholds(
         detail["rel_source"] = "config"
     elif rel_gold is not None and rel_gold.assignment:
         val_rel_ids = _view_ids(val_kb, PhraseKind.REL)
-        val_gold = _subset_gold(rel_gold, val_rel_ids)
+        val_gold = rel_gold.restricted_to(val_rel_ids)
         if val_gold.assignment:
             vectors = {i: emb.rel_vectors[i] for i in sorted(val_rel_ids)}
             rel_t = choose_threshold(vectors, val_gold, config.threshold_grid)
@@ -307,6 +315,171 @@ def _evaluate_or_none(
     return evaluate(clustering.member_sets(), subset)
 
 
+def ingest_stage(config: PipelineConfig, out: Path) -> OpenKB:
+    """Parse and audit the source triples; snapshot them as kb.jsonl."""
+    kb = load_triples(config.triples_file, TripleFormat(config.format))
+    audit(kb)
+    save_triples(kb, out / "kb.jsonl")
+    logger.info("ingested %d triples, %d NPs, %d relation phrases",
+                len(kb.triples), kb.n_nps, kb.n_rels)
+    return kb
+
+
+@dataclass(frozen=True)
+class Split:
+    """Gold labels and the validation and test views of the KB."""
+
+    np_gold: GoldClustering
+    rel_gold: GoldClustering | None
+    validation: OpenKB
+    test: OpenKB
+
+
+def split_stage(config: PipelineConfig, out: Path, kb: OpenKB) -> Split:
+    np_gold = load_np_gold(kb, config)
+    rel_gold = load_rel_gold(kb, config)
+    val_kb, test_kb = split_validation(
+        kb, np_gold, config.validation_fraction, config.seed
+    )
+    _write_json(out / "split.json", {
+        "validation_triple_ids": sorted(t.triple_id for t in val_kb.triples),
+        "test_triple_ids": sorted(t.triple_id for t in test_kb.triples),
+    })
+    return Split(np_gold, rel_gold, val_kb, test_kb)
+
+
+def sideinfo_stage(config: PipelineConfig, out: Path, kb: OpenKB) -> SideInfoCollection:
+    side = assemble_side_info(kb, config.side)
+    save_side_info(side, out / "side_info.json")
+    (out / "coverage.txt").write_text(
+        "\n".join(coverage_report(side, kb)) + "\n", encoding="utf-8"
+    )
+    return side
+
+
+def embed_stage(config: PipelineConfig, out: Path, kb: OpenKB,
+                side: SideInfoCollection) -> EmbeddingSet:
+    h = config.effective_hyperparams()
+    init = init_embeddings(kb, config.vectors_file, h.dim, default_init_rng(h.seed))
+    emb = train(kb, side, h, init, log_file=out / "training_log.jsonl")
+    save_embeddings(emb, out / "embeddings.npz", h.seed, vocab_hash(kb))
+    return emb
+
+
+def thresholds_stage(config: PipelineConfig, out: Path, emb: EmbeddingSet,
+                     split: Split) -> tuple[float, float]:
+    np_t, rel_t, detail = select_thresholds(
+        emb, split.validation, split.np_gold, split.rel_gold, config
+    )
+    _write_json(out / "thresholds.json", detail)
+    return np_t, rel_t
+
+
+def cluster_stage(config: PipelineConfig, out: Path, kb: OpenKB, emb: EmbeddingSet,
+                  np_t: float, rel_t: float) -> tuple[Clustering, Clustering]:
+    np_vectors = {p.id: emb.np_vectors[p.id] for p in kb.np_vocab}
+    rel_vectors = {p.id: emb.rel_vectors[p.id] for p in kb.rel_vocab}
+    np_clustering = canon.cluster_phrases(kb, PhraseKind.NP, np_vectors, np_t)
+    rel_clustering = canon.cluster_phrases(kb, PhraseKind.REL, rel_vectors, rel_t)
+    canon.save_clusters(np_clustering, kb, out / "clusters_np.jsonl")
+    canon.save_clusters(rel_clustering, kb, out / "clusters_rel.jsonl")
+    return np_clustering, rel_clustering
+
+
+def canonicalize_stage(config: PipelineConfig, out: Path, kb: OpenKB,
+                       np_clustering: Clustering,
+                       rel_clustering: Clustering) -> canon.CanonicalizedKB:
+    result = canon.canonicalize_kb(kb, np_clustering, rel_clustering)
+    canon.save_canonicalized(result, out / "canonical_triples.jsonl")
+    _write_json(out / "duplicates.json",
+                {"duplicate_groups": [list(g) for g in result.duplicate_groups]})
+    return result
+
+
+def evaluate_stage(config: PipelineConfig, out: Path, split: Split,
+                   np_clustering: Clustering, rel_clustering: Clustering,
+                   ) -> tuple[MetricsReport | None, MetricsReport | None]:
+    """Score both clusterings on the test split's phrases."""
+    test_np_ids = _view_ids(split.test, PhraseKind.NP)
+    test_rel_ids = _view_ids(split.test, PhraseKind.REL)
+    report_np = _evaluate_or_none(np_clustering, split.np_gold, test_np_ids)
+    report_rel = _evaluate_or_none(rel_clustering, split.rel_gold, test_rel_ids)
+    _write_json(out / "metrics.json", {
+        "np": report_np.as_dict() if report_np else None,
+        "rel": report_rel.as_dict() if report_rel else None,
+    })
+    text = []
+    if report_np:
+        text.append("NP clustering vs gold (test split)")
+        text.append(format_report(report_np))
+    if report_rel:
+        text.append("")
+        text.append("REL clustering vs gold (test split)")
+        text.append(format_report(report_rel))
+    (out / "metrics.txt").write_text("\n".join(text) + "\n", encoding="utf-8")
+    return report_np, report_rel
+
+
+def baselines_stage(config: PipelineConfig, out: Path, kb: OpenKB, split: Split,
+                    report_np: MetricsReport | None) -> None:
+    """Run the configured NP baselines and write the leaderboard, this
+    system's test-split row first."""
+    rows = [LEADERBOARD_HEADER, leaderboard_row("full (this system)", report_np)]
+    val_gold = split.np_gold.restricted_to(_view_ids(split.validation, PhraseKind.NP))
+    test_np_ids = _view_ids(split.test, PhraseKind.NP)
+    for name in config.baselines:
+        cfg = BaselineConfig(
+            name=BaselineName(name),
+            kind=PhraseKind.NP,
+            ppdb_confidence_min=config.side.ppdb_confidence_min,
+            hyperparams=(config.effective_hyperparams() if name.startswith("hole_")
+                         else None),
+            seed=config.seed,
+        )
+        clustering = run_baseline(
+            cfg, kb,
+            ppdb_file=config.side.ppdb_file,
+            vectors_file=config.vectors_file,
+            validation_gold=val_gold,
+            grid=config.threshold_grid,
+        )
+        report = _evaluate_or_none(clustering, split.np_gold, test_np_ids)
+        rows.append(leaderboard_row(name, report))
+    (out / "leaderboard.txt").write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
+def run_after_embed(config: PipelineConfig, out: Path, kb: OpenKB, split: Split,
+                    emb: EmbeddingSet, timings: dict[str, float],
+                    ) -> tuple[Clustering, Clustering]:
+    """Every stage after embed: thresholds, cluster, canonicalize,
+    evaluate and baselines, then manifest.json and timings.json. Returns
+    the NP and REL clusterings."""
+    np_t, rel_t = run_stage(timings, "thresholds", thresholds_stage,
+                            config, out, emb, split)
+    np_clustering, rel_clustering = run_stage(
+        timings, "cluster", cluster_stage, config, out, kb, emb, np_t, rel_t)
+    run_stage(timings, "canonicalize", canonicalize_stage,
+              config, out, kb, np_clustering, rel_clustering)
+    report_np, _ = run_stage(timings, "evaluate", evaluate_stage,
+                             config, out, split, np_clustering, rel_clustering)
+    run_stage(timings, "baselines", baselines_stage, config, out, kb, split, report_np)
+    _write_json(out / "manifest.json", {
+        "config": config.as_dict(),
+        "config_hash": config_hash(config),
+        "seed": config.seed,
+        "versions": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "package": _package_version(),
+        },
+        "artifacts": sorted(
+            p.name for p in out.iterdir() if p.is_file() and p.name != "manifest.json"
+        ),
+    })
+    _write_json(out / "timings.json", {k: round(v, 6) for k, v in timings.items()})
+    return np_clustering, rel_clustering
+
+
 # ---------------------------------------------------------------------------
 # the full pipeline
 
@@ -321,157 +494,11 @@ def run_pipeline(config: PipelineConfig, out_dir=None) -> Path:
         raise ConfigError("an output directory is required (out_dir)")
     out.mkdir(parents=True, exist_ok=True)
     timings: dict[str, float] = {}
-    h = config.effective_hyperparams()
-
-    def ingest():
-        kb = load_triples(config.triples_file, TripleFormat(config.format))
-        audit(kb)
-        save_triples(kb, out / "kb.jsonl")
-        return kb
-
-    kb, timings["ingest"] = _run_stage("ingest", ingest)
-    logger.info("ingested %d triples, %d NPs, %d relation phrases",
-                len(kb.triples), kb.n_nps, kb.n_rels)
-
-    def split():
-        np_gold = load_np_gold(kb, config)
-        rel_gold = load_rel_gold(kb, config)
-        val_kb, test_kb = split_validation(
-            kb, np_gold, config.validation_fraction, config.seed
-        )
-        payload = {
-            "validation_triple_ids": sorted(t.triple_id for t in val_kb.triples),
-            "test_triple_ids": sorted(t.triple_id for t in test_kb.triples),
-        }
-        (out / "split.json").write_text(
-            json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-        )
-        return np_gold, rel_gold, val_kb, test_kb
-
-    (np_gold, rel_gold, val_kb, test_kb), timings["split"] = _run_stage("split", split)
-
-    def sideinfo():
-        side = assemble_side_info(kb, config.side)
-        save_side_info(side, out / "side_info.json")
-        (out / "coverage.txt").write_text(
-            "\n".join(coverage_report(side, kb)) + "\n", encoding="utf-8"
-        )
-        return side
-
-    side, timings["sideinfo"] = _run_stage("sideinfo", sideinfo)
-
-    def embed():
-        init = init_embeddings(kb, config.vectors_file, h.dim, default_init_rng(h.seed))
-        emb = train(kb, side, h, init, log_file=out / "training_log.jsonl")
-        save_embeddings(emb, out / "embeddings.npz", h.seed, vocab_hash(kb))
-        return emb
-
-    emb, timings["embed"] = _run_stage("embed", embed)
-
-    def thresholds():
-        np_t, rel_t, detail = select_thresholds(emb, val_kb, np_gold, rel_gold, config)
-        (out / "thresholds.json").write_text(
-            json.dumps(detail, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-        )
-        return np_t, rel_t
-
-    (np_t, rel_t), timings["thresholds"] = _run_stage("thresholds", thresholds)
-
-    def cluster():
-        np_vectors = {p.id: emb.np_vectors[p.id] for p in kb.np_vocab}
-        rel_vectors = {p.id: emb.rel_vectors[p.id] for p in kb.rel_vocab}
-        np_clustering = canon.cluster_phrases(kb, PhraseKind.NP, np_vectors, np_t)
-        rel_clustering = canon.cluster_phrases(kb, PhraseKind.REL, rel_vectors, rel_t)
-        canon.save_clusters(np_clustering, kb, out / "clusters_np.jsonl")
-        canon.save_clusters(rel_clustering, kb, out / "clusters_rel.jsonl")
-        return np_clustering, rel_clustering
-
-    (np_clustering, rel_clustering), timings["cluster"] = _run_stage("cluster", cluster)
-
-    def rewrite():
-        result = canon.canonicalize_kb(kb, np_clustering, rel_clustering)
-        canon.save_canonicalized(result, out / "canonical_triples.jsonl")
-        (out / "duplicates.json").write_text(
-            json.dumps({"duplicate_groups": [list(g) for g in result.duplicate_groups]},
-                       sort_keys=True, indent=1) + "\n",
-            encoding="utf-8",
-        )
-        return result
-
-    _, timings["canonicalize"] = _run_stage("canonicalize", rewrite)
-
-    def evaluate_stage():
-        test_np_ids = _view_ids(test_kb, PhraseKind.NP)
-        test_rel_ids = _view_ids(test_kb, PhraseKind.REL)
-        report_np = _evaluate_or_none(np_clustering, np_gold, test_np_ids)
-        report_rel = _evaluate_or_none(rel_clustering, rel_gold, test_rel_ids)
-        payload = {
-            "np": report_np.as_dict() if report_np else None,
-            "rel": report_rel.as_dict() if report_rel else None,
-        }
-        (out / "metrics.json").write_text(
-            json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-        )
-        text = []
-        if report_np:
-            text.append("NP clustering vs gold (test split)")
-            text.append(format_report(report_np))
-        if report_rel:
-            text.append("")
-            text.append("REL clustering vs gold (test split)")
-            text.append(format_report(report_rel))
-        (out / "metrics.txt").write_text("\n".join(text) + "\n", encoding="utf-8")
-        return report_np, report_rel
-
-    (report_np, _), timings["evaluate"] = _run_stage("evaluate", evaluate_stage)
-
-    def baseline_stage():
-        rows = [LEADERBOARD_HEADER, leaderboard_row("full (this system)", report_np)]
-        val_np_ids = _view_ids(val_kb, PhraseKind.NP)
-        val_gold = _subset_gold(np_gold, val_np_ids)
-        test_np_ids = _view_ids(test_kb, PhraseKind.NP)
-        for name in config.baselines:
-            cfg = BaselineConfig(
-                name=BaselineName(name),
-                kind=PhraseKind.NP,
-                ppdb_confidence_min=config.side.ppdb_confidence_min,
-                hyperparams=(h if name.startswith("hole_") else None),
-                seed=config.seed,
-            )
-            clustering = run_baseline(
-                cfg, kb,
-                ppdb_file=config.side.ppdb_file,
-                vectors_file=config.vectors_file,
-                validation_gold=val_gold,
-                grid=config.threshold_grid,
-            )
-            report = _evaluate_or_none(clustering, np_gold, test_np_ids)
-            rows.append(leaderboard_row(name, report))
-        (out / "leaderboard.txt").write_text("\n".join(rows) + "\n", encoding="utf-8")
-
-    _, timings["baselines"] = _run_stage("baselines", baseline_stage)
-
-    manifest = {
-        "config": config.as_dict(),
-        "config_hash": config_hash(config),
-        "seed": config.seed,
-        "versions": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "package": _package_version(),
-        },
-        "artifacts": sorted(
-            p.name for p in out.iterdir() if p.is_file() and p.name != "manifest.json"
-        ),
-    }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
-    (out / "timings.json").write_text(
-        json.dumps({k: round(v, 6) for k, v in timings.items()},
-                   sort_keys=True, indent=1) + "\n",
-        encoding="utf-8",
-    )
+    kb = run_stage(timings, "ingest", ingest_stage, config, out)
+    split = run_stage(timings, "split", split_stage, config, out, kb)
+    side = run_stage(timings, "sideinfo", sideinfo_stage, config, out, kb)
+    emb = run_stage(timings, "embed", embed_stage, config, out, kb, side)
+    run_after_embed(config, out, kb, split, emb, timings)
     return out
 
 
@@ -530,7 +557,7 @@ def grid_search(
     rel_gold = load_rel_gold(kb, config)
     val_kb, _ = split_validation(kb, np_gold, config.validation_fraction, config.seed)
     val_np_ids = _view_ids(val_kb, PhraseKind.NP)
-    val_gold = _subset_gold(np_gold, val_np_ids)
+    val_gold = np_gold.restricted_to(val_np_ids)
     if not val_gold.assignment:
         raise ConfigError("validation split carries no gold labels")
 
@@ -607,19 +634,13 @@ def grid_search(
 
 def evaluate_clusters_file(clusters_path, gold_path) -> MetricsReport:
     """Score a cluster artifact against a `phrase <TAB> gold_id` file; the
-    elements are surface texts."""
+    elements are surface texts. Phrases listed without a gold id are not
+    scored; a malformed gold line raises ParseError."""
     clusters: list[frozenset[str]] = []
     with Path(clusters_path).open(encoding="utf-8") as fh:
         for line in fh:
             if line.strip():
                 clusters.append(frozenset(json.loads(line)["members"]))
-    gold: dict[str, str] = {}
-    with Path(gold_path).open(encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            text, _, label = line.partition("\t")
-            if label:
-                gold[text] = label.strip()
+    gold = {text: gold_id for _, text, gold_id in read_gold_lines(gold_path)
+            if gold_id is not None}
     return evaluate(clusters, gold)
