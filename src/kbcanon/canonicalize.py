@@ -1,13 +1,14 @@
 """Clustering embeddings into canonical groups and rewriting the KB.
 
 Complete-linkage hierarchical agglomerative clustering over cosine
-distance (1 - cosine similarity). Merging proceeds while the smallest
-inter-cluster distance stays within the threshold; ties break toward the
-pair with the lexicographically smallest (minimum member id, minimum
-member id). Complete linkage has monotone merge distances, so stopping at
-the threshold and cutting a full dendrogram at the same height coincide;
-threshold selection exploits that by agglomerating once and cutting the
-recorded merge history at every grid value.
+distance (1 - cosine similarity). One loop, ``hac_merge_history``, merges
+a distance matrix down to a single cluster with cached per-row nearest
+neighbours (the "generic" algorithm of Müllner 2011) and records every
+merge; ties break toward the pair with the lexicographically smallest
+(minimum member id, minimum member id). Complete linkage has monotone
+merge distances, so cutting that history at a threshold gives the same
+partition as stopping the merges there: clustering at a threshold is one
+cut, and threshold selection cuts one history at every grid value.
 """
 
 from __future__ import annotations
@@ -88,52 +89,52 @@ def cosine_distance_matrix(X: np.ndarray, labels: Sequence | None = None) -> np.
 # agglomeration
 
 # Clusters live at matrix positions (row/column indices in the order the
-# ids were given, which callers keep id-sorted). Only the upper triangle
-# holds live distances; the diagonal and lower triangle stay at +inf so a
-# flat row-major argmin lands on the smallest live (i, j) with i < j, which
-# is exactly the tie-break: positions are id-ordered and a merge keeps the
-# smaller position, so position order equals minimum-member-id order.
-
-
-def _prepare(D: np.ndarray) -> np.ndarray:
-    n = D.shape[0]
-    if D.shape != (n, n):
-        raise ValueError("distance matrix must be square")
-    M = D.astype(float, copy=True)
-    M[np.tril_indices(n)] = np.inf
-    return M
-
-
-def _pair_distances(M: np.ndarray, i: int) -> np.ndarray:
-    """Distances between position i and every other position, reading
-    whichever triangle entry is live."""
-    n = M.shape[0]
-    k = np.arange(n)
-    return np.where(k < i, M[:, i], M[i, :])
-
-
-def _merge_step(M: np.ndarray, i: int, j: int) -> None:
-    """Complete-linkage update: survivor i absorbs j; distances to i become
-    the max of the two old distances; row/column j is retired."""
-    new = np.maximum(_pair_distances(M, i), _pair_distances(M, j))
-    M[i, i + 1:] = new[i + 1:]
-    M[:i, i] = new[:i]
-    M[j, :] = np.inf
-    M[:, j] = np.inf
+# ids were given, which callers keep id-sorted); a merge keeps the smaller
+# position, so position order equals minimum-member-id order. The working
+# matrix M is the upper triangle of D mirrored into a symmetric copy, with
+# +inf on the diagonal and on retired rows and columns.
+#
+# Each row caches its nearest neighbour: nn[k] is the first argmin of row k
+# and nd[k] its distance. i = argmin(nd) is the smallest row holding the
+# global minimum d, and j = nn[i] > i (a smaller j would hold d in its own
+# row and win the argmin first), so each merge takes the smallest
+# (distance, i, j), the same pair a flat row-major argmin over the upper
+# triangle finds. A complete-linkage update only raises distances: the
+# survivor's row and column become max(M[i], M[j]), and j's become inf.
+# Another row's cached first argmin therefore stays exact unless it pointed
+# at j, or pointed at i and the new distance to i exceeds it; only those
+# rows are rescanned, the survivor's among them (nn[i] == j). A retired
+# row caches nn = -1 and nd = inf, so it never matches again.
 
 
 def hac_merge_history(D: np.ndarray) -> list[tuple[float, int, int]]:
     """Agglomerate to a single cluster, recording (distance, i, j) per
     merge with i < j as matrix positions. Complete linkage makes the
-    recorded distances non-decreasing."""
-    M = _prepare(D)
-    n = M.shape[0]
+    recorded distances non-decreasing. D is read, never modified; only its
+    upper triangle is used, and it must be square and finite."""
+    n = D.shape[0]
+    if D.shape != (n, n):
+        raise ValueError("distance matrix must be square")
+    if not np.isfinite(D).all():
+        raise ValueError("distance matrix must be finite")
+    if n < 2:
+        return []
+    M = np.where(np.tri(n, k=-1, dtype=bool), D.T, D).astype(float, copy=False)
+    np.fill_diagonal(M, np.inf)
+    nn = M.argmin(axis=1)
+    nd = M[np.arange(n), nn]
     history: list[tuple[float, int, int]] = []
     for _ in range(n - 1):
-        flat = int(np.argmin(M))
-        i, j = divmod(flat, n)
-        history.append((float(M[i, j]), i, j))
-        _merge_step(M, i, j)
+        i = int(nd.argmin())
+        j = int(nn[i])
+        history.append((float(nd[i]), i, j))
+        new = np.maximum(M[i], M[j])
+        nn[j], nd[j] = -1, np.inf
+        rows = np.flatnonzero((nn == j) | ((nn == i) & (new > nd)))
+        M[i], M[:, i] = new, new
+        M[j], M[:, j] = np.inf, np.inf
+        nn[rows] = M[rows].argmin(axis=1)
+        nd[rows] = M[rows, nn[rows]]
     return history
 
 
@@ -154,24 +155,13 @@ def cut_history(
 def hac_from_distance_matrix(
     ids: Sequence[int], D: np.ndarray, threshold: float
 ) -> list[frozenset[int]]:
-    """Complete-linkage HAC over a precomputed distance matrix; merging
-    stops once the minimum inter-cluster distance exceeds the threshold.
-    ``ids`` must be sorted ascending so the tie-break is id-based."""
+    """Complete-linkage HAC over a precomputed distance matrix: a cut of
+    the merge history at the threshold, which equals stopping the merges
+    there because complete-linkage heights never decrease. ``ids`` must be
+    sorted ascending so the tie-break is id-based."""
     if list(ids) != sorted(ids):
         raise ValueError("ids must be sorted ascending")
-    n = len(ids)
-    if n == 0:
-        return []
-    M = _prepare(D)
-    members: dict[int, list[int]] = {i: [ids[i]] for i in range(n)}
-    for _ in range(n - 1):
-        flat = int(np.argmin(M))
-        i, j = divmod(flat, n)
-        if not np.isfinite(M[i, j]) or M[i, j] > threshold:
-            break
-        members[i].extend(members.pop(j))
-        _merge_step(M, i, j)
-    return sorted((frozenset(g) for g in members.values()), key=min)
+    return cut_history(ids, hac_merge_history(D), threshold)
 
 
 def hac_complete_linkage(

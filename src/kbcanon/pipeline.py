@@ -472,8 +472,11 @@ def run_after_embed(config: PipelineConfig, out: Path, kb: OpenKB, split: Split,
             "numpy": np.__version__,
             "package": _package_version(),
         },
+        # timings.json differs on every run and may be left over from an
+        # earlier run into this directory, so it is never listed.
         "artifacts": sorted(
-            p.name for p in out.iterdir() if p.is_file() and p.name != "manifest.json"
+            p.name for p in out.iterdir()
+            if p.is_file() and p.name not in ("manifest.json", "timings.json")
         ),
     })
     _write_json(out / "timings.json", {k: round(v, 6) for k, v in timings.items()})

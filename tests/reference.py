@@ -51,6 +51,53 @@ def naive_complete_linkage(
     return sorted((frozenset(c) for c in clusters), key=min)
 
 
+# The package's original merge-history loop, kept verbatim: one flat
+# row-major argmin over the upper triangle per merge, cubic overall. Only
+# the upper triangle holds live distances; the diagonal and lower triangle
+# stay at +inf, so the argmin lands on the smallest live (i, j) with i < j.
+
+
+def _prepare(D: np.ndarray) -> np.ndarray:
+    n = D.shape[0]
+    if D.shape != (n, n):
+        raise ValueError("distance matrix must be square")
+    M = D.astype(float, copy=True)
+    M[np.tril_indices(n)] = np.inf
+    return M
+
+
+def _pair_distances(M: np.ndarray, i: int) -> np.ndarray:
+    """Distances between position i and every other position, reading
+    whichever triangle entry is live."""
+    n = M.shape[0]
+    k = np.arange(n)
+    return np.where(k < i, M[:, i], M[i, :])
+
+
+def _merge_step(M: np.ndarray, i: int, j: int) -> None:
+    """Complete-linkage update: survivor i absorbs j; distances to i become
+    the max of the two old distances; row/column j is retired."""
+    new = np.maximum(_pair_distances(M, i), _pair_distances(M, j))
+    M[i, i + 1:] = new[i + 1:]
+    M[:i, i] = new[:i]
+    M[j, :] = np.inf
+    M[:, j] = np.inf
+
+
+def reference_merge_history(D: np.ndarray) -> list[tuple[float, int, int]]:
+    """Agglomerate to a single cluster, recording (distance, i, j) per
+    merge with i < j as matrix positions."""
+    M = _prepare(D)
+    n = M.shape[0]
+    history: list[tuple[float, int, int]] = []
+    for _ in range(n - 1):
+        flat = int(np.argmin(M))
+        i, j = divmod(flat, n)
+        history.append((float(M[i, j]), i, j))
+        _merge_step(M, i, j)
+    return history
+
+
 # ---------------------------------------------------------------------------
 # rule mining by direct double loop
 

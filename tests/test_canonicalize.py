@@ -35,7 +35,7 @@ from kbcanon.errors import (
 )
 from kbcanon.kb import GoldClustering, PhraseKind
 
-from .reference import naive_complete_linkage, random_points
+from .reference import naive_complete_linkage, random_points, reference_merge_history
 
 
 def vectors_from_rows(X) -> dict[int, np.ndarray]:
@@ -193,6 +193,53 @@ class TestHacAgainstOracle:
         D = cosine_distance_matrix(X)
         got = hac_from_distance_matrix([4, 7, 30], D, 0.2)
         assert got == [frozenset({4, 7}), frozenset({30})]
+
+
+def tie_heavy_matrix(rng, n: int) -> np.ndarray:
+    """Mostly 1.0 with a few symmetric entries from {0.1, 0.3, 0.6}: the
+    shape the token-overlap baselines produce."""
+    D = np.ones((n, n))
+    k = max(1, n * n // 50)
+    rows, cols = rng.integers(0, n, k), rng.integers(0, n, k)
+    vals = rng.choice([0.1, 0.3, 0.6], k)
+    D[rows, cols] = vals
+    D[cols, rows] = vals
+    return D
+
+
+class TestMergeHistory:
+    def test_matches_flat_argmin_reference(self):
+        rand = random.Random(15)
+        rng = np.random.default_rng(15)
+        matrices = [np.zeros((0, 0)), np.zeros((1, 1)), np.zeros((40, 40)),
+                    np.full((40, 40), 0.7)]
+        for k in range(24):
+            n = rand.randint(2, 300)
+            X = random_points(rand, n, rand.randint(2, 6), quantized=bool(k % 2))
+            matrices.append(cosine_distance_matrix(X))
+        matrices += [tie_heavy_matrix(rng, rand.randint(2, 300)) for _ in range(12)]
+        for D in matrices:
+            assert hac_merge_history(D) == reference_merge_history(D), D.shape
+
+    def test_leaves_input_unmodified(self):
+        X = random_points(random.Random(16), 30, 4, quantized=True)
+        D = cosine_distance_matrix(X)
+        before = D.tobytes()
+        hac_merge_history(D)
+        assert D.tobytes() == before
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            hac_merge_history(np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_rejected(self, bad):
+        D = np.array([[0.0, 0.9, 0.8], [0.9, 0.0, 0.2], [0.8, 0.2, 0.0]])
+        D[0, 1] = D[1, 0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            hac_merge_history(D)
+        with pytest.raises(ValueError, match="finite"):
+            hac_from_distance_matrix([0, 1, 2], D, 1.0)
 
 
 class TestHacProperties:

@@ -323,6 +323,15 @@ class TestRunPipeline:
         ):
             assert (out / name).read_bytes() == (out2 / name).read_bytes(), name
 
+    def test_rerun_into_same_dir_keeps_manifest(self, pipeline_run, tmp_path):
+        # The second run finds the first run's timings.json in the
+        # directory; the manifest must not pick it up.
+        config, _ = pipeline_run
+        out = tmp_path / "again"
+        first = (run_pipeline(config, out_dir=out) / "manifest.json").read_bytes()
+        second = (run_pipeline(config, out_dir=out) / "manifest.json").read_bytes()
+        assert first == second
+
 
 class TestPipelineFailures:
     def test_requires_out_dir(self, synth_data):
