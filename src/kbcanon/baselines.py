@@ -23,17 +23,19 @@ from .canonicalize import (
     Clustering,
     best_cut,
     build_clustering,
-    cosine_distance_matrix,
-    hac_from_distance_matrix,
+    cosine_distances,
     hac_merge_history,
+    tune_and_cut,
 )
 from .embedding import (
     EmbeddingSet,
     HyperParams,
+    average_word_vectors,
     default_init_rng,
     init_embeddings,
     load_word_vectors,
     train,
+    wordvec_phrase_embedding,  # noqa: F401  (re-exported)
 )
 from .errors import ConfigError
 from .kb import GoldClustering, OpenKB, PhraseKind
@@ -46,7 +48,6 @@ from .side_info import (
     idf_overlap_score,
     morph_equivalences,
     ppdb_equivalences,
-    tokenize,
 )
 
 logger = logging.getLogger(__name__)
@@ -165,18 +166,13 @@ def _jaccard(x: frozenset, y: frozenset) -> float:
     return len(x & y) / union if union else 0.0
 
 
-def wordvec_phrase_embedding(
-    phrase: str, word_vectors: Mapping[str, np.ndarray], d: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Mean of the phrase tokens' vectors over tokens present in the
-    table; phrases with no known token draw the same uniform fallback as
-    embedding initialization."""
-    found = [word_vectors[t] for t in tokenize(phrase) if t in word_vectors]
-    if found:
-        return np.mean(found, axis=0)
-    bound = 0.1 / np.sqrt(d)
-    return rng.uniform(-bound, bound, size=d)
+def _distance_matrix(features: Sequence, similarity) -> np.ndarray:
+    """1 - similarity(x, y) for every pair of features, 0 on the
+    diagonal."""
+    D = np.zeros((len(features), len(features)))
+    for (i, x), (j, y) in combinations(enumerate(features), 2):
+        D[i, j] = D[j, i] = 1.0 - similarity(x, y)
+    return D
 
 
 # ---------------------------------------------------------------------------
@@ -199,35 +195,31 @@ def tune_threshold_on_matrix(
     grid: Sequence[float] = DEFAULT_THRESHOLD_GRID,
 ) -> float:
     """choose_threshold for a precomputed distance matrix."""
-    if not gold.assignment:
-        raise ConfigError("cannot tune a threshold without validation gold")
-    return best_cut(ids, hac_merge_history(D), gold, grid)[0]
+    return best_cut(ids, hac_merge_history(D), gold, grid)
 
 
-def _freq_representative(members, frequencies, texts) -> int:
-    best = max(frequencies[i] for i in members)
-    return min((i for i in members if frequencies[i] == best), key=lambda i: (texts[i], i))
+def _freq_clustering(kb: OpenKB, kind: PhraseKind, member_sets,
+                     threshold: float) -> Clustering:
+    """Clusters ordered by smallest member, each represented by its most
+    frequent member (ties by smallest text, then id)."""
+    freqs = {p.id: p.frequency for p in kb.vocab(kind)}
+    texts = {p.id: p.text for p in kb.vocab(kind)}
+    clusters = []
+    for ms in sorted((frozenset(m) for m in member_sets), key=min):
+        best = max(freqs[i] for i in ms)
+        rep = min((i for i in ms if freqs[i] == best), key=lambda i: (texts[i], i))
+        clusters.append(Cluster(members=ms, representative=rep))
+    return Clustering(kind=kind, clusters=tuple(clusters), threshold_used=threshold)
 
 
-def _equivalence_clustering(
-    kb: OpenKB, kind: PhraseKind, pairs, threshold: float = NO_THRESHOLD
-) -> Clustering:
-    """Connected components of a pair set, singletons elsewhere; the
-    representative is the most frequent member (ties by smallest text)."""
-    vocab = kb.vocab(kind)
-    freqs = {p.id: p.frequency for p in vocab}
-    texts = {p.id: p.text for p in vocab}
+def _equivalence_clustering(kb: OpenKB, kind: PhraseKind, pairs) -> Clustering:
+    """Connected components of a pair set, singletons elsewhere."""
     dsu = DisjointSet()
-    for p in vocab:
+    for p in kb.vocab(kind):
         dsu.find(p.id)
     for a, b in pairs:
         dsu.union(a, b)
-    clusters = tuple(
-        Cluster(members=frozenset(g),
-                representative=_freq_representative(g, freqs, texts))
-        for g in sorted((sorted(g) for g in dsu.groups()), key=lambda g: g[0])
-    )
-    return Clustering(kind=kind, clusters=clusters, threshold_used=threshold)
+    return _freq_clustering(kb, kind, dsu.groups(), NO_THRESHOLD)
 
 
 def _hac_at_threshold(D: np.ndarray, ids: Sequence[int], cfg: BaselineConfig,
@@ -235,36 +227,11 @@ def _hac_at_threshold(D: np.ndarray, ids: Sequence[int], cfg: BaselineConfig,
                       ) -> tuple[list[frozenset[int]], float]:
     """(member sets, threshold): complete-linkage HAC over ``D`` cut at the
     configured threshold, or at one tuned on the validation gold."""
-    if cfg.threshold is not None:
-        threshold = cfg.threshold
-    elif validation_gold is not None:
-        threshold = tune_threshold_on_matrix(ids, D, validation_gold, grid)
-    else:
+    if cfg.threshold is None and validation_gold is None:
         raise ConfigError(
             f"{cfg.name.value} needs a threshold or validation gold to tune one"
         )
-    return hac_from_distance_matrix(ids, D, threshold), threshold
-
-
-def _similarity_hac(
-    kb: OpenKB,
-    kind: PhraseKind,
-    D: np.ndarray,
-    ids: Sequence[int],
-    cfg: BaselineConfig,
-    validation_gold: GoldClustering | None,
-    grid: Sequence[float],
-) -> Clustering:
-    """HAC over 1 - similarity; representatives by frequency."""
-    member_sets, threshold = _hac_at_threshold(D, ids, cfg, validation_gold, grid)
-    vocab = kb.vocab(kind)
-    freqs = {p.id: p.frequency for p in vocab}
-    texts = {p.id: p.text for p in vocab}
-    clusters = tuple(
-        Cluster(members=ms, representative=_freq_representative(ms, freqs, texts))
-        for ms in member_sets
-    )
-    return Clustering(kind=kind, clusters=clusters, threshold_used=threshold)
+    return tune_and_cut(ids, D, cfg.threshold, validation_gold, grid)
 
 
 def _embedding_hac(
@@ -276,9 +243,7 @@ def _embedding_hac(
     grid: Sequence[float],
 ) -> Clustering:
     """HAC over cosine distance; representatives nearest the weighted mean."""
-    ids = sorted(vectors)
-    X = np.stack([vectors[i] for i in ids])
-    D = cosine_distance_matrix(X, labels=ids)
+    ids, D = cosine_distances(vectors)
     member_sets, threshold = _hac_at_threshold(D, ids, cfg, validation_gold, grid)
     vocab = kb.vocab(kind)
     freqs = {p.id: p.frequency for p in vocab}
@@ -319,37 +284,25 @@ def run_baseline(
 
     ids = sorted(p.id for p in vocab)
 
-    if name is BaselineName.IDF_HAC:
-        df = build_df(kb)
-        toks = {p.id: content_tokens(p.text) for p in vocab}
-        D = np.zeros((len(ids), len(ids)))
-        for (i, a), (j, b) in combinations(enumerate(ids), 2):
-            dist = 1.0 - idf_overlap_score(toks[a], toks[b], df)
-            D[i, j] = D[j, i] = dist
-        return _similarity_hac(kb, kind, D, ids, cfg, validation_gold, grid)
-
-    if name is BaselineName.STRSIM_HAC:
+    if name in (BaselineName.IDF_HAC, BaselineName.STRSIM_HAC, BaselineName.ATTR_HAC):
         texts = {p.id: p.text for p in vocab}
-        D = np.zeros((len(ids), len(ids)))
-        for (i, a), (j, b) in combinations(enumerate(ids), 2):
-            dist = 1.0 - jaro_winkler(texts[a], texts[b])
-            D[i, j] = D[j, i] = dist
-        return _similarity_hac(kb, kind, D, ids, cfg, validation_gold, grid)
-
-    if name is BaselineName.ATTR_HAC:
-        sets = attribute_sets(kb)
-        D = np.zeros((len(ids), len(ids)))
-        for (i, a), (j, b) in combinations(enumerate(ids), 2):
-            dist = 1.0 - _jaccard(sets[a], sets[b])
-            D[i, j] = D[j, i] = dist
-        return _similarity_hac(kb, kind, D, ids, cfg, validation_gold, grid)
+        if name is BaselineName.IDF_HAC:
+            df = build_df(kb)
+            features = [content_tokens(texts[i]) for i in ids]
+            D = _distance_matrix(features, lambda x, y: idf_overlap_score(x, y, df))
+        elif name is BaselineName.STRSIM_HAC:
+            D = _distance_matrix([texts[i] for i in ids], jaro_winkler)
+        else:
+            sets = attribute_sets(kb)
+            D = _distance_matrix([sets[i] for i in ids], _jaccard)
+        member_sets, threshold = _hac_at_threshold(D, ids, cfg, validation_gold, grid)
+        return _freq_clustering(kb, kind, member_sets, threshold)
 
     if name is BaselineName.WORDVEC_AVG:
         if vectors_file is None:
             raise ConfigError("wordvec_avg baseline needs a vectors_file")
-        _, d = load_word_vectors(vectors_file)
-        emb = init_embeddings(kb, vectors_file, d, default_init_rng(cfg.seed))
-        V = emb.vectors(kind)
+        wv, d = load_word_vectors(vectors_file)
+        V = average_word_vectors(kb, wv, d, default_init_rng(cfg.seed)).vectors(kind)
         vectors = {i: V[i] for i in ids}
         return _embedding_hac(kb, kind, vectors, cfg, validation_gold, grid)
 

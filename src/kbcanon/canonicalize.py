@@ -8,7 +8,9 @@ merge; ties break toward the pair with the lexicographically smallest
 (minimum member id, minimum member id). Complete linkage has monotone
 merge distances, so cutting that history at a threshold gives the same
 partition as stopping the merges there: clustering at a threshold is one
-cut, and threshold selection cuts one history at every grid value.
+cut, threshold selection cuts one history at every grid value, and a tuned
+clustering (`tune_and_cut`) picks its threshold from that history and cuts
+it there.
 """
 
 from __future__ import annotations
@@ -85,6 +87,14 @@ def cosine_distance_matrix(X: np.ndarray, labels: Sequence | None = None) -> np.
     return 1.0 - N @ N.T
 
 
+def cosine_distances(vectors: Mapping[int, np.ndarray]) -> tuple[list[int], np.ndarray]:
+    """(ids sorted ascending, cosine distance matrix over their vectors in
+    that order)."""
+    ids = sorted(vectors)
+    X = np.stack([vectors[i] for i in ids]) if ids else np.zeros((0, 0))
+    return ids, cosine_distance_matrix(X, labels=ids)
+
+
 # ---------------------------------------------------------------------------
 # agglomeration
 
@@ -157,23 +167,34 @@ def hac_from_distance_matrix(
 ) -> list[frozenset[int]]:
     """Complete-linkage HAC over a precomputed distance matrix: a cut of
     the merge history at the threshold, which equals stopping the merges
-    there because complete-linkage heights never decrease. ``ids`` must be
+    there because complete-linkage heights never decrease. ``ids`` label
+    D's rows and must be sorted ascending so the tie-break is id-based."""
+    return tune_and_cut(ids, D, threshold, None, ())[0]
+
+
+def tune_and_cut(
+    ids: Sequence[int], D: np.ndarray, threshold: float | None,
+    validation_gold: GoldClustering | None, grid: Sequence[float],
+) -> tuple[list[frozenset[int]], float]:
+    """(partition, threshold): one merge history over D, cut at
+    ``threshold`` or, when that is None, at the grid value `best_cut`
+    tunes on the validation gold. ``ids`` label D's rows and must be
     sorted ascending so the tie-break is id-based."""
     if list(ids) != sorted(ids):
         raise ValueError("ids must be sorted ascending")
-    return cut_history(ids, hac_merge_history(D), threshold)
+    if len(ids) != D.shape[0]:
+        raise ValueError(f"{len(ids)} ids for a distance matrix of {D.shape[0]} rows")
+    history = hac_merge_history(D)
+    if threshold is None:
+        threshold = best_cut(ids, history, validation_gold, grid)
+    return cut_history(ids, history, threshold), threshold
 
 
 def hac_complete_linkage(
     vectors: Mapping[int, np.ndarray], threshold: float
 ) -> list[frozenset[int]]:
     """Cluster phrase vectors by cosine distance with complete linkage."""
-    ids = sorted(vectors)
-    if not ids:
-        return []
-    X = np.stack([vectors[i] for i in ids])
-    D = cosine_distance_matrix(X, labels=ids)
-    return hac_from_distance_matrix(ids, D, threshold)
+    return hac_from_distance_matrix(*cosine_distances(vectors), threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -188,26 +209,21 @@ def choose_threshold(
     """Pick the grid threshold maximizing the mean of macro, micro, and
     pairwise F1 on the validation phrases; ties go to the smallest value.
     Clusterings whose scores are undefined count as 0."""
+    if not vectors:
+        raise ConfigError("no vectors to cluster")
+    ids, D = cosine_distances(vectors)
+    return best_cut(ids, hac_merge_history(D), validation_gold, grid)
+
+
+def best_cut(ids: Sequence[int], history: Sequence[tuple[float, int, int]],
+             validation_gold: GoldClustering, grid: Sequence[float]) -> float:
+    """The grid value whose cut of the merge history has the highest
+    validation mean F1, ties to the smallest value; undefined scores count
+    as 0. An empty grid or empty gold is a ConfigError."""
     if not grid:
         raise ConfigError("threshold grid is empty")
     if not validation_gold.assignment:
         raise ConfigError("validation gold is empty")
-    ids = sorted(vectors)
-    if not ids:
-        raise ConfigError("no vectors to cluster")
-    X = np.stack([vectors[i] for i in ids])
-    D = cosine_distance_matrix(X, labels=ids)
-    history = hac_merge_history(D)
-    best_t, best_score = best_cut(ids, history, validation_gold, grid)
-    logger.info("chose threshold %s (validation mean F1 %.4f)", best_t, best_score)
-    return best_t
-
-
-def best_cut(ids: Sequence[int], history: Sequence[tuple[float, int, int]],
-             validation_gold: GoldClustering, grid: Sequence[float]) -> tuple[float, float]:
-    """(threshold, score): the grid value whose cut of the merge history
-    has the highest validation mean F1, ties to the smallest value;
-    undefined scores count as 0."""
     best_t, best_score = None, -1.0
     for t in sorted(grid):
         clusters = cut_history(ids, history, t)
@@ -217,7 +233,8 @@ def best_cut(ids: Sequence[int], history: Sequence[tuple[float, int, int]],
             score = 0.0
         if score > best_score:
             best_t, best_score = t, score
-    return float(best_t), best_score
+    logger.info("chose threshold %s (validation mean F1 %.4f)", best_t, best_score)
+    return float(best_t)
 
 
 # ---------------------------------------------------------------------------

@@ -462,14 +462,42 @@ def load_word_vectors(path) -> tuple[dict[str, np.ndarray], int]:
     return vectors, dim
 
 
+def wordvec_phrase_embedding(
+    phrase: str, word_vectors: Mapping[str, np.ndarray], d: int,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Mean of the phrase tokens' vectors over tokens present in the
+    table; a phrase with no known token draws uniformly from
+    [-0.1/sqrt(d), 0.1/sqrt(d)]."""
+    found = [word_vectors[t] for t in tokenize(phrase) if t in word_vectors]
+    if found:
+        return np.mean(found, axis=0)
+    bound = 0.1 / np.sqrt(d)
+    return rng.uniform(-bound, bound, size=d)
+
+
+def average_word_vectors(
+    kb: OpenKB, word_vectors: Mapping[str, np.ndarray], d: int,
+    rng: np.random.Generator,
+) -> EmbeddingSet:
+    """`wordvec_phrase_embedding` of every phrase. Phrases are visited in
+    vocabulary order, NPs before relations, so the random stream is
+    consumed deterministically."""
+
+    def stack(vocab) -> np.ndarray:
+        if not vocab:
+            return np.zeros((0, d))
+        return np.stack([wordvec_phrase_embedding(p.text, word_vectors, d, rng)
+                         for p in vocab])
+
+    return EmbeddingSet(np_vectors=stack(kb.np_vocab), rel_vectors=stack(kb.rel_vocab), dim=d)
+
+
 def init_embeddings(
     kb: OpenKB, vectors_file, d: int, rng: np.random.Generator
 ) -> EmbeddingSet:
-    """Initialize each phrase vector as the mean of its tokens' pretrained
-    vectors; phrases without any known token (or all phrases, when no
-    vectors file is given) draw uniformly from [-0.1/sqrt(d), 0.1/sqrt(d)].
-    Phrases are visited in id order, NPs before relations, so the random
-    stream is consumed deterministically."""
+    """`average_word_vectors` over the vectors file's table, or over an
+    empty table (every phrase drawn at random) when no file is given."""
     wv: dict[str, np.ndarray] = {}
     if vectors_file is not None:
         wv, file_dim = load_word_vectors(vectors_file)
@@ -477,17 +505,7 @@ def init_embeddings(
             raise ConfigError(
                 f"vectors file dimension {file_dim} does not match configured dim {d}"
             )
-    bound = 0.1 / np.sqrt(d)
-
-    def phrase_vector(text: str) -> np.ndarray:
-        found = [wv[t] for t in tokenize(text) if t in wv]
-        if found:
-            return np.mean(found, axis=0)
-        return rng.uniform(-bound, bound, size=d)
-
-    E = np.stack([phrase_vector(p.text) for p in kb.np_vocab]) if kb.n_nps else np.zeros((0, d))
-    R = np.stack([phrase_vector(p.text) for p in kb.rel_vocab]) if kb.n_rels else np.zeros((0, d))
-    return EmbeddingSet(np_vectors=E, rel_vectors=R, dim=d)
+    return average_word_vectors(kb, wv, d, rng)
 
 
 def vocab_hash(kb: OpenKB) -> str:

@@ -402,13 +402,6 @@ def gold_from_triples(kb: OpenKB) -> GoldClustering:
     return GoldClustering(PhraseKind.NP, assignment)
 
 
-def save_gold(gold: GoldClustering, kb: OpenKB, path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for pid in sorted(gold.assignment):
-            text = kb.phrase(gold.kind, pid).text
-            fh.write(f"{text}\t{gold.assignment[pid]}\n")
-
-
 # ---------------------------------------------------------------------------
 # validation split
 

@@ -274,34 +274,22 @@ def select_thresholds(
     validation subset. Without relation gold the relation threshold falls
     back to the NP threshold."""
     detail: dict = {"grid": list(config.threshold_grid)}
-    if config.np_threshold is not None:
-        np_t = config.np_threshold
-        detail["np_source"] = "config"
-    else:
-        val_np_ids = _view_ids(val_kb, PhraseKind.NP)
-        val_gold = np_gold.restricted_to(val_np_ids)
-        vectors = {i: emb.np_vectors[i] for i in sorted(val_np_ids)}
-        np_t = choose_threshold(vectors, val_gold, config.threshold_grid)
-        detail["np_source"] = "validation"
-    if config.rel_threshold is not None:
-        rel_t = config.rel_threshold
-        detail["rel_source"] = "config"
-    elif rel_gold is not None and rel_gold.assignment:
-        val_rel_ids = _view_ids(val_kb, PhraseKind.REL)
-        val_gold = rel_gold.restricted_to(val_rel_ids)
-        if val_gold.assignment:
-            vectors = {i: emb.rel_vectors[i] for i in sorted(val_rel_ids)}
-            rel_t = choose_threshold(vectors, val_gold, config.threshold_grid)
-            detail["rel_source"] = "validation"
+    for kind, gold, fixed in ((PhraseKind.NP, np_gold, config.np_threshold),
+                              (PhraseKind.REL, rel_gold, config.rel_threshold)):
+        key = kind.value.lower()
+        val_ids = _view_ids(val_kb, kind)
+        val_gold = gold.restricted_to(val_ids) if gold is not None else None
+        if fixed is not None:
+            t, source = fixed, "config"
+        elif kind is PhraseKind.NP or (val_gold is not None and val_gold.assignment):
+            V = emb.vectors(kind)
+            vectors = {i: V[i] for i in sorted(val_ids)}
+            t = choose_threshold(vectors, val_gold, config.threshold_grid)
+            source = "validation"
         else:
-            rel_t = np_t
-            detail["rel_source"] = "np_threshold"
-    else:
-        rel_t = np_t
-        detail["rel_source"] = "np_threshold"
-    detail["np_threshold"] = np_t
-    detail["rel_threshold"] = rel_t
-    return np_t, rel_t, detail
+            t, source = detail["np_threshold"], "np_threshold"
+        detail[f"{key}_threshold"], detail[f"{key}_source"] = t, source
+    return detail["np_threshold"], detail["rel_threshold"], detail
 
 
 def _evaluate_or_none(
@@ -567,6 +555,7 @@ def grid_search(
     side_cache: dict[str, SideInfoCollection] = {}
     emb_cache: dict[str, EmbeddingSet] = {}
     rows: list[dict] = []
+    lines = [LEADERBOARD_HEADER]
     best: dict | None = None
     best_score = -1.0
 
@@ -592,9 +581,14 @@ def grid_search(
             emb_cache[emb_key] = train(kb, side, h, init)
         emb = emb_cache[emb_key]
 
-        np_t, rel_t, _ = select_thresholds(emb, val_kb, np_gold, rel_gold, point)
-        vectors = {i: emb.np_vectors[i] for i in sorted(val_np_ids)}
-        member_sets = canon.hac_complete_linkage(vectors, np_t)
+        # One validation NP merge history both tunes the NP threshold and
+        # gives the clustering scored at it; select_thresholds then only
+        # settles the REL threshold, which may fall back to the NP one.
+        ids, D = canon.cosine_distances({i: emb.np_vectors[i] for i in val_np_ids})
+        member_sets, np_t = canon.tune_and_cut(ids, D, point.np_threshold, val_gold,
+                                               point.threshold_grid)
+        _, rel_t, _ = select_thresholds(emb, val_kb, np_gold, rel_gold,
+                                        dataclasses.replace(point, np_threshold=np_t))
         report = evaluate(member_sets, val_gold.assignment)
         score = report.mean_f1()
         row = {
@@ -607,20 +601,12 @@ def grid_search(
             "pair_f1": report.pair_f1,
         }
         rows.append(row)
+        label = ",".join(f"{k}={overrides[k]}" for k in keys)
+        lines.append(leaderboard_row(label, report))
         if score > best_score:
             best, best_score = row, score
         logger.info("grid point %s: validation mean F1 %.4f", overrides, score)
 
-    lines = [LEADERBOARD_HEADER]
-    for row in rows:
-        label = ",".join(f"{k}={row['overrides'][k]}" for k in keys)
-        fake = MetricsReport(
-            macro_p=None, macro_r=None, macro_f1=row["macro_f1"],
-            micro_p=None, micro_r=None, micro_f1=row["micro_f1"],
-            pair_p=None, pair_r=None, pair_f1=row["pair_f1"],
-            n_clusters=0, n_gold=0, n_elements=0,
-        )
-        lines.append(leaderboard_row(label, fake))
     (out / "leaderboard.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
     (out / "leaderboard.json").write_text(
         json.dumps(rows, sort_keys=True, indent=1) + "\n", encoding="utf-8"

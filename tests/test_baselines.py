@@ -374,6 +374,33 @@ class TestSimilarityBaselines:
         with pytest.raises(ConfigError):
             tune_threshold_on_matrix([0, 1], D, GoldClustering(PhraseKind.NP, {}))
 
+    def test_empty_grid_rejected(self):
+        kb = np_kb("colour", "color", "zebra", "quartz")
+        gold = GoldClustering(PhraseKind.NP, {kb.np_id("colour"): "e1"})
+        with pytest.raises(ConfigError, match="grid"):
+            run_baseline(BaselineConfig(BaselineName.IDF_HAC), kb,
+                         validation_gold=gold, grid=())
+
+    def test_tuned_baseline_builds_one_merge_history(self, monkeypatch):
+        import kbcanon.baselines
+        import kbcanon.canonicalize
+
+        sizes = []
+        original = kbcanon.canonicalize.hac_merge_history
+
+        def counting(D):
+            sizes.append(D.shape[0])
+            return original(D)
+
+        for module in (kbcanon.canonicalize, kbcanon.baselines):
+            monkeypatch.setattr(module, "hac_merge_history", counting)
+        kb = np_kb("colour", "color", "zebra", "quartz")
+        gold = GoldClustering(PhraseKind.NP, {kb.np_id("colour"): "e1",
+                                              kb.np_id("color"): "e1",
+                                              kb.np_id("zebra"): "e2"})
+        run_baseline(BaselineConfig(BaselineName.STRSIM_HAC), kb, validation_gold=gold)
+        assert sizes == [kb.n_nps]
+
 
 # ---------------------------------------------------------------------------
 # embedding methods
@@ -407,6 +434,43 @@ class TestWordvecBaseline:
         assert rep_of[kb.np_id("red car")] == rep_of[kb.np_id("crimson car")]
         assert rep_of[kb.np_id("blue sky")] == rep_of[kb.np_id("azure sky")]
         assert rep_of[kb.np_id("red car")] != rep_of[kb.np_id("blue sky")]
+
+    def test_reads_vectors_file_once(self, tmp_path, monkeypatch):
+        import kbcanon.baselines
+        import kbcanon.embedding
+
+        paths = []
+        original = kbcanon.embedding.load_word_vectors
+
+        def counting(path):
+            paths.append(path)
+            return original(path)
+
+        for module in (kbcanon.embedding, kbcanon.baselines):
+            monkeypatch.setattr(module, "load_word_vectors", counting)
+        kb = np_kb("red car", "blue sky")
+        vec = tmp_path / "vectors.txt"
+        vec.write_text("red 1.0 0.0\nblue 0.0 1.0\n")
+        run_baseline(BaselineConfig(name=BaselineName.WORDVEC_AVG, threshold=0.05),
+                     kb, vectors_file=vec)
+        assert paths == [vec]
+
+    def test_relation_vectors_follow_the_np_draws(self, tmp_path):
+        # Relation phrases without a known token draw after every NP, as in
+        # init_embeddings, so the relation clustering is the one over the
+        # initial embeddings' relation rows.
+        kb = build_kb(records_from_spo([("red car", "drives", "blue sky"),
+                                        ("zzz", "yyy", "www"),
+                                        ("red sky", "drives on", "qqq")]))
+        vec = tmp_path / "vectors.txt"
+        vec.write_text("red 1.0 0.0 0.2\nblue 0.0 1.0 0.1\ndrives 0.3 0.3 1.0\n")
+        cfg = BaselineConfig(name=BaselineName.WORDVEC_AVG, kind=PhraseKind.REL,
+                             threshold=0.3, seed=4)
+        clustering = run_baseline(cfg, kb, vectors_file=vec)
+        R = init_embeddings(kb, vec, 3, default_init_rng(4)).rel_vectors
+        ids = sorted(p.id for p in kb.rel_vocab)
+        D = cosine_distance_matrix(np.stack([R[i] for i in ids]), labels=ids)
+        assert clustering.member_sets() == hac_from_distance_matrix(ids, D, 0.3)
 
 
 class TestHoleBaselines:

@@ -111,6 +111,13 @@ class TestHacBoundaries:
         with pytest.raises(ValueError):
             hac_from_distance_matrix([2, 1], D, 0.5)
 
+    @pytest.mark.parametrize("ids", [[0, 1], [0, 1, 2, 3]])
+    def test_ids_must_label_every_row(self, ids):
+        D = np.array([[0.0, 0.9, 0.8], [0.9, 0.0, 0.2], [0.8, 0.2, 0.0]])
+        for t in (0.5, 1.0):
+            with pytest.raises(ValueError, match="rows"):
+                hac_from_distance_matrix(ids, D, t)
+
 
 class TestHacFixtures:
     def test_two_tight_pairs(self):

@@ -417,6 +417,30 @@ class TestGridSearch:
         grid_search(config, {"np_threshold": [0.3, 0.5, 0.7]}, tmp_path)
         assert calls["train"] == 1
 
+    def test_tuned_np_threshold_builds_one_validation_history(
+        self, synth_data, tmp_path, monkeypatch
+    ):
+        import kbcanon.canonicalize as canonicalize_module
+        import kbcanon.pipeline as pipeline_module
+
+        sizes = []
+        original = canonicalize_module.hac_merge_history
+
+        def counting(D):
+            sizes.append(D.shape[0])
+            return original(D)
+
+        monkeypatch.setattr(canonicalize_module, "hac_merge_history", counting)
+        config = config_from_dict(base_config_doc(synth_data))
+        kb = load_triples(config.triples_file)
+        val_kb, _ = split_validation(
+            kb, pipeline_module.load_np_gold(kb, config), config.validation_fraction,
+            config.seed,
+        )
+        # A fixed relation threshold leaves only the NP threshold to tune.
+        grid_search(config, {"rel_threshold": [0.45, 0.65]}, tmp_path)
+        assert sizes == [val_kb.n_nps, val_kb.n_nps]
+
     def test_tie_keeps_first_point(self, synth_data, tmp_path):
         # The relation threshold does not affect the NP validation score,
         # so every point ties and the first stays the winner.
