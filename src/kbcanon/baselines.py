@@ -154,14 +154,8 @@ def attribute_sets(kb: OpenKB) -> dict[int, frozenset[tuple[str, int, int]]]:
     return {pid: frozenset(s) for pid, s in sets.items()}
 
 
-def attribute_overlap(a: int, b: int, kb: OpenKB) -> float:
-    """Jaccard coefficient of the two NPs' attribute sets; 0 when the
-    union is empty."""
-    sets = attribute_sets(kb)
-    return _jaccard(sets[a], sets[b])
-
-
 def _jaccard(x: frozenset, y: frozenset) -> float:
+    """Jaccard coefficient of two sets; 0 when the union is empty."""
     union = len(x | y)
     return len(x & y) / union if union else 0.0
 

@@ -63,8 +63,6 @@ def _load_run_config(args) -> PipelineConfig:
         config.format = args.format
     if args.seed is not None:
         config.seed = args.seed
-    if args.deterministic:
-        config.deterministic = True
     if getattr(args, "out", None):
         config.out_dir = str(Path(args.out).resolve())
     if not config.out_dir:
@@ -222,8 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="pipeline config YAML")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
-        p.add_argument("--deterministic", action="store_true",
-                       help="force single-threaded, bit-reproducible runs")
         p.add_argument("--out", help="run directory (overrides out_dir)")
         if with_triples:
             p.add_argument("--triples", help="triples file (overrides config)")

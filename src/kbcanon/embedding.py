@@ -21,7 +21,6 @@ import hashlib
 import json
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -127,6 +126,8 @@ class HyperParams:
     epochs: int = 100
     negatives_per_positive: int = 2
     seed: int = 0
+    # Training runs on one thread; the field stays so that configs which
+    # set it still load, and 1 is its only valid value.
     threads: int = 1
 
     @property
@@ -156,8 +157,10 @@ class HyperParams:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
         if self.negatives_per_positive < 0:
             raise ConfigError("negatives_per_positive must be >= 0")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
+        if self.threads != 1:
+            raise ConfigError(
+                f"threads must be 1 (training runs on one thread), got {self.threads}"
+            )
         for name, value in (("lambda_str", self.lambda_str),
                             ("lambda_reg", self.lambda_reg),
                             ("lambda_side_default", self.lambda_side_default)):
@@ -264,18 +267,6 @@ def _hinge_pair_indices(owner: list[int], b: int, pairing: str):
     return pos_idx, neg_idx
 
 
-def _sharded(fn, n: int, threads: int):
-    """fn(slice) over contiguous row shards of range(n), on a thread pool
-    when threads > 1; the shards' output tuples are joined row-wise."""
-    if threads <= 1 or n < 2 * threads:
-        return fn(slice(0, n))
-    bounds = np.linspace(0, n, threads + 1, dtype=int)
-    shards = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(fn, shards))
-    return tuple(np.concatenate(col) for col in zip(*parts))
-
-
 def _ranking_margins(
     E: np.ndarray, R: np.ndarray, batch: TrainingBatch, h: HyperParams
 ):
@@ -286,13 +277,9 @@ def _ranking_margins(
     negs, owner = _flatten_negatives(batch)
     b = len(batch.positives)
     s, p, o = _spo_arrays(batch.positives + tuple(negs))
-
-    def forward(sl):
-        Fs, Fo, Fr = (np.fft.rfft(W[i[sl]], axis=1) for W, i in ((E, s), (E, o), (R, p)))
-        corr_so = np.fft.irfft(np.conj(Fs) * Fo, n=E.shape[1], axis=1)
-        return Fs, Fo, Fr, corr_so, np.einsum("ij,ij->i", R[p[sl]], corr_so)
-
-    *spectra, eta = _sharded(forward, len(s), h.threads)
+    Fs, Fo, Fr = (np.fft.rfft(W[i], axis=1) for W, i in ((E, s), (E, o), (R, p)))
+    corr_so = np.fft.irfft(np.conj(Fs) * Fo, n=E.shape[1], axis=1)
+    eta = np.einsum("ij,ij->i", R[p], corr_so)
     pos_idx, neg_idx = _hinge_pair_indices(owner, b, h.pairing)
     gamma = h.effective_margin
     if h.hinge == "sigmoid":
@@ -302,7 +289,7 @@ def _ranking_margins(
     else:
         margins = gamma + eta[neg_idx] - eta[pos_idx]
         slopes = np.ones_like(eta)
-    return (s, p, o), spectra, (pos_idx, neg_idx), margins, slopes
+    return (s, p, o), (Fs, Fo, Fr, corr_so), (pos_idx, neg_idx), margins, slopes
 
 
 def _ranking_loss(E, R, batch: TrainingBatch, h: HyperParams) -> float:
@@ -383,12 +370,8 @@ def _step(E, R, batch: TrainingBatch, h: HyperParams, np_terms, rel_terms,
     coef = np.bincount(np.concatenate([pa, na]),
                        weights=np.concatenate([-slopes[pa], slopes[na]]), minlength=len(s))
     c = (h.lambda_str * coef)[:, None]
-
-    def backward(sl):
-        return (np.fft.irfft(np.conj(Fr[sl]) * Fo[sl], n=E.shape[1], axis=1),
-                np.fft.irfft(Fr[sl] * Fs[sl], n=E.shape[1], axis=1))
-
-    corr_ro, conv_rs = _sharded(backward, len(s), h.threads)
+    corr_ro = np.fft.irfft(np.conj(Fr) * Fo, n=E.shape[1], axis=1)
+    conv_rs = np.fft.irfft(Fr * Fs, n=E.shape[1], axis=1)
     for rows in (corr_so, corr_ro, conv_rs):
         rows *= c
     g_np = _scatter(s, corr_ro, E.shape)
@@ -554,7 +537,6 @@ def train(
     h: HyperParams,
     init: EmbeddingSet,
     log_file=None,
-    check_negatives: bool = False,
 ) -> EmbeddingSet:
     """Seeded mini-batch gradient descent on the full objective.
 
@@ -565,8 +547,8 @@ def train(
     fraction so an epoch applies each exactly once (regularization is
     folded in as an equivalent multiplicative decay). Side penalties and
     regularization consume no randomness, so the random stream depends only
-    on the KB and the sampling hyperparameters; with threads == 1 the run
-    is bit-reproducible under a fixed seed.
+    on the KB and the sampling hyperparameters, and the run is
+    bit-reproducible under a fixed seed.
     """
     h.validate()
     if init.np_vectors.shape[0] != kb.n_nps or init.rel_vectors.shape[0] != kb.n_rels:
@@ -595,10 +577,6 @@ def train(
                 skipped += sum(
                     h.negatives_per_positive - len(g) for g in batch.negatives
                 )
-                if check_negatives:
-                    for group in batch.negatives:
-                        for t in group:
-                            assert t.spo not in kb.triple_index
                 frac = len(positives) / n
                 loss, g_np, g_rel, active = _step(E, R, batch, h, np_terms, rel_terms, frac)
                 ranking_loss += loss

@@ -99,9 +99,6 @@ class OpenKB:
     def rel_phrase(self, pid: int) -> Phrase:
         return self._rel_by_id[pid]
 
-    def phrase(self, kind: PhraseKind, pid: int) -> Phrase:
-        return self.np_phrase(pid) if kind is PhraseKind.NP else self.rel_phrase(pid)
-
     def np_id(self, text: str) -> int | None:
         return self._np_by_text.get(normalize_whitespace(text))
 
@@ -384,22 +381,30 @@ def load_gold(path, kb: OpenKB, kind: PhraseKind) -> GoldClustering:
     return GoldClustering(kind, assignment)
 
 
-def gold_from_triples(kb: OpenKB) -> GoldClustering:
-    """Derive NP gold labels from the per-triple gold fields: majority label
-    across a phrase's occurrences; ties drop the label."""
-    votes: dict[int, Counter] = {}
-    for t in kb.triples:
-        if t.gold_subject is not None:
-            votes.setdefault(t.subject, Counter())[t.gold_subject] += 1
-        if t.gold_object is not None:
-            votes.setdefault(t.object, Counter())[t.gold_object] += 1
+def majority_labels(votes: Iterable[tuple[int, str | None]]) -> dict[int, str]:
+    """The most common label per id over (id, label) votes; None labels
+    are no vote, and a tie for the most common label drops the id. Ids
+    keep the order of their first vote."""
+    counters: dict[int, Counter] = {}
+    for pid, label in votes:
+        if label is not None:
+            counters.setdefault(pid, Counter())[label] += 1
     assignment: dict[int, str] = {}
-    for pid, counter in votes.items():
+    for pid, counter in counters.items():
         ranked = counter.most_common()
         if len(ranked) > 1 and ranked[0][1] == ranked[1][1]:
             continue
         assignment[pid] = ranked[0][0]
-    return GoldClustering(PhraseKind.NP, assignment)
+    return assignment
+
+
+def gold_from_triples(kb: OpenKB) -> GoldClustering:
+    """Derive NP gold labels from the per-triple gold fields: majority label
+    across a phrase's occurrences; ties drop the label."""
+    return GoldClustering(PhraseKind.NP, majority_labels(
+        vote for t in kb.triples
+        for vote in ((t.subject, t.gold_subject), (t.object, t.gold_object))
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,8 @@ outputs. `run_pipeline` runs the stages in order and hands outputs on in
 memory; the CLI subcommands call the same functions on artifacts read back
 from the run directory, so a staged chain writes the same run directory.
 A manifest records the resolved config, its hash, the seed, and library
-versions; in deterministic mode a re-run from the manifest reproduces
-every artifact byte for byte.
+versions; every run is single-threaded, so a re-run from the manifest
+reproduces every artifact byte for byte.
 """
 
 from __future__ import annotations
@@ -83,6 +83,9 @@ class PipelineConfig:
     vectors_file: str | None = None
     validation_fraction: float = 0.2
     seed: int = 0
+    # Every run is single-threaded and byte-reproducible; the field stays
+    # so that configs which set it still load, and true is its only valid
+    # value.
     deterministic: bool = True
     out_dir: str | None = None
     np_threshold: float | None = None
@@ -93,8 +96,7 @@ class PipelineConfig:
     hyperparams: HyperParams = field(default_factory=HyperParams)
 
     def effective_hyperparams(self) -> HyperParams:
-        threads = 1 if self.deterministic else self.hyperparams.threads
-        return dataclasses.replace(self.hyperparams, seed=self.seed, threads=threads)
+        return dataclasses.replace(self.hyperparams, seed=self.seed)
 
     def as_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -106,6 +108,11 @@ class PipelineConfig:
         return d
 
     def validate(self) -> None:
+        if not self.deterministic:
+            raise ConfigError(
+                "deterministic must be true: every run is single-threaded "
+                "and byte-reproducible"
+            )
         if self.format not in ("jsonl", "json"):
             raise ConfigError(f"format must be jsonl or json, got {self.format!r}")
         if not Path(self.triples_file).is_file():
@@ -297,10 +304,10 @@ def _evaluate_or_none(
 ) -> MetricsReport | None:
     if gold is None:
         return None
-    subset = {i: g for i, g in gold.assignment.items() if i in ids}
+    subset = gold.restricted_to(ids)
     if not subset:
         return None
-    return evaluate(clustering.member_sets(), subset)
+    return evaluate(clustering.member_sets(), subset.assignment)
 
 
 def ingest_stage(config: PipelineConfig, out: Path) -> OpenKB:

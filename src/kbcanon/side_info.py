@@ -18,10 +18,10 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Hashable, Iterable, Mapping
 
 from .errors import ConfigError, ParseError
-from .kb import OpenKB, PhraseKind, normalize_whitespace
+from .kb import OpenKB, PhraseKind, majority_labels, normalize_whitespace
 from .stopwords import STOPWORDS
 
 logger = logging.getLogger(__name__)
@@ -127,6 +127,19 @@ def make_pair_set(
     return EquivalencePairSet(source_name, kind, canon)
 
 
+def _label_pair_set(
+    source_name: str, kind: PhraseKind, labelled: Iterable[tuple[int, Hashable]]
+) -> EquivalencePairSet:
+    """Pair every two distinct ids that carry a common label, from
+    (id, label) rows; an id may carry several labels."""
+    groups = defaultdict(set)
+    for pid, label in labelled:
+        groups[label].add(pid)
+    return make_pair_set(source_name, kind, (
+        pair for ids in groups.values() for pair in combinations(sorted(ids), 2)
+    ))
+
+
 @dataclass(frozen=True)
 class SideInfoCollection:
     np_sources: tuple[EquivalencePairSet, ...] = ()
@@ -144,13 +157,6 @@ class SideInfoCollection:
                         f"source {s.source_name!r} has kind {s.kind}, "
                         f"expected {kind}"
                     )
-
-    def source(self, kind: PhraseKind, name: str) -> EquivalencePairSet | None:
-        pool = self.np_sources if kind is PhraseKind.NP else self.rel_sources
-        for s in pool:
-            if s.source_name == name:
-                return s
-        return None
 
 
 EMPTY_SIDE_INFO = SideInfoCollection()
@@ -195,13 +201,9 @@ class DisjointSet:
 
 def morph_equivalences(kb: OpenKB, kind: PhraseKind) -> EquivalencePairSet:
     """Pair all distinct phrases whose morphological normal forms collide."""
-    by_form = defaultdict(list)
-    for p in kb.vocab(kind):
-        by_form[morph_normalize(p.text)].append(p.id)
-    pairs = [
-        pair for ids in by_form.values() for pair in combinations(sorted(ids), 2)
-    ]
-    return make_pair_set("morph", kind, pairs)
+    return _label_pair_set(
+        "morph", kind, ((p.id, morph_normalize(p.text)) for p in kb.vocab(kind))
+    )
 
 
 @dataclass(frozen=True)
@@ -210,7 +212,6 @@ class DocumentFrequency:
     NP string counts as one document; stopwords are excluded."""
 
     df: Mapping[str, int]
-    stopwords: frozenset[str] = STOPWORDS
 
 
 def build_df(kb: OpenKB) -> DocumentFrequency:
@@ -270,22 +271,11 @@ def idf_equivalences(
 def entity_link_equivalences(kb: OpenKB) -> EquivalencePairSet:
     """Pair NPs whose triples carry the same linker target. An NP's link is
     the majority link over its occurrences; ties drop the link."""
-    votes: dict[int, Counter] = defaultdict(Counter)
-    for t in kb.triples:
-        if t.subject_link is not None:
-            votes[t.subject][t.subject_link] += 1
-        if t.object_link is not None:
-            votes[t.object][t.object_link] += 1
-    by_link = defaultdict(list)
-    for pid, counter in votes.items():
-        ranked = counter.most_common()
-        if len(ranked) > 1 and ranked[0][1] == ranked[1][1]:
-            continue
-        by_link[ranked[0][0]].append(pid)
-    pairs = [
-        pair for ids in by_link.values() for pair in combinations(sorted(ids), 2)
-    ]
-    return make_pair_set("entity_linking", PhraseKind.NP, pairs)
+    links = majority_labels(
+        vote for t in kb.triples
+        for vote in ((t.subject, t.subject_link), (t.object, t.object_link))
+    )
+    return _label_pair_set("entity_linking", PhraseKind.NP, links.items())
 
 
 # ---------------------------------------------------------------------------
@@ -340,15 +330,25 @@ def ppdb_equivalences(
     dsu = DisjointSet()
     for p1, p2 in rows:
         dsu.union(p1, p2)
-    index = _lower_index(kb, kind)
-    by_root = defaultdict(list)
-    for text, ids in index.items():
-        if text in dsu:
-            by_root[dsu.find(text)].extend(ids)
-    pairs = [
-        pair for ids in by_root.values() for pair in combinations(sorted(ids), 2)
-    ]
-    return make_pair_set("ppdb", kind, pairs)
+    return _label_pair_set("ppdb", kind, (
+        (pid, dsu.find(text))
+        for text, ids in _lower_index(kb, kind).items() if text in dsu
+        for pid in ids
+    ))
+
+
+def _shared_label_pairs(
+    source_name: str, kind: PhraseKind, labels: Mapping[str, Iterable[str]],
+    kb: OpenKB,
+) -> EquivalencePairSet:
+    """Pair KB phrases whose lowercased texts share a label in ``labels``.
+    Phrases absent from ``labels`` contribute nothing."""
+    return _label_pair_set(source_name, kind, (
+        (pid, label)
+        for text, ids in _lower_index(kb, kind).items()
+        for label in labels.get(text, ())
+        for pid in ids
+    ))
 
 
 def load_synsets(path) -> dict[str, set[str]]:
@@ -374,18 +374,7 @@ def load_synsets(path) -> dict[str, set[str]]:
 def synset_equivalences(synset_file, kb: OpenKB, kind: PhraseKind) -> EquivalencePairSet:
     """Pair KB phrases whose synset-id sets intersect. Phrases absent from
     the synset file contribute nothing."""
-    synsets = load_synsets(synset_file)
-    index = _lower_index(kb, kind)
-    by_synset = defaultdict(list)
-    for text, ids in index.items():
-        for sid in synsets.get(text, ()):
-            by_synset[sid].extend(ids)
-    pairs = {
-        pair
-        for ids in by_synset.values()
-        for pair in combinations(sorted(set(ids)), 2)
-    }
-    return make_pair_set("wordnet", kind, pairs)
+    return _shared_label_pairs("wordnet", kind, load_synsets(synset_file), kb)
 
 
 def load_kbp(path) -> dict[str, set[str]]:
@@ -407,18 +396,7 @@ def load_kbp(path) -> dict[str, set[str]]:
 
 def kbp_equivalences(kbp_file, kb: OpenKB) -> EquivalencePairSet:
     """Pair relation phrases assigned to a shared category."""
-    categories = load_kbp(kbp_file)
-    index = _lower_index(kb, PhraseKind.REL)
-    by_cat = defaultdict(list)
-    for text, ids in index.items():
-        for cat in categories.get(text, ()):
-            by_cat[cat].extend(ids)
-    pairs = {
-        pair
-        for ids in by_cat.values()
-        for pair in combinations(sorted(set(ids)), 2)
-    }
-    return make_pair_set("kbp", PhraseKind.REL, pairs)
+    return _shared_label_pairs("kbp", PhraseKind.REL, load_kbp(kbp_file), kb)
 
 
 # ---------------------------------------------------------------------------
@@ -556,16 +534,10 @@ def assemble_side_info(kb: OpenKB, config: SideInfoConfig) -> SideInfoCollection
 def save_side_info(collection: SideInfoCollection, path) -> None:
     """JSON dump with sorted pair lists; byte-deterministic."""
     payload = {
-        "np_sources": [
-            {"source_name": s.source_name, "kind": s.kind.value,
-             "pairs": sorted(list(p) for p in s.pairs)}
-            for s in collection.np_sources
-        ],
-        "rel_sources": [
-            {"source_name": s.source_name, "kind": s.kind.value,
-             "pairs": sorted(list(p) for p in s.pairs)}
-            for s in collection.rel_sources
-        ],
+        key: [{"source_name": s.source_name, "kind": s.kind.value,
+               "pairs": sorted(list(p) for p in s.pairs)} for s in sources]
+        for key, sources in (("np_sources", collection.np_sources),
+                             ("rel_sources", collection.rel_sources))
     }
     with Path(path).open("w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)

@@ -8,7 +8,6 @@ the package under test.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 from typing import Sequence
 
@@ -354,29 +353,16 @@ def _ranking_instances(E, R, batch: TrainingBatch, h: HyperParams):
 
 def _accumulate_ranking_grad(
     g_np: np.ndarray, g_rel: np.ndarray, E, R,
-    s_all, p_all, o_all, coef, scale: float, threads: int = 1,
+    s_all, p_all, o_all, coef, scale: float,
 ) -> None:
     """g_r += c * (e_s * e_o); g_es += c * (r * e_o); g_eo += c * (r conv e_s)."""
     if len(coef) == 0:
         return
     c = (scale * coef)[:, None]
-
-    def pieces(sl):
-        Es, Eo, Rp = E[s_all[sl]], E[o_all[sl]], R[p_all[sl]]
-        return (_corr_rows(Es, Eo), _corr_rows(Rp, Eo), _conv_rows(Rp, Es))
-
-    if threads <= 1 or len(coef) < 2 * threads:
-        shards = [slice(0, len(coef))]
-        results = [pieces(shards[0])]
-    else:
-        bounds = np.linspace(0, len(coef), threads + 1, dtype=int)
-        shards = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(pieces, shards))
-    for sl, (corr_so, corr_ro, conv_rs) in zip(shards, results):
-        np.add.at(g_rel, p_all[sl], c[sl] * corr_so)
-        np.add.at(g_np, s_all[sl], c[sl] * corr_ro)
-        np.add.at(g_np, o_all[sl], c[sl] * conv_rs)
+    Es, Eo, Rp = E[s_all], E[o_all], R[p_all]
+    np.add.at(g_rel, p_all, c * _corr_rows(Es, Eo))
+    np.add.at(g_np, s_all, c * _corr_rows(Rp, Eo))
+    np.add.at(g_np, o_all, c * _conv_rows(Rp, Es))
 
 
 def _accumulate_side_grad(g: np.ndarray, W: np.ndarray, terms, scale: float) -> None:
@@ -412,7 +398,7 @@ def reference_train(kb: OpenKB, side, h, init) -> tuple[np.ndarray, np.ndarray]:
             g_np = np.zeros_like(E)
             g_rel = np.zeros_like(R)
             _accumulate_ranking_grad(g_np, g_rel, E, R, s_all, p_all, o_all,
-                                     coef, h.lambda_str, h.threads)
+                                     coef, h.lambda_str)
             _accumulate_side_grad(g_np, E, np_terms, frac)
             _accumulate_side_grad(g_rel, R, rel_terms, frac)
             decay = 1.0 - 2.0 * lr * h.lambda_reg * frac

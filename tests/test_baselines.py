@@ -14,7 +14,7 @@ from kbcanon.baselines import (
     NO_THRESHOLD,
     BaselineConfig,
     BaselineName,
-    attribute_overlap,
+    _jaccard,
     attribute_sets,
     jaro_winkler,
     run_baseline,
@@ -101,6 +101,12 @@ class TestJaroWinkler:
 # attribute overlap
 
 
+def attr_hac_score(a: int, b: int, kb) -> float:
+    """The pair score ATTR_HAC uses: Jaccard over ``attribute_sets``."""
+    sets = attribute_sets(kb)
+    return _jaccard(sets[a], sets[b])
+
+
 class TestAttributeOverlap:
     def test_half_shared(self):
         kb = build_kb(
@@ -109,31 +115,32 @@ class TestAttributeOverlap:
             )
         )
         a, b = kb.np_id("a"), kb.np_id("b")
-        assert attribute_overlap(a, b, kb) == pytest.approx(1 / 2)
+        assert attr_hac_score(a, b, kb) == pytest.approx(1 / 2)
 
     def test_all_shared(self):
         kb = build_kb(records_from_spo([("a", "r", "x"), ("b", "r", "x")]))
-        assert attribute_overlap(kb.np_id("a"), kb.np_id("b"), kb) == 1.0
+        assert attr_hac_score(kb.np_id("a"), kb.np_id("b"), kb) == 1.0
 
     def test_disjoint(self):
         kb = build_kb(records_from_spo([("a", "r", "x"), ("b", "q", "y")]))
-        assert attribute_overlap(kb.np_id("a"), kb.np_id("b"), kb) == 0.0
+        assert attr_hac_score(kb.np_id("a"), kb.np_id("b"), kb) == 0.0
 
     def test_subject_and_object_positions_distinct(self):
         # "a r b" gives a the attribute ("s", r, b) and b the attribute
         # ("o", r, a): sharing a neighbour via different positions does
         # not count as overlap.
         kb = build_kb(records_from_spo([("a", "r", "b")]))
-        assert attribute_overlap(kb.np_id("a"), kb.np_id("b"), kb) == 0.0
+        assert attr_hac_score(kb.np_id("a"), kb.np_id("b"), kb) == 0.0
 
     def test_matches_naive(self):
         rand = random.Random(21)
         for _ in range(25):
             kb = random_kb(rand, max_rels=4, max_triples=30)
             ids = [p.id for p in kb.np_vocab]
+            sets = attribute_sets(kb)
             for _ in range(10):
                 a, b = rand.choice(ids), rand.choice(ids)
-                assert attribute_overlap(a, b, kb) == pytest.approx(
+                assert _jaccard(sets[a], sets[b]) == pytest.approx(
                     naive_attribute_overlap(kb, a, b), abs=1e-12
                 )
 

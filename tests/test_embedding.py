@@ -472,11 +472,6 @@ class TestTrain:
         with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError):
             train(kb, EMPTY_SIDE_INFO, h, init)
 
-    def test_negative_collision_check_mode(self, synth_kb):
-        h = HyperParams(dim=4, epochs=2, batch_size=64, seed=5)
-        init = init_embeddings(synth_kb, None, 4, default_init_rng(5))
-        train(synth_kb, EMPTY_SIDE_INFO, h, init, check_negatives=True)
-
     def test_training_log_records_terms(self, tmp_path, synth_kb):
         h = HyperParams(dim=4, epochs=3, batch_size=64, seed=6)
         init = init_embeddings(synth_kb, None, 4, default_init_rng(6))

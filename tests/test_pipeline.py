@@ -181,12 +181,18 @@ class TestConfigValidation:
         config = config_from_dict(doc)
         assert config.effective_hyperparams().seed == 42
 
-    def test_deterministic_forces_single_thread(self, synth_data):
+    def test_only_single_threaded_runs_validate(self, synth_data):
+        for section, key, value in (("hyperparams", "threads", 2),
+                                    ("hyperparams", "threads", 0),
+                                    (None, "deterministic", False)):
+            doc = base_config_doc(synth_data)
+            (doc[section] if section else doc)[key] = value
+            with pytest.raises(ConfigError, match=key):
+                config_from_dict(doc).validate()
         doc = base_config_doc(synth_data)
-        doc["hyperparams"]["threads"] = 8
-        config = config_from_dict(doc)
-        assert config.deterministic is True
-        assert config.effective_hyperparams().threads == 1
+        doc["hyperparams"]["threads"] = 1
+        doc["deterministic"] = True
+        config_from_dict(doc).validate()
 
 
 # ---------------------------------------------------------------------------
