@@ -70,7 +70,7 @@ def build_args() -> argparse.ArgumentParser:
     res.add_argument("--ppdb", type=Path, default=None,
                      help="paraphrase pairs, phrase<TAB>phrase<TAB>confidence")
     res.add_argument("--wordnet", type=Path, default=None,
-                     help="synonym pairs, phrase<TAB>phrase")
+                     help="synsets, phrase<TAB>synset_id[,synset_id...]")
     res.add_argument("--kbp", type=Path, default=None,
                      help="relation category file, phrase<TAB>category")
     res.add_argument("--vectors", type=Path, default=None,

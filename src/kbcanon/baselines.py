@@ -48,6 +48,7 @@ from .side_info import (
     idf_overlap_score,
     morph_equivalences,
     ppdb_equivalences,
+    shared_key_pairs,
 )
 
 logger = logging.getLogger(__name__)
@@ -160,13 +161,21 @@ def _jaccard(x: frozenset, y: frozenset) -> float:
     return len(x & y) / union if union else 0.0
 
 
-def _distance_matrix(features: Sequence, similarity) -> np.ndarray:
-    """1 - similarity(x, y) for every pair of features, 0 on the
-    diagonal."""
-    D = np.zeros((len(features), len(features)))
-    for (i, x), (j, y) in combinations(enumerate(features), 2):
-        D[i, j] = D[j, i] = 1.0 - similarity(x, y)
+def _distance_matrix(features: Sequence, similarity, pairs) -> np.ndarray:
+    """1 - similarity(features[i], features[j]) at each position pair
+    i < j in ``pairs``, 1 at every other pair, 0 on the diagonal."""
+    D = np.ones((len(features), len(features)))
+    np.fill_diagonal(D, 0.0)
+    for i, j in pairs:
+        D[i, j] = D[j, i] = 1.0 - similarity(features[i], features[j])
     return D
+
+
+def _overlap_distance_matrix(features: Sequence, similarity) -> np.ndarray:
+    """_distance_matrix over the position pairs whose feature sets
+    intersect; IDF overlap and Jaccard score every other pair 0."""
+    pairs = shared_key_pairs((k, x) for k, f in enumerate(features) for x in f)
+    return _distance_matrix(features, similarity, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -282,13 +291,14 @@ def run_baseline(
         texts = {p.id: p.text for p in vocab}
         if name is BaselineName.IDF_HAC:
             df = build_df(kb)
-            features = [content_tokens(texts[i]) for i in ids]
-            D = _distance_matrix(features, lambda x, y: idf_overlap_score(x, y, df))
+            D = _overlap_distance_matrix([content_tokens(texts[i]) for i in ids],
+                                         lambda x, y: idf_overlap_score(x, y, df))
         elif name is BaselineName.STRSIM_HAC:
-            D = _distance_matrix([texts[i] for i in ids], jaro_winkler)
+            D = _distance_matrix([texts[i] for i in ids], jaro_winkler,
+                                 combinations(range(len(ids)), 2))
         else:
             sets = attribute_sets(kb)
-            D = _distance_matrix([sets[i] for i in ids], _jaccard)
+            D = _overlap_distance_matrix([sets[i] for i in ids], _jaccard)
         member_sets, threshold = _hac_at_threshold(D, ids, cfg, validation_gold, grid)
         return _freq_clustering(kb, kind, member_sets, threshold)
 

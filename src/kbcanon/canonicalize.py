@@ -84,7 +84,8 @@ def cosine_distance_matrix(X: np.ndarray, labels: Sequence | None = None) -> np.
             f"cosine distance undefined for zero vectors: {names[:10]}"
         )
     N = X / norms[:, None]
-    return 1.0 - N @ N.T
+    G = N @ N.T
+    return np.subtract(1.0, G, out=G)
 
 
 def cosine_distances(vectors: Mapping[int, np.ndarray]) -> tuple[list[int], np.ndarray]:

@@ -127,17 +127,24 @@ def make_pair_set(
     return EquivalencePairSet(source_name, kind, canon)
 
 
+def shared_key_pairs(rows: Iterable[tuple[int, Hashable]]) -> frozenset[tuple[int, int]]:
+    """Every pair (a, b), a < b, of distinct ids that share a key, from
+    (id, key) rows; an id may carry several keys."""
+    # one list per key, not one set: sets raised peak RSS measurably
+    groups = defaultdict(list)
+    for pid, key in rows:
+        groups[key].append(pid)
+    return frozenset(
+        pair for ids in groups.values() for pair in combinations(sorted(set(ids)), 2)
+    )
+
+
 def _label_pair_set(
     source_name: str, kind: PhraseKind, labelled: Iterable[tuple[int, Hashable]]
 ) -> EquivalencePairSet:
     """Pair every two distinct ids that carry a common label, from
     (id, label) rows; an id may carry several labels."""
-    groups = defaultdict(set)
-    for pid, label in labelled:
-        groups[label].add(pid)
-    return make_pair_set(source_name, kind, (
-        pair for ids in groups.values() for pair in combinations(sorted(ids), 2)
-    ))
+    return EquivalencePairSet(source_name, kind, shared_key_pairs(labelled))
 
 
 @dataclass(frozen=True)
@@ -245,27 +252,17 @@ def idf_overlap_score(
 def idf_equivalences(
     kb: OpenKB, df: DocumentFrequency, cutoff: float
 ) -> EquivalencePairSet:
-    """All NP pairs with idf_overlap_score >= cutoff. Candidate pairs are
-    blocked on a shared non-stopword token; pairs sharing no token score 0
-    and can never qualify, so blocking loses nothing for cutoff > 0."""
+    """All NP pairs (a, b), a < b, with idf_overlap_score >= cutoff. Only
+    pairs that share a non-stopword token (``shared_key_pairs``) are
+    scored; any other pair scores 0, so none is lost for cutoff > 0."""
     if not 0.0 <= cutoff <= 1.0:
         raise ValueError(f"cutoff must be in [0, 1], got {cutoff}")
     toks = {p.id: content_tokens(p.text) for p in kb.np_vocab}
-    by_token = defaultdict(list)
-    for pid in sorted(toks):
-        for tok in toks[pid]:
-            by_token[tok].append(pid)
-    candidates = {
-        pair
-        for ids in by_token.values()
-        for pair in combinations(ids, 2)
-    }
-    pairs = [
-        (a, b)
-        for a, b in candidates
+    candidates = shared_key_pairs((pid, t) for pid, ts in toks.items() for t in ts)
+    return EquivalencePairSet("idf_overlap", PhraseKind.NP, frozenset(
+        (a, b) for a, b in candidates
         if idf_overlap_score(toks[a], toks[b], df) >= cutoff
-    ]
-    return make_pair_set("idf_overlap", PhraseKind.NP, pairs)
+    ))
 
 
 def entity_link_equivalences(kb: OpenKB) -> EquivalencePairSet:
@@ -351,23 +348,30 @@ def _shared_label_pairs(
     ))
 
 
-def load_synsets(path) -> dict[str, set[str]]:
-    """Read `phrase <TAB> synset_id[,synset_id...]` rows into a map from
-    lowercased phrase to its synset-id set (multiple rows union)."""
-    synsets: dict[str, set[str]] = defaultdict(set)
+def _two_field_rows(path, expected: str):
+    """(line number, lowercased phrase, stripped second field) for each
+    non-blank row of a two-column TSV file; any other row is a ParseError
+    naming the line."""
     path = Path(path)
     with path.open(encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
             if not line.strip():
                 continue
             parts = line.split("\t")
             if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
-                raise ParseError(path, line_no, "expected 'phrase<TAB>synset_ids'")
-            ids = {s.strip() for s in parts[1].split(",") if s.strip()}
-            if not ids:
-                raise ParseError(path, line_no, "empty synset-id list")
-            synsets[normalize_whitespace(parts[0]).lower()] |= ids
+                raise ParseError(path, line_no, f"expected '{expected}'")
+            yield line_no, normalize_whitespace(parts[0]).lower(), parts[1].strip()
+
+
+def load_synsets(path) -> dict[str, set[str]]:
+    """Read `phrase <TAB> synset_id[,synset_id...]` rows into a map from
+    lowercased phrase to its synset-id set (multiple rows union)."""
+    synsets: dict[str, set[str]] = defaultdict(set)
+    for line_no, phrase, field in _two_field_rows(path, "phrase<TAB>synset_ids"):
+        ids = {s.strip() for s in field.split(",") if s.strip()}
+        if not ids:
+            raise ParseError(Path(path), line_no, "empty synset-id list")
+        synsets[phrase] |= ids
     return dict(synsets)
 
 
@@ -381,16 +385,8 @@ def load_kbp(path) -> dict[str, set[str]]:
     """Read `relation_phrase <TAB> category` rows into a map from
     lowercased phrase to its category set."""
     categories: dict[str, set[str]] = defaultdict(set)
-    path = Path(path)
-    with path.open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
-                raise ParseError(path, line_no, "expected 'relation_phrase<TAB>category'")
-            categories[normalize_whitespace(parts[0]).lower()].add(parts[1].strip())
+    for _, phrase, category in _two_field_rows(path, "relation_phrase<TAB>category"):
+        categories[phrase].add(category)
     return dict(categories)
 
 
@@ -421,26 +417,18 @@ def amie_mine(
     For relations r, r' with argument-pair sets S_r, S_r' (distinct
     morph-canonical (subject, object) pairs), support(r => r') is
     |S_r & S_r'| and confidence is support / |S_r|. A pair is emitted iff
-    both directions meet the support and confidence thresholds. An inverted
-    index from argument pair to relations avoids the quadratic scan over
-    relation pairs that never co-occur.
+    both directions meet the support and confidence thresholds. Only the
+    relation pairs that share an argument pair (``shared_key_pairs``) are
+    scored; every other pair has support 0.
     """
     arg_pairs = relation_argument_pairs(kb)
-    by_pair = defaultdict(list)
-    for r in sorted(arg_pairs):
-        for xy in arg_pairs[r]:
-            by_pair[xy].append(r)
-    overlap: Counter[tuple[int, int]] = Counter()
-    for rels in by_pair.values():
-        for a, b in combinations(rels, 2):
-            overlap[(a, b) if a < b else (b, a)] += 1
-    pairs = []
-    for (a, b), ov in overlap.items():
-        if ov < support_min:
-            continue
-        if ov / len(arg_pairs[a]) >= confidence_min and ov / len(arg_pairs[b]) >= confidence_min:
-            pairs.append((a, b))
-    return make_pair_set("amie", PhraseKind.REL, pairs)
+    candidates = shared_key_pairs((r, xy) for r, xys in arg_pairs.items() for xy in xys)
+    support = {(a, b): len(arg_pairs[a] & arg_pairs[b]) for a, b in candidates}
+    return EquivalencePairSet("amie", PhraseKind.REL, frozenset(
+        (a, b) for (a, b), ov in support.items()
+        if ov >= support_min and ov / len(arg_pairs[a]) >= confidence_min
+        and ov / len(arg_pairs[b]) >= confidence_min
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-from kbcanon.embedding import HyperParams, TrainingBatch, _side_pair_arrays, make_batch
+from kbcanon.embedding import HyperParams, TrainingBatch, make_batch
 from kbcanon.kb import OpenKB, PhraseKind, Triple, build_kb
-from kbcanon.side_info import morph_normalize
+from kbcanon.side_info import SideInfoCollection, morph_normalize
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +234,20 @@ def direct_circular_correlation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+# The package's original all-pairs distance matrix for the similarity
+# baselines, kept verbatim: it scores every pair, including those whose
+# similarity is 0 because they share nothing.
+
+
+def reference_distance_matrix(features: Sequence, similarity) -> np.ndarray:
+    """1 - similarity(x, y) for every pair of features, 0 on the
+    diagonal."""
+    D = np.zeros((len(features), len(features)))
+    for (i, x), (j, y) in combinations(enumerate(features), 2):
+        D[i, j] = D[j, i] = 1.0 - similarity(x, y)
+    return D
+
+
 def naive_attribute_overlap(kb: OpenKB, a: int, b: int) -> float:
     def attrs(n: int) -> set:
         out = set()
@@ -365,6 +379,23 @@ def _accumulate_ranking_grad(
     np.add.at(g_np, o_all, c * _conv_rows(Rp, Es))
 
 
+def _side_pair_arrays(
+    side: SideInfoCollection, kind: PhraseKind, h: HyperParams
+) -> list[tuple[np.ndarray, np.ndarray, float]]:
+    """(left ids, right ids, lambda/|Z|) per source with pairs and weight."""
+    sources = side.np_sources if kind is PhraseKind.NP else side.rel_sources
+    out = []
+    for src in sources:
+        lam = h.lambda_for(kind, src.source_name)
+        if lam == 0.0 or not src.pairs:
+            continue
+        pairs = sorted(src.pairs)
+        ia = np.asarray([a for a, _ in pairs], dtype=np.intp)
+        ib = np.asarray([b for _, b in pairs], dtype=np.intp)
+        out.append((ia, ib, lam / len(pairs)))
+    return out
+
+
 def _accumulate_side_grad(g: np.ndarray, W: np.ndarray, terms, scale: float) -> None:
     for ia, ib, w in terms:
         diff = (2.0 * w * scale) * (W[ia] - W[ib])
@@ -375,9 +406,9 @@ def _accumulate_side_grad(g: np.ndarray, W: np.ndarray, terms, scale: float) -> 
 def reference_train(kb: OpenKB, side, h, init) -> tuple[np.ndarray, np.ndarray]:
     """Mini-batch SGD as first written: three separate s*o correlations
     per step through complex FFTs and np.add.at scatters. Batches come
-    from the package's ``make_batch`` and side pairs from its
-    ``_side_pair_arrays``, so the random streams are consumed exactly as
-    in ``kbcanon.embedding.train`` and only the update arithmetic is
+    from the package's ``make_batch``, so the random streams are consumed
+    exactly as in ``kbcanon.embedding.train``; the side terms are built
+    here, in the same sorted-pair order, and the update arithmetic is
     independent. Returns the final (np_vectors, rel_vectors)."""
     E = init.np_vectors.copy()
     R = init.rel_vectors.copy()
