@@ -228,41 +228,84 @@ def build_df(kb: OpenKB) -> DocumentFrequency:
     return DocumentFrequency(df=dict(counts))
 
 
+def idf_weight(token: str, df: DocumentFrequency) -> float:
+    """A token's IDF weight 1/ln(1 + df), natural log; 0 for a token with
+    df 0 or no entry in the frequency table."""
+    n = df.df.get(token, 0)
+    return 1.0 / math.log(1 + n) if n > 0 else 0.0
+
+
 def idf_overlap_score(
     tokens_a: frozenset[str], tokens_b: frozenset[str], df: DocumentFrequency
 ) -> float:
     """IDF-weighted token overlap in [0, 1]: shared-token weight over
-    union-token weight, each token weighted 1/ln(1 + df). Natural log.
-    Tokens absent from the frequency table are ignored."""
-
-    def weight(tok: str) -> float:
-        n = df.df.get(tok, 0)
-        return 1.0 / math.log(1 + n) if n > 0 else 0.0
-
+    union-token weight, each token weighted by ``idf_weight``. Tokens
+    absent from the frequency table are ignored. ``math.fsum`` makes each
+    sum exact-then-rounded, so the score does not depend on set order."""
     union = tokens_a | tokens_b
     if not union:
         return 0.0
-    den = sum(weight(t) for t in union)
+    den = math.fsum(idf_weight(t, df) for t in union)
     if den == 0.0:
         return 0.0
-    num = sum(weight(t) for t in tokens_a & tokens_b)
+    num = math.fsum(idf_weight(t, df) for t in tokens_a & tokens_b)
     return num / den
+
+
+# The filter must never lose a pair whose float score is >= cutoff. In
+# real arithmetic the tokens after a prefix weigh less than c·|x|_w. In
+# floats, the score (two fsums and a division) and the prefix's running
+# remainder (one rounding per token) each err by a few units of
+# 2**-53·|x|_w. So the bound is (c - 1e-9)·|x|_w: a slack of 1e-9 of
+# |x|_w covers that error many times over. It lengthens only a prefix
+# whose remainder lies within 1e-9·|x|_w of the bound, and at a cutoff
+# of at most 1e-9 it makes every prefix the whole token set.
+_PREFIX_SLACK = 1e-9
+
+
+def _idf_prefix(tokens: frozenset[str], df: DocumentFrequency, cutoff: float) -> list[str]:
+    """The shortest prefix of ``tokens``, heaviest weight first and ties
+    by token string, after which the remaining weight is below
+    cutoff·|tokens|_w (less the slack above)."""
+    weighted = sorted((-idf_weight(t, df), t) for t in tokens)
+    remaining = math.fsum(-w for w, _ in weighted)
+    bound = (cutoff - _PREFIX_SLACK) * remaining
+    prefix = []
+    for neg_w, tok in weighted:
+        if remaining < bound:
+            break
+        prefix.append(tok)
+        remaining += neg_w
+    return prefix
 
 
 def idf_equivalences(
     kb: OpenKB, df: DocumentFrequency, cutoff: float
 ) -> EquivalencePairSet:
-    """All NP pairs (a, b), a < b, with idf_overlap_score >= cutoff. Only
-    pairs that share a non-stopword token (``shared_key_pairs``) are
-    scored; any other pair scores 0, so none is lost for cutoff > 0."""
+    """All NP pairs (a, b), a < b, with idf_overlap_score >= cutoff.
+
+    Candidates come from a weighted prefix filter (Bayardo et al. 2007):
+    ``shared_key_pairs`` gets one (id, token) row per prefix token, as
+    ``_idf_prefix`` gives it. The filter is exact. Every NP orders its
+    tokens the same global way, and the tokens after its prefix weigh
+    less than cutoff·|x|_w. If the first token that a and b share, in
+    that order, lay after a's prefix, so would every shared token, and
+    the shared weight would be below cutoff·|a|_w <= cutoff·|a ∪ b|_w.
+    So a pair that scores >= cutoff shares a token in both prefixes.
+    At cutoff 0 every prefix is the whole token set, and every pair that
+    shares a non-stopword token is kept; any other pair scores 0."""
     if not 0.0 <= cutoff <= 1.0:
         raise ValueError(f"cutoff must be in [0, 1], got {cutoff}")
     toks = {p.id: content_tokens(p.text) for p in kb.np_vocab}
-    candidates = shared_key_pairs((pid, t) for pid, ts in toks.items() for t in ts)
-    return EquivalencePairSet("idf_overlap", PhraseKind.NP, frozenset(
+    rows = [(pid, t) for pid, ts in toks.items() for t in _idf_prefix(ts, df, cutoff)]
+    candidates = shared_key_pairs(rows)
+    pairs = frozenset(
         (a, b) for a, b in candidates
         if idf_overlap_score(toks[a], toks[b], df) >= cutoff
-    ))
+    )
+    logger.info("idf_overlap: %d prefix rows, %d candidates scored, %d pairs kept",
+                len(rows), len(candidates), len(pairs))
+    return EquivalencePairSet("idf_overlap", PhraseKind.NP, pairs)
 
 
 def entity_link_equivalences(kb: OpenKB) -> EquivalencePairSet:

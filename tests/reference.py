@@ -15,7 +15,15 @@ import numpy as np
 
 from kbcanon.embedding import HyperParams, TrainingBatch, make_batch
 from kbcanon.kb import OpenKB, PhraseKind, Triple, build_kb
-from kbcanon.side_info import SideInfoCollection, morph_normalize
+from kbcanon.side_info import (
+    DocumentFrequency,
+    EquivalencePairSet,
+    SideInfoCollection,
+    content_tokens,
+    idf_overlap_score,
+    morph_normalize,
+    shared_key_pairs,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +254,27 @@ def reference_distance_matrix(features: Sequence, similarity) -> np.ndarray:
     for (i, x), (j, y) in combinations(enumerate(features), 2):
         D[i, j] = D[j, i] = 1.0 - similarity(x, y)
     return D
+
+
+# The package's original IDF side information, kept verbatim: it scores
+# every pair that shares any content token, where the package scores only
+# the pairs that share a prefix token.
+
+
+def reference_idf_equivalences(
+    kb: OpenKB, df: DocumentFrequency, cutoff: float
+) -> EquivalencePairSet:
+    """All NP pairs (a, b), a < b, with idf_overlap_score >= cutoff. Only
+    pairs that share a non-stopword token (``shared_key_pairs``) are
+    scored; any other pair scores 0, so none is lost for cutoff > 0."""
+    if not 0.0 <= cutoff <= 1.0:
+        raise ValueError(f"cutoff must be in [0, 1], got {cutoff}")
+    toks = {p.id: content_tokens(p.text) for p in kb.np_vocab}
+    candidates = shared_key_pairs((pid, t) for pid, ts in toks.items() for t in ts)
+    return EquivalencePairSet("idf_overlap", PhraseKind.NP, frozenset(
+        (a, b) for a, b in candidates
+        if idf_overlap_score(toks[a], toks[b], df) >= cutoff
+    ))
 
 
 def naive_attribute_overlap(kb: OpenKB, a: int, b: int) -> float:
