@@ -35,7 +35,6 @@ from .embedding import (
     init_embeddings,
     load_word_vectors,
     train,
-    wordvec_phrase_embedding,  # noqa: F401  (re-exported)
 )
 from .errors import ConfigError
 from .kb import GoldClustering, OpenKB, PhraseKind

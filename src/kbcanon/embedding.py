@@ -52,25 +52,6 @@ def circular_correlation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return b[idx] @ a
 
 
-def circular_correlation_fft(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Transform-based path; agrees with the direct form to ~1e-10."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise ValueError(f"expected equal-length 1-d vectors, got {a.shape} and {b.shape}")
-    return np.fft.ifft(np.conj(np.fft.fft(a)) * np.fft.fft(b)).real
-
-
-def circular_convolution(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """[a conv b]_k = sum_i a_i b_((k-i) mod d); the gradient of correlation
-    with respect to its second argument flows through this form."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or a.shape != b.shape:
-        raise ValueError(f"expected equal-length 1-d vectors, got {a.shape} and {b.shape}")
-    return np.fft.ifft(np.fft.fft(a) * np.fft.fft(b)).real
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x, dtype=float)
     pos = x >= 0
@@ -190,7 +171,7 @@ class TrainingBatch:
 
 def score_triple(emb: EmbeddingSet, s: int, p: int, o: int) -> float:
     """eta = r_p . (e_s * e_o)."""
-    corr = circular_correlation_fft(emb.np_vectors[s], emb.np_vectors[o])
+    corr = circular_correlation(emb.np_vectors[s], emb.np_vectors[o])
     return float(np.dot(emb.rel_vectors[p], corr))
 
 

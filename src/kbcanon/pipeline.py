@@ -65,9 +65,14 @@ from .side_info import (
 
 logger = logging.getLogger(__name__)
 
-_PATH_FIELDS = ("triples_file", "gold_np_file", "gold_rel_file", "vectors_file",
-                "out_dir")
+_INPUT_FIELDS = ("triples_file", "gold_np_file", "gold_rel_file", "vectors_file")
+_PATH_FIELDS = _INPUT_FIELDS + ("out_dir",)
 _SIDE_PATH_FIELDS = ("ppdb_file", "wordnet_file", "kbp_file")
+# Top-level fields that grid_search reads once from the base config or
+# never reads, so a grid over them would give identical rows.
+_FIXED_GRID_FIELDS = ("triples_file", "format", "gold_np_file", "gold_rel_file",
+                      "validation_fraction", "out_dir", "baselines",
+                      "deterministic")
 BASELINE_NAMES = tuple(b.value for b in BaselineName)
 
 
@@ -199,8 +204,25 @@ def load_config(path) -> PipelineConfig:
     return config_from_dict(raw, base_dir=path.parent)
 
 
+def _file_sha256(path: str) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def config_hash(config: PipelineConfig) -> str:
-    doc = json.dumps(config.as_dict(), sort_keys=True)
+    """sha256 of the config with each input path replaced by the sha256
+    of its file and out_dir left out, so the same inputs hash alike
+    wherever they live."""
+    d = config.as_dict()
+    del d["out_dir"]
+    for node, names in ((d, _INPUT_FIELDS), (d["side"], _SIDE_PATH_FIELDS)):
+        for name in names:
+            if node[name] is not None:
+                node[name] = _file_sha256(node[name])
+    doc = json.dumps(d, sort_keys=True)
     return hashlib.sha256(doc.encode("utf-8")).hexdigest()
 
 
@@ -534,14 +556,23 @@ def grid_search(
     """Exhaustive product over the grid, ranked by validation mean F1.
 
     Grid keys are dotted config paths (e.g. ``hyperparams.learning_rate``,
-    ``side.idf_cutoff``, ``np_threshold``). Side information is cached
-    across points with an identical side section, and trained embeddings
-    are cached across points that differ only in clustering settings. Ties
-    keep the first point in enumeration order. Returns (best overrides,
-    leaderboard rows) and persists both plus the winning config.
+    ``side.idf_cutoff``, ``np_threshold``). The inputs, the validation
+    split and the output settings come from the base config, so a key in
+    ``_FIXED_GRID_FIELDS`` is a ConfigError. ``seed`` varies training
+    only: every point is scored on the base seed's validation split.
+    Side information is cached across points with an identical side
+    section, and trained embeddings are cached across points that differ
+    only in clustering settings. Ties keep the first point in enumeration
+    order. Returns (best overrides, leaderboard rows) and persists both
+    plus the winning config.
     """
     if not grid:
         raise ConfigError("grid is empty")
+    fixed = sorted(set(grid) & set(_FIXED_GRID_FIELDS))
+    if fixed:
+        raise ConfigError(
+            f"grid key(s) {fixed} are fixed by the base config and cannot vary"
+        )
     config.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

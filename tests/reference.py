@@ -8,13 +8,17 @@ the package under test.
 from __future__ import annotations
 
 import math
+from collections import Counter, defaultdict
 from itertools import combinations
-from typing import Sequence
+from math import comb
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from kbcanon.embedding import HyperParams, TrainingBatch, make_batch
+from kbcanon.errors import InvariantViolation, MetricsUndefinedError
 from kbcanon.kb import OpenKB, PhraseKind, Triple, build_kb
+from kbcanon.metrics import MetricsReport, harmonic_mean, restrict_to_gold
 from kbcanon.side_info import (
     DocumentFrequency,
     EquivalencePairSet,
@@ -193,6 +197,112 @@ def brute_pairwise(clusters, gold) -> tuple[float | None, float | None]:
     p = hits / same_cluster if same_cluster else None
     r = hits / same_gold if same_gold else None
     return p, r
+
+
+# The package's original evaluation, kept verbatim: it builds the gold
+# partition and calls three scorers, each of which re-indexes and
+# re-checks both partitions, where the package reads every score off
+# one contingency table.
+
+
+def gold_partition(
+    gold: Mapping[int, str], elements: Collection[int]
+) -> list[frozenset[int]]:
+    """Gold clusters over the given elements, grouped by label."""
+    by_label = defaultdict(set)
+    for x in elements:
+        by_label[gold[x]].add(x)
+    return [frozenset(s) for _, s in sorted(by_label.items())]
+
+
+def _element_index(partition: Sequence[Collection[int]], name: str) -> dict[int, int]:
+    index: dict[int, int] = {}
+    for i, part in enumerate(partition):
+        for x in part:
+            if x in index:
+                raise InvariantViolation(f"{name} is not a partition: {x} repeats")
+            index[x] = i
+    return index
+
+
+def _check_same_elements(C, E) -> tuple[dict[int, int], dict[int, int]]:
+    c_index = _element_index(C, "predicted clustering")
+    e_index = _element_index(E, "gold clustering")
+    if set(c_index) != set(e_index):
+        raise InvariantViolation(
+            "predicted and gold clusterings cover different element sets"
+        )
+    return c_index, e_index
+
+
+def macro_scores(
+    C: Sequence[Collection[int]], E: Sequence[Collection[int]]
+) -> tuple[float, float]:
+    """P = fraction of predicted clusters contained in some gold cluster;
+    R = the same with roles swapped."""
+    if not C or not E:
+        raise MetricsUndefinedError("macro scores need non-empty clusterings")
+    c_index, e_index = _check_same_elements(C, E)
+    pure_c = sum(1 for c in C if len({e_index[x] for x in c}) == 1)
+    pure_e = sum(1 for e in E if len({c_index[x] for x in e}) == 1)
+    return pure_c / len(C), pure_e / len(E)
+
+
+def micro_scores(
+    C: Sequence[Collection[int]], E: Sequence[Collection[int]]
+) -> tuple[float, float]:
+    """P = (1/N) * sum over predicted clusters of the plurality gold-label
+    count (purity); R = the same with roles swapped."""
+    if not C or not E:
+        raise MetricsUndefinedError("micro scores need non-empty clusterings")
+    c_index, e_index = _check_same_elements(C, E)
+    n = len(c_index)
+    p = sum(Counter(e_index[x] for x in c).most_common(1)[0][1] for c in C) / n
+    r = sum(Counter(c_index[x] for x in e).most_common(1)[0][1] for e in E) / n
+    return p, r
+
+
+def pairwise_scores(
+    C: Sequence[Collection[int]], E: Sequence[Collection[int]]
+) -> tuple[float | None, float | None]:
+    """Hits are co-clustered pairs sharing a gold cluster. P = hits over
+    all predicted pairs, R = hits over all gold pairs; a zero denominator
+    yields None."""
+    if not C or not E:
+        raise MetricsUndefinedError("pairwise scores need non-empty clusterings")
+    _, e_index = _check_same_elements(C, E)
+    hits = 0
+    for c in C:
+        for count in Counter(e_index[x] for x in c).values():
+            hits += comb(count, 2)
+    c_pairs = sum(comb(len(c), 2) for c in C)
+    e_pairs = sum(comb(len(e), 2) for e in E)
+    p = hits / c_pairs if c_pairs else None
+    r = hits / e_pairs if e_pairs else None
+    return p, r
+
+
+def reference_evaluate(
+    clusters: Iterable[Collection[int]], gold: Mapping[int, str]
+) -> MetricsReport:
+    """Restrict to gold-labeled elements, build the gold partition, and
+    assemble all nine scores plus counts."""
+    C = restrict_to_gold(clusters, gold)
+    elements = {x for c in C for x in c}
+    if not elements:
+        raise MetricsUndefinedError(
+            "no gold-labeled elements present in the clustering"
+        )
+    E = gold_partition(gold, elements)
+    macro_p, macro_r = macro_scores(C, E)
+    micro_p, micro_r = micro_scores(C, E)
+    pair_p, pair_r = pairwise_scores(C, E)
+    return MetricsReport(
+        macro_p=macro_p, macro_r=macro_r, macro_f1=harmonic_mean(macro_p, macro_r),
+        micro_p=micro_p, micro_r=micro_r, micro_f1=harmonic_mean(micro_p, micro_r),
+        pair_p=pair_p, pair_r=pair_r, pair_f1=harmonic_mean(pair_p, pair_r),
+        n_clusters=len(C), n_gold=len(E), n_elements=len(elements),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from kbcanon.baselines import (
     run_baseline,
     train_structure_only,
     tune_threshold_on_matrix,
-    wordvec_phrase_embedding,
 )
 from kbcanon.canonicalize import cosine_distance_matrix, hac_from_distance_matrix
 from kbcanon.embedding import (
@@ -28,6 +27,7 @@ from kbcanon.embedding import (
     default_init_rng,
     init_embeddings,
     train,
+    wordvec_phrase_embedding,
 )
 from kbcanon.errors import ConfigError
 from kbcanon.kb import GoldClustering, PhraseKind, build_kb

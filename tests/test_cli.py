@@ -121,7 +121,7 @@ class TestPipelineCommand:
 class TestStagedChain:
     def test_stages_match_monolithic_pipeline(self, tmp_path):
         # The chain and `pipeline` write to the same path in turn, because
-        # out_dir is part of the manifest's config and hash.
+        # out_dir is part of the manifest's config.
         _, config_path = make_dataset(tmp_path, seed=7)
         run_dir = tmp_path / "run"
 

@@ -16,8 +16,6 @@ from kbcanon.embedding import (
     EmbeddingSet,
     HyperParams,
     circular_correlation,
-    circular_correlation_fft,
-    circular_convolution,
     default_init_rng,
     gradient,
     init_embeddings,
@@ -93,26 +91,9 @@ class TestCircularCorrelation:
             expected = direct_circular_correlation(a, b)
             assert np.allclose(circular_correlation(a, b), expected, atol=1e-10)
 
-    def test_fft_path_agrees_with_direct(self):
-        rng = np.random.default_rng(3)
-        for d in (2, 3, 16, 300):
-            a, b = rng.normal(size=d), rng.normal(size=d)
-            direct = circular_correlation(a, b)
-            fft = circular_correlation_fft(a, b)
-            assert np.allclose(fft, direct, rtol=1e-10, atol=1e-10)
-
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             circular_correlation(np.zeros(3), np.zeros(4))
-
-    def test_convolution_identity(self):
-        rng = np.random.default_rng(4)
-        a, b = rng.normal(size=8), rng.normal(size=8)
-        conv = circular_convolution(a, b)
-        expected = np.array([
-            sum(a[i] * b[(k - i) % 8] for i in range(8)) for k in range(8)
-        ])
-        assert np.allclose(conv, expected, atol=1e-10)
 
 
 class TestScoreTriple:
@@ -544,4 +525,3 @@ def test_correlation_properties(seed, d):
     out = circular_correlation(a, b)
     assert out.shape == (d,)
     assert out[0] == pytest.approx(float(a @ b), abs=1e-9)
-    assert np.allclose(out, circular_correlation_fft(a, b), atol=1e-9)

@@ -7,19 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kbcanon.errors import MetricsUndefinedError
+from kbcanon.errors import InvariantViolation, MetricsUndefinedError
 from kbcanon.metrics import (
     evaluate,
     format_report,
-    gold_partition,
     harmonic_mean,
-    macro_scores,
-    micro_scores,
-    pairwise_scores,
     restrict_to_gold,
 )
 
-from .reference import brute_macro, brute_micro, brute_pairwise
+from .reference import brute_macro, brute_micro, brute_pairwise, reference_evaluate
 
 # The worked fixture: three gold entities, three predicted clusters, seven
 # labeled elements. Elements are numbered for id-based scoring:
@@ -85,10 +81,12 @@ class TestIdentityAndBoundaries:
     def test_all_singletons_macro_precision_one(self):
         gold = {0: "a", 1: "a", 2: "b"}
         clusters = [{0}, {1}, {2}]
-        p, _ = macro_scores([{0}, {1}, {2}],
-                            gold_partition(gold, {0, 1, 2}))
-        assert p == 1.0
+        # With the roles swapped, the all-singleton clustering is the gold
+        # side, so its macro precision is the swapped macro recall.
+        swapped = evaluate([{0, 1}, {2}], {0: "s0", 1: "s1", 2: "s2"})
+        assert swapped.macro_r == 1.0
         report = evaluate(clusters, gold)
+        assert report.macro_p == 1.0
         assert report.pair_p is None
         assert report.pair_r == 0.0
 
@@ -110,6 +108,14 @@ class TestIdentityAndBoundaries:
             evaluate([{0, 1}], {9: "a"})
         with pytest.raises(MetricsUndefinedError):
             evaluate([], {0: "a"})
+
+    def test_labeled_element_in_two_clusters_is_error(self):
+        gold = {0: "a", 1: "a", 2: "b"}
+        with pytest.raises(InvariantViolation):
+            evaluate([{0, 1}, {1, 2}], gold)
+        # An unlabeled element is dropped before the check.
+        report = evaluate([{0, 9}, {1, 2, 9}], gold)
+        assert report.n_elements == 3
 
 
 class TestRestrictToGold:
@@ -174,16 +180,14 @@ class TestAgainstBruteForce:
         cluster_assign, gold_assign = data
         clusters = to_clusters(cluster_assign)
         gold = {x: f"g{g}" for x, g in enumerate(gold_assign)}
-        elements = set(gold)
-        C = restrict_to_gold(clusters, gold)
-        E = gold_partition(gold, elements)
-        p_cd, r_cd = macro_scores(C, E)
-        p_dc, r_dc = macro_scores(E, C)
-        assert r_cd == pytest.approx(p_dc, abs=1e-12)
-        assert p_cd == pytest.approx(r_dc, abs=1e-12)
-        p_cd, r_cd = micro_scores(C, E)
-        p_dc, r_dc = micro_scores(E, C)
-        assert r_cd == pytest.approx(p_dc, abs=1e-12)
+        # Swap the roles: the gold clusters are predicted, and each
+        # element's predicted cluster is its label.
+        cd = evaluate(clusters, gold)
+        dc = evaluate(to_clusters(gold_assign),
+                      {x: f"c{c}" for x, c in enumerate(cluster_assign)})
+        assert cd.macro_r == pytest.approx(dc.macro_p, abs=1e-12)
+        assert cd.macro_p == pytest.approx(dc.macro_r, abs=1e-12)
+        assert cd.micro_r == pytest.approx(dc.micro_p, abs=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(partitions(), st.integers(0, 1000))
@@ -248,6 +252,32 @@ class TestAgainstBruteForce:
         refined = [{0, 1}, {2, 3}, {4, 5}]
         assert evaluate(clusters, gold).macro_p == pytest.approx(1 / 2)
         assert evaluate(refined, gold).macro_p == pytest.approx(1 / 3)
+
+
+def labeled_clusterings():
+    """Clusters over int or str ids, some unlabeled, some repeated."""
+    ids = st.one_of(st.integers(0, 12), st.sampled_from("abcdefghij"))
+    return st.tuples(
+        st.lists(st.lists(ids, max_size=6), max_size=8),
+        st.dictionaries(ids, st.sampled_from(["x", "y", "z", "w"]), max_size=20),
+    )
+
+
+class TestAgainstReferenceEvaluate:
+    @settings(max_examples=300, deadline=None)
+    @given(labeled_clusterings())
+    def test_same_report_or_same_error(self, data):
+        """The one-table evaluate equals the original four-pass one
+        exactly, float for float, or raises the same error."""
+        clusters, gold = data
+
+        def outcome(fn):
+            try:
+                return fn(clusters, gold).as_dict()
+            except (InvariantViolation, MetricsUndefinedError) as e:
+                return type(e)
+
+        assert outcome(evaluate) == outcome(reference_evaluate)
 
 
 class TestFormatReport:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 import yaml
@@ -141,6 +142,30 @@ class TestConfigLoading:
         doc = base_config_doc(synth_data)
         doc["seed"] = 4
         b = config_from_dict(doc)
+        assert config_hash(a) != config_hash(b)
+
+    def test_config_hash_follows_file_contents_not_paths(self, synth_data, tmp_path):
+        def copied_config(name):
+            doc = base_config_doc(synth_data)
+            here = tmp_path / name
+            here.mkdir()
+            for key in ("triples", "gold_np", "gold_rel", "side_ppdb"):
+                (here / synth_data[key].name).write_bytes(synth_data[key].read_bytes())
+            return config_from_dict({
+                **doc,
+                "triples_file": str(here / "triples.jsonl"),
+                "gold_np_file": str(here / "gold_np.tsv"),
+                "gold_rel_file": str(here / "gold_rel.tsv"),
+                "side": {**doc["side"], "ppdb_file": str(here / "side_ppdb.tsv")},
+                "out_dir": str(here / "run"),
+            })
+
+        a, b = copied_config("a"), copied_config("b")
+        assert a.triples_file != b.triples_file and a.out_dir != b.out_dir
+        assert config_hash(a) == config_hash(b)
+        triples = bytearray(Path(b.triples_file).read_bytes())
+        triples[-2] ^= 1
+        Path(b.triples_file).write_bytes(bytes(triples))
         assert config_hash(a) != config_hash(b)
 
 
@@ -396,15 +421,15 @@ class TestGridSearch:
         config = config_from_dict(base_config_doc(synth_data))
         grid = {
             "np_threshold": [0.3, 0.6],
-            "validation_fraction": [0.2, 0.3],
+            "rel_threshold": [0.45, 0.65],
         }
         _, rows = grid_search(config, grid, tmp_path)
         assert len(rows) == 4
         combos = [
-            (r["overrides"]["np_threshold"], r["overrides"]["validation_fraction"])
+            (r["overrides"]["np_threshold"], r["overrides"]["rel_threshold"])
             for r in rows
         ]
-        assert combos == [(0.3, 0.2), (0.3, 0.3), (0.6, 0.2), (0.6, 0.3)]
+        assert combos == [(0.3, 0.45), (0.3, 0.65), (0.6, 0.45), (0.6, 0.65)]
 
     def test_training_cached_across_clustering_points(
         self, synth_data, tmp_path, monkeypatch
@@ -473,6 +498,19 @@ class TestGridSearch:
         config = config_from_dict(base_config_doc(synth_data))
         with pytest.raises(ConfigError, match="does not address"):
             grid_search(config, {"hyperparams.learn_rate": [0.1]}, tmp_path)
+
+    @pytest.mark.parametrize("key", [
+        "triples_file", "format", "gold_np_file", "gold_rel_file",
+        "validation_fraction", "out_dir", "baselines", "deterministic",
+    ])
+    def test_key_fixed_by_base_config_rejected(self, synth_data, tmp_path, key):
+        # grid_search reads these once from the base config or never, so
+        # varying them would give identical rows.
+        config = config_from_dict(base_config_doc(synth_data))
+        out = tmp_path / "grid"
+        with pytest.raises(ConfigError, match=key):
+            grid_search(config, {key: [config.as_dict()[key]]}, out)
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
