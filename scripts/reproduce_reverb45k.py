@@ -74,8 +74,8 @@ def build_args() -> argparse.ArgumentParser:
     res.add_argument("--kbp", type=Path, default=None,
                      help="relation category file, phrase<TAB>category")
     res.add_argument("--vectors", type=Path, default=None,
-                     help="pretrained word vectors, token followed by "
-                          "whitespace-separated floats per line")
+                     help="pretrained word vectors, a token and its floats "
+                          "separated by single spaces per line")
 
     run = parser.add_argument_group("run")
     run.add_argument("--out", type=Path, required=True)

@@ -21,6 +21,8 @@ import hashlib
 import json
 import logging
 import time
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -221,7 +223,10 @@ def make_batch(
 # step function, ``_step``: gradient() calls it with the side terms at full
 # weight and adds the L2 term; the trainer scales the side terms by the
 # batch fraction, so that one epoch applies them at full weight exactly
-# once, and folds L2 in as a multiplicative decay.
+# once, and folds L2 in as a multiplicative decay. The side terms of a
+# kind arrive as one (ia, ib, w) pair array over all its sources, and
+# ``_step`` keeps one gradient buffer per kind: every ranking and side
+# piece is added into it in place with ``np.add.at`` on the flat view.
 
 
 def _flatten_negatives(batch: TrainingBatch) -> tuple[list[Triple], list[int]]:
@@ -273,36 +278,27 @@ def _ranking_margins(
     return (s, p, o), (Fs, Fo, Fr, corr_so), (pos_idx, neg_idx), margins, slopes
 
 
-def _ranking_loss(E, R, batch: TrainingBatch, h: HyperParams) -> float:
-    if not batch.positives:
-        return 0.0
-    margins = _ranking_margins(E, R, batch, h)[3]
-    return float(np.maximum(margins, 0.0).sum())
-
-
 def _side_pair_arrays(
     side: SideInfoCollection, kind: PhraseKind, h: HyperParams
-) -> list[tuple[np.ndarray, np.ndarray, float]]:
-    """(left ids, right ids, lambda/|Z|) per source with pairs and weight."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(left ids, right ids, per-pair lambda/|Z|) over every source of
+    ``kind`` with pairs and nonzero weight, concatenated in collection
+    order."""
     sources = side.np_sources if kind is PhraseKind.NP else side.rel_sources
-    out = []
+    pairs, weights = [], []
     for src in sources:
         lam = h.lambda_for(kind, src.source_name)
-        if lam == 0.0 or not src.pairs:
-            continue
-        pairs = sorted(src.pairs)
-        ia = np.asarray([a for a, _ in pairs], dtype=np.intp)
-        ib = np.asarray([b for _, b in pairs], dtype=np.intp)
-        out.append((ia, ib, lam / len(pairs)))
-    return out
+        if lam != 0.0 and src.pairs:
+            pairs += sorted(src.pairs)
+            weights += [lam / len(src.pairs)] * len(src.pairs)
+    ia, ib = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
+    return ia, ib, np.asarray(weights, dtype=float)
 
 
 def _side_loss(W: np.ndarray, terms) -> float:
-    total = 0.0
-    for ia, ib, w in terms:
-        diff = W[ia] - W[ib]
-        total += w * float(np.einsum("ij,ij->", diff, diff))
-    return total
+    ia, ib, w = terms
+    diff = W[ia] - W[ib]
+    return float(w @ np.einsum("ij,ij->i", diff, diff))
 
 
 def objective_terms(
@@ -310,7 +306,8 @@ def objective_terms(
 ) -> dict[str, float]:
     """The four objective terms, separately."""
     E, R = emb.np_vectors, emb.rel_vectors
-    ranking = h.lambda_str * _ranking_loss(E, R, batch, h)
+    margins = _ranking_margins(E, R, batch, h)[3]
+    ranking = h.lambda_str * float(np.maximum(margins, 0.0).sum())
     side_np = _side_loss(E, _side_pair_arrays(side, PhraseKind.NP, h))
     side_rel = _side_loss(R, _side_pair_arrays(side, PhraseKind.REL, h))
     reg = h.lambda_reg * (float(np.sum(E * E)) + float(np.sum(R * R)))
@@ -329,12 +326,6 @@ def objective(
     return objective_terms(emb, batch, side, h)["total"]
 
 
-def _scatter(idx: np.ndarray, rows: np.ndarray, shape) -> np.ndarray:
-    """Dense array of ``shape`` holding the sum of rows[i] at row idx[i]."""
-    flat = (idx[:, None] * shape[1] + np.arange(shape[1])).ravel()
-    return np.bincount(flat, weights=rows.ravel(), minlength=shape[0] * shape[1]).reshape(shape)
-
-
 def _step(E, R, batch: TrainingBatch, h: HyperParams, np_terms, rel_terms,
           side_scale: float):
     """Loss and gradient of lambda_str * ranking + side_scale * side terms
@@ -342,8 +333,9 @@ def _step(E, R, batch: TrainingBatch, h: HyperParams, np_terms, rel_terms,
     -sig'(eta_pos) through their positive and +sig'(eta_neg) through their
     negative (1 in raw mode) to d(loss)/d(eta); the subgradient at the
     kink is 0. With c that coefficient, g_r += c (e_s * e_o),
-    g_es += c (r * e_o) and g_eo += c (r conv e_s). Returns
-    (ranking loss, g_np, g_rel, hinge-active mask)."""
+    g_es += c (r * e_o) and g_eo += c (r conv e_s). Each kind has one
+    zeroed gradient buffer, and every ranking and side piece is added into
+    it in place. Returns (ranking loss, g_np, g_rel, hinge-active mask)."""
     (s, p, o), (Fs, Fo, Fr, corr_so), (pos_idx, neg_idx), margins, slopes = (
         _ranking_margins(E, R, batch, h))
     active = margins > 0.0
@@ -355,14 +347,14 @@ def _step(E, R, batch: TrainingBatch, h: HyperParams, np_terms, rel_terms,
     conv_rs = np.fft.irfft(Fr * Fs, n=E.shape[1], axis=1)
     for rows in (corr_so, corr_ro, conv_rs):
         rows *= c
-    g_np = _scatter(s, corr_ro, E.shape)
-    g_np += _scatter(o, conv_rs, E.shape)
-    g_rel = _scatter(p, corr_so, R.shape)
-    for g, W, terms in ((g_np, E, np_terms), (g_rel, R, rel_terms)):
-        for ia, ib, w in terms:
-            diff = (2.0 * w * side_scale) * (W[ia] - W[ib])
-            g += _scatter(ia, diff, W.shape)
-            g += _scatter(ib, np.negative(diff, out=diff), W.shape)
+    g_np, g_rel = np.zeros_like(E), np.zeros_like(R)
+    pieces = [(g_np, s, corr_ro), (g_np, o, conv_rs), (g_rel, p, corr_so)]
+    for g, W, (ia, ib, w) in ((g_np, E, np_terms), (g_rel, R, rel_terms)):
+        diff = (2.0 * w * side_scale)[:, None] * (W[ia] - W[ib])
+        pieces += [(g, ia, diff), (g, ib, -diff)]
+    d = E.shape[1]
+    for g, idx, rows in pieces:
+        np.add.at(g.reshape(-1), (idx[:, None] * d + np.arange(d)).ravel(), rows.ravel())
     loss = h.lambda_str * float(np.maximum(margins, 0.0).sum())
     return loss, g_np, g_rel, active
 
@@ -493,13 +485,18 @@ def save_embeddings(emb: EmbeddingSet, path, seed: int, vocab: str) -> None:
 
 
 def load_embeddings(path, expect_vocab_hash: str | None = None) -> tuple[EmbeddingSet, dict]:
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["meta"]).decode("utf-8"))
-        emb = EmbeddingSet(
-            np_vectors=data["np_vectors"].copy(),
-            rel_vectors=data["rel_vectors"].copy(),
-            dim=int(meta["dim"]),
-        )
+    """Read a ``save_embeddings`` checkpoint; a damaged one raises
+    ParseError naming the file."""
+    try:
+        with np.load(path) as data:
+            meta = json.loads(bytes(data["meta"]).decode("utf-8"))
+            emb = EmbeddingSet(
+                np_vectors=data["np_vectors"].copy(),
+                rel_vectors=data["rel_vectors"].copy(),
+                dim=int(meta["dim"]),
+            )
+    except (zipfile.BadZipFile, zlib.error, EOFError, KeyError, TypeError, ValueError) as e:
+        raise ParseError(path, None, f"not an embeddings checkpoint: {e!r}") from e
     if expect_vocab_hash is not None and meta.get("vocab_hash") != expect_vocab_hash:
         raise ConfigError(
             "embedding checkpoint was trained on a different vocabulary "

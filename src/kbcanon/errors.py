@@ -6,12 +6,14 @@ class KBCanonError(Exception):
 
 
 class ParseError(KBCanonError):
-    """A record in an input file could not be parsed."""
+    """A record in an input file could not be parsed; ``line_no`` is None
+    when the file as a whole is unreadable."""
 
     def __init__(self, path, line_no, message):
         self.path = str(path)
         self.line_no = line_no
-        super().__init__(f"{path}:{line_no}: {message}")
+        where = path if line_no is None else f"{path}:{line_no}"
+        super().__init__(f"{where}: {message}")
 
 
 class EmptyKBError(KBCanonError):

@@ -349,9 +349,9 @@ _GOLD_LINE = "expected 'phrase_text<TAB>gold_id'"
 
 
 def read_gold_lines(path) -> Iterator[tuple[int, str, str | None]]:
-    """(line number, phrase text, gold id) for every non-blank line of a
-    ``phrase_text <TAB> gold_id`` file. A line holding only a phrase has
-    gold id None; any other shape raises ParseError."""
+    """(line number, whitespace-normalized phrase text, gold id) for every
+    non-blank line of a ``phrase_text <TAB> gold_id`` file. A line holding
+    only a phrase has gold id None; any other shape raises ParseError."""
     with Path(path).open(encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -360,7 +360,8 @@ def read_gold_lines(path) -> Iterator[tuple[int, str, str | None]]:
             parts = line.split("\t")
             if len(parts) > 2 or not all(part.strip() for part in parts):
                 raise ParseError(path, line_no, _GOLD_LINE)
-            yield line_no, parts[0], parts[1].strip() if len(parts) == 2 else None
+            yield (line_no, normalize_whitespace(parts[0]),
+                   parts[1].strip() if len(parts) == 2 else None)
 
 
 def load_gold(path, kb: OpenKB, kind: PhraseKind) -> GoldClustering:

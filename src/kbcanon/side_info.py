@@ -576,20 +576,19 @@ def save_side_info(collection: SideInfoCollection, path) -> None:
 
 
 def load_side_info(path) -> SideInfoCollection:
+    """Read a ``save_side_info`` file; a damaged one raises ParseError
+    naming the file."""
     with Path(path).open(encoding="utf-8") as fh:
-        payload = json.load(fh)
-
-    def unpack(entries) -> tuple[EquivalencePairSet, ...]:
-        return tuple(
-            make_pair_set(e["source_name"], PhraseKind(e["kind"]),
-                          [tuple(p) for p in e["pairs"]])
-            for e in entries
-        )
-
-    return SideInfoCollection(
-        np_sources=unpack(payload["np_sources"]),
-        rel_sources=unpack(payload["rel_sources"]),
-    )
+        try:
+            payload = json.load(fh)
+            np_sources, rel_sources = (
+                tuple(make_pair_set(e["source_name"], PhraseKind(e["kind"]),
+                                    [tuple(p) for p in e["pairs"]])
+                      for e in payload[key])
+                for key in ("np_sources", "rel_sources"))
+        except (KeyError, TypeError, ValueError) as e:
+            raise ParseError(path, None, f"not a side-information file: {e!r}") from e
+    return SideInfoCollection(np_sources, rel_sources)
 
 
 def coverage_report(collection: SideInfoCollection, kb: OpenKB) -> list[str]:

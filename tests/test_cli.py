@@ -15,7 +15,10 @@ import pytest
 import yaml
 
 from kbcanon.cli import main
+from kbcanon.embedding import load_embeddings
+from kbcanon.errors import ParseError
 from kbcanon.pipeline import load_config
+from kbcanon.side_info import load_side_info
 
 SMALL_HP = {"dim": 12, "epochs": 8, "batch_size": 32, "learning_rate": 0.05}
 
@@ -262,6 +265,35 @@ class TestErrorHandling:
         )
         assert rc == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_truncated_embeddings_exit_2_naming_the_file(self, tmp_path, capsys):
+        _, config_path = make_dataset(tmp_path, seed=15)
+        run_dir = tmp_path / "run"
+        for stage in ("ingest", "sideinfo", "embed"):
+            assert main([stage, "--config", str(config_path), "--out", str(run_dir)]) == 0
+        emb_file = run_dir / "embeddings.npz"
+        data = emb_file.read_bytes()
+        emb_file.write_bytes(data[: len(data) // 2])
+        with pytest.raises(ParseError, match="embeddings.npz"):
+            load_embeddings(emb_file)
+        capsys.readouterr()
+        rc = main(["cluster", "--config", str(config_path), "--out", str(run_dir)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {emb_file}")
+
+    def test_side_info_without_rel_sources_exits_2_naming_the_file(self, tmp_path, capsys):
+        _, config_path = make_dataset(tmp_path, seed=16)
+        run_dir = tmp_path / "run"
+        for stage in ("ingest", "sideinfo"):
+            assert main([stage, "--config", str(config_path), "--out", str(run_dir)]) == 0
+        side_file = run_dir / "side_info.json"
+        side_file.write_text('{"np_sources": []}\n', encoding="utf-8")
+        with pytest.raises(ParseError, match="side_info.json"):
+            load_side_info(side_file)
+        capsys.readouterr()
+        rc = main(["embed", "--config", str(config_path), "--out", str(run_dir)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {side_file}")
 
     def test_evaluate_missing_file_exits_3(self, tmp_path, capsys):
         rc = main(

@@ -47,3 +47,16 @@ def test_load_gold_rejects_a_phrase_without_gold_id(tmp_path, toy_kb):
     _, gold = write_files(tmp_path, "Obama")
     with pytest.raises(ParseError, match=":2:"):
         load_gold(gold, toy_kb, PhraseKind.NP)
+
+
+def test_evaluate_normalizes_gold_whitespace_like_load_gold(tmp_path):
+    # load_gold maps phrases through kb.np_id, which collapses and trims
+    # whitespace; file-level evaluation keys gold the same way.
+    clusters = tmp_path / "clusters.jsonl"
+    clusters.write_text(json.dumps({"members": ["Barack Obama", "Obama"]}) + "\n"
+                        + json.dumps({"members": ["Paris"]}) + "\n")
+    gold = tmp_path / "gold.tsv"
+    gold.write_text("Barack  Obama\tE1\nObama\tE1\n Paris\tE2\n", encoding="utf-8")
+    report = evaluate_clusters_file(clusters, gold)
+    assert report.n_elements == 3
+    assert report.macro_f1 == report.micro_f1 == report.pair_f1 == 1.0
