@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -104,43 +103,83 @@ class BaselineConfig:
 # similarity functions
 
 
-def jaro_winkler(s1: str, s2: str) -> float:
-    """Jaro similarity with the Winkler common-prefix boost (prefix length
-    capped at 4, scaling factor 0.1) applied unconditionally."""
-    jaro = _jaro(s1, s2)
-    prefix = 0
-    for a, b in zip(s1[:4], s2[:4]):
-        if a != b:
-            break
-        prefix += 1
-    return jaro + prefix * 0.1 * (1.0 - jaro)
+# pairs scored at a time by jaro_winkler_distances; a block's working
+# arrays take about 25 bytes per pair and character of its longest text
+_JW_BLOCK = 8192
 
 
-def _jaro(s1: str, s2: str) -> float:
-    if s1 == s2:
-        return 1.0
-    n1, n2 = len(s1), len(s2)
-    if n1 == 0 or n2 == 0:
-        return 0.0
-    window = max(max(n1, n2) // 2 - 1, 0)
-    match1 = [False] * n1
-    match2 = [False] * n2
-    matches = 0
-    for i, ch in enumerate(s1):
-        lo = max(0, i - window)
-        hi = min(n2, i + window + 1)
-        for j in range(lo, hi):
-            if not match2[j] and s2[j] == ch:
-                match1[i] = match2[j] = True
-                matches += 1
-                break
-    if matches == 0:
-        return 0.0
-    m1 = [ch for ch, m in zip(s1, match1) if m]
-    m2 = [ch for ch, m in zip(s2, match2) if m]
-    transpositions = sum(a != b for a, b in zip(m1, m2)) // 2
-    m = float(matches)
-    return (m / n1 + m / n2 + (m - transpositions) / m) / 3.0
+def jaro_winkler_distances(texts: Sequence[str]) -> np.ndarray:
+    """1 - Jaro-Winkler similarity for every pair of ``texts``, 0 on the
+    diagonal. Jaro similarity gets the Winkler common-prefix boost (prefix
+    length capped at 4, scaling factor 0.1) unconditionally; equal texts
+    score 1 and an empty text against a non-empty one 0. Texts are compared
+    by code point, as ``str`` compares them, and every value is the same
+    IEEE result as the scalar formula with s1 the text that comes first
+    in ``texts``. The pairs are scored ``_JW_BLOCK`` at a time."""
+    n = len(texts)
+    lens = np.array([len(t) for t in texts], dtype=np.int64)
+    codes = np.full((n, int(lens.max(initial=1))), -1, dtype=np.int32)
+    codes[np.arange(codes.shape[1]) < lens[:, None]] = np.frombuffer(
+        "".join(texts).encode("utf-32-le", "surrogatepass"), dtype="<i4")
+    first: dict[str, int] = {}
+    ident = np.array([first.setdefault(t, k) for k, t in enumerate(texts)],
+                     dtype=np.int64)
+    # The pairs are walked row by row over the texts sorted longest first,
+    # so a block is as wide as the longest text among its rows, not as the
+    # longest text of all. row_start[r]: the index of the pair (r, r + 1).
+    order = np.argsort(-lens, kind="stable")
+    row_start = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+    pairs = n * (n - 1) // 2
+    D = np.zeros((n, n))
+    for lo in range(0, pairs, _JW_BLOCK):
+        k = np.arange(lo, min(lo + _JW_BLOCK, pairs))
+        r = np.searchsorted(row_start, k, side="right") - 1
+        a, b = order[r], order[k - row_start[r] + r + 1]
+        i, j = np.minimum(a, b), np.maximum(a, b)
+        sim = _jaro_winkler_block(codes, lens, i, j)
+        sim[ident[i] == ident[j]] = 1.0
+        D[i, j] = D[j, i] = 1.0 - sim
+    return D
+
+
+def _jaro_winkler_block(codes: np.ndarray, lens: np.ndarray, i: np.ndarray,
+                        j: np.ndarray) -> np.ndarray:
+    """Jaro-Winkler similarity of the texts at rows ``i`` and ``j`` of the
+    code-point array ``codes`` (padded with -1), pair by pair."""
+    n1, n2 = lens[i], lens[j]
+    s1 = codes[i, :n1.max(initial=0)]
+    s2 = codes[j, :n2.max(initial=1)]  # at least one column for argmax
+    window = np.maximum(np.maximum(n1, n2) // 2 - 1, 0)[:, None]
+    pos2 = np.arange(s2.shape[1])
+    # padding is never free, so it is never matched
+    free = pos2 < n2[:, None]
+    matched2 = free.copy()  # until the XOR with what stays free
+    matched1 = np.zeros(s1.shape, dtype=bool)
+    rows = np.arange(len(i))
+    for p in range(s1.shape[1]):
+        # s1's padding (-1) equals only s2's padding, which is never free
+        cand = s2 == s1[:, p, None]
+        cand &= free
+        cand &= np.abs(pos2 - p) <= window
+        q = cand.argmax(axis=1)
+        hit = cand[rows, q]
+        free[rows[hit], q[hit]] = False
+        matched1[:, p] = hit
+    matched2 ^= free
+    m = matched1.sum(axis=1)
+    # a boolean mask reads row by row, so both sides' matched characters
+    # line up: the k-th matched character of s1 against that of s2
+    differ = s1[matched1] != s2[matched2]
+    t = np.bincount(np.repeat(rows, m)[differ], minlength=len(i)) // 2
+    # the padding ends a common prefix at the shorter text (between equal
+    # texts it runs on, but they score 1 anyway)
+    k = min(4, s1.shape[1], s2.shape[1])
+    prefix = np.logical_and.accumulate(s1[:, :k] == s2[:, :k], axis=1).sum(axis=1)
+    mf = m.astype(np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        jaro = (mf / n1 + mf / n2 + (mf - t) / mf) / 3.0
+    jw = jaro + prefix * 0.1 * (1.0 - jaro)
+    return np.where(m == 0, 0.0, jw)
 
 
 def attribute_sets(kb: OpenKB) -> dict[int, frozenset[tuple[str, int, int]]]:
@@ -160,21 +199,15 @@ def _jaccard(x: frozenset, y: frozenset) -> float:
     return len(x & y) / union if union else 0.0
 
 
-def _distance_matrix(features: Sequence, similarity, pairs) -> np.ndarray:
+def _overlap_distance_matrix(features: Sequence, similarity) -> np.ndarray:
     """1 - similarity(features[i], features[j]) at each position pair
-    i < j in ``pairs``, 1 at every other pair, 0 on the diagonal."""
+    i < j whose feature sets intersect, 1 at every other pair (IDF overlap
+    and Jaccard score them 0), 0 on the diagonal."""
     D = np.ones((len(features), len(features)))
     np.fill_diagonal(D, 0.0)
-    for i, j in pairs:
+    for i, j in shared_key_pairs((k, x) for k, f in enumerate(features) for x in f):
         D[i, j] = D[j, i] = 1.0 - similarity(features[i], features[j])
     return D
-
-
-def _overlap_distance_matrix(features: Sequence, similarity) -> np.ndarray:
-    """_distance_matrix over the position pairs whose feature sets
-    intersect; IDF overlap and Jaccard score every other pair 0."""
-    pairs = shared_key_pairs((k, x) for k, f in enumerate(features) for x in f)
-    return _distance_matrix(features, similarity, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +326,7 @@ def run_baseline(
             D = _overlap_distance_matrix([content_tokens(texts[i]) for i in ids],
                                          lambda x, y: idf_overlap_score(x, y, df))
         elif name is BaselineName.STRSIM_HAC:
-            D = _distance_matrix([texts[i] for i in ids], jaro_winkler,
-                                 combinations(range(len(ids)), 2))
+            D = jaro_winkler_distances([texts[i] for i in ids])
         else:
             sets = attribute_sets(kb)
             D = _overlap_distance_matrix([sets[i] for i in ids], _jaccard)

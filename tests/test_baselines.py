@@ -4,19 +4,21 @@ from __future__ import annotations
 
 import random
 import string
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import kbcanon.baselines
 from kbcanon.baselines import (
     NO_THRESHOLD,
     BaselineConfig,
     BaselineName,
     _jaccard,
     attribute_sets,
-    jaro_winkler,
+    jaro_winkler_distances,
     run_baseline,
     train_structure_only,
     tune_threshold_on_matrix,
@@ -37,6 +39,7 @@ from .conftest import records_from_spo
 from .reference import (
     naive_attribute_overlap,
     random_kb,
+    reference_distance_matrix,
     reference_jaro_winkler,
 )
 
@@ -58,26 +61,31 @@ def np_kb(*texts):
 # string similarity
 
 
+def jw_distance(s1: str, s2: str) -> float:
+    """1 - Jaro-Winkler similarity of one pair, read off the matrix."""
+    return jaro_winkler_distances([s1, s2])[0, 1]
+
+
 class TestJaroWinkler:
     def test_classic_pairs(self):
-        assert jaro_winkler("MARTHA", "MARHTA") == pytest.approx(0.9611, abs=1e-4)
-        assert jaro_winkler("DIXON", "DICKSONX") == pytest.approx(0.8133, abs=1e-4)
+        assert jw_distance("MARTHA", "MARHTA") == pytest.approx(1 - 0.9611, abs=1e-4)
+        assert jw_distance("DIXON", "DICKSONX") == pytest.approx(1 - 0.8133, abs=1e-4)
 
     def test_identical(self):
-        assert jaro_winkler("", "") == 1.0
-        assert jaro_winkler("same", "same") == 1.0
+        assert jw_distance("", "") == 0.0
+        assert jw_distance("same", "same") == 0.0
 
     def test_disjoint_characters(self):
-        assert jaro_winkler("abc", "xyz") == 0.0
+        assert jw_distance("abc", "xyz") == 1.0
 
     def test_empty_versus_nonempty(self):
-        assert jaro_winkler("", "abc") == 0.0
-        assert jaro_winkler("abc", "") == 0.0
+        assert jw_distance("", "abc") == 1.0
+        assert jw_distance("abc", "") == 1.0
 
     def test_prefix_boost_is_unconditional(self):
         # Jaro("ab", "ax") = 2/3 and the shared 1-char prefix lifts it to
         # 0.7 even though the base similarity is below the usual 0.7 gate.
-        assert jaro_winkler("ab", "ax") == pytest.approx(2 / 3 + 0.1 * (1 / 3))
+        assert jw_distance("ab", "ax") == pytest.approx(1 - (2 / 3 + 0.1 * (1 / 3)))
 
     def test_matches_reference(self):
         rand = random.Random(20)
@@ -85,16 +93,64 @@ class TestJaroWinkler:
         for _ in range(300):
             s1 = "".join(rand.choices(alphabet, k=rand.randint(0, 9)))
             s2 = "".join(rand.choices(alphabet, k=rand.randint(0, 9)))
-            assert jaro_winkler(s1, s2) == pytest.approx(
-                reference_jaro_winkler(s1, s2), abs=1e-12
-            )
+            assert jw_distance(s1, s2) == 1.0 - reference_jaro_winkler(s1, s2)
 
     @settings(max_examples=150, deadline=None)
     @given(st.text(max_size=12), st.text(max_size=12))
     def test_symmetry_and_bounds(self, s1, s2):
-        v = jaro_winkler(s1, s2)
-        assert 0.0 <= v <= 1.0 + 1e-12
-        assert v == pytest.approx(jaro_winkler(s2, s1), abs=1e-12)
+        v = jw_distance(s1, s2)
+        assert -1e-12 <= v <= 1.0
+        assert v == pytest.approx(jw_distance(s2, s1), abs=1e-12)
+
+
+# code points that collide often, a combining mark, two characters
+# outside the BMP and NUL (the packing pads with -1, not 0)
+_JW_CHARS = st.sampled_from(["a", "b", "c", "\u00e9", "\u0301", "\U0001F600",
+                             "\U00010348", "\x00"])
+
+
+@st.composite
+def jw_text_lists(draw):
+    """Lists of up to 14 texts drawn from a pool of up to 8, so that equal
+    texts recur: random Unicode, the colliding characters above, and
+    runs of one repeated character."""
+    text = st.one_of(
+        st.text(st.one_of(_JW_CHARS, st.characters()), max_size=10),
+        st.builds(lambda c, k: c * k, _JW_CHARS, st.integers(1, 10)),
+    )
+    pool = draw(st.lists(text, min_size=1, max_size=8))
+    return draw(st.lists(st.sampled_from(pool), max_size=14))
+
+
+class TestJaroWinklerDistances:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(texts=jw_text_lists())
+    @example(texts=[])
+    @example(texts=["solo"])
+    @example(texts=["", "", "a", "b", "a", "aaaa", "aaab", "baaa", "\U0001F600",
+              "e\u0301", "\u00e9", "\ud800x", "?x"])
+    def test_bit_equal_to_reference(self, texts, monkeypatch):
+        # 7 pairs a block: a matrix spans several blocks, and a block
+        # boundary falls inside a row
+        monkeypatch.setattr(kbcanon.baselines, "_JW_BLOCK", 7)
+        D = jaro_winkler_distances(texts)
+        assert np.array_equal(D, reference_distance_matrix(texts, reference_jaro_winkler))
+
+    def test_extra_memory_is_bounded_by_the_block(self):
+        rand = random.Random(5)
+        texts = ["".join(rand.choices("abcdefgh ", k=rand.randint(0, 12)))
+                 for _ in range(1000)]
+        tracemalloc.start()
+        try:
+            D = jaro_winkler_distances(texts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the working arrays of one 8,192-pair block of these short texts
+        # take about 2.4 MiB; two int64 index arrays over all C(1000, 2)
+        # pairs, as np.triu_indices builds, would alone take 8 MB
+        assert peak < D.nbytes + 4 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from kbcanon.baselines import (
     BaselineName,
     _jaccard,
     attribute_sets,
-    jaro_winkler,
     run_baseline,
 )
 from kbcanon.kb import PhraseKind, build_kb
@@ -32,7 +31,7 @@ from kbcanon.side_info import (
 )
 
 from .conftest import records_from_spo
-from .reference import random_kb, reference_distance_matrix
+from .reference import random_kb, reference_distance_matrix, reference_jaro_winkler
 
 # every token of these is a stopword, so their content-token sets are empty
 _STOPWORD_NPS = ["the", "of the", "it is", "there was"]
@@ -125,7 +124,7 @@ class TestOverlapBaselineMatrices:
                 expected = reference_distance_matrix([sets[i] for i in ids], _jaccard)
             else:
                 expected = reference_distance_matrix([texts[i] for i in ids],
-                                                     jaro_winkler)
+                                                     reference_jaro_winkler)
             captured.clear()
             run_baseline(BaselineConfig(name, kind=kind, threshold=0.5), kb)
             assert len(captured) == 1
