@@ -12,17 +12,17 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .canonicalize import (
     DEFAULT_THRESHOLD_GRID,
     Cluster,
     Clustering,
     best_cut,
-    build_clustering,
-    cosine_distances,
+    cluster_phrases,
     hac_merge_history,
     tune_and_cut,
 )
@@ -103,9 +103,10 @@ class BaselineConfig:
 # similarity functions
 
 
-# pairs scored at a time by jaro_winkler_distances; a block's working
-# arrays take about 25 bytes per pair and character of its longest text
-_JW_BLOCK = 8192
+# a block of jaro_winkler_distances holds _JW_BLOCK // (w + 8) pairs, at least
+# one, for w the longest text among its rows: its working arrays take about 25
+# bytes per pair and character, with the per-pair arrays as 8 more characters
+_JW_BLOCK = 2**17
 
 
 def jaro_winkler_distances(texts: Sequence[str]) -> np.ndarray:
@@ -115,44 +116,55 @@ def jaro_winkler_distances(texts: Sequence[str]) -> np.ndarray:
     score 1 and an empty text against a non-empty one 0. Texts are compared
     by code point, as ``str`` compares them, and every value is the same
     IEEE result as the scalar formula with s1 the text that comes first
-    in ``texts``. The pairs are scored ``_JW_BLOCK`` at a time."""
+    in ``texts``. The pairs are scored in blocks sized to ``_JW_BLOCK``, so
+    the memory beyond D does not grow with the length of a text."""
     n = len(texts)
     lens = np.array([len(t) for t in texts], dtype=np.int64)
-    codes = np.full((n, int(lens.max(initial=1))), -1, dtype=np.int32)
-    codes[np.arange(codes.shape[1]) < lens[:, None]] = np.frombuffer(
-        "".join(texts).encode("utf-32-le", "surrogatepass"), dtype="<i4")
+    # row k of the view: `longest` code points from position k of the texts
+    longest = int(lens.max(initial=1))
+    codes = sliding_window_view(np.concatenate((
+        np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), dtype="<i4"),
+        np.zeros(longest, dtype=np.int32))), longest)
+    starts = np.cumsum(lens) - lens
     first: dict[str, int] = {}
     ident = np.array([first.setdefault(t, k) for k, t in enumerate(texts)],
                      dtype=np.int64)
     # The pairs are walked row by row over the texts sorted longest first,
-    # so a block is as wide as the longest text among its rows, not as the
+    # so a block is as wide as the text of its first row, not as the
     # longest text of all. row_start[r]: the index of the pair (r, r + 1).
     order = np.argsort(-lens, kind="stable")
     row_start = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
     pairs = n * (n - 1) // 2
     D = np.zeros((n, n))
-    for lo in range(0, pairs, _JW_BLOCK):
-        k = np.arange(lo, min(lo + _JW_BLOCK, pairs))
+    lo = 0
+    while lo < pairs:
+        width = lens[order[np.searchsorted(row_start, lo, side="right") - 1]]
+        hi = min(lo + max(_JW_BLOCK // (width + 8), 1), pairs)
+        k = np.arange(lo, hi)
         r = np.searchsorted(row_start, k, side="right") - 1
         a, b = order[r], order[k - row_start[r] + r + 1]
         i, j = np.minimum(a, b), np.maximum(a, b)
-        sim = _jaro_winkler_block(codes, lens, i, j)
+        sim = _jaro_winkler_block(codes, starts, lens, i, j)
         sim[ident[i] == ident[j]] = 1.0
         D[i, j] = D[j, i] = 1.0 - sim
+        lo = hi
     return D
 
 
-def _jaro_winkler_block(codes: np.ndarray, lens: np.ndarray, i: np.ndarray,
-                        j: np.ndarray) -> np.ndarray:
-    """Jaro-Winkler similarity of the texts at rows ``i`` and ``j`` of the
-    code-point array ``codes`` (padded with -1), pair by pair."""
+def _jaro_winkler_block(codes: np.ndarray, starts: np.ndarray, lens: np.ndarray,
+                        i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Jaro-Winkler similarity of the texts ``i`` and ``j`` (code points in
+    ``codes`` from ``starts``, ``lens`` long), pair by pair."""
     n1, n2 = lens[i], lens[j]
-    s1 = codes[i, :n1.max(initial=0)]
-    s2 = codes[j, :n2.max(initial=1)]  # at least one column for argmax
+    # a row of the view runs on into the next text: pad with -1 instead
+    s1 = codes[starts[i], :n1.max(initial=0)]
+    s1[np.arange(s1.shape[1]) >= n1[:, None]] = -1
+    s2 = codes[starts[j], :n2.max(initial=1)]  # at least one column for argmax
     window = np.maximum(np.maximum(n1, n2) // 2 - 1, 0)[:, None]
     pos2 = np.arange(s2.shape[1])
     # padding is never free, so it is never matched
     free = pos2 < n2[:, None]
+    s2[~free] = -1
     matched2 = free.copy()  # until the XOR with what stays free
     matched1 = np.zeros(s1.shape, dtype=bool)
     rows = np.arange(len(i))
@@ -257,35 +269,6 @@ def _equivalence_clustering(kb: OpenKB, kind: PhraseKind, pairs) -> Clustering:
     return _freq_clustering(kb, kind, dsu.groups(), NO_THRESHOLD)
 
 
-def _hac_at_threshold(D: np.ndarray, ids: Sequence[int], cfg: BaselineConfig,
-                      validation_gold: GoldClustering | None, grid: Sequence[float],
-                      ) -> tuple[list[frozenset[int]], float]:
-    """(member sets, threshold): complete-linkage HAC over ``D`` cut at the
-    configured threshold, or at one tuned on the validation gold."""
-    if cfg.threshold is None and validation_gold is None:
-        raise ConfigError(
-            f"{cfg.name.value} needs a threshold or validation gold to tune one"
-        )
-    return tune_and_cut(ids, D, cfg.threshold, validation_gold, grid)
-
-
-def _embedding_hac(
-    kb: OpenKB,
-    kind: PhraseKind,
-    vectors: Mapping[int, np.ndarray],
-    cfg: BaselineConfig,
-    validation_gold: GoldClustering | None,
-    grid: Sequence[float],
-) -> Clustering:
-    """HAC over cosine distance; representatives nearest the weighted mean."""
-    ids, D = cosine_distances(vectors)
-    member_sets, threshold = _hac_at_threshold(D, ids, cfg, validation_gold, grid)
-    vocab = kb.vocab(kind)
-    freqs = {p.id: p.frequency for p in vocab}
-    texts = {p.id: p.text for p in vocab}
-    return build_clustering(member_sets, kind, threshold, freqs, vectors, texts)
-
-
 # ---------------------------------------------------------------------------
 # dispatch
 
@@ -299,11 +282,16 @@ def run_baseline(
     validation_gold: GoldClustering | None = None,
     grid: Sequence[float] = DEFAULT_THRESHOLD_GRID,
 ) -> Clustering:
-    """Run one comparison method and return its Clustering."""
+    """Run one comparison method and return its Clustering. A HAC method
+    without a threshold or gold, or a missing input file, fails before work."""
     cfg.validate()
     kind = cfg.kind
     vocab = kb.vocab(kind)
     name = cfg.name
+    if name in _HAC_METHODS and cfg.threshold is None and not validation_gold:
+        raise ConfigError(f"{name.value} needs a threshold or validation gold to tune one")
+    if name in (BaselineName.WORDVEC_AVG, BaselineName.HOLE_PRETRAINED) and vectors_file is None:
+        raise ConfigError(f"{name.value} baseline needs a vectors_file")
 
     if name is BaselineName.MORPH:
         return _equivalence_clustering(kb, kind, morph_equivalences(kb, kind).pairs)
@@ -330,27 +318,18 @@ def run_baseline(
         else:
             sets = attribute_sets(kb)
             D = _overlap_distance_matrix([sets[i] for i in ids], _jaccard)
-        member_sets, threshold = _hac_at_threshold(D, ids, cfg, validation_gold, grid)
+        member_sets, threshold = tune_and_cut(ids, D, cfg.threshold, validation_gold, grid)
         return _freq_clustering(kb, kind, member_sets, threshold)
 
     if name is BaselineName.WORDVEC_AVG:
-        if vectors_file is None:
-            raise ConfigError("wordvec_avg baseline needs a vectors_file")
         wv, d = load_word_vectors(vectors_file)
-        V = average_word_vectors(kb, wv, d, default_init_rng(cfg.seed)).vectors(kind)
-        vectors = {i: V[i] for i in ids}
-        return _embedding_hac(kb, kind, vectors, cfg, validation_gold, grid)
-
-    if name in (BaselineName.HOLE_RANDOM, BaselineName.HOLE_PRETRAINED):
-        h = cfg.hyperparams or HyperParams(seed=cfg.seed)
-        file = None
-        if name is BaselineName.HOLE_PRETRAINED:
-            if vectors_file is None:
-                raise ConfigError("hole_pretrained baseline needs a vectors_file")
-            file = vectors_file
-        emb = train_structure_only(kb, h, vectors_file=file)
-        V = emb.vectors(kind)
-        vectors = {i: V[i] for i in ids}
-        return _embedding_hac(kb, kind, vectors, cfg, validation_gold, grid)
-
-    raise ConfigError(f"unknown baseline: {name!r}")
+        emb = average_word_vectors(kb, wv, d, default_init_rng(cfg.seed))
+    elif name in (BaselineName.HOLE_RANDOM, BaselineName.HOLE_PRETRAINED):
+        emb = train_structure_only(
+            kb, cfg.hyperparams or HyperParams(seed=cfg.seed),
+            vectors_file=vectors_file if name is BaselineName.HOLE_PRETRAINED else None)
+    else:
+        raise ConfigError(f"unknown baseline: {name!r}")
+    V = emb.vectors(kind)
+    return cluster_phrases(kb, kind, {i: V[i] for i in ids}, cfg.threshold,
+                           validation_gold, grid)

@@ -220,11 +220,11 @@ def best_cut(ids: Sequence[int], history: Sequence[tuple[float, int, int]],
              validation_gold: GoldClustering, grid: Sequence[float]) -> float:
     """The grid value whose cut of the merge history has the highest
     validation mean F1, ties to the smallest value; undefined scores count
-    as 0. An empty grid or empty gold is a ConfigError."""
+    as 0. A missing or empty gold, or an empty grid, is a ConfigError."""
+    if not validation_gold:
+        raise ConfigError("validation gold is missing or empty")
     if not grid:
         raise ConfigError("threshold grid is empty")
-    if not validation_gold.assignment:
-        raise ConfigError("validation gold is empty")
     best_t, best_score = None, -1.0
     for t in sorted(grid):
         clusters = cut_history(ids, history, t)
@@ -293,11 +293,15 @@ def cluster_phrases(
     kb: OpenKB,
     kind: PhraseKind,
     vectors: Mapping[int, np.ndarray],
-    threshold: float,
+    threshold: float | None,
+    validation_gold: GoldClustering | None = None,
+    grid: Sequence[float] = (),
 ) -> Clustering:
-    """HAC over the given phrase vectors, assembled into a Clustering with
-    frequency-weighted representatives."""
-    member_sets = hac_complete_linkage(vectors, threshold)
+    """Complete-linkage HAC over the vectors' cosine distances, cut at
+    ``threshold`` or, when None, at the grid value tuned on the validation
+    gold (`tune_and_cut`); frequency-weighted representatives."""
+    member_sets, threshold = tune_and_cut(*cosine_distances(vectors), threshold,
+                                          validation_gold, grid)
     vocab = kb.vocab(kind)
     freqs = {p.id: p.frequency for p in vocab}
     texts = {p.id: p.text for p in vocab}

@@ -19,9 +19,9 @@ from pathlib import Path
 
 import yaml
 
-from .embedding import load_embeddings, vocab_hash
+from .embedding import load_embeddings
 from .errors import KBCanonError
-from .kb import TripleFormat, load_triples
+from .kb import TripleFormat, load_triples, vocab_hash
 from .metrics import format_report
 from .pipeline import (
     PipelineConfig,
@@ -111,7 +111,7 @@ def cmd_embed(args) -> int:
         raise KBCanonError(
             f"side information file not found: {side_file} (run sideinfo first)"
         )
-    emb = embed_stage(config, out, kb, load_side_info(side_file))
+    emb = embed_stage(config, out, kb, load_side_info(side_file, vocab_hash(kb)))
     print(f"trained {emb.dim}-dimensional embeddings for "
           f"{kb.n_nps} + {kb.n_rels} phrases -> {out / 'embeddings.npz'}")
     return 0

@@ -17,7 +17,6 @@ therefore 0.5 under the logistic hinge, while a raw-score hinge variant
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import time
@@ -30,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, ParseError, TrainingDivergedError
-from .kb import OpenKB, PhraseKind, Triple
+from .kb import OpenKB, PhraseKind, Triple, vocab_hash  # noqa: F401 (re-exported)
 from .side_info import SideInfoCollection, tokenize
 
 logger = logging.getLogger(__name__)
@@ -464,16 +463,6 @@ def init_embeddings(
     return average_word_vectors(kb, wv, d, rng)
 
 
-def vocab_hash(kb: OpenKB) -> str:
-    h = hashlib.sha256()
-    for p in kb.np_vocab:
-        h.update(p.text.encode("utf-8") + b"\x00")
-    h.update(b"\x01")
-    for p in kb.rel_vocab:
-        h.update(p.text.encode("utf-8") + b"\x00")
-    return h.hexdigest()
-
-
 def save_embeddings(emb: EmbeddingSet, path, seed: int, vocab: str) -> None:
     meta = {"version": 1, "dim": emb.dim, "seed": seed, "vocab_hash": vocab}
     np.savez_compressed(
@@ -499,7 +488,7 @@ def load_embeddings(path, expect_vocab_hash: str | None = None) -> tuple[Embeddi
         raise ParseError(path, None, f"not an embeddings checkpoint: {e!r}") from e
     if expect_vocab_hash is not None and meta.get("vocab_hash") != expect_vocab_hash:
         raise ConfigError(
-            "embedding checkpoint was trained on a different vocabulary "
+            f"{path}: embedding checkpoint was trained on a different vocabulary "
             f"(hash {meta.get('vocab_hash')!r} != expected {expect_vocab_hash!r})"
         )
     return emb, meta

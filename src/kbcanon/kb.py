@@ -10,6 +10,7 @@ path may read them).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import random
@@ -224,6 +225,19 @@ def _parse_record(raw: dict, path, line_no: int) -> dict:
     return rec
 
 
+def read_jsonl(path) -> Iterator[tuple[int, object]]:
+    """(line number, value) for every non-blank line of a JSON-lines file;
+    a line that is not JSON raises ParseError naming it."""
+    with Path(path).open(encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    value = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise ParseError(path, line_no, f"invalid JSON: {e.msg}") from e
+                yield line_no, value
+
+
 def load_triples(path, format: TripleFormat = TripleFormat.JSONL) -> OpenKB:
     """Load a triples file into an OpenKB.
 
@@ -245,15 +259,8 @@ def load_triples(path, format: TripleFormat = TripleFormat.JSONL) -> OpenKB:
         records.append(rec)
 
     if format is TripleFormat.JSONL:
-        with path.open(encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    raw = json.loads(line)
-                except json.JSONDecodeError as e:
-                    raise ParseError(path, line_no, f"invalid JSON: {e.msg}") from e
-                add(raw, line_no)
+        for line_no, raw in read_jsonl(path):
+            add(raw, line_no)
     elif format is TripleFormat.JSON:
         try:
             data = json.loads(path.read_text(encoding="utf-8"))
@@ -294,6 +301,18 @@ def save_triples(kb: OpenKB, path) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
         for t in kb.triples:
             fh.write(json.dumps(triple_record(kb, t), sort_keys=True) + "\n")
+
+
+def vocab_hash(kb: OpenKB) -> str:
+    """sha256 over the NP and relation phrase texts in id order: the
+    vocabulary that embeddings and side information are indexed by."""
+    h = hashlib.sha256()
+    for p in kb.np_vocab:
+        h.update(p.text.encode("utf-8") + b"\x00")
+    h.update(b"\x01")
+    for p in kb.rel_vocab:
+        h.update(p.text.encode("utf-8") + b"\x00")
+    return h.hexdigest()
 
 
 # ---------------------------------------------------------------------------

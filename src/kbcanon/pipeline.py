@@ -38,9 +38,8 @@ from .embedding import (
     init_embeddings,
     save_embeddings,
     train,
-    vocab_hash,
 )
-from .errors import ConfigError, StageError
+from .errors import ConfigError, ParseError, StageError
 from .kb import (
     GoldClustering,
     OpenKB,
@@ -51,8 +50,10 @@ from .kb import (
     load_gold,
     load_triples,
     read_gold_lines,
+    read_jsonl,
     save_triples,
     split_validation,
+    vocab_hash,
 )
 from .metrics import MetricsReport, evaluate, format_report
 from .side_info import (
@@ -367,7 +368,7 @@ def split_stage(config: PipelineConfig, out: Path, kb: OpenKB) -> Split:
 
 def sideinfo_stage(config: PipelineConfig, out: Path, kb: OpenKB) -> SideInfoCollection:
     side = assemble_side_info(kb, config.side)
-    save_side_info(side, out / "side_info.json")
+    save_side_info(side, out / "side_info.json", vocab_hash(kb))
     (out / "coverage.txt").write_text(
         "\n".join(coverage_report(side, kb)) + "\n", encoding="utf-8"
     )
@@ -660,14 +661,15 @@ def grid_search(
 
 
 def evaluate_clusters_file(clusters_path, gold_path) -> MetricsReport:
-    """Score a cluster artifact against a `phrase <TAB> gold_id` file; the
-    elements are surface texts. Phrases listed without a gold id are not
-    scored; a malformed gold line raises ParseError."""
+    """Score a cluster artifact (JSON lines with a ``members`` list of
+    surface texts) against a `phrase <TAB> gold_id` file. Phrases without a
+    gold id are not scored; a malformed line of either file raises ParseError."""
     clusters: list[frozenset[str]] = []
-    with Path(clusters_path).open(encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                clusters.append(frozenset(json.loads(line)["members"]))
+    for line_no, rec in read_jsonl(clusters_path):
+        members = rec.get("members") if isinstance(rec, dict) else None
+        if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
+            raise ParseError(clusters_path, line_no, "expected a `members` list of texts")
+        clusters.append(frozenset(members))
     gold = {text: gold_id for _, text, gold_id in read_gold_lines(gold_path)
             if gold_id is not None}
     return evaluate(clusters, gold)

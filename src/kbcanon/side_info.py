@@ -562,22 +562,25 @@ def assemble_side_info(kb: OpenKB, config: SideInfoConfig) -> SideInfoCollection
     return collection
 
 
-def save_side_info(collection: SideInfoCollection, path) -> None:
-    """JSON dump with sorted pair lists; byte-deterministic."""
+def save_side_info(collection: SideInfoCollection, path, vocab: str | None = None) -> None:
+    """JSON dump with sorted pair lists and the `vocab_hash` of the KB the
+    pairs index (null when not given); byte-deterministic."""
     payload = {
         key: [{"source_name": s.source_name, "kind": s.kind.value,
                "pairs": sorted(list(p) for p in s.pairs)} for s in sources]
         for key, sources in (("np_sources", collection.np_sources),
                              ("rel_sources", collection.rel_sources))
     }
+    payload["vocab_hash"] = vocab
     with Path(path).open("w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
-def load_side_info(path) -> SideInfoCollection:
+def load_side_info(path, expect_vocab_hash: str | None = None) -> SideInfoCollection:
     """Read a ``save_side_info`` file; a damaged one raises ParseError
-    naming the file."""
+    naming the file, and one built from another vocabulary than
+    ``expect_vocab_hash`` (when given) a ConfigError naming it."""
     with Path(path).open(encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -588,6 +591,9 @@ def load_side_info(path) -> SideInfoCollection:
                 for key in ("np_sources", "rel_sources"))
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError(path, None, f"not a side-information file: {e!r}") from e
+    if expect_vocab_hash is not None and payload.get("vocab_hash") != expect_vocab_hash:
+        raise ConfigError(f"{path}: side information was built from a different "
+                          "vocabulary; run sideinfo again")
     return SideInfoCollection(np_sources, rel_sources)
 
 

@@ -131,9 +131,9 @@ class TestJaroWinklerDistances:
     @example(texts=["", "", "a", "b", "a", "aaaa", "aaab", "baaa", "\U0001F600",
               "e\u0301", "\u00e9", "\ud800x", "?x"])
     def test_bit_equal_to_reference(self, texts, monkeypatch):
-        # 7 pairs a block: a matrix spans several blocks, and a block
-        # boundary falls inside a row
-        monkeypatch.setattr(kbcanon.baselines, "_JW_BLOCK", 7)
+        # 100 pair-characters a block, 1 to 12 pairs: a matrix spans
+        # several blocks, and a block boundary falls inside a row
+        monkeypatch.setattr(kbcanon.baselines, "_JW_BLOCK", 100)
         D = jaro_winkler_distances(texts)
         assert np.array_equal(D, reference_distance_matrix(texts, reference_jaro_winkler))
 
@@ -141,16 +141,20 @@ class TestJaroWinklerDistances:
         rand = random.Random(5)
         texts = ["".join(rand.choices("abcdefgh ", k=rand.randint(0, 12)))
                  for _ in range(1000)]
-        tracemalloc.start()
-        try:
-            D = jaro_winkler_distances(texts)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # the working arrays of one 8,192-pair block of these short texts
-        # take about 2.4 MiB; two int64 index arrays over all C(1000, 2)
-        # pairs, as np.triu_indices builds, would alone take 8 MB
-        assert peak < D.nbytes + 4 * 2**20
+        long_text = "".join(rand.choices("abcdefgh ", k=2000))
+        # The short texts alone: their blocks take about 2.4 MiB, while two
+        # int64 index arrays over all C(1000, 2) pairs, as np.triu_indices
+        # builds, would alone take 8 MB. Then one 2,000-character text
+        # first among 300 of them: its blocks hold 65 pairs each, where one
+        # block of 8,192 pairs padded to 2,000 characters took about 80 MiB.
+        for case in (texts, [long_text] + texts[:300]):
+            tracemalloc.start()
+            try:
+                D = jaro_winkler_distances(case)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < D.nbytes + 4 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +272,22 @@ class TestBaselineConfig:
         cfg = BaselineConfig(name=BaselineName.STRSIM_HAC)
         with pytest.raises(ConfigError):
             run_baseline(cfg, kb)
+
+    @pytest.mark.parametrize("gold", [None, GoldClustering(PhraseKind.NP, {})])
+    @pytest.mark.parametrize(
+        "name", sorted(kbcanon.baselines._HAC_METHODS, key=lambda n: n.value))
+    def test_hac_method_without_threshold_or_gold_refused_before_any_work(
+            self, name, gold, monkeypatch, tmp_path):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the threshold check")
+
+        for fn in ("train", "init_embeddings", "load_word_vectors",
+                   "jaro_winkler_distances", "build_df", "attribute_sets"):
+            monkeypatch.setattr(kbcanon.baselines, fn, no_work)
+        kb = np_kb("alpha", "beta", "gamma", "delta")
+        with pytest.raises(ConfigError, match=f"{name.value} needs a threshold"):
+            run_baseline(BaselineConfig(name=name), kb, validation_gold=gold,
+                         vectors_file=tmp_path / "vectors.txt")
 
 
 # ---------------------------------------------------------------------------

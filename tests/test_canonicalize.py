@@ -348,6 +348,11 @@ class TestChooseThreshold:
         with pytest.raises(ConfigError):
             choose_threshold(vectors, GoldClustering(PhraseKind.NP, {}), grid=[0.5])
 
+    def test_missing_gold_rejected(self):
+        vectors, _ = self.separable()
+        with pytest.raises(ConfigError):
+            choose_threshold(vectors, None, grid=[0.5])
+
     def test_no_vectors_rejected(self):
         with pytest.raises(ConfigError):
             choose_threshold({}, GoldClustering(PhraseKind.NP, {0: "a"}), grid=[0.5])
@@ -443,6 +448,25 @@ class TestClusteringInvariants:
         assert clustering.kind is PhraseKind.NP
         assert clustering.n_elements == len(ids)
         assert clustering.threshold_used == 2.0
+
+    def test_cluster_phrases_tunes_on_gold_without_a_threshold(self, toy_kb):
+        ids = [p.id for p in toy_kb.vocab(PhraseKind.NP)]
+        rng = np.random.default_rng(4)
+        vectors = {i: rng.normal(size=4) for i in ids}
+        gold = GoldClustering(PhraseKind.NP, {i: str(i % 3) for i in ids})
+        grid = (0.2, 0.5, 0.9, 1.3)
+        clustering = cluster_phrases(toy_kb, PhraseKind.NP, vectors, None, gold, grid)
+        t = choose_threshold(vectors, gold, grid)
+        assert clustering.threshold_used == t
+        assert clustering.member_sets() == hac_complete_linkage(vectors, t)
+
+    def test_cluster_phrases_without_threshold_or_gold_rejected(self, toy_kb):
+        vectors = {p.id: np.ones(4) for p in toy_kb.vocab(PhraseKind.NP)}
+        with pytest.raises(ConfigError):
+            cluster_phrases(toy_kb, PhraseKind.NP, vectors, None)
+        with pytest.raises(ConfigError):
+            cluster_phrases(toy_kb, PhraseKind.NP, vectors, None, None,
+                            DEFAULT_THRESHOLD_GRID)
 
 
 # ---------------------------------------------------------------------------

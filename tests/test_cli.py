@@ -295,6 +295,22 @@ class TestErrorHandling:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {side_file}")
 
+    def test_side_info_of_another_kb_exits_2_naming_the_file(self, tmp_path, capsys):
+        # side_info.json of a 90-NP KB, then a 30-NP KB ingested over it:
+        # its pairs index phrases the new KB does not have
+        _, big_config = make_dataset(tmp_path / "big", seed=17, entities=45, triples=200)
+        _, small_config = make_dataset(tmp_path / "small", seed=17, entities=15)
+        run_dir = tmp_path / "run"
+        for stage in ("ingest", "sideinfo"):
+            assert main([stage, "--config", str(big_config), "--out", str(run_dir)]) == 0
+        assert main(["ingest", "--config", str(small_config), "--out", str(run_dir)]) == 0
+        capsys.readouterr()
+        rc = main(["embed", "--config", str(small_config), "--out", str(run_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {run_dir / 'side_info.json'}")
+        assert "different vocabulary" in err
+
     def test_evaluate_missing_file_exits_3(self, tmp_path, capsys):
         rc = main(
             [

@@ -60,3 +60,19 @@ def test_evaluate_normalizes_gold_whitespace_like_load_gold(tmp_path):
     report = evaluate_clusters_file(clusters, gold)
     assert report.n_elements == 3
     assert report.macro_f1 == report.micro_f1 == report.pair_f1 == 1.0
+
+
+@pytest.mark.parametrize("bad_line", [
+    # a canonical_triples.jsonl record passed as a cluster file
+    json.dumps({"triple_id": 0, "subject": "Obama", "canonical_subject": "Obama"}),
+    "not json",
+    json.dumps(["Obama"]),
+    json.dumps({"members": "Obama"}),
+], ids=["canonical_triple", "not_json", "json_list", "members_not_a_list"])
+def test_evaluate_command_exits_2_naming_a_bad_cluster_line(tmp_path, capsys, bad_line):
+    clusters, gold = write_files(tmp_path, "Obama\tE1")
+    with clusters.open("a", encoding="utf-8") as fh:
+        fh.write(bad_line + "\n")
+    rc = main(["evaluate", "--clusters", str(clusters), "--gold", str(gold)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {clusters}:2:")

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kbcanon.errors import ConfigError
-from kbcanon.kb import PhraseKind, build_kb
+from kbcanon.kb import PhraseKind, build_kb, vocab_hash
 from kbcanon.side_info import (
     SideInfoConfig,
     amie_mine,
@@ -395,3 +395,11 @@ class TestAssembleSideInfo:
             [s.source_name for s in side.np_sources]
         for a, b in zip(loaded.np_sources, side.np_sources):
             assert a.pairs == b.pairs
+
+    def test_load_refuses_side_info_of_another_vocabulary(self, tmp_path, synth_kb, toy_kb):
+        path = tmp_path / "side_info.json"
+        save_side_info(assemble_side_info(synth_kb, SideInfoConfig()), path,
+                       vocab_hash(synth_kb))
+        assert load_side_info(path, vocab_hash(synth_kb)).np_sources
+        with pytest.raises(ConfigError, match=f"^{path}: .*different vocabulary"):
+            load_side_info(path, vocab_hash(toy_kb))
