@@ -477,7 +477,7 @@ def load_embeddings(path, expect_vocab_hash: str | None = None) -> tuple[Embeddi
     """Read a ``save_embeddings`` checkpoint; a damaged one raises
     ParseError naming the file."""
     try:
-        with np.load(path) as data:
+        with open(path, "rb") as fh, np.load(fh) as data:
             meta = json.loads(bytes(data["meta"]).decode("utf-8"))
             emb = EmbeddingSet(
                 np_vectors=data["np_vectors"].copy(),

@@ -16,7 +16,7 @@ import logging
 import random
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
@@ -80,8 +80,6 @@ class OpenKB:
     np_vocab: tuple[Phrase, ...]
     rel_vocab: tuple[Phrase, ...]
     triple_index: frozenset[tuple[int, int, int]]
-    _np_by_text: Mapping[str, int] = field(repr=False, default_factory=dict)
-    _rel_by_text: Mapping[str, int] = field(repr=False, default_factory=dict)
 
     @property
     def n_nps(self) -> int:
@@ -109,14 +107,8 @@ class OpenKB:
     def __post_init__(self):
         object.__setattr__(self, "_np_by_id", {p.id: p for p in self.np_vocab})
         object.__setattr__(self, "_rel_by_id", {p.id: p for p in self.rel_vocab})
-        if not self._np_by_text:
-            object.__setattr__(
-                self, "_np_by_text", {p.text: p.id for p in self.np_vocab}
-            )
-        if not self._rel_by_text:
-            object.__setattr__(
-                self, "_rel_by_text", {p.text: p.id for p in self.rel_vocab}
-            )
+        object.__setattr__(self, "_np_by_text", {p.text: p.id for p in self.np_vocab})
+        object.__setattr__(self, "_rel_by_text", {p.text: p.id for p in self.rel_vocab})
 
 
 @dataclass(frozen=True)
@@ -431,50 +423,28 @@ def gold_from_triples(kb: OpenKB) -> GoldClustering:
 # validation split
 
 
-def _restrict(kb: OpenKB, triples: list[Triple]) -> OpenKB:
-    """Sub-KB over the given triples; phrase ids are preserved, frequencies
-    recounted within the view."""
-    np_freq: Counter = Counter()
-    rel_freq: Counter = Counter()
-    for t in triples:
-        np_freq[t.subject] += 1
-        rel_freq[t.relation] += 1
-        np_freq[t.object] += 1
-    np_vocab = tuple(
-        replace(kb.np_phrase(pid), frequency=np_freq[pid]) for pid in sorted(np_freq)
-    )
-    rel_vocab = tuple(
-        replace(kb.rel_phrase(pid), frequency=rel_freq[pid]) for pid in sorted(rel_freq)
-    )
-    return OpenKB(
-        triples=tuple(triples),
-        np_vocab=np_vocab,
-        rel_vocab=rel_vocab,
-        triple_index=frozenset(t.spo for t in triples),
-    )
-
-
 def split_validation(
     kb: OpenKB, gold: GoldClustering, fraction: float, seed: int
-) -> tuple[OpenKB, OpenKB]:
-    """Partition the KB into (validation, test) views by sampling gold
+) -> tuple[tuple[Triple, ...], tuple[Triple, ...]]:
+    """Partition the KB's triples into (validation, test) by sampling gold
     entities of triple subjects.
 
     Sampling is over distinct subject-side gold entities, not triples: every
     triple whose subject is labeled with a sampled entity goes to validation,
     all remaining triples (including those with unlabeled subjects) to test.
-    Deterministic under a fixed seed.
+    At least one entity is sampled and at least one is kept for test, so
+    fewer than two labeled subject entities is a ValueError. Deterministic
+    under a fixed seed.
     """
     if not 0.0 < fraction < 1.0:
         raise ValueError(f"fraction must be in (0, 1), got {fraction}")
-    if not gold.assignment:
-        raise ValueError("gold assignment is empty")
     entities = sorted({gold.assignment[t.subject] for t in kb.triples
                        if t.subject in gold.assignment})
-    if not entities:
-        raise ValueError("no triple subject carries a gold label")
+    if len(entities) < 2:
+        raise ValueError("a validation split needs at least two gold entities "
+                         f"among triple subjects, found {len(entities)}")
     k = int(round(fraction * len(entities)))
-    k = min(max(k, 1), len(entities))
+    k = min(max(k, 1), len(entities) - 1)
     sampled = set(random.Random(seed).sample(entities, k))
     val, test = [], []
     for t in kb.triples:
@@ -482,4 +452,4 @@ def split_validation(
             val.append(t)
         else:
             test.append(t)
-    return _restrict(kb, val), _restrict(kb, test)
+    return tuple(val), tuple(test)

@@ -44,6 +44,7 @@ from .kb import (
     GoldClustering,
     OpenKB,
     PhraseKind,
+    Triple,
     TripleFormat,
     audit,
     gold_from_triples,
@@ -57,6 +58,8 @@ from .kb import (
 )
 from .metrics import MetricsReport, evaluate, format_report
 from .side_info import (
+    NP_SOURCES,
+    REL_SOURCES,
     SideInfoCollection,
     SideInfoConfig,
     assemble_side_info,
@@ -142,6 +145,11 @@ class PipelineConfig:
                 raise ConfigError(
                     f"unknown baseline {b!r}; valid: {BASELINE_NAMES}"
                 )
+        for table, sources in (("lambda_ent", NP_SOURCES), ("lambda_rel", REL_SOURCES)):
+            unknown = sorted(set(getattr(self.hyperparams, table)) - set(sources))
+            if unknown:
+                raise ConfigError(f"unknown side-info source(s) in hyperparams.{table}: "
+                                  f"{unknown}; valid: {sources}")
         self.side.validate()
         self.effective_hyperparams().validate()
 
@@ -283,31 +291,45 @@ def load_np_gold(kb: OpenKB, config: PipelineConfig) -> GoldClustering:
     return gold
 
 
-def load_rel_gold(kb: OpenKB, config: PipelineConfig) -> GoldClustering | None:
-    if config.gold_rel_file:
-        return load_gold(config.gold_rel_file, kb, PhraseKind.REL)
-    return None
+@dataclass(frozen=True)
+class Split:
+    """Gold labels and the validation and test triples of the KB."""
+
+    np_gold: GoldClustering
+    rel_gold: GoldClustering | None
+    validation: tuple[Triple, ...]
+    test: tuple[Triple, ...]
 
 
-def _view_ids(view: OpenKB, kind: PhraseKind) -> set[int]:
-    return {p.id for p in view.vocab(kind)}
+def make_split(kb: OpenKB, config: PipelineConfig) -> Split:
+    """Load the gold labels and split the KB's triples by the config's
+    validation fraction and seed."""
+    np_gold = load_np_gold(kb, config)
+    rel_gold = (load_gold(config.gold_rel_file, kb, PhraseKind.REL)
+                if config.gold_rel_file else None)
+    validation, test = split_validation(kb, np_gold, config.validation_fraction,
+                                        config.seed)
+    return Split(np_gold, rel_gold, validation, test)
+
+
+def phrase_ids(triples: Sequence[Triple], kind: PhraseKind) -> set[int]:
+    """The ids of the phrases of one kind that occur in the triples."""
+    if kind is PhraseKind.NP:
+        return {i for t in triples for i in (t.subject, t.object)}
+    return {t.relation for t in triples}
 
 
 def select_thresholds(
-    emb: EmbeddingSet,
-    val_kb: OpenKB,
-    np_gold: GoldClustering,
-    rel_gold: GoldClustering | None,
-    config: PipelineConfig,
+    emb: EmbeddingSet, split: Split, config: PipelineConfig
 ) -> tuple[float, float, dict]:
     """NP and REL cutoffs. Fixed config values win; otherwise tune on the
-    validation subset. Without relation gold the relation threshold falls
-    back to the NP threshold."""
+    validation triples' phrases. Without relation gold the relation
+    threshold falls back to the NP threshold."""
     detail: dict = {"grid": list(config.threshold_grid)}
-    for kind, gold, fixed in ((PhraseKind.NP, np_gold, config.np_threshold),
-                              (PhraseKind.REL, rel_gold, config.rel_threshold)):
+    for kind, gold, fixed in ((PhraseKind.NP, split.np_gold, config.np_threshold),
+                              (PhraseKind.REL, split.rel_gold, config.rel_threshold)):
         key = kind.value.lower()
-        val_ids = _view_ids(val_kb, kind)
+        val_ids = phrase_ids(split.validation, kind)
         val_gold = gold.restricted_to(val_ids) if gold is not None else None
         if fixed is not None:
             t, source = fixed, "config"
@@ -343,27 +365,13 @@ def ingest_stage(config: PipelineConfig, out: Path) -> OpenKB:
     return kb
 
 
-@dataclass(frozen=True)
-class Split:
-    """Gold labels and the validation and test views of the KB."""
-
-    np_gold: GoldClustering
-    rel_gold: GoldClustering | None
-    validation: OpenKB
-    test: OpenKB
-
-
 def split_stage(config: PipelineConfig, out: Path, kb: OpenKB) -> Split:
-    np_gold = load_np_gold(kb, config)
-    rel_gold = load_rel_gold(kb, config)
-    val_kb, test_kb = split_validation(
-        kb, np_gold, config.validation_fraction, config.seed
-    )
+    split = make_split(kb, config)
     _write_json(out / "split.json", {
-        "validation_triple_ids": sorted(t.triple_id for t in val_kb.triples),
-        "test_triple_ids": sorted(t.triple_id for t in test_kb.triples),
+        "validation_triple_ids": sorted(t.triple_id for t in split.validation),
+        "test_triple_ids": sorted(t.triple_id for t in split.test),
     })
-    return Split(np_gold, rel_gold, val_kb, test_kb)
+    return split
 
 
 def sideinfo_stage(config: PipelineConfig, out: Path, kb: OpenKB) -> SideInfoCollection:
@@ -386,9 +394,7 @@ def embed_stage(config: PipelineConfig, out: Path, kb: OpenKB,
 
 def thresholds_stage(config: PipelineConfig, out: Path, emb: EmbeddingSet,
                      split: Split) -> tuple[float, float]:
-    np_t, rel_t, detail = select_thresholds(
-        emb, split.validation, split.np_gold, split.rel_gold, config
-    )
+    np_t, rel_t, detail = select_thresholds(emb, split, config)
     _write_json(out / "thresholds.json", detail)
     return np_t, rel_t
 
@@ -418,10 +424,10 @@ def evaluate_stage(config: PipelineConfig, out: Path, split: Split,
                    np_clustering: Clustering, rel_clustering: Clustering,
                    ) -> tuple[MetricsReport | None, MetricsReport | None]:
     """Score both clusterings on the test split's phrases."""
-    test_np_ids = _view_ids(split.test, PhraseKind.NP)
-    test_rel_ids = _view_ids(split.test, PhraseKind.REL)
-    report_np = _evaluate_or_none(np_clustering, split.np_gold, test_np_ids)
-    report_rel = _evaluate_or_none(rel_clustering, split.rel_gold, test_rel_ids)
+    report_np = _evaluate_or_none(np_clustering, split.np_gold,
+                                  phrase_ids(split.test, PhraseKind.NP))
+    report_rel = _evaluate_or_none(rel_clustering, split.rel_gold,
+                                   phrase_ids(split.test, PhraseKind.REL))
     _write_json(out / "metrics.json", {
         "np": report_np.as_dict() if report_np else None,
         "rel": report_rel.as_dict() if report_rel else None,
@@ -443,8 +449,8 @@ def baselines_stage(config: PipelineConfig, out: Path, kb: OpenKB, split: Split,
     """Run the configured NP baselines and write the leaderboard, this
     system's test-split row first."""
     rows = [LEADERBOARD_HEADER, leaderboard_row("full (this system)", report_np)]
-    val_gold = split.np_gold.restricted_to(_view_ids(split.validation, PhraseKind.NP))
-    test_np_ids = _view_ids(split.test, PhraseKind.NP)
+    val_gold = split.np_gold.restricted_to(phrase_ids(split.validation, PhraseKind.NP))
+    test_np_ids = phrase_ids(split.test, PhraseKind.NP)
     for name in config.baselines:
         cfg = BaselineConfig(
             name=BaselineName(name),
@@ -583,13 +589,9 @@ def grid_search(
         raise ConfigError("every grid key needs at least one value")
 
     kb = load_triples(config.triples_file, TripleFormat(config.format))
-    np_gold = load_np_gold(kb, config)
-    rel_gold = load_rel_gold(kb, config)
-    val_kb, _ = split_validation(kb, np_gold, config.validation_fraction, config.seed)
-    val_np_ids = _view_ids(val_kb, PhraseKind.NP)
-    val_gold = np_gold.restricted_to(val_np_ids)
-    if not val_gold.assignment:
-        raise ConfigError("validation split carries no gold labels")
+    split = make_split(kb, config)
+    val_np_ids = phrase_ids(split.validation, PhraseKind.NP)
+    val_gold = split.np_gold.restricted_to(val_np_ids)
 
     side_cache: dict[str, SideInfoCollection] = {}
     emb_cache: dict[str, EmbeddingSet] = {}
@@ -626,7 +628,7 @@ def grid_search(
         ids, D = canon.cosine_distances({i: emb.np_vectors[i] for i in val_np_ids})
         member_sets, np_t = canon.tune_and_cut(ids, D, point.np_threshold, val_gold,
                                                point.threshold_grid)
-        _, rel_t, _ = select_thresholds(emb, val_kb, np_gold, rel_gold,
+        _, rel_t, _ = select_thresholds(emb, split,
                                         dataclasses.replace(point, np_threshold=np_t))
         report = evaluate(member_sets, val_gold.assignment)
         score = report.mean_f1()

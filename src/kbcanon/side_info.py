@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Hashable, Iterable, Mapping
 
 from .errors import ConfigError, ParseError
-from .kb import OpenKB, PhraseKind, majority_labels, normalize_whitespace
+from .kb import OpenKB, PhraseKind, majority_labels, normalize_whitespace, vocab_hash
 from .stopwords import STOPWORDS
 
 logger = logging.getLogger(__name__)
@@ -519,13 +519,18 @@ class SideInfoConfig:
             raise ConfigError("amie_confidence_min must be in [0, 1]")
 
 
+# The source names `assemble_side_info` can emit, per kind: the valid
+# keys of `HyperParams.lambda_ent` and `lambda_rel` in a pipeline config.
+NP_SOURCES = ("entity_linking", "ppdb", "wordnet", "idf_overlap", "morph")
+REL_SOURCES = ("ppdb", "wordnet", "amie", "kbp")
+
+
 def assemble_side_info(kb: OpenKB, config: SideInfoConfig) -> SideInfoCollection:
     """Run every enabled provider and collect its pair set.
 
-    NP sources come from {entity_linking, ppdb, wordnet, idf_overlap,
-    morph}; relation sources from {ppdb, wordnet, amie, kbp}. Providers
-    that run but find nothing still appear (with zero pairs) so coverage
-    reporting stays honest.
+    NP sources come from `NP_SOURCES`, relation sources from
+    `REL_SOURCES`. Providers that run but find nothing still appear (with
+    zero pairs) so coverage reporting stays honest.
     """
     config.validate()
     np_sources: list[EquivalencePairSet] = []
@@ -577,10 +582,11 @@ def save_side_info(collection: SideInfoCollection, path, vocab: str | None = Non
         fh.write("\n")
 
 
-def load_side_info(path, expect_vocab_hash: str | None = None) -> SideInfoCollection:
+def load_side_info(path, kb: OpenKB | None = None) -> SideInfoCollection:
     """Read a ``save_side_info`` file; a damaged one raises ParseError
-    naming the file, and one built from another vocabulary than
-    ``expect_vocab_hash`` (when given) a ConfigError naming it."""
+    naming the file. Given the KB the pairs index, a file built from
+    another vocabulary raises a ConfigError naming it, and a pair id that
+    is not an int in [0, n) for its kind's n phrases a ParseError."""
     with Path(path).open(encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -591,9 +597,19 @@ def load_side_info(path, expect_vocab_hash: str | None = None) -> SideInfoCollec
                 for key in ("np_sources", "rel_sources"))
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError(path, None, f"not a side-information file: {e!r}") from e
-    if expect_vocab_hash is not None and payload.get("vocab_hash") != expect_vocab_hash:
+    if kb is None:
+        return SideInfoCollection(np_sources, rel_sources)
+    if payload.get("vocab_hash") != vocab_hash(kb):
         raise ConfigError(f"{path}: side information was built from a different "
                           "vocabulary; run sideinfo again")
+    for s in np_sources + rel_sources:
+        n = len(kb.vocab(s.kind))
+        bad = [i for pair in s.pairs for i in pair
+               if type(i) is not int or not 0 <= i < n]
+        if bad:
+            raise ParseError(path, None, f"{s.kind.value} source {s.source_name!r}: "
+                             f"pair id {min(bad, key=repr)!r} is not one of the "
+                             f"KB's {n} phrase ids")
     return SideInfoCollection(np_sources, rel_sources)
 
 

@@ -311,6 +311,51 @@ class TestErrorHandling:
         assert err.startswith(f"error: {run_dir / 'side_info.json'}")
         assert "different vocabulary" in err
 
+    @pytest.mark.parametrize("pair", [[0, 1000000], [-1, 0], [1.7, 4], [True, 0]])
+    def test_side_info_pair_id_outside_the_kb_exits_2_naming_the_file(
+        self, tmp_path, capsys, pair
+    ):
+        _, config_path = make_dataset(tmp_path, seed=18)
+        run_dir = tmp_path / "run"
+        for stage in ("ingest", "sideinfo"):
+            assert main([stage, "--config", str(config_path), "--out", str(run_dir)]) == 0
+        side_file = run_dir / "side_info.json"
+        payload = json.loads(side_file.read_text(encoding="utf-8"))
+        payload["np_sources"][0]["pairs"] = [pair]
+        side_file.write_text(json.dumps(payload), encoding="utf-8")
+        capsys.readouterr()
+        rc = main(["embed", "--config", str(config_path), "--out", str(run_dir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {side_file}")
+        assert "phrase ids" in err
+        assert not (run_dir / "embeddings.npz").exists()
+
+    def test_validation_fraction_keeps_one_entity_for_test(self, tmp_path):
+        # round(0.9 * 4) = 4 would sample every entity and leave no test
+        # triple to score
+        _, config_path = make_dataset(tmp_path, seed=1, entities=4, triples=40)
+        doc = yaml.safe_load(config_path.read_text())
+        doc["validation_fraction"] = 0.9
+        config_path.write_text(yaml.safe_dump(doc))
+        run_dir = tmp_path / "run"
+        assert main(["pipeline", "--config", str(config_path), "--out", str(run_dir)]) == 0
+        assert json.loads((run_dir / "split.json").read_text())["test_triple_ids"]
+        assert json.loads((run_dir / "metrics.json").read_text())["np"] is not None
+
+    def test_one_labelled_subject_entity_exits_2(self, tmp_path, capsys):
+        triples = tmp_path / "triples.jsonl"
+        rows = [("Obama", "E1", "Hawaii", "E2"), ("Barack Obama", "E1", "US", "E3")]
+        triples.write_text("".join(
+            json.dumps({"subject": s, "relation": "visited", "object": o,
+                        "gold_sub_id": gs, "gold_obj_id": go}) + "\n"
+            for s, gs, o, go in rows), encoding="utf-8")
+        rc = main(["pipeline", "--triples", str(triples), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "stage 'split' failed" in err
+        assert "found 1" in err
+
     def test_evaluate_missing_file_exits_3(self, tmp_path, capsys):
         rc = main(
             [

@@ -222,23 +222,23 @@ class TestSplitValidation:
     def test_fraction_of_entities_sampled(self):
         kb, gold = self._kb_with_entities(10)
         val, test = split_validation(kb, gold, 0.2, seed=3)
-        val_entities = {gold.assignment[t.subject] for t in val.triples}
+        val_entities = {gold.assignment[t.subject] for t in val}
         assert len(val_entities) == 2
-        assert len(val.triples) == 4
-        assert len(test.triples) == 16
+        assert len(val) == 4
+        assert len(test) == 16
 
     def test_deterministic_under_seed(self):
         kb, gold = self._kb_with_entities(10)
         a1, b1 = split_validation(kb, gold, 0.2, seed=9)
         a2, b2 = split_validation(kb, gold, 0.2, seed=9)
-        assert [t.triple_id for t in a1.triples] == [t.triple_id for t in a2.triples]
-        assert [t.triple_id for t in b1.triples] == [t.triple_id for t in b2.triples]
+        assert [t.triple_id for t in a1] == [t.triple_id for t in a2]
+        assert [t.triple_id for t in b1] == [t.triple_id for t in b2]
 
     def test_entity_triples_stay_together(self):
         kb, gold = self._kb_with_entities(6, triples_per_entity=3)
         val, test = split_validation(kb, gold, 0.3, seed=1)
-        val_entities = {gold.assignment[t.subject] for t in val.triples}
-        test_entities = {gold.assignment[t.subject] for t in test.triples}
+        val_entities = {gold.assignment[t.subject] for t in val}
+        test_entities = {gold.assignment[t.subject] for t in test}
         assert not val_entities & test_entities
 
     def test_bad_fraction_rejected(self, toy_kb):
@@ -247,6 +247,19 @@ class TestSplitValidation:
             split_validation(toy_kb, gold, 0.0, seed=0)
         with pytest.raises(ValueError):
             split_validation(toy_kb, gold, 1.0, seed=0)
+
+    def test_one_entity_always_stays_for_test(self):
+        kb, gold = self._kb_with_entities(4)
+        val, test = split_validation(kb, gold, 0.9, seed=1)
+        assert len({gold.assignment[t.subject] for t in val}) == 3
+        assert len({gold.assignment[t.subject] for t in test}) == 1
+
+    def test_fewer_than_two_subject_entities_refused(self):
+        kb, gold = self._kb_with_entities(1)
+        with pytest.raises(ValueError, match="found 1$"):
+            split_validation(kb, gold, 0.5, seed=0)
+        with pytest.raises(ValueError, match="found 0$"):
+            split_validation(kb, GoldClustering(PhraseKind.NP, {}), 0.5, seed=0)
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -257,18 +270,10 @@ class TestSplitValidation:
     def test_partition_property(self, n_entities, fraction, seed):
         kb, gold = self._kb_with_entities(n_entities)
         val, test = split_validation(kb, gold, fraction, seed)
-        val_ids = {t.triple_id for t in val.triples}
-        test_ids = {t.triple_id for t in test.triples}
+        val_ids = {t.triple_id for t in val}
+        test_ids = {t.triple_id for t in test}
         assert not val_ids & test_ids
         assert val_ids | test_ids == {t.triple_id for t in kb.triples}
-
-    def test_views_keep_original_phrase_ids(self, toy_kb):
-        gold = gold_from_triples(toy_kb)
-        val, test = split_validation(toy_kb, gold, 0.4, seed=0)
-        for view in (val, test):
-            for t in view.triples:
-                assert view.np_phrase(t.subject).text == toy_kb.np_phrase(t.subject).text
-                assert view.rel_phrase(t.relation).text == toy_kb.rel_phrase(t.relation).text
 
 
 class TestGoldIsolation:

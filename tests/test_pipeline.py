@@ -20,12 +20,14 @@ from kbcanon.metrics import evaluate
 from kbcanon.pipeline import (
     LEADERBOARD_HEADER,
     PipelineConfig,
+    Split,
     config_from_dict,
     config_hash,
     evaluate_clusters_file,
     grid_search,
     leaderboard_row,
     load_config,
+    phrase_ids,
     run_pipeline,
     select_thresholds,
 )
@@ -200,6 +202,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="wat"):
             config_from_dict(doc).validate()
 
+    @pytest.mark.parametrize("table, key", [("lambda_ent", "ppbd"),
+                                            ("lambda_ent", "amie"),
+                                            ("lambda_rel", "morph")])
+    def test_lambda_key_must_name_a_source_of_its_kind(self, synth_data, table, key):
+        doc = base_config_doc(synth_data)
+        doc["hyperparams"][table] = {key: 2.0}
+        with pytest.raises(ConfigError, match=f"{table}.*{key}"):
+            config_from_dict(doc).validate()
+        doc["hyperparams"] = {"lambda_ent": {"ppdb": 5.0, "morph": 1.0},
+                              "lambda_rel": {"amie": 3.0}}
+        config_from_dict(doc).validate()
+
     def test_effective_hyperparams_carry_master_seed(self, synth_data):
         doc = base_config_doc(synth_data)
         doc["seed"] = 42
@@ -228,29 +242,29 @@ class TestConfigValidation:
 def trained(synth_data):
     kb = load_triples(synth_data["triples"])
     gold = gold_from_triples(kb)
-    val_kb, _ = split_validation(kb, gold, 0.2, seed=3)
+    val, test = split_validation(kb, gold, 0.2, seed=3)
     h = HyperParams(seed=3, **SMALL_HP)
     init = init_embeddings(kb, None, h.dim, default_init_rng(h.seed))
     emb = train(kb, EMPTY_SIDE_INFO, h, init)
-    return kb, gold, val_kb, emb
+    return Split(gold, None, val, test), emb
 
 
 class TestSelectThresholds:
     def test_config_values_win(self, synth_data, trained):
-        _, gold, val_kb, emb = trained
+        split, emb = trained
         doc = base_config_doc(synth_data)
         doc["np_threshold"] = 0.35
         doc["rel_threshold"] = 0.75
         config = config_from_dict(doc)
-        np_t, rel_t, detail = select_thresholds(emb, val_kb, gold, None, config)
+        np_t, rel_t, detail = select_thresholds(emb, split, config)
         assert (np_t, rel_t) == (0.35, 0.75)
         assert detail["np_source"] == "config"
         assert detail["rel_source"] == "config"
 
     def test_rel_falls_back_to_np_threshold(self, synth_data, trained):
-        _, gold, val_kb, emb = trained
+        split, emb = trained
         config = config_from_dict(base_config_doc(synth_data))
-        np_t, rel_t, detail = select_thresholds(emb, val_kb, gold, None, config)
+        np_t, rel_t, detail = select_thresholds(emb, split, config)
         assert detail["np_source"] == "validation"
         assert detail["rel_source"] == "np_threshold"
         assert rel_t == np_t
@@ -464,13 +478,14 @@ class TestGridSearch:
         monkeypatch.setattr(canonicalize_module, "hac_merge_history", counting)
         config = config_from_dict(base_config_doc(synth_data))
         kb = load_triples(config.triples_file)
-        val_kb, _ = split_validation(
+        val, _ = split_validation(
             kb, pipeline_module.load_np_gold(kb, config), config.validation_fraction,
             config.seed,
         )
+        n_val_nps = len(phrase_ids(val, PhraseKind.NP))
         # A fixed relation threshold leaves only the NP threshold to tune.
         grid_search(config, {"rel_threshold": [0.45, 0.65]}, tmp_path)
-        assert sizes == [val_kb.n_nps, val_kb.n_nps]
+        assert sizes == [n_val_nps, n_val_nps]
 
     def test_tie_keeps_first_point(self, synth_data, tmp_path):
         # The relation threshold does not affect the NP validation score,

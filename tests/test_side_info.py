@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from kbcanon.errors import ConfigError
 from kbcanon.kb import PhraseKind, build_kb, vocab_hash
 from kbcanon.side_info import (
+    NP_SOURCES,
+    REL_SOURCES,
     SideInfoConfig,
     amie_mine,
     assemble_side_info,
@@ -384,6 +386,18 @@ class TestAssembleSideInfo:
             ["entity_linking", "idf_overlap", "morph"]
         assert [s.source_name for s in side.rel_sources] == ["amie"]
 
+    def test_source_name_lists_match_every_provider(self, tmp_path, toy_kb):
+        for name in ("ppdb.tsv", "wordnet.tsv", "kbp.tsv"):
+            (tmp_path / name).write_text("", encoding="utf-8")
+        cfg = SideInfoConfig(ppdb_np=True, ppdb_rel=True, wordnet_np=True,
+                             wordnet_rel=True, kbp=True,
+                             ppdb_file=str(tmp_path / "ppdb.tsv"),
+                             wordnet_file=str(tmp_path / "wordnet.tsv"),
+                             kbp_file=str(tmp_path / "kbp.tsv"))
+        side = assemble_side_info(toy_kb, cfg)
+        assert tuple(s.source_name for s in side.np_sources) == NP_SOURCES
+        assert tuple(s.source_name for s in side.rel_sources) == REL_SOURCES
+
     def test_round_trip_and_determinism(self, tmp_path, synth_kb):
         side = assemble_side_info(synth_kb, SideInfoConfig())
         p1, p2 = tmp_path / "s1.json", tmp_path / "s2.json"
@@ -400,6 +414,6 @@ class TestAssembleSideInfo:
         path = tmp_path / "side_info.json"
         save_side_info(assemble_side_info(synth_kb, SideInfoConfig()), path,
                        vocab_hash(synth_kb))
-        assert load_side_info(path, vocab_hash(synth_kb)).np_sources
+        assert load_side_info(path, synth_kb).np_sources
         with pytest.raises(ConfigError, match=f"^{path}: .*different vocabulary"):
-            load_side_info(path, vocab_hash(toy_kb))
+            load_side_info(path, toy_kb)
