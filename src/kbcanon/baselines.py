@@ -226,13 +226,11 @@ def _overlap_distance_matrix(features: Sequence, similarity) -> np.ndarray:
 # shared helpers
 
 
-def train_structure_only(
-    kb: OpenKB, h: HyperParams, vectors_file=None, log_file=None
-) -> EmbeddingSet:
+def train_structure_only(kb: OpenKB, h: HyperParams, vectors_file=None) -> EmbeddingSet:
     """Ranking-loss-only training: the embedding trainer with an empty
     side-information collection (all side penalties vanish)."""
     init = init_embeddings(kb, vectors_file, h.dim, default_init_rng(h.seed))
-    return train(kb, EMPTY_SIDE_INFO, h, init, log_file=log_file)
+    return train(kb, EMPTY_SIDE_INFO, h, init)
 
 
 def tune_threshold_on_matrix(
@@ -249,14 +247,12 @@ def _freq_clustering(kb: OpenKB, kind: PhraseKind, member_sets,
                      threshold: float) -> Clustering:
     """Clusters ordered by smallest member, each represented by its most
     frequent member (ties by smallest text, then id)."""
-    freqs = {p.id: p.frequency for p in kb.vocab(kind)}
-    texts = {p.id: p.text for p in kb.vocab(kind)}
-    clusters = []
-    for ms in sorted((frozenset(m) for m in member_sets), key=min):
-        best = max(freqs[i] for i in ms)
-        rep = min((i for i in ms if freqs[i] == best), key=lambda i: (texts[i], i))
-        clusters.append(Cluster(members=ms, representative=rep))
-    return Clustering(kind=kind, clusters=tuple(clusters), threshold_used=threshold)
+    vocab = kb.vocab(kind)
+    clusters = tuple(
+        Cluster(members=ms, representative=min(
+            ms, key=lambda i: (-vocab[i].frequency, vocab[i].text, i)))
+        for ms in sorted((frozenset(m) for m in member_sets), key=min))
+    return Clustering(kind=kind, clusters=clusters, threshold_used=threshold)
 
 
 def _equivalence_clustering(kb: OpenKB, kind: PhraseKind, pairs) -> Clustering:
@@ -305,20 +301,19 @@ def run_baseline(
     if name is BaselineName.ENTLINK:
         return _equivalence_clustering(kb, kind, entity_link_equivalences(kb).pairs)
 
-    ids = sorted(p.id for p in vocab)
-
     if name in (BaselineName.IDF_HAC, BaselineName.STRSIM_HAC, BaselineName.ATTR_HAC):
-        texts = {p.id: p.text for p in vocab}
+        texts = [p.text for p in vocab]
         if name is BaselineName.IDF_HAC:
             df = build_df(kb)
-            D = _overlap_distance_matrix([content_tokens(texts[i]) for i in ids],
+            D = _overlap_distance_matrix([content_tokens(t) for t in texts],
                                          lambda x, y: idf_overlap_score(x, y, df))
         elif name is BaselineName.STRSIM_HAC:
-            D = jaro_winkler_distances([texts[i] for i in ids])
+            D = jaro_winkler_distances(texts)
         else:
             sets = attribute_sets(kb)
-            D = _overlap_distance_matrix([sets[i] for i in ids], _jaccard)
-        member_sets, threshold = tune_and_cut(ids, D, cfg.threshold, validation_gold, grid)
+            D = _overlap_distance_matrix([sets[p.id] for p in vocab], _jaccard)
+        member_sets, threshold = tune_and_cut(range(len(vocab)), D, cfg.threshold,
+                                              validation_gold, grid)
         return _freq_clustering(kb, kind, member_sets, threshold)
 
     if name is BaselineName.WORDVEC_AVG:
@@ -330,6 +325,4 @@ def run_baseline(
             vectors_file=vectors_file if name is BaselineName.HOLE_PRETRAINED else None)
     else:
         raise ConfigError(f"unknown baseline: {name!r}")
-    V = emb.vectors(kind)
-    return cluster_phrases(kb, kind, {i: V[i] for i in ids}, cfg.threshold,
-                           validation_gold, grid)
+    return cluster_phrases(kb, kind, emb.vectors(kind), cfg.threshold, validation_gold, grid)

@@ -19,12 +19,12 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InvariantViolation, MetricsUndefinedError, ZeroVectorError
-from .kb import GoldClustering, OpenKB, PhraseKind, triple_record
+from .kb import GoldClustering, OpenKB, Phrase, PhraseKind, triple_record
 from .metrics import evaluate
 from .side_info import DisjointSet
 
@@ -86,14 +86,6 @@ def cosine_distance_matrix(X: np.ndarray, labels: Sequence | None = None) -> np.
     N = X / norms[:, None]
     G = N @ N.T
     return np.subtract(1.0, G, out=G)
-
-
-def cosine_distances(vectors: Mapping[int, np.ndarray]) -> tuple[list[int], np.ndarray]:
-    """(ids sorted ascending, cosine distance matrix over their vectors in
-    that order)."""
-    ids = sorted(vectors)
-    X = np.stack([vectors[i] for i in ids]) if ids else np.zeros((0, 0))
-    return ids, cosine_distance_matrix(X, labels=ids)
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +155,13 @@ def cut_history(
     return sorted((frozenset(g) for g in dsu.groups()), key=min)
 
 
+def _check_ids(ids: Sequence[int], D: np.ndarray) -> None:
+    if list(ids) != sorted(ids):
+        raise ValueError("ids must be sorted ascending")
+    if len(ids) != D.shape[0]:
+        raise ValueError(f"{len(ids)} ids for a distance matrix of {D.shape[0]} rows")
+
+
 def hac_from_distance_matrix(
     ids: Sequence[int], D: np.ndarray, threshold: float
 ) -> list[frozenset[int]]:
@@ -181,10 +180,7 @@ def tune_and_cut(
     ``threshold`` or, when that is None, at the grid value `best_cut`
     tunes on the validation gold. ``ids`` label D's rows and must be
     sorted ascending so the tie-break is id-based."""
-    if list(ids) != sorted(ids):
-        raise ValueError("ids must be sorted ascending")
-    if len(ids) != D.shape[0]:
-        raise ValueError(f"{len(ids)} ids for a distance matrix of {D.shape[0]} rows")
+    _check_ids(ids, D)
     history = hac_merge_history(D)
     if threshold is None:
         threshold = best_cut(ids, history, validation_gold, grid)
@@ -192,10 +188,11 @@ def tune_and_cut(
 
 
 def hac_complete_linkage(
-    vectors: Mapping[int, np.ndarray], threshold: float
+    ids: Sequence[int], X: np.ndarray, threshold: float
 ) -> list[frozenset[int]]:
-    """Cluster phrase vectors by cosine distance with complete linkage."""
-    return hac_from_distance_matrix(*cosine_distances(vectors), threshold)
+    """Cluster the rows of X, labelled by the ascending ``ids``, by cosine
+    distance with complete linkage."""
+    return hac_from_distance_matrix(ids, cosine_distance_matrix(X, labels=ids), threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -203,16 +200,19 @@ def hac_complete_linkage(
 
 
 def choose_threshold(
-    vectors: Mapping[int, np.ndarray],
+    ids: Sequence[int],
+    X: np.ndarray,
     validation_gold: GoldClustering,
     grid: Sequence[float] = DEFAULT_THRESHOLD_GRID,
 ) -> float:
     """Pick the grid threshold maximizing the mean of macro, micro, and
-    pairwise F1 on the validation phrases; ties go to the smallest value.
-    Clusterings whose scores are undefined count as 0."""
-    if not vectors:
+    pairwise F1 on the validation phrases, the rows of X labelled by the
+    ascending ``ids``; ties go to the smallest value. Clusterings whose
+    scores are undefined count as 0."""
+    if not ids:
         raise ConfigError("no vectors to cluster")
-    ids, D = cosine_distances(vectors)
+    D = cosine_distance_matrix(X, labels=ids)
+    _check_ids(ids, D)
     return best_cut(ids, hac_merge_history(D), validation_gold, grid)
 
 
@@ -243,20 +243,18 @@ def best_cut(ids: Sequence[int], history: Sequence[tuple[float, int, int]],
 
 
 def select_representative(
-    members: Collection[int],
-    frequencies: Mapping[int, int],
-    vectors: Mapping[int, np.ndarray],
-    texts: Mapping[int, str],
+    members: Collection[int], vocab: Sequence[Phrase], V: np.ndarray
 ) -> int:
     """The member closest (by cosine) to the frequency-weighted mean of the
-    cluster's vectors; ties break toward the smallest surface text."""
+    cluster's vectors; ties break toward the smallest surface text. A
+    member id is a position in ``vocab`` and a row of V."""
     if not members:
         raise ValueError("members must be non-empty")
     ids = sorted(members)
     if len(ids) == 1:
         return ids[0]
-    X = np.stack([vectors[i] for i in ids])
-    w = np.asarray([frequencies[i] for i in ids], dtype=float)
+    X = V[ids]
+    w = np.asarray([vocab[i].frequency for i in ids], dtype=float)
     mu = (w[:, None] * X).sum(axis=0) / w.sum()
     norms = np.linalg.norm(X, axis=1)
     if (norms == 0.0).any():
@@ -268,22 +266,18 @@ def select_representative(
         sims = (X @ mu) / (norms * mu_norm)
     best = sims.max()
     candidates = [i for i, s in zip(ids, sims) if s == best]
-    return min(candidates, key=lambda i: (texts[i], i))
+    return min(candidates, key=lambda i: (vocab[i].text, i))
 
 
 def build_clustering(
     member_sets: Iterable[Collection[int]],
     kind: PhraseKind,
     threshold: float,
-    frequencies: Mapping[int, int],
-    vectors: Mapping[int, np.ndarray],
-    texts: Mapping[int, str],
+    vocab: Sequence[Phrase],
+    V: np.ndarray,
 ) -> Clustering:
     clusters = tuple(
-        Cluster(
-            members=frozenset(ms),
-            representative=select_representative(ms, frequencies, vectors, texts),
-        )
+        Cluster(members=frozenset(ms), representative=select_representative(ms, vocab, V))
         for ms in sorted((frozenset(m) for m in member_sets), key=min)
     )
     return Clustering(kind=kind, clusters=clusters, threshold_used=threshold)
@@ -292,20 +286,21 @@ def build_clustering(
 def cluster_phrases(
     kb: OpenKB,
     kind: PhraseKind,
-    vectors: Mapping[int, np.ndarray],
+    V: np.ndarray,
     threshold: float | None,
     validation_gold: GoldClustering | None = None,
     grid: Sequence[float] = (),
 ) -> Clustering:
-    """Complete-linkage HAC over the vectors' cosine distances, cut at
-    ``threshold`` or, when None, at the grid value tuned on the validation
-    gold (`tune_and_cut`); frequency-weighted representatives."""
-    member_sets, threshold = tune_and_cut(*cosine_distances(vectors), threshold,
-                                          validation_gold, grid)
+    """Complete-linkage HAC over the cosine distances of the kind's whole
+    embedding matrix V (row i is phrase i), cut at ``threshold`` or, when
+    None, at the grid value tuned on the validation gold (`tune_and_cut`);
+    frequency-weighted representatives."""
     vocab = kb.vocab(kind)
-    freqs = {p.id: p.frequency for p in vocab}
-    texts = {p.id: p.text for p in vocab}
-    return build_clustering(member_sets, kind, threshold, freqs, vectors, texts)
+    if len(V) != len(vocab):
+        raise ValueError(f"{len(V)} vectors for the KB's {len(vocab)} {kind.value} phrases")
+    member_sets, threshold = tune_and_cut(range(len(vocab)), cosine_distance_matrix(V),
+                                          threshold, validation_gold, grid)
+    return build_clustering(member_sets, kind, threshold, vocab, V)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +354,7 @@ def canonicalize_kb(
 def save_clusters(clustering: Clustering, kb: OpenKB, path) -> None:
     """One JSON record per cluster (representative, members, frequencies),
     ordered by smallest member id; byte-deterministic for a fixed input."""
-    vocab = {p.id: p for p in kb.vocab(clustering.kind)}
+    vocab = kb.vocab(clustering.kind)
     with Path(path).open("w", encoding="utf-8") as fh:
         for c in clustering.clusters:
             ids = sorted(c.members)

@@ -21,7 +21,7 @@ import yaml
 
 from .embedding import load_embeddings
 from .errors import KBCanonError
-from .kb import TripleFormat, load_triples, vocab_hash
+from .kb import TripleFormat, load_triples
 from .metrics import format_report
 from .pipeline import (
     PipelineConfig,
@@ -53,17 +53,17 @@ def _setup_logging(verbose: bool) -> None:
 def _load_run_config(args) -> PipelineConfig:
     if args.config:
         config = load_config(args.config)
-    elif getattr(args, "triples", None):
+    elif args.triples:
         config = config_from_dict({"triples_file": args.triples}, base_dir=".")
     else:
         raise KBCanonError("either --config or --triples is required")
-    if getattr(args, "triples", None):
+    if args.triples:
         config.triples_file = str(Path(args.triples).resolve())
-    if getattr(args, "format", None):
+    if args.format:
         config.format = args.format
     if args.seed is not None:
         config.seed = args.seed
-    if getattr(args, "out", None):
+    if args.out:
         config.out_dir = str(Path(args.out).resolve())
     if not config.out_dir:
         raise KBCanonError("an output directory is required (--out or out_dir)")
@@ -125,7 +125,7 @@ def cmd_cluster(args) -> int:
         raise KBCanonError(
             f"embeddings file not found: {emb_file} (run embed first)"
         )
-    emb, _ = load_embeddings(emb_file, expect_vocab_hash=vocab_hash(kb))
+    emb, _ = load_embeddings(emb_file, kb)
     timings: dict[str, float] = {}
     split = run_stage(timings, "split", split_stage, config, out, kb)
     np_clustering, rel_clustering = run_after_embed(config, out, kb, split, emb, timings)
@@ -216,15 +216,14 @@ def build_parser() -> argparse.ArgumentParser:
                         help="debug-level logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_triples=True):
+    def add_common(p):
         p.add_argument("--config", help="pipeline config YAML")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config seed")
         p.add_argument("--out", help="run directory (overrides out_dir)")
-        if with_triples:
-            p.add_argument("--triples", help="triples file (overrides config)")
-            p.add_argument("--format", choices=["jsonl", "json"],
-                           help="triples file format")
+        p.add_argument("--triples", help="triples file (overrides config)")
+        p.add_argument("--format", choices=["jsonl", "json"],
+                       help="triples file format")
 
     p = sub.add_parser("ingest", help="parse, validate, and snapshot a KB")
     add_common(p)

@@ -29,13 +29,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, ParseError, TrainingDivergedError
-from .kb import OpenKB, PhraseKind, Triple, vocab_hash  # noqa: F401 (re-exported)
+from .kb import OpenKB, PhraseKind, Triple, vocab_hash
 from .side_info import SideInfoCollection, tokenize
 
 logger = logging.getLogger(__name__)
 
 HINGE_MODES = ("sigmoid", "raw")
 PAIRING_MODES = ("per_positive", "cross_product")
+NEGATIVE_RETRIES = 20
 
 
 # ---------------------------------------------------------------------------
@@ -176,19 +177,17 @@ def score_triple(emb: EmbeddingSet, s: int, p: int, o: int) -> float:
     return float(np.dot(emb.rel_vectors[p], corr))
 
 
-def sample_negatives(
-    kb: OpenKB, t: Triple, k: int, rng: np.random.Generator, max_retries: int = 20
-) -> list[Triple]:
+def sample_negatives(kb: OpenKB, t: Triple, k: int, rng: np.random.Generator) -> list[Triple]:
     """Corrupt the subject or the object (uniform choice) with an NP drawn
     uniformly from the vocabulary; corruptions that exist in the KB are
-    rejected and redrawn, and a slot is skipped after the retry budget.
-    The relation is never corrupted."""
+    rejected and redrawn, and a slot is skipped after NEGATIVE_RETRIES
+    draws. The relation is never corrupted."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     n = kb.n_nps
     out: list[Triple] = []
     for _ in range(k):
-        for _ in range(max_retries):
+        for _ in range(NEGATIVE_RETRIES):
             corrupt_subject = bool(rng.integers(0, 2))
             cand = int(rng.integers(0, n))
             if corrupt_subject:
@@ -463,8 +462,8 @@ def init_embeddings(
     return average_word_vectors(kb, wv, d, rng)
 
 
-def save_embeddings(emb: EmbeddingSet, path, seed: int, vocab: str) -> None:
-    meta = {"version": 1, "dim": emb.dim, "seed": seed, "vocab_hash": vocab}
+def save_embeddings(emb: EmbeddingSet, path, seed: int, kb: OpenKB) -> None:
+    meta = {"version": 1, "dim": emb.dim, "seed": seed, "vocab_hash": vocab_hash(kb)}
     np.savez_compressed(
         path,
         np_vectors=emb.np_vectors,
@@ -473,9 +472,9 @@ def save_embeddings(emb: EmbeddingSet, path, seed: int, vocab: str) -> None:
     )
 
 
-def load_embeddings(path, expect_vocab_hash: str | None = None) -> tuple[EmbeddingSet, dict]:
-    """Read a ``save_embeddings`` checkpoint; a damaged one raises
-    ParseError naming the file."""
+def load_embeddings(path, kb: OpenKB) -> tuple[EmbeddingSet, dict]:
+    """Read a ``save_embeddings`` checkpoint trained on the KB's vocabulary
+    (else a ConfigError); a damaged one raises ParseError naming the file."""
     try:
         with open(path, "rb") as fh, np.load(fh) as data:
             meta = json.loads(bytes(data["meta"]).decode("utf-8"))
@@ -486,10 +485,10 @@ def load_embeddings(path, expect_vocab_hash: str | None = None) -> tuple[Embeddi
             )
     except (zipfile.BadZipFile, zlib.error, EOFError, KeyError, TypeError, ValueError) as e:
         raise ParseError(path, None, f"not an embeddings checkpoint: {e!r}") from e
-    if expect_vocab_hash is not None and meta.get("vocab_hash") != expect_vocab_hash:
+    if meta.get("vocab_hash") != vocab_hash(kb):
         raise ConfigError(
             f"{path}: embedding checkpoint was trained on a different vocabulary "
-            f"(hash {meta.get('vocab_hash')!r} != expected {expect_vocab_hash!r})"
+            f"(hash {meta.get('vocab_hash')!r} != expected {vocab_hash(kb)!r})"
         )
     return emb, meta
 

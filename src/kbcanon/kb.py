@@ -74,7 +74,8 @@ class Triple:
 
 @dataclass(frozen=True)
 class OpenKB:
-    """Immutable after construction; safe for concurrent reads."""
+    """Immutable after construction; safe for concurrent reads. A phrase id
+    is its position in its kind's vocabulary, which `audit` checks."""
 
     triples: tuple[Triple, ...]
     np_vocab: tuple[Phrase, ...]
@@ -93,10 +94,10 @@ class OpenKB:
         return self.np_vocab if kind is PhraseKind.NP else self.rel_vocab
 
     def np_phrase(self, pid: int) -> Phrase:
-        return self._np_by_id[pid]
+        return self.np_vocab[pid]
 
     def rel_phrase(self, pid: int) -> Phrase:
-        return self._rel_by_id[pid]
+        return self.rel_vocab[pid]
 
     def np_id(self, text: str) -> int | None:
         return self._np_by_text.get(normalize_whitespace(text))
@@ -105,8 +106,6 @@ class OpenKB:
         return self._rel_by_text.get(normalize_whitespace(text))
 
     def __post_init__(self):
-        object.__setattr__(self, "_np_by_id", {p.id: p for p in self.np_vocab})
-        object.__setattr__(self, "_rel_by_id", {p.id: p for p in self.rel_vocab})
         object.__setattr__(self, "_np_by_text", {p.text: p.id for p in self.np_vocab})
         object.__setattr__(self, "_rel_by_text", {p.text: p.id for p in self.rel_vocab})
 
@@ -318,36 +317,31 @@ def contains(kb: OpenKB, s: int, p: int, o: int) -> bool:
 
 def audit(kb: OpenKB) -> None:
     """Full-scan consistency check; raises InvariantViolation on failure."""
-    np_ids = {p.id for p in kb.np_vocab}
-    rel_ids = {p.id for p in kb.rel_vocab}
-    if len(np_ids) != len(kb.np_vocab) or len(rel_ids) != len(kb.rel_vocab):
-        raise InvariantViolation("duplicate phrase ids in vocabulary")
-    for p in kb.np_vocab + kb.rel_vocab:
-        if not p.text or p.text != normalize_whitespace(p.text):
-            raise InvariantViolation(f"phrase {p.id} text not whitespace-normalized")
-        if p.frequency < 1:
-            raise InvariantViolation(f"phrase {p.id} has frequency {p.frequency}")
     repeated = [i for i, c in Counter(t.triple_id for t in kb.triples).items() if c > 1]
     if repeated:
         raise InvariantViolation(f"duplicate triple ids {sorted(repeated)}")
     freq: Counter = Counter()
     for t in kb.triples:
         for pid in (t.subject, t.object):
-            if pid not in np_ids:
+            if not 0 <= pid < kb.n_nps:
                 raise InvariantViolation(f"triple {t.triple_id}: unknown NP id {pid}")
-        if t.relation not in rel_ids:
+        if not 0 <= t.relation < kb.n_rels:
             raise InvariantViolation(
                 f"triple {t.triple_id}: unknown REL id {t.relation}"
             )
         freq[(PhraseKind.NP, t.subject)] += 1
         freq[(PhraseKind.REL, t.relation)] += 1
         freq[(PhraseKind.NP, t.object)] += 1
-    for p in kb.np_vocab:
-        if freq[(PhraseKind.NP, p.id)] != p.frequency:
-            raise InvariantViolation(f"NP {p.id} frequency mismatch")
-    for p in kb.rel_vocab:
-        if freq[(PhraseKind.REL, p.id)] != p.frequency:
-            raise InvariantViolation(f"REL {p.id} frequency mismatch")
+    for kind in PhraseKind:
+        for i, p in enumerate(kb.vocab(kind)):
+            if p.id != i:
+                raise InvariantViolation(f"{kind.value} id {p.id} at vocabulary position {i}")
+            if not p.text or p.text != normalize_whitespace(p.text):
+                raise InvariantViolation(f"phrase {p.id} text not whitespace-normalized")
+            if p.frequency < 1:
+                raise InvariantViolation(f"phrase {p.id} has frequency {p.frequency}")
+            if freq[(kind, i)] != p.frequency:
+                raise InvariantViolation(f"{kind.value} {p.id} frequency mismatch")
     if kb.triple_index != frozenset(t.spo for t in kb.triples):
         raise InvariantViolation("triple_index disagrees with triples list")
 

@@ -14,6 +14,7 @@ reproduces every artifact byte for byte.
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 import hashlib
 import itertools
@@ -21,6 +22,8 @@ import json
 import logging
 import platform
 import time
+import types
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -54,7 +57,6 @@ from .kb import (
     read_jsonl,
     save_triples,
     split_validation,
-    vocab_hash,
 )
 from .metrics import MetricsReport, evaluate, format_report
 from .side_info import (
@@ -154,10 +156,35 @@ class PipelineConfig:
         self.effective_hyperparams().validate()
 
 
-def _check_keys(d: Mapping, allowed: Sequence[str], context: str) -> None:
-    unknown = sorted(set(d) - set(allowed))
+def _fits(value, hint) -> bool:
+    """Whether a parsed config value has the field type ``hint``; a float
+    field also takes an int and a tuple field a list, no number a bool."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_fits(value, a) for a in args)
+    if origin is tuple:
+        return isinstance(value, (list, tuple)) and all(_fits(v, args[0]) for v in value)
+    if origin is collections.abc.Mapping:
+        return isinstance(value, Mapping) and all(
+            _fits(k, args[0]) and _fits(v, args[1]) for k, v in value.items())
+    if hint in (int, float) and isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _check_section(cls, values, prefix: str = "", exclude: Sequence[str] = ()) -> None:
+    """ConfigError for a config section whose keys are not fields of
+    ``cls``, or for the dotted key of a value that does not fit its field."""
+    if not isinstance(values, Mapping):
+        raise ConfigError(f"config key {prefix[:-1]!r} must be a mapping, got {values!r}")
+    hints = typing.get_type_hints(cls)
+    unknown = sorted((k for k in values if k not in hints or k in exclude), key=str)
     if unknown:
-        raise ConfigError(f"unknown config key(s) in {context}: {unknown}")
+        raise ConfigError(f"unknown config key(s) in {prefix[:-1] or 'config'}: {unknown}")
+    for name, value in values.items():
+        if not _fits(value, hints[name]):
+            raise ConfigError(f"config key {prefix + name!r} must be "
+                              f"{cls.__annotations__[name]}, got {value!r}")
 
 
 def _resolve(base_dir: Path, value: str | None) -> str | None:
@@ -173,30 +200,27 @@ def config_from_dict(raw: Mapping, base_dir=".") -> PipelineConfig:
     base_dir = Path(base_dir)
     if not isinstance(raw, Mapping):
         raise ConfigError("config document must be a mapping")
-    fields = {f.name: f for f in dataclasses.fields(PipelineConfig)}
-    _check_keys(raw, list(fields), "config")
+    kwargs = dict(raw)
+    side_raw = kwargs.pop("side", None) or {}
+    hp_raw = kwargs.pop("hyperparams", None) or {}
+    _check_section(PipelineConfig, kwargs)
     if "triples_file" not in raw:
         raise ConfigError("config is missing required key 'triples_file'")
-    kwargs = dict(raw)
 
-    side_raw = kwargs.pop("side", {}) or {}
-    side_fields = [f.name for f in dataclasses.fields(SideInfoConfig)]
-    _check_keys(side_raw, side_fields, "side")
+    _check_section(SideInfoConfig, side_raw, "side.")
     side = SideInfoConfig(**side_raw)
     for name in _SIDE_PATH_FIELDS:
         setattr(side, name, _resolve(base_dir, getattr(side, name)))
 
-    hp_raw = dict(kwargs.pop("hyperparams", {}) or {})
-    hp_fields = [f.name for f in dataclasses.fields(HyperParams) if f.name != "seed"]
-    _check_keys(hp_raw, hp_fields, "hyperparams")
-    for table in ("lambda_ent", "lambda_rel"):
-        if table in hp_raw and hp_raw[table] is None:
-            hp_raw[table] = {}
+    if isinstance(hp_raw, Mapping):  # an empty lambda table may be written as null
+        hp_raw = {k: {} if v is None and k in ("lambda_ent", "lambda_rel") else v
+                  for k, v in hp_raw.items()}
+    _check_section(HyperParams, hp_raw, "hyperparams.", exclude=("seed",))
     hyperparams = HyperParams(**hp_raw)
 
-    if "threshold_grid" in kwargs and kwargs["threshold_grid"] is not None:
+    if "threshold_grid" in kwargs:
         kwargs["threshold_grid"] = tuple(float(t) for t in kwargs["threshold_grid"])
-    if "baselines" in kwargs and kwargs["baselines"] is not None:
+    if "baselines" in kwargs:
         kwargs["baselines"] = tuple(kwargs["baselines"])
     config = PipelineConfig(side=side, hyperparams=hyperparams, **kwargs)
     for name in _PATH_FIELDS:
@@ -334,9 +358,8 @@ def select_thresholds(
         if fixed is not None:
             t, source = fixed, "config"
         elif kind is PhraseKind.NP or (val_gold is not None and val_gold.assignment):
-            V = emb.vectors(kind)
-            vectors = {i: V[i] for i in sorted(val_ids)}
-            t = choose_threshold(vectors, val_gold, config.threshold_grid)
+            ids = sorted(val_ids)
+            t = choose_threshold(ids, emb.vectors(kind)[ids], val_gold, config.threshold_grid)
             source = "validation"
         else:
             t, source = detail["np_threshold"], "np_threshold"
@@ -376,7 +399,7 @@ def split_stage(config: PipelineConfig, out: Path, kb: OpenKB) -> Split:
 
 def sideinfo_stage(config: PipelineConfig, out: Path, kb: OpenKB) -> SideInfoCollection:
     side = assemble_side_info(kb, config.side)
-    save_side_info(side, out / "side_info.json", vocab_hash(kb))
+    save_side_info(side, out / "side_info.json", kb)
     (out / "coverage.txt").write_text(
         "\n".join(coverage_report(side, kb)) + "\n", encoding="utf-8"
     )
@@ -388,7 +411,7 @@ def embed_stage(config: PipelineConfig, out: Path, kb: OpenKB,
     h = config.effective_hyperparams()
     init = init_embeddings(kb, config.vectors_file, h.dim, default_init_rng(h.seed))
     emb = train(kb, side, h, init, log_file=out / "training_log.jsonl")
-    save_embeddings(emb, out / "embeddings.npz", h.seed, vocab_hash(kb))
+    save_embeddings(emb, out / "embeddings.npz", h.seed, kb)
     return emb
 
 
@@ -401,10 +424,8 @@ def thresholds_stage(config: PipelineConfig, out: Path, emb: EmbeddingSet,
 
 def cluster_stage(config: PipelineConfig, out: Path, kb: OpenKB, emb: EmbeddingSet,
                   np_t: float, rel_t: float) -> tuple[Clustering, Clustering]:
-    np_vectors = {p.id: emb.np_vectors[p.id] for p in kb.np_vocab}
-    rel_vectors = {p.id: emb.rel_vectors[p.id] for p in kb.rel_vocab}
-    np_clustering = canon.cluster_phrases(kb, PhraseKind.NP, np_vectors, np_t)
-    rel_clustering = canon.cluster_phrases(kb, PhraseKind.REL, rel_vectors, rel_t)
+    np_clustering = canon.cluster_phrases(kb, PhraseKind.NP, emb.np_vectors, np_t)
+    rel_clustering = canon.cluster_phrases(kb, PhraseKind.REL, emb.rel_vectors, rel_t)
     canon.save_clusters(np_clustering, kb, out / "clusters_np.jsonl")
     canon.save_clusters(rel_clustering, kb, out / "clusters_rel.jsonl")
     return np_clustering, rel_clustering
@@ -590,7 +611,7 @@ def grid_search(
 
     kb = load_triples(config.triples_file, TripleFormat(config.format))
     split = make_split(kb, config)
-    val_np_ids = phrase_ids(split.validation, PhraseKind.NP)
+    val_np_ids = sorted(phrase_ids(split.validation, PhraseKind.NP))
     val_gold = split.np_gold.restricted_to(val_np_ids)
 
     side_cache: dict[str, SideInfoCollection] = {}
@@ -625,8 +646,8 @@ def grid_search(
         # One validation NP merge history both tunes the NP threshold and
         # gives the clustering scored at it; select_thresholds then only
         # settles the REL threshold, which may fall back to the NP one.
-        ids, D = canon.cosine_distances({i: emb.np_vectors[i] for i in val_np_ids})
-        member_sets, np_t = canon.tune_and_cut(ids, D, point.np_threshold, val_gold,
+        D = canon.cosine_distance_matrix(emb.np_vectors[val_np_ids], labels=val_np_ids)
+        member_sets, np_t = canon.tune_and_cut(val_np_ids, D, point.np_threshold, val_gold,
                                                point.threshold_grid)
         _, rel_t, _ = select_thresholds(emb, split,
                                         dataclasses.replace(point, np_threshold=np_t))

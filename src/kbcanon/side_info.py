@@ -567,26 +567,26 @@ def assemble_side_info(kb: OpenKB, config: SideInfoConfig) -> SideInfoCollection
     return collection
 
 
-def save_side_info(collection: SideInfoCollection, path, vocab: str | None = None) -> None:
+def save_side_info(collection: SideInfoCollection, path, kb: OpenKB) -> None:
     """JSON dump with sorted pair lists and the `vocab_hash` of the KB the
-    pairs index (null when not given); byte-deterministic."""
+    pairs index; byte-deterministic."""
     payload = {
         key: [{"source_name": s.source_name, "kind": s.kind.value,
                "pairs": sorted(list(p) for p in s.pairs)} for s in sources]
         for key, sources in (("np_sources", collection.np_sources),
                              ("rel_sources", collection.rel_sources))
     }
-    payload["vocab_hash"] = vocab
+    payload["vocab_hash"] = vocab_hash(kb)
     with Path(path).open("w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
 
 
-def load_side_info(path, kb: OpenKB | None = None) -> SideInfoCollection:
-    """Read a ``save_side_info`` file; a damaged one raises ParseError
-    naming the file. Given the KB the pairs index, a file built from
-    another vocabulary raises a ConfigError naming it, and a pair id that
-    is not an int in [0, n) for its kind's n phrases a ParseError."""
+def load_side_info(path, kb: OpenKB) -> SideInfoCollection:
+    """Read a ``save_side_info`` file for the KB its pairs index; a damaged
+    one raises ParseError naming the file. A file built from another
+    vocabulary raises a ConfigError naming it, and a pair id that is not
+    an int in [0, n) for its kind's n phrases a ParseError."""
     with Path(path).open(encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
@@ -597,8 +597,6 @@ def load_side_info(path, kb: OpenKB | None = None) -> SideInfoCollection:
                 for key in ("np_sources", "rel_sources"))
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError(path, None, f"not a side-information file: {e!r}") from e
-    if kb is None:
-        return SideInfoCollection(np_sources, rel_sources)
     if payload.get("vocab_hash") != vocab_hash(kb):
         raise ConfigError(f"{path}: side information was built from a different "
                           "vocabulary; run sideinfo again")

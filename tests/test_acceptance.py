@@ -10,6 +10,7 @@ line per criterion.
 from __future__ import annotations
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -254,10 +255,13 @@ def test_criterion_08_benchmark_reproduction_harness(tmp_path):
     leaderboards in the fixed row format. No score values are asserted."""
     script = REPO_ROOT / "scripts" / "reproduce_reverb45k.py"
     assert script.is_file(), "reproduction harness script is missing"
+    # the script imports kbcanon from this checkout, installed or not
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH"))))}
 
     helptext = subprocess.run(
         [sys.executable, str(script), "--help"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=env,
     )
     assert helptext.returncode == 0, helptext.stderr
 
@@ -284,7 +288,7 @@ def test_criterion_08_benchmark_reproduction_harness(tmp_path):
             "--learning-rate", "0.05",
             "--baselines", "morph", "hole_random",
         ],
-        capture_output=True, text=True, timeout=240,
+        capture_output=True, text=True, timeout=240, env=env,
     )
     assert run.returncode == 0, run.stderr
 

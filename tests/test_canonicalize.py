@@ -33,13 +33,21 @@ from kbcanon.errors import (
     InvariantViolation,
     ZeroVectorError,
 )
-from kbcanon.kb import GoldClustering, PhraseKind
+from kbcanon.kb import GoldClustering, Phrase, PhraseKind
 
 from .reference import naive_complete_linkage, random_points, reference_merge_history
 
 
-def vectors_from_rows(X) -> dict[int, np.ndarray]:
-    return {i: np.asarray(row, dtype=float) for i, row in enumerate(X)}
+def ids_and_rows(X) -> tuple[list[int], np.ndarray]:
+    """Row positions as ids, and the rows as a float matrix."""
+    X = np.asarray(X, dtype=float)
+    return list(range(len(X))), X
+
+
+def np_vocab(frequencies, texts=None) -> tuple[Phrase, ...]:
+    """NP phrases whose ids are their positions."""
+    return tuple(Phrase(i, texts[i] if texts else f"p{i}", PhraseKind.NP, f)
+                 for i, f in enumerate(frequencies))
 
 
 # ---------------------------------------------------------------------------
@@ -84,25 +92,25 @@ class TestHacBoundaries:
     def test_threshold_zero_gives_singletons(self):
         rand = random.Random(7)
         X = random_points(rand, 10, 5, quantized=False)
-        got = hac_complete_linkage(vectors_from_rows(X), 0.0)
+        got = hac_complete_linkage(*ids_and_rows(X), 0.0)
         assert got == [frozenset({i}) for i in range(10)]
 
     def test_threshold_zero_merges_exact_duplicates(self):
         X = np.array([[1.0, 0.0], [2.0, 0.0], [0.0, 1.0]])
-        got = hac_complete_linkage(vectors_from_rows(X), 0.0)
+        got = hac_complete_linkage(*ids_and_rows(X), 0.0)
         assert got == [frozenset({0, 1}), frozenset({2})]
 
     def test_threshold_two_gives_one_cluster(self):
         rand = random.Random(8)
         X = random_points(rand, 9, 4, quantized=False)
-        got = hac_complete_linkage(vectors_from_rows(X), 2.0)
+        got = hac_complete_linkage(*ids_and_rows(X), 2.0)
         assert got == [frozenset(range(9))]
 
     def test_empty_input(self):
-        assert hac_complete_linkage({}, 0.5) == []
+        assert hac_complete_linkage([], np.zeros((0, 2)), 0.5) == []
 
     def test_single_element(self):
-        assert hac_complete_linkage({3: np.array([1.0, 2.0])}, 0.5) == [
+        assert hac_complete_linkage([3], np.array([[1.0, 2.0]]), 0.5) == [
             frozenset({3})
         ]
 
@@ -131,7 +139,7 @@ class TestHacFixtures:
                 [0.01, 0.999],
             ]
         )
-        got = hac_complete_linkage(vectors_from_rows(X), 0.3)
+        got = hac_complete_linkage(*ids_and_rows(X), 0.3)
         assert got == [frozenset({0, 1}), frozenset({2, 3})]
 
     def test_complete_linkage_not_single_linkage(self):
@@ -144,7 +152,7 @@ class TestHacFixtures:
         d_near = 1.0 - np.cos(np.deg2rad(40.0))
         d_far = 1.0 - np.cos(np.deg2rad(80.0))
         t = (d_near + d_far) / 2.0
-        got = hac_complete_linkage(vectors_from_rows(X), t)
+        got = hac_complete_linkage(*ids_and_rows(X), t)
         # Single linkage would chain all three into one cluster; complete
         # linkage merges one adjacent pair and leaves the far end out.
         assert len(got) == 2
@@ -258,7 +266,7 @@ class TestHacProperties:
     )
     def test_partition_property(self, n, dim, rand):
         X = random_points(rand, n, dim, quantized=False)
-        clusters = hac_complete_linkage(vectors_from_rows(X), rand.uniform(0, 2))
+        clusters = hac_complete_linkage(*ids_and_rows(X), rand.uniform(0, 2))
         flat = sorted(i for c in clusters for i in c)
         assert flat == list(range(n))
 
@@ -269,23 +277,20 @@ class TestHacProperties:
     )
     def test_larger_threshold_coarsens(self, n, rand):
         X = random_points(rand, n, 3, quantized=False)
-        vectors = vectors_from_rows(X)
         t1, t2 = sorted([rand.uniform(0, 2), rand.uniform(0, 2)])
-        fine = hac_complete_linkage(vectors, t1)
-        coarse = hac_complete_linkage(vectors, t2)
+        fine = hac_complete_linkage(*ids_and_rows(X), t1)
+        coarse = hac_complete_linkage(*ids_and_rows(X), t2)
         for c in fine:
             assert any(c <= big for big in coarse)
 
-    def test_insertion_order_irrelevant(self):
+    def test_ids_only_label_rows(self):
         rand = random.Random(13)
         X = random_points(rand, 12, 4, quantized=False)
-        vectors = vectors_from_rows(X)
-        order = list(vectors)
-        rand.shuffle(order)
-        shuffled = {i: vectors[i] for i in order}
-        assert hac_complete_linkage(vectors, 0.6) == hac_complete_linkage(
-            shuffled, 0.6
-        )
+        labels = sorted(rand.sample(range(100), 12))
+        assert hac_complete_linkage(labels, X, 0.6) == [
+            frozenset(labels[i] for i in c)
+            for c in hac_complete_linkage(*ids_and_rows(X), 0.6)
+        ]
 
     def test_cluster_diameter_within_threshold(self):
         # Complete linkage guarantees every within-cluster distance is at
@@ -321,48 +326,49 @@ class TestChooseThreshold:
         gold = GoldClustering(
             PhraseKind.NP, {0: "a", 1: "a", 2: "a", 3: "b", 4: "b"}
         )
-        return vectors_from_rows(X), gold
+        return (*ids_and_rows(X), gold)
 
     def test_perfect_threshold_found(self):
-        vectors, gold = self.separable()
-        t = choose_threshold(vectors, gold, grid=DEFAULT_THRESHOLD_GRID)
-        clusters = hac_complete_linkage(vectors, t)
+        ids, X, gold = self.separable()
+        t = choose_threshold(ids, X, gold, grid=DEFAULT_THRESHOLD_GRID)
+        clusters = hac_complete_linkage(ids, X, t)
         assert clusters == [frozenset({0, 1, 2}), frozenset({3, 4})]
 
     def test_tie_goes_to_smallest(self):
-        vectors, gold = self.separable()
+        ids, X, gold = self.separable()
         # Both 0.3 and 0.6 achieve a perfect score on this fixture.
-        assert choose_threshold(vectors, gold, grid=[0.6, 0.3]) == 0.3
+        assert choose_threshold(ids, X, gold, grid=[0.6, 0.3]) == 0.3
 
     def test_singleton_grid(self):
-        vectors, gold = self.separable()
-        assert choose_threshold(vectors, gold, grid=[0.45]) == 0.45
+        ids, X, gold = self.separable()
+        assert choose_threshold(ids, X, gold, grid=[0.45]) == 0.45
 
     def test_empty_grid_rejected(self):
-        vectors, gold = self.separable()
+        ids, X, gold = self.separable()
         with pytest.raises(ConfigError):
-            choose_threshold(vectors, gold, grid=[])
+            choose_threshold(ids, X, gold, grid=[])
 
     def test_empty_gold_rejected(self):
-        vectors, _ = self.separable()
+        ids, X, _ = self.separable()
         with pytest.raises(ConfigError):
-            choose_threshold(vectors, GoldClustering(PhraseKind.NP, {}), grid=[0.5])
+            choose_threshold(ids, X, GoldClustering(PhraseKind.NP, {}), grid=[0.5])
 
     def test_missing_gold_rejected(self):
-        vectors, _ = self.separable()
+        ids, X, _ = self.separable()
         with pytest.raises(ConfigError):
-            choose_threshold(vectors, None, grid=[0.5])
+            choose_threshold(ids, X, None, grid=[0.5])
 
     def test_no_vectors_rejected(self):
         with pytest.raises(ConfigError):
-            choose_threshold({}, GoldClustering(PhraseKind.NP, {0: "a"}), grid=[0.5])
+            choose_threshold([], np.zeros((0, 2)), GoldClustering(PhraseKind.NP, {0: "a"}),
+                             grid=[0.5])
 
     def test_all_scores_undefined_returns_smallest(self):
         # Gold labels never intersect the clustered ids, so every grid
         # value scores 0 and the smallest wins.
-        vectors, _ = self.separable()
+        ids, X, _ = self.separable()
         gold = GoldClustering(PhraseKind.NP, {99: "x", 98: "y"})
-        assert choose_threshold(vectors, gold, grid=[0.7, 0.2, 0.4]) == 0.2
+        assert choose_threshold(ids, X, gold, grid=[0.7, 0.2, 0.4]) == 0.2
 
 
 # ---------------------------------------------------------------------------
@@ -371,39 +377,35 @@ class TestChooseThreshold:
 
 class TestSelectRepresentative:
     def test_singleton(self):
-        got = select_representative(
-            [7], {7: 3}, {7: np.array([1.0, 0.0])}, {7: "x"}
-        )
+        got = select_representative([7], np_vocab([3] * 8), np.ones((8, 2)))
         assert got == 7
 
     def test_frequency_weighted_mean_controls_choice(self):
-        vectors = {0: np.array([1.0, 0.0]), 1: np.array([0.0, 1.0])}
-        texts = {0: "zeb", 1: "yak"}
+        V = np.array([[1.0, 0.0], [0.0, 1.0]])
+        texts = ["zeb", "yak"]
         # mu = (0.75, 0.25): closest member is (1, 0).
-        assert select_representative([0, 1], {0: 3, 1: 1}, vectors, texts) == 0
+        assert select_representative([0, 1], np_vocab([3, 1], texts), V) == 0
         # Flipping the frequencies flips the winner.
-        assert select_representative([0, 1], {0: 1, 1: 3}, vectors, texts) == 1
+        assert select_representative([0, 1], np_vocab([1, 3], texts), V) == 1
 
     def test_identical_vectors_tie_breaks_on_text(self):
-        v = np.array([0.6, 0.8])
-        vectors = {0: v, 1: v.copy(), 2: v.copy()}
-        texts = {0: "zulu", 1: "alpha", 2: "mike"}
-        got = select_representative([0, 1, 2], {0: 1, 1: 1, 2: 1}, vectors, texts)
-        assert got == 1
+        V = np.tile([0.6, 0.8], (3, 1))
+        vocab = np_vocab([1, 1, 1], ["zulu", "alpha", "mike"])
+        assert select_representative([0, 1, 2], vocab, V) == 1
 
     def test_zero_member_vector_rejected(self):
-        vectors = {0: np.array([1.0, 0.0]), 1: np.array([0.0, 0.0])}
+        V = np.array([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(ZeroVectorError):
-            select_representative([0, 1], {0: 1, 1: 1}, vectors, {0: "a", 1: "b"})
+            select_representative([0, 1], np_vocab([1, 1]), V)
 
     def test_zero_mean_falls_back_to_text(self):
-        vectors = {0: np.array([1.0, 0.0]), 1: np.array([-1.0, 0.0])}
-        texts = {0: "bravo", 1: "alpha"}
-        assert select_representative([0, 1], {0: 1, 1: 1}, vectors, texts) == 1
+        V = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        texts = ["bravo", "alpha"]
+        assert select_representative([0, 1], np_vocab([1, 1], texts), V) == 1
 
     def test_empty_members_rejected(self):
         with pytest.raises(ValueError):
-            select_representative([], {}, {}, {})
+            select_representative([], (), np.zeros((0, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -424,12 +426,9 @@ class TestClusteringInvariants:
     def test_build_clustering_sorted_and_covering(self):
         rand = random.Random(15)
         X = random_points(rand, 8, 3, quantized=False)
-        vectors = vectors_from_rows(X)
-        freqs = {i: 1 + i % 3 for i in range(8)}
-        texts = {i: f"p{i}" for i in range(8)}
-        member_sets = hac_complete_linkage(vectors, 0.8)
+        member_sets = hac_complete_linkage(*ids_and_rows(X), 0.8)
         clustering = build_clustering(
-            member_sets, PhraseKind.NP, 0.8, freqs, vectors, texts
+            member_sets, PhraseKind.NP, 0.8, np_vocab([1 + i % 3 for i in range(8)]), X
         )
         assert clustering.member_sets() == member_sets
         mins = [min(c.members) for c in clustering.clusters]
@@ -441,32 +440,36 @@ class TestClusteringInvariants:
         assert clustering.n_elements == 8
 
     def test_cluster_phrases_uses_kb_vocab(self, toy_kb):
-        ids = [p.id for p in toy_kb.vocab(PhraseKind.NP)]
-        rng = np.random.default_rng(3)
-        vectors = {i: rng.normal(size=4) for i in ids}
-        clustering = cluster_phrases(toy_kb, PhraseKind.NP, vectors, 2.0)
+        n = toy_kb.n_nps
+        V = np.random.default_rng(3).normal(size=(n, 4))
+        clustering = cluster_phrases(toy_kb, PhraseKind.NP, V, 2.0)
         assert clustering.kind is PhraseKind.NP
-        assert clustering.n_elements == len(ids)
+        assert clustering.n_elements == n
         assert clustering.threshold_used == 2.0
 
     def test_cluster_phrases_tunes_on_gold_without_a_threshold(self, toy_kb):
-        ids = [p.id for p in toy_kb.vocab(PhraseKind.NP)]
-        rng = np.random.default_rng(4)
-        vectors = {i: rng.normal(size=4) for i in ids}
+        ids, V = ids_and_rows(np.random.default_rng(4).normal(size=(toy_kb.n_nps, 4)))
         gold = GoldClustering(PhraseKind.NP, {i: str(i % 3) for i in ids})
         grid = (0.2, 0.5, 0.9, 1.3)
-        clustering = cluster_phrases(toy_kb, PhraseKind.NP, vectors, None, gold, grid)
-        t = choose_threshold(vectors, gold, grid)
+        clustering = cluster_phrases(toy_kb, PhraseKind.NP, V, None, gold, grid)
+        t = choose_threshold(ids, V, gold, grid)
         assert clustering.threshold_used == t
-        assert clustering.member_sets() == hac_complete_linkage(vectors, t)
+        assert clustering.member_sets() == hac_complete_linkage(ids, V, t)
 
     def test_cluster_phrases_without_threshold_or_gold_rejected(self, toy_kb):
-        vectors = {p.id: np.ones(4) for p in toy_kb.vocab(PhraseKind.NP)}
+        V = np.ones((toy_kb.n_nps, 4))
         with pytest.raises(ConfigError):
-            cluster_phrases(toy_kb, PhraseKind.NP, vectors, None)
+            cluster_phrases(toy_kb, PhraseKind.NP, V, None)
         with pytest.raises(ConfigError):
-            cluster_phrases(toy_kb, PhraseKind.NP, vectors, None, None,
+            cluster_phrases(toy_kb, PhraseKind.NP, V, None, None,
                             DEFAULT_THRESHOLD_GRID)
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_cluster_phrases_needs_a_row_per_phrase(self, toy_kb, extra):
+        n = toy_kb.n_nps
+        V = np.ones((n + extra, 4))
+        with pytest.raises(ValueError, match=f"^{n + extra} vectors .* {n} NP phrases"):
+            cluster_phrases(toy_kb, PhraseKind.NP, V, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -477,10 +480,8 @@ class TestCanonicalizeKB:
     def clusterings_for(self, kb, np_groups, rel_groups):
         def build(kind, groups):
             vocab = kb.vocab(kind)
-            freqs = {p.id: p.frequency for p in vocab}
-            texts = {p.id: p.text for p in vocab}
-            vectors = {p.id: np.array([1.0, 0.0]) for p in vocab}
-            return build_clustering(groups, kind, 0.5, freqs, vectors, texts)
+            return build_clustering(groups, kind, 0.5, vocab,
+                                    np.tile([1.0, 0.0], (len(vocab), 1)))
 
         return build(PhraseKind.NP, np_groups), build(PhraseKind.REL, rel_groups)
 
@@ -564,19 +565,16 @@ class TestCanonicalizeKB:
 
 class TestSerialization:
     def test_save_clusters_bytes_deterministic(self, toy_kb, tmp_path):
-        ids = [p.id for p in toy_kb.vocab(PhraseKind.NP)]
-        rng = np.random.default_rng(4)
-        vectors = {i: rng.normal(size=4) for i in ids}
-        clustering = cluster_phrases(toy_kb, PhraseKind.NP, vectors, 1.0)
+        V = np.random.default_rng(4).normal(size=(toy_kb.n_nps, 4))
+        clustering = cluster_phrases(toy_kb, PhraseKind.NP, V, 1.0)
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         save_clusters(clustering, toy_kb, p1)
         save_clusters(clustering, toy_kb, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_save_clusters_record_shape(self, toy_kb, tmp_path):
-        ids = [p.id for p in toy_kb.vocab(PhraseKind.NP)]
-        vectors = {i: np.array([1.0, 0.0]) for i in ids}
-        clustering = cluster_phrases(toy_kb, PhraseKind.NP, vectors, 0.3)
+        V = np.tile([1.0, 0.0], (toy_kb.n_nps, 1))
+        clustering = cluster_phrases(toy_kb, PhraseKind.NP, V, 0.3)
         path = tmp_path / "clusters.jsonl"
         save_clusters(clustering, toy_kb, path)
         records = [json.loads(line) for line in path.read_text().splitlines()]
@@ -599,16 +597,10 @@ class TestSerialization:
     def test_save_canonicalized_round_trip(self, toy_kb, tmp_path):
         np_groups = [{p.id} for p in toy_kb.vocab(PhraseKind.NP)]
         rel_groups = [{p.id} for p in toy_kb.vocab(PhraseKind.REL)]
-        freqs_np = {p.id: p.frequency for p in toy_kb.vocab(PhraseKind.NP)}
-        texts_np = {p.id: p.text for p in toy_kb.vocab(PhraseKind.NP)}
-        vec = {p.id: np.array([1.0, 0.0]) for p in toy_kb.vocab(PhraseKind.NP)}
-        np_c = build_clustering(np_groups, PhraseKind.NP, 0.5, freqs_np, vec, texts_np)
-        freqs_r = {p.id: p.frequency for p in toy_kb.vocab(PhraseKind.REL)}
-        texts_r = {p.id: p.text for p in toy_kb.vocab(PhraseKind.REL)}
-        vec_r = {p.id: np.array([1.0, 0.0]) for p in toy_kb.vocab(PhraseKind.REL)}
-        rel_c = build_clustering(
-            rel_groups, PhraseKind.REL, 0.5, freqs_r, vec_r, texts_r
-        )
+        np_c = build_clustering(np_groups, PhraseKind.NP, 0.5, toy_kb.np_vocab,
+                                np.tile([1.0, 0.0], (toy_kb.n_nps, 1)))
+        rel_c = build_clustering(rel_groups, PhraseKind.REL, 0.5, toy_kb.rel_vocab,
+                                 np.tile([1.0, 0.0], (toy_kb.n_rels, 1)))
         result = canonicalize_kb(toy_kb, np_c, rel_c)
         path = tmp_path / "canonical.jsonl"
         save_canonicalized(result, path)

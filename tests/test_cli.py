@@ -17,6 +17,7 @@ import yaml
 from kbcanon.cli import main
 from kbcanon.embedding import load_embeddings
 from kbcanon.errors import ParseError
+from kbcanon.kb import load_triples
 from kbcanon.pipeline import load_config
 from kbcanon.side_info import load_side_info
 
@@ -275,7 +276,7 @@ class TestErrorHandling:
         data = emb_file.read_bytes()
         emb_file.write_bytes(data[: len(data) // 2])
         with pytest.raises(ParseError, match="embeddings.npz"):
-            load_embeddings(emb_file)
+            load_embeddings(emb_file, load_triples(run_dir / "kb.jsonl"))
         capsys.readouterr()
         rc = main(["cluster", "--config", str(config_path), "--out", str(run_dir)])
         assert rc == 2
@@ -289,7 +290,7 @@ class TestErrorHandling:
         side_file = run_dir / "side_info.json"
         side_file.write_text('{"np_sources": []}\n', encoding="utf-8")
         with pytest.raises(ParseError, match="side_info.json"):
-            load_side_info(side_file)
+            load_side_info(side_file, load_triples(run_dir / "kb.jsonl"))
         capsys.readouterr()
         rc = main(["embed", "--config", str(config_path), "--out", str(run_dir)])
         assert rc == 2
@@ -355,6 +356,25 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert "stage 'split' failed" in err
         assert "found 1" in err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("hyperparams", "epochs", "3"),
+        (None, "np_threshold", "0.4"),
+        (None, "threshold_grid", 0.4),
+        (None, "baselines", "morph"),
+    ])
+    def test_config_value_of_the_wrong_type_exits_2_naming_its_key(
+            self, tmp_path, capsys, section, key, value):
+        _, config_path = make_dataset(tmp_path, seed=17)
+        doc = yaml.safe_load(config_path.read_text())
+        (doc[section] if section else doc)[key] = value
+        config_path.write_text(yaml.safe_dump(doc))
+        capsys.readouterr()
+        rc = main(["pipeline", "--config", str(config_path), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        dotted = f"{section}.{key}" if section else key
+        assert capsys.readouterr().err.startswith(f"error: config key '{dotted}' must be")
+        assert not (tmp_path / "run").exists()
 
     def test_evaluate_missing_file_exits_3(self, tmp_path, capsys):
         rc = main(

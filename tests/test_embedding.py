@@ -28,7 +28,6 @@ from kbcanon.embedding import (
     save_embeddings,
     score_triple,
     train,
-    vocab_hash,
 )
 from kbcanon.side_info import EMPTY_SIDE_INFO, SideInfoCollection, make_pair_set
 
@@ -356,8 +355,8 @@ class TestPersistence:
         kb = small_kb()
         emb = random_embeddings(kb, 6, seed=12)
         path = tmp_path / "emb.npz"
-        save_embeddings(emb, path, seed=5, vocab=vocab_hash(kb))
-        loaded, meta = load_embeddings(path, expect_vocab_hash=vocab_hash(kb))
+        save_embeddings(emb, path, seed=5, kb=kb)
+        loaded, meta = load_embeddings(path, kb)
         assert np.array_equal(loaded.np_vectors, emb.np_vectors)
         assert np.array_equal(loaded.rel_vectors, emb.rel_vectors)
         assert meta["seed"] == 5
@@ -368,9 +367,9 @@ class TestPersistence:
         other = small_kb(salt=3)
         emb = random_embeddings(kb, 4, seed=13)
         path = tmp_path / "emb.npz"
-        save_embeddings(emb, path, seed=0, vocab=vocab_hash(kb))
+        save_embeddings(emb, path, seed=0, kb=kb)
         with pytest.raises(ConfigError):
-            load_embeddings(path, expect_vocab_hash=vocab_hash(other))
+            load_embeddings(path, other)
 
 
 class TestTrain:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -172,6 +173,13 @@ class TestAudit:
         with pytest.raises(InvariantViolation, match="duplicate triple ids"):
             audit(kb)
 
+    @pytest.mark.parametrize("field", ["np_vocab", "rel_vocab"])
+    def test_phrase_ids_must_be_vocabulary_positions(self, toy_kb, field):
+        vocab = getattr(toy_kb, field)
+        for bad in (vocab[1:] + vocab[:1], (vocab[0],) + vocab[:-1]):
+            with pytest.raises(InvariantViolation, match="at vocabulary position"):
+                audit(dataclasses.replace(toy_kb, **{field: bad}))
+
 
 class TestGold:
     def test_gold_from_triples_majority(self):
@@ -303,8 +311,7 @@ class TestGoldIsolation:
             side = assemble_side_info(kb, side_cfg)
             init = init_embeddings(kb, None, h.dim, default_init_rng(h.seed))
             emb = train(kb, side, h, init)
-            vectors = {p.id: emb.np_vectors[p.id] for p in kb.np_vocab}
-            clustering = cluster_phrases(kb, PhraseKind.NP, vectors, 0.4)
+            clustering = cluster_phrases(kb, PhraseKind.NP, emb.np_vectors, 0.4)
             pair_sets = {s.source_name: s.pairs for s in side.np_sources}
             outputs.append((pair_sets, emb.np_vectors, clustering.member_sets()))
         assert outputs[0][0] == outputs[1][0]

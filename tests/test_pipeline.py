@@ -116,6 +116,12 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match="hyperparams"):
             config_from_dict(doc)
 
+    def test_unknown_keys_of_mixed_types_named(self, synth_data):
+        doc = base_config_doc(synth_data)
+        doc.update({1: "a", "x": "b"})
+        with pytest.raises(ConfigError, match=r"in config: \[1, 'x'\]"):
+            config_from_dict(doc)
+
     def test_hyperparams_seed_not_settable(self, synth_data):
         # The master seed governs training; a nested seed would silently
         # shadow it, so it is rejected as unknown.
@@ -231,6 +237,52 @@ class TestConfigValidation:
         doc = base_config_doc(synth_data)
         doc["hyperparams"]["threads"] = 1
         doc["deterministic"] = True
+        config_from_dict(doc).validate()
+
+
+class TestConfigTypes:
+    """A value of the wrong type is a ConfigError naming its dotted key,
+    raised while the config is built, before any field is used."""
+
+    @staticmethod
+    def rejects(synth_data, section, key, value):
+        doc = base_config_doc(synth_data)
+        (doc.setdefault(section, {}) if section else doc)[key] = value
+        dotted = f"{section}.{key}" if section else key
+        with pytest.raises(ConfigError, match=f"^config key '{dotted}' must be"):
+            config_from_dict(doc)
+
+    def test_float_field_takes_an_int_but_not_a_bool(self, synth_data):
+        doc = base_config_doc(synth_data)
+        doc["np_threshold"] = 1
+        doc["side"]["idf_cutoff"] = 0
+        config_from_dict(doc).validate()
+        self.rejects(synth_data, None, "np_threshold", True)
+        self.rejects(synth_data, "side", "idf_cutoff", False)
+        self.rejects(synth_data, None, "np_threshold", "0.4")
+
+    def test_int_field_rejects_a_bool_and_a_float(self, synth_data):
+        self.rejects(synth_data, "hyperparams", "epochs", True)
+        self.rejects(synth_data, "hyperparams", "batch_size", 32.0)
+        self.rejects(synth_data, None, "seed", 1.5)
+        self.rejects(synth_data, "side", "amie_support_min", 2.0)
+
+    def test_tuple_field_needs_a_list_of_its_element_type(self, synth_data):
+        self.rejects(synth_data, None, "threshold_grid", 0.4)
+        self.rejects(synth_data, None, "threshold_grid", ["0.4"])
+        self.rejects(synth_data, None, "threshold_grid", [0.4, True])
+        self.rejects(synth_data, None, "baselines", "morph")
+        self.rejects(synth_data, None, "baselines", [1])
+        doc = base_config_doc(synth_data)
+        doc["threshold_grid"] = [1, 0.5]
+        assert config_from_dict(doc).threshold_grid == (1.0, 0.5)
+
+    @pytest.mark.parametrize("table", ["lambda_ent", "lambda_rel"])
+    def test_lambda_table_needs_a_mapping_of_str_to_number(self, synth_data, table):
+        for value in ([1.0], {"ppdb": "1"}, {"ppdb": True}, {1: 2.0}, "ppdb"):
+            self.rejects(synth_data, "hyperparams", table, value)
+        doc = base_config_doc(synth_data)
+        doc["hyperparams"][table] = {"ppdb": 2}
         config_from_dict(doc).validate()
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kbcanon.errors import ConfigError
-from kbcanon.kb import PhraseKind, build_kb, vocab_hash
+from kbcanon.kb import PhraseKind, build_kb
 from kbcanon.side_info import (
     NP_SOURCES,
     REL_SOURCES,
@@ -401,10 +401,10 @@ class TestAssembleSideInfo:
     def test_round_trip_and_determinism(self, tmp_path, synth_kb):
         side = assemble_side_info(synth_kb, SideInfoConfig())
         p1, p2 = tmp_path / "s1.json", tmp_path / "s2.json"
-        save_side_info(side, p1)
-        save_side_info(side, p2)
+        save_side_info(side, p1, synth_kb)
+        save_side_info(side, p2, synth_kb)
         assert p1.read_bytes() == p2.read_bytes()
-        loaded = load_side_info(p1)
+        loaded = load_side_info(p1, synth_kb)
         assert [s.source_name for s in loaded.np_sources] == \
             [s.source_name for s in side.np_sources]
         for a, b in zip(loaded.np_sources, side.np_sources):
@@ -412,8 +412,7 @@ class TestAssembleSideInfo:
 
     def test_load_refuses_side_info_of_another_vocabulary(self, tmp_path, synth_kb, toy_kb):
         path = tmp_path / "side_info.json"
-        save_side_info(assemble_side_info(synth_kb, SideInfoConfig()), path,
-                       vocab_hash(synth_kb))
+        save_side_info(assemble_side_info(synth_kb, SideInfoConfig()), path, synth_kb)
         assert load_side_info(path, synth_kb).np_sources
         with pytest.raises(ConfigError, match=f"^{path}: .*different vocabulary"):
             load_side_info(path, toy_kb)
