@@ -21,9 +21,8 @@ from .canonicalize import (
     DEFAULT_THRESHOLD_GRID,
     Cluster,
     Clustering,
-    best_cut,
     cluster_phrases,
-    hac_merge_history,
+    hac_merge_history,  # noqa: F401 -- bound here too, where the benchmark's tracer rebinds it
     tune_and_cut,
 )
 from .embedding import (
@@ -239,8 +238,8 @@ def tune_threshold_on_matrix(
     gold: GoldClustering,
     grid: Sequence[float] = DEFAULT_THRESHOLD_GRID,
 ) -> float:
-    """choose_threshold for a precomputed distance matrix."""
-    return best_cut(ids, hac_merge_history(D), gold, grid)
+    """The threshold `tune_and_cut` tunes on a precomputed distance matrix."""
+    return tune_and_cut(ids, D, None, gold, grid)[1]
 
 
 def _freq_clustering(kb: OpenKB, kind: PhraseKind, member_sets,

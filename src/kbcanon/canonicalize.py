@@ -2,30 +2,33 @@
 
 Complete-linkage hierarchical agglomerative clustering over cosine
 distance (1 - cosine similarity). One loop, ``hac_merge_history``, merges
-a distance matrix down to a single cluster with cached per-row nearest
-neighbours (the "generic" algorithm of Müllner 2011) and records every
-merge; ties break toward the pair with the lexicographically smallest
-(minimum member id, minimum member id). Complete linkage has monotone
-merge distances, so cutting that history at a threshold gives the same
-partition as stopping the merges there: clustering at a threshold is one
-cut, threshold selection cuts one history at every grid value, and a tuned
-clustering (`tune_and_cut`) picks its threshold from that history and cuts
-it there.
+a distance matrix with cached per-row nearest neighbours (the "generic"
+algorithm of Müllner 2011) and records every merge, up to the highest
+threshold its caller reads; ties break toward the pair with the
+lexicographically smallest (minimum member id, minimum member id).
+Complete linkage has monotone merge distances, so cutting that history at
+a threshold gives the same partition as stopping the merges there:
+clustering at a threshold is one cut, threshold selection (`best_cut`)
+replays one history once and scores every grid value on the way, and a
+tuned clustering (`tune_and_cut`) picks its threshold from that history
+and cuts it there.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+from collections import Counter
 from dataclasses import dataclass
+from math import comb
 from pathlib import Path
-from typing import Collection, Iterable, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InvariantViolation, MetricsUndefinedError, ZeroVectorError
+from .errors import ConfigError, InvariantViolation, ZeroVectorError
 from .kb import GoldClustering, OpenKB, Phrase, PhraseKind, triple_record
-from .metrics import evaluate
+from .metrics import table_report
 from .side_info import DisjointSet
 
 logger = logging.getLogger(__name__)
@@ -110,10 +113,12 @@ def cosine_distance_matrix(X: np.ndarray, labels: Sequence | None = None) -> np.
 # row caches nn = -1 and nd = inf, so it never matches again.
 
 
-def hac_merge_history(D: np.ndarray) -> list[tuple[float, int, int]]:
-    """Agglomerate to a single cluster, recording (distance, i, j) per
-    merge with i < j as matrix positions. Complete linkage makes the
-    recorded distances non-decreasing. D is read, never modified; only its
+def hac_merge_history(D: np.ndarray, upto: float = np.inf) -> list[tuple[float, int, int]]:
+    """Agglomerate until the next merge is farther than ``upto`` (by
+    default, to a single cluster), recording (distance, i, j) per merge
+    with i < j as matrix positions. Complete linkage makes the recorded
+    distances non-decreasing, so the result is the full history's prefix
+    of merges at distance <= upto. D is read, never modified; only its
     upper triangle is used, and it must be square and finite."""
     n = D.shape[0]
     if D.shape != (n, n):
@@ -129,6 +134,8 @@ def hac_merge_history(D: np.ndarray) -> list[tuple[float, int, int]]:
     history: list[tuple[float, int, int]] = []
     for _ in range(n - 1):
         i = int(nd.argmin())
+        if nd[i] > upto:
+            break
         j = int(nn[i])
         history.append((float(nd[i]), i, j))
         new = np.maximum(M[i], M[j])
@@ -176,14 +183,16 @@ def tune_and_cut(
     ids: Sequence[int], D: np.ndarray, threshold: float | None,
     validation_gold: GoldClustering | None, grid: Sequence[float],
 ) -> tuple[list[frozenset[int]], float]:
-    """(partition, threshold): one merge history over D, cut at
-    ``threshold`` or, when that is None, at the grid value `best_cut`
-    tunes on the validation gold. ``ids`` label D's rows and must be
-    sorted ascending so the tie-break is id-based."""
+    """(partition, threshold): one merge history over D, up to the
+    highest threshold read, cut at ``threshold`` or, when that is None, at
+    the grid value `best_cut` tunes on the validation gold. ``ids`` label
+    D's rows and must be sorted ascending so the tie-break is id-based."""
     _check_ids(ids, D)
-    history = hac_merge_history(D)
     if threshold is None:
-        threshold = best_cut(ids, history, validation_gold, grid)
+        history = hac_merge_history(D, _tuning_bound(validation_gold, grid))
+        threshold = best_cut(ids, history, validation_gold, grid)[0]
+    else:
+        history = hac_merge_history(D, threshold)
     return cut_history(ids, history, threshold), threshold
 
 
@@ -204,38 +213,117 @@ def choose_threshold(
     X: np.ndarray,
     validation_gold: GoldClustering,
     grid: Sequence[float] = DEFAULT_THRESHOLD_GRID,
-) -> float:
-    """Pick the grid threshold maximizing the mean of macro, micro, and
-    pairwise F1 on the validation phrases, the rows of X labelled by the
-    ascending ``ids``; ties go to the smallest value. Clusterings whose
-    scores are undefined count as 0."""
+) -> tuple[float, list[float]]:
+    """`best_cut` of the merge history of the rows of X, labelled by the
+    ascending ``ids``: the grid threshold maximizing the mean of macro,
+    micro, and pairwise F1 on the validation phrases (ties go to the
+    smallest value), and that score at each grid value."""
     if not ids:
         raise ConfigError("no vectors to cluster")
+    upto = _tuning_bound(validation_gold, grid)
     D = cosine_distance_matrix(X, labels=ids)
     _check_ids(ids, D)
-    return best_cut(ids, hac_merge_history(D), validation_gold, grid)
+    return best_cut(ids, hac_merge_history(D, upto), validation_gold, grid)
 
 
-def best_cut(ids: Sequence[int], history: Sequence[tuple[float, int, int]],
-             validation_gold: GoldClustering, grid: Sequence[float]) -> float:
-    """The grid value whose cut of the merge history has the highest
-    validation mean F1, ties to the smallest value; undefined scores count
-    as 0. A missing or empty gold, or an empty grid, is a ConfigError."""
+def _tuning_bound(validation_gold: GoldClustering | None, grid: Sequence[float]) -> float:
+    """The highest grid value, the last threshold a tuned cut reads. A
+    missing or empty gold, or an empty grid, is a ConfigError."""
     if not validation_gold:
         raise ConfigError("validation gold is missing or empty")
     if not grid:
         raise ConfigError("threshold grid is empty")
-    best_t, best_score = None, -1.0
-    for t in sorted(grid):
-        clusters = cut_history(ids, history, t)
-        try:
-            score = evaluate(clusters, validation_gold.assignment).mean_f1()
-        except MetricsUndefinedError:
-            score = 0.0
-        if score > best_score:
-            best_t, best_score = t, score
-    logger.info("chose threshold %s (validation mean F1 %.4f)", best_t, best_score)
-    return float(best_t)
+    return max(grid)
+
+
+def best_cut(ids: Sequence[int], history: Sequence[tuple[float, int, int]],
+             validation_gold: GoldClustering,
+             grid: Sequence[float]) -> tuple[float, list[float]]:
+    """(threshold, scores): the grid value whose cut of the merge history
+    has the highest validation mean F1, ties to the smallest value, and the
+    mean F1 at each grid value in grid order; undefined scores count as 0,
+    as does every score when no id has a gold label. A missing or empty
+    gold, or an empty grid, is a ConfigError."""
+    _tuning_bound(validation_gold, grid)
+    ascending = sorted(grid)
+    scores = dict(zip(ascending, _cut_scores(ids, history, validation_gold.assignment,
+                                             ascending)))
+    best_t = max(ascending, key=scores.__getitem__)
+    logger.info("chose threshold %s (validation mean F1 %.4f)", best_t, scores[best_t])
+    return float(best_t), [scores[t] for t in grid]
+
+
+def _cut_scores(ids: Sequence[int], history: Sequence[tuple[float, int, int]],
+                gold: Mapping[int, str], thresholds: Sequence[float]) -> list[float]:
+    """``evaluate(cut_history(ids, history, t), gold).mean_f1()`` at each
+    of the ascending ``thresholds``, from one replay of the history.
+
+    A union-find over positions keeps, at each root, the cluster's row of
+    the contingency table: the count of each gold label among its labelled
+    members. A merge folds the smaller row into the larger and updates the
+    integers `table_report` reads, so each score equals `evaluate`'s bit
+    for bit."""
+    labels = [gold.get(pid) for pid in ids]
+    totals = Counter(label for label in labels if label is not None)
+    n = sum(totals.values())
+    if not n:
+        return [0.0] * len(thresholds)
+    # Every labelled element starts as a row of its own: one cell of 1.
+    row = [Counter() if label is None else Counter((label,)) for label in labels]
+    size = [int(label is not None) for label in labels]
+    top = size[:]
+    parent = list(range(len(ids)))
+    in_rows = Counter(totals)  # per label, the rows holding it
+    label_top = dict.fromkeys(totals, 1)  # per label, its largest cell
+    rows = pure_rows = row_max = n
+    solo_labels = sum(c == 1 for c in totals.values())
+    label_max = len(totals)
+    hits = row_pairs = 0
+    label_pairs = sum(comb(c, 2) for c in totals.values())
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    scores = []
+    k = 0
+    for t in thresholds:
+        while k < len(history) and history[k][0] <= t:
+            a, b = find(history[k][1]), find(history[k][2])
+            k += 1
+            if a == b:
+                continue
+            if len(row[a]) < len(row[b]):
+                a, b = b, a
+            parent[b] = a
+            A, B = row[a], row[b]
+            row[b] = None
+            if not B:
+                continue
+            rows -= 1
+            pure_rows -= (len(A) == 1) + (len(B) == 1)
+            row_pairs += size[a] * size[b]
+            row_max -= top[a] + top[b]
+            for label, m in B.items():
+                c = A[label]
+                if c:
+                    hits += c * m
+                    in_rows[label] -= 1
+                    solo_labels += in_rows[label] == 1
+                    if c + m > label_top[label]:
+                        label_max += c + m - label_top[label]
+                        label_top[label] = c + m
+                A[label] = c + m
+                top[a] = max(top[a], c + m)
+            size[a] += size[b]
+            row_max += top[a]
+            pure_rows += len(A) == 1
+        scores.append(table_report(
+            n=n, rows=rows, pure_rows=pure_rows, labels=len(totals),
+            solo_labels=solo_labels, row_max=row_max, label_max=label_max, hits=hits,
+            row_pairs=row_pairs, label_pairs=label_pairs).mean_f1())
+    return scores
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, ParseError, TrainingDivergedError
-from .kb import OpenKB, PhraseKind, Triple, vocab_hash
+from .kb import OpenKB, PhraseKind, Triple, atomic_open, vocab_hash
 from .side_info import SideInfoCollection, tokenize
 
 logger = logging.getLogger(__name__)
@@ -464,12 +464,15 @@ def init_embeddings(
 
 def save_embeddings(emb: EmbeddingSet, path, seed: int, kb: OpenKB) -> None:
     meta = {"version": 1, "dim": emb.dim, "seed": seed, "vocab_hash": vocab_hash(kb)}
-    np.savez_compressed(
-        path,
-        np_vectors=emb.np_vectors,
-        rel_vectors=emb.rel_vectors,
-        meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8),
-    )
+    # through a handle, so numpy writes the temporary file and adds no suffix
+    with atomic_open(path, "wb") as fh:
+        np.savez_compressed(
+            fh,
+            np_vectors=emb.np_vectors,
+            rel_vectors=emb.rel_vectors,
+            meta=np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"),
+                               dtype=np.uint8),
+        )
 
 
 def load_embeddings(path, kb: OpenKB) -> tuple[EmbeddingSet, dict]:

@@ -13,9 +13,11 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import random
 import re
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -288,8 +290,24 @@ def triple_record(kb: OpenKB, t: Triple) -> dict:
     return rec
 
 
+@contextmanager
+def atomic_open(path, mode: str = "w"):
+    """A file opened for writing at a temporary name beside ``path``; it
+    replaces ``path`` when the block exits cleanly, and is removed when
+    the block raises, which leaves ``path`` as it was."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open(mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_triples(kb: OpenKB, path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for t in kb.triples:
             fh.write(json.dumps(triple_record(kb, t), sort_keys=True) + "\n")
 

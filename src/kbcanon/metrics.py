@@ -86,20 +86,37 @@ def evaluate(
     for row in rows:
         for label, count in row.items():
             columns[label].append(count)
-    macro_p = sum(len(row) == 1 for row in rows) / len(rows)
-    macro_r = sum(len(col) == 1 for col in columns.values()) / len(columns)
-    micro_p = sum(max(row.values()) for row in rows) / n
-    micro_r = sum(max(col) for col in columns.values()) / n
-    hits = sum(comb(count, 2) for row in rows for count in row.values())
-    c_pairs = sum(comb(len(c), 2) for c in C)
-    e_pairs = sum(comb(sum(col), 2) for col in columns.values())
-    pair_p = hits / c_pairs if c_pairs else None
-    pair_r = hits / e_pairs if e_pairs else None
+    return table_report(
+        n=n, rows=len(rows), pure_rows=sum(len(row) == 1 for row in rows),
+        labels=len(columns), solo_labels=sum(len(col) == 1 for col in columns.values()),
+        row_max=sum(max(row.values()) for row in rows),
+        label_max=sum(max(col) for col in columns.values()),
+        hits=sum(comb(count, 2) for row in rows for count in row.values()),
+        row_pairs=sum(comb(len(c), 2) for c in C),
+        label_pairs=sum(comb(sum(col), 2) for col in columns.values()),
+    )
+
+
+def table_report(*, n: int, rows: int, pure_rows: int, labels: int, solo_labels: int,
+                 row_max: int, label_max: int, hits: int, row_pairs: int,
+                 label_pairs: int) -> MetricsReport:
+    """The nine scores of a contingency table of ``n`` elements in ``rows``
+    predicted clusters and ``labels`` gold labels (n > 0), as ratios of its
+    integers: ``pure_rows`` rows hold one label, ``solo_labels`` labels sit
+    in one row, ``row_max`` and ``label_max`` sum each row's and each
+    label's largest cell, ``hits`` sums C(cell, 2), and ``row_pairs`` and
+    ``label_pairs`` sum C(total, 2) over the rows and over the labels."""
+    macro_p = pure_rows / rows
+    macro_r = solo_labels / labels
+    micro_p = row_max / n
+    micro_r = label_max / n
+    pair_p = hits / row_pairs if row_pairs else None
+    pair_r = hits / label_pairs if label_pairs else None
     return MetricsReport(
         macro_p=macro_p, macro_r=macro_r, macro_f1=harmonic_mean(macro_p, macro_r),
         micro_p=micro_p, micro_r=micro_r, micro_f1=harmonic_mean(micro_p, micro_r),
         pair_p=pair_p, pair_r=pair_r, pair_f1=harmonic_mean(pair_p, pair_r),
-        n_clusters=len(C), n_gold=len(columns), n_elements=n,
+        n_clusters=rows, n_gold=labels, n_elements=n,
     )
 
 

@@ -348,22 +348,27 @@ def select_thresholds(
 ) -> tuple[float, float, dict]:
     """NP and REL cutoffs. Fixed config values win; otherwise tune on the
     validation triples' phrases. Without relation gold the relation
-    threshold falls back to the NP threshold."""
+    threshold falls back to the NP threshold. The detail records, per
+    kind, the threshold, its source and the validation mean F1 at each
+    grid value (None unless tuned)."""
     detail: dict = {"grid": list(config.threshold_grid)}
     for kind, gold, fixed in ((PhraseKind.NP, split.np_gold, config.np_threshold),
                               (PhraseKind.REL, split.rel_gold, config.rel_threshold)):
         key = kind.value.lower()
         val_ids = phrase_ids(split.validation, kind)
         val_gold = gold.restricted_to(val_ids) if gold is not None else None
+        scores = None
         if fixed is not None:
             t, source = fixed, "config"
         elif kind is PhraseKind.NP or (val_gold is not None and val_gold.assignment):
             ids = sorted(val_ids)
-            t = choose_threshold(ids, emb.vectors(kind)[ids], val_gold, config.threshold_grid)
+            t, scores = choose_threshold(ids, emb.vectors(kind)[ids], val_gold,
+                                         config.threshold_grid)
             source = "validation"
         else:
             t, source = detail["np_threshold"], "np_threshold"
         detail[f"{key}_threshold"], detail[f"{key}_source"] = t, source
+        detail[f"{key}_scores"] = scores
     return detail["np_threshold"], detail["rel_threshold"], detail
 
 

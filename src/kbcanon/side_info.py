@@ -21,7 +21,14 @@ from pathlib import Path
 from typing import Hashable, Iterable, Mapping
 
 from .errors import ConfigError, ParseError
-from .kb import OpenKB, PhraseKind, majority_labels, normalize_whitespace, vocab_hash
+from .kb import (
+    OpenKB,
+    PhraseKind,
+    atomic_open,
+    majority_labels,
+    normalize_whitespace,
+    vocab_hash,
+)
 from .stopwords import STOPWORDS
 
 logger = logging.getLogger(__name__)
@@ -577,7 +584,7 @@ def save_side_info(collection: SideInfoCollection, path, kb: OpenKB) -> None:
                              ("rel_sources", collection.rel_sources))
     }
     payload["vocab_hash"] = vocab_hash(kb)
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
         fh.write("\n")
 

@@ -471,9 +471,9 @@ class TestSimilarityBaselines:
         sizes = []
         original = kbcanon.canonicalize.hac_merge_history
 
-        def counting(D):
+        def counting(D, upto=np.inf):
             sizes.append(D.shape[0])
-            return original(D)
+            return original(D, upto)
 
         for module in (kbcanon.canonicalize, kbcanon.baselines):
             monkeypatch.setattr(module, "hac_merge_history", counting)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 
@@ -10,11 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kbcanon.canonicalize
 from kbcanon.canonicalize import (
     DEFAULT_THRESHOLD_GRID,
     CanonicalizedKB,
     Cluster,
     Clustering,
+    best_cut,
     build_clustering,
     canonicalize_kb,
     choose_threshold,
@@ -27,15 +30,22 @@ from kbcanon.canonicalize import (
     save_canonicalized,
     save_clusters,
     select_representative,
+    tune_and_cut,
 )
 from kbcanon.errors import (
     ConfigError,
     InvariantViolation,
+    MetricsUndefinedError,
     ZeroVectorError,
 )
 from kbcanon.kb import GoldClustering, Phrase, PhraseKind
 
-from .reference import naive_complete_linkage, random_points, reference_merge_history
+from .reference import (
+    naive_complete_linkage,
+    random_points,
+    reference_evaluate,
+    reference_merge_history,
+)
 
 
 def ids_and_rows(X) -> tuple[list[int], np.ndarray]:
@@ -236,6 +246,26 @@ class TestMergeHistory:
         for D in matrices:
             assert hac_merge_history(D) == reference_merge_history(D), D.shape
 
+    def test_upto_stops_at_the_reference_prefix(self):
+        # Checked at every distinct height (ties at exactly `upto` are
+        # merged), between heights, and at both ends of the distance range.
+        rand = random.Random(17)
+        rng = np.random.default_rng(17)
+        matrices = [np.zeros((4, 4)), np.full((5, 5), 0.7)]
+        for k in range(16):
+            n = rand.randint(2, 60)
+            X = random_points(rand, n, rand.randint(2, 6), quantized=bool(k % 2))
+            matrices.append(cosine_distance_matrix(X))
+        matrices += [tie_heavy_matrix(rng, rand.randint(2, 60)) for _ in range(8)]
+        for D in matrices:
+            full = reference_merge_history(D)
+            heights = sorted({d for d, _, _ in full})
+            between = [(a + b) / 2 for a, b in zip(heights, heights[1:])]
+            for upto in heights + between + [0.0, 2.0]:
+                prefix = list(itertools.takewhile(lambda m: m[0] <= upto, full))
+                assert hac_merge_history(D, upto) == prefix, (D.shape, upto)
+        assert len(hac_merge_history(np.zeros((4, 4)), 0.0)) == 3
+
     def test_leaves_input_unmodified(self):
         X = random_points(random.Random(16), 30, 4, quantized=True)
         D = cosine_distance_matrix(X)
@@ -330,18 +360,18 @@ class TestChooseThreshold:
 
     def test_perfect_threshold_found(self):
         ids, X, gold = self.separable()
-        t = choose_threshold(ids, X, gold, grid=DEFAULT_THRESHOLD_GRID)
+        t, _ = choose_threshold(ids, X, gold, grid=DEFAULT_THRESHOLD_GRID)
         clusters = hac_complete_linkage(ids, X, t)
         assert clusters == [frozenset({0, 1, 2}), frozenset({3, 4})]
 
     def test_tie_goes_to_smallest(self):
         ids, X, gold = self.separable()
         # Both 0.3 and 0.6 achieve a perfect score on this fixture.
-        assert choose_threshold(ids, X, gold, grid=[0.6, 0.3]) == 0.3
+        assert choose_threshold(ids, X, gold, grid=[0.6, 0.3])[0] == 0.3
 
     def test_singleton_grid(self):
         ids, X, gold = self.separable()
-        assert choose_threshold(ids, X, gold, grid=[0.45]) == 0.45
+        assert choose_threshold(ids, X, gold, grid=[0.45])[0] == 0.45
 
     def test_empty_grid_rejected(self):
         ids, X, gold = self.separable()
@@ -363,12 +393,63 @@ class TestChooseThreshold:
             choose_threshold([], np.zeros((0, 2)), GoldClustering(PhraseKind.NP, {0: "a"}),
                              grid=[0.5])
 
+    @pytest.mark.parametrize("gold", [None, GoldClustering(PhraseKind.NP, {0: "a"})])
+    def test_bad_gold_or_grid_rejected_before_any_history(self, gold, monkeypatch):
+        def no_history(D, upto=np.inf):
+            raise AssertionError("a merge history was built")
+
+        monkeypatch.setattr(kbcanon.canonicalize, "hac_merge_history", no_history)
+        ids, X, _ = self.separable()
+        grid = [] if gold else [0.5]
+        with pytest.raises(ConfigError):
+            choose_threshold(ids, X, gold, grid=grid)
+        with pytest.raises(ConfigError):
+            tune_and_cut(ids, cosine_distance_matrix(X), None, gold, grid)
+
     def test_all_scores_undefined_returns_smallest(self):
         # Gold labels never intersect the clustered ids, so every grid
         # value scores 0 and the smallest wins.
         ids, X, _ = self.separable()
         gold = GoldClustering(PhraseKind.NP, {99: "x", 98: "y"})
-        assert choose_threshold(ids, X, gold, grid=[0.7, 0.2, 0.4]) == 0.2
+        assert choose_threshold(ids, X, gold, grid=[0.7, 0.2, 0.4])[0] == 0.2
+
+
+class TestBestCutReplay:
+    """`best_cut` scores every grid value from one replay of the history;
+    each score must be the bits `evaluate` gives the cut there."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=24),
+        st.integers(min_value=0, max_value=4),
+        st.booleans(),
+        st.randoms(use_true_random=False),
+    )
+    def test_scores_equal_evaluating_each_cut(self, n, n_labels, quantized, rand):
+        X = random_points(rand, n, 3, quantized=quantized)
+        ids = sorted(rand.sample(range(3 * n), n))
+        # Some ids unlabelled, and labels for elements outside ids; with
+        # n_labels 0, no id is labelled at all.
+        gold = {pid: f"g{rand.randrange(n_labels)}" for pid in ids
+                if n_labels and rand.random() < 0.8}
+        gold.update({-1 - k: f"g{k}" for k in range(3)})
+        history = hac_merge_history(cosine_distance_matrix(X))
+        grid = [d for d, _, _ in history] + [rand.uniform(0, 2) for _ in range(3)]
+        grid += [0.0, 2.0, rand.choice(grid)]
+        rand.shuffle(grid)
+        t, scores = best_cut(ids, history, GoldClustering(PhraseKind.NP, gold), grid)
+        expected = []
+        for g in grid:
+            try:
+                expected.append(reference_evaluate(cut_history(ids, history, g),
+                                                   gold).mean_f1())
+            except MetricsUndefinedError:
+                expected.append(0.0)
+        assert list(map(float.hex, scores)) == list(map(float.hex, expected))
+        best = max(expected)
+        assert t == min(g for g, score in zip(grid, expected) if score == best)
+        if not set(ids) & gold.keys():
+            assert set(scores) == {0.0} and t == min(grid)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +533,7 @@ class TestClusteringInvariants:
         gold = GoldClustering(PhraseKind.NP, {i: str(i % 3) for i in ids})
         grid = (0.2, 0.5, 0.9, 1.3)
         clustering = cluster_phrases(toy_kb, PhraseKind.NP, V, None, gold, grid)
-        t = choose_threshold(ids, V, gold, grid)
+        t, _ = choose_threshold(ids, V, gold, grid)
         assert clustering.threshold_used == t
         assert clustering.member_sets() == hac_complete_linkage(ids, V, t)
 

@@ -3,17 +3,32 @@
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
-from kbcanon.embedding import HyperParams, default_init_rng, init_embeddings, train
-from kbcanon.errors import ConfigError, StageError
+import kbcanon.canonicalize
+import kbcanon.kb
+import kbcanon.metrics
+import kbcanon.side_info
+from kbcanon.canonicalize import cosine_distance_matrix, cut_history, hac_merge_history
+from kbcanon.embedding import (
+    EmbeddingSet,
+    HyperParams,
+    default_init_rng,
+    init_embeddings,
+    save_embeddings,
+    train,
+)
+from kbcanon.errors import ConfigError, MetricsUndefinedError, StageError
 from kbcanon.kb import (
     PhraseKind,
     gold_from_triples,
     load_triples,
+    save_triples,
     split_validation,
 )
 from kbcanon.metrics import evaluate
@@ -31,7 +46,7 @@ from kbcanon.pipeline import (
     run_pipeline,
     select_thresholds,
 )
-from kbcanon.side_info import EMPTY_SIDE_INFO
+from kbcanon.side_info import EMPTY_SIDE_INFO, save_side_info
 
 SMALL_HP = {
     "dim": 16,
@@ -322,6 +337,33 @@ class TestSelectThresholds:
         assert rel_t == np_t
         assert np_t in config.threshold_grid
 
+    def test_tuned_scores_recorded_at_every_grid_value(self, synth_data, trained):
+        split, emb = trained
+        doc = base_config_doc(synth_data)
+        doc["threshold_grid"] = [0.6, 0.1, 0.35, 0.05, 1.2]
+        config = config_from_dict(doc)
+        np_t, _, detail = select_thresholds(emb, split, config)
+        ids = sorted(phrase_ids(split.validation, PhraseKind.NP))
+        gold = split.np_gold.restricted_to(ids).assignment
+        history = hac_merge_history(cosine_distance_matrix(emb.np_vectors[ids]))
+        expected = []
+        for t in config.threshold_grid:
+            try:
+                expected.append(evaluate(cut_history(ids, history, t), gold).mean_f1())
+            except MetricsUndefinedError:
+                expected.append(0.0)
+        assert detail["np_scores"] == expected
+        assert detail["np_scores"][config.threshold_grid.index(np_t)] == max(expected)
+        # the relation threshold falls back to the NP one: no scores
+        assert detail["rel_scores"] is None
+
+    def test_fixed_thresholds_have_no_scores(self, synth_data, trained):
+        split, emb = trained
+        doc = base_config_doc(synth_data)
+        doc["np_threshold"] = doc["rel_threshold"] = 0.35
+        _, _, detail = select_thresholds(emb, split, config_from_dict(doc))
+        assert detail["np_scores"] is None and detail["rel_scores"] is None
+
 
 # ---------------------------------------------------------------------------
 # full pipeline
@@ -388,6 +430,14 @@ class TestRunPipeline:
         assert detail["rel_source"] == "validation"
         assert 0.0 <= detail["np_threshold"] <= 2.0
 
+    def test_tuned_thresholds_record_the_validation_curve(self, pipeline_run):
+        _, out = pipeline_run
+        detail = json.loads((out / "thresholds.json").read_text())
+        for key in ("np", "rel"):
+            scores = detail[f"{key}_scores"]
+            assert len(scores) == len(detail["grid"])
+            assert scores[detail["grid"].index(detail[f"{key}_threshold"])] == max(scores)
+
     def test_cluster_files_parse_and_cover_vocab(self, pipeline_run, synth_data):
         _, out = pipeline_run
         kb = load_triples(synth_data["triples"])
@@ -428,6 +478,88 @@ class TestRunPipeline:
         first = (run_pipeline(config, out_dir=out) / "manifest.json").read_bytes()
         second = (run_pipeline(config, out_dir=out) / "manifest.json").read_bytes()
         assert first == second
+
+
+def spy(monkeypatch, module, name: str) -> list:
+    """The argument tuples of every call to ``module.name``, through every
+    kbcanon module that binds it."""
+    calls = []
+    original = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("kbcanon") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, recording)
+    return calls
+
+
+class TestScoringWork:
+    def test_one_evaluate_per_scored_clustering_and_one_cut_per_clustering(
+        self, synth_data, tmp_path, monkeypatch
+    ):
+        # Tuning scores every grid value from one replay of the history, so
+        # only the test-split reports (the system's NP and REL clusterings
+        # and one per baseline) call evaluate, and only the clusterings
+        # themselves cut a history.
+        evaluations = spy(monkeypatch, kbcanon.metrics, "evaluate")
+        cuts = spy(monkeypatch, kbcanon.canonicalize, "cut_history")
+        doc = base_config_doc(synth_data)
+        doc["baselines"] = ["strsim_hac", "idf_hac"]
+        out = run_pipeline(config_from_dict(doc), out_dir=tmp_path)
+        metrics = json.loads((out / "metrics.json").read_text())
+        assert metrics["np"] is not None and metrics["rel"] is not None
+        assert len(evaluations) == 4
+        assert len(cuts) == 4
+
+
+class TestAtomicArtifacts:
+    """A writer that fails midway leaves the previous file as it was and
+    no temporary file beside it."""
+
+    @staticmethod
+    def rewrite_fails(path: Path, write, error) -> None:
+        before = path.read_bytes()
+        with pytest.raises(error):
+            write()
+        assert path.read_bytes() == before
+        assert [p.name for p in path.parent.iterdir()] == [path.name]
+
+    def test_kb_jsonl(self, toy_kb, tmp_path, monkeypatch):
+        path = tmp_path / "kb.jsonl"
+        save_triples(toy_kb, path)
+        record = kbcanon.kb.triple_record
+
+        def third_fails(kb, t):
+            if t is kb.triples[2]:
+                raise OSError("disk full")
+            return record(kb, t)
+
+        monkeypatch.setattr(kbcanon.kb, "triple_record", third_fails)
+        self.rewrite_fails(path, lambda: save_triples(toy_kb, path), OSError)
+
+    def test_side_info_json(self, synth_kb, tmp_path, monkeypatch):
+        path = tmp_path / "side_info.json"
+        side = kbcanon.side_info.assemble_side_info(synth_kb,
+                                                     kbcanon.side_info.SideInfoConfig())
+        save_side_info(side, path, synth_kb)
+        # json.dump writes the pair lists before it reaches the hash
+        monkeypatch.setattr(kbcanon.side_info, "vocab_hash", lambda kb: object())
+        self.rewrite_fails(path, lambda: save_side_info(side, path, synth_kb), TypeError)
+
+    def test_embeddings_npz(self, toy_kb, tmp_path):
+        class Unreadable:
+            def __array__(self, *args, **kwargs):
+                raise OSError("disk full")
+
+        path = tmp_path / "embeddings.npz"
+        emb = EmbeddingSet(np.ones((toy_kb.n_nps, 2)), np.ones((toy_kb.n_rels, 2)), 2)
+        save_embeddings(emb, path, 0, toy_kb)
+        # np_vectors is in the archive by the time rel_vectors is read
+        object.__setattr__(emb, "rel_vectors", Unreadable())
+        self.rewrite_fails(path, lambda: save_embeddings(emb, path, 0, toy_kb), OSError)
 
 
 class TestPipelineFailures:
@@ -523,9 +655,9 @@ class TestGridSearch:
         sizes = []
         original = canonicalize_module.hac_merge_history
 
-        def counting(D):
+        def counting(D, upto=float("inf")):
             sizes.append(D.shape[0])
-            return original(D)
+            return original(D, upto)
 
         monkeypatch.setattr(canonicalize_module, "hac_merge_history", counting)
         config = config_from_dict(base_config_doc(synth_data))
