@@ -28,10 +28,10 @@ from .canonicalize import (
 from .embedding import (
     EmbeddingSet,
     HyperParams,
+    WordVectors,
     average_word_vectors,
     default_init_rng,
     init_embeddings,
-    load_word_vectors,
     train,
 )
 from .errors import ConfigError
@@ -75,6 +75,8 @@ _HAC_METHODS = {
     BaselineName.HOLE_RANDOM,
     BaselineName.HOLE_PRETRAINED,
 }
+# methods that read the word-vector table
+VECTOR_BASELINES = {BaselineName.WORDVEC_AVG, BaselineName.HOLE_PRETRAINED}
 _NP_ONLY = {BaselineName.ENTLINK, BaselineName.IDF_HAC, BaselineName.ATTR_HAC}
 
 
@@ -225,10 +227,11 @@ def _overlap_distance_matrix(features: Sequence, similarity) -> np.ndarray:
 # shared helpers
 
 
-def train_structure_only(kb: OpenKB, h: HyperParams, vectors_file=None) -> EmbeddingSet:
+def train_structure_only(kb: OpenKB, h: HyperParams,
+                         word_vectors: WordVectors | None = None) -> EmbeddingSet:
     """Ranking-loss-only training: the embedding trainer with an empty
     side-information collection (all side penalties vanish)."""
-    init = init_embeddings(kb, vectors_file, h.dim, default_init_rng(h.seed))
+    init = init_embeddings(kb, word_vectors, h.dim, default_init_rng(h.seed))
     return train(kb, EMPTY_SIDE_INFO, h, init)
 
 
@@ -273,19 +276,21 @@ def run_baseline(
     kb: OpenKB,
     *,
     ppdb_file=None,
-    vectors_file=None,
+    word_vectors: WordVectors | None = None,
     validation_gold: GoldClustering | None = None,
     grid: Sequence[float] = DEFAULT_THRESHOLD_GRID,
 ) -> Clustering:
     """Run one comparison method and return its Clustering. A HAC method
-    without a threshold or gold, or a missing input file, fails before work."""
+    without a threshold or gold, or a missing input, fails before work.
+    ``word_vectors`` is a `load_word_vectors` table, which `wordvec_avg`
+    and `hole_pretrained` need."""
     cfg.validate()
     kind = cfg.kind
     vocab = kb.vocab(kind)
     name = cfg.name
     if name in _HAC_METHODS and cfg.threshold is None and not validation_gold:
         raise ConfigError(f"{name.value} needs a threshold or validation gold to tune one")
-    if name in (BaselineName.WORDVEC_AVG, BaselineName.HOLE_PRETRAINED) and vectors_file is None:
+    if name in VECTOR_BASELINES and word_vectors is None:
         raise ConfigError(f"{name.value} baseline needs a vectors_file")
 
     if name is BaselineName.MORPH:
@@ -316,12 +321,12 @@ def run_baseline(
         return _freq_clustering(kb, kind, member_sets, threshold)
 
     if name is BaselineName.WORDVEC_AVG:
-        wv, d = load_word_vectors(vectors_file)
-        emb = average_word_vectors(kb, wv, d, default_init_rng(cfg.seed))
+        table, d = word_vectors
+        emb = average_word_vectors(kb, table, d, default_init_rng(cfg.seed))
     elif name in (BaselineName.HOLE_RANDOM, BaselineName.HOLE_PRETRAINED):
         emb = train_structure_only(
             kb, cfg.hyperparams or HyperParams(seed=cfg.seed),
-            vectors_file=vectors_file if name is BaselineName.HOLE_PRETRAINED else None)
+            word_vectors if name is BaselineName.HOLE_PRETRAINED else None)
     else:
         raise ConfigError(f"unknown baseline: {name!r}")
     return cluster_phrases(kb, kind, emb.vectors(kind), cfg.threshold, validation_gold, grid)

@@ -111,7 +111,7 @@ def cmd_embed(args) -> int:
         raise KBCanonError(
             f"side information file not found: {side_file} (run sideinfo first)"
         )
-    emb = embed_stage(config, out, kb, load_side_info(side_file, kb))
+    emb, _ = embed_stage(config, out, kb, load_side_info(side_file, kb))
     print(f"trained {emb.dim}-dimensional embeddings for "
           f"{kb.n_nps} + {kb.n_rels} phrases -> {out / 'embeddings.npz'}")
     return 0

@@ -382,16 +382,32 @@ def default_init_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng([seed, 0])
 
 
-def load_word_vectors(path) -> tuple[dict[str, np.ndarray], int]:
+WordVectors = tuple[dict[str, np.ndarray], int]
+"""A word-vector table and its dimension, as `load_word_vectors` returns them."""
+
+
+def load_word_vectors(path, kb: OpenKB | None = None) -> WordVectors:
     """Read `token v_1 ... v_d` lines; all rows must share one dimension.
     Trailing whitespace is ignored, and a first line of exactly two
     integers is a word2vec / fastText `count dim` header whose dim the
-    rows must match."""
+    rows must match. Every row is parsed and checked; given a KB, only the
+    rows whose token occurs in one of its phrases under `tokenize` (the
+    only rows `wordvec_phrase_embedding` can look up) are kept."""
     path = Path(path)
+    keep = None if kb is None else {
+        t for p in (*kb.np_vocab, *kb.rel_vocab) for t in tokenize(p.text)}
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
-    with path.open(encoding="utf-8") as fh:
+    rows = 0
+    # surrogateescape keeps text mode's line ends and turns a byte that is
+    # not UTF-8 into a lone surrogate, which the line's check below finds
+    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as e:
+                    raise ParseError(path, line_no, f"not UTF-8: {e}") from e
             parts = line.rstrip().split(" ")
             if line_no == 1 and len(parts) == 2 and parts[0].isdigit() and parts[1].isdigit():
                 dim, dim_from = int(parts[1]), "header"
@@ -401,7 +417,8 @@ def load_word_vectors(path) -> tuple[dict[str, np.ndarray], int]:
                     continue
                 raise ParseError(path, line_no, "expected 'token v_1 ... v_d'")
             try:
-                vec = np.asarray([float(x) for x in parts[1:]], dtype=float)
+                # numpy converts each str with float(): same values, same errors
+                vec = np.array(parts[1:], dtype=float)
             except ValueError as e:
                 raise ParseError(path, line_no, f"non-numeric vector entry: {e}") from e
             if dim is None:
@@ -410,8 +427,10 @@ def load_word_vectors(path) -> tuple[dict[str, np.ndarray], int]:
                 raise ParseError(
                     path, line_no, f"dimension {vec.shape[0]} != {dim_from}'s {dim}"
                 )
-            vectors[parts[0]] = vec
-    if not vectors:
+            rows += 1
+            if keep is None or parts[0] in keep:
+                vectors[parts[0]] = vec
+    if not rows:
         raise ParseError(path, 1, "vectors file is empty")
     return vectors, dim
 
@@ -448,18 +467,18 @@ def average_word_vectors(
 
 
 def init_embeddings(
-    kb: OpenKB, vectors_file, d: int, rng: np.random.Generator
+    kb: OpenKB, word_vectors: WordVectors | None, d: int, rng: np.random.Generator
 ) -> EmbeddingSet:
-    """`average_word_vectors` over the vectors file's table, or over an
-    empty table (every phrase drawn at random) when no file is given."""
-    wv: dict[str, np.ndarray] = {}
-    if vectors_file is not None:
-        wv, file_dim = load_word_vectors(vectors_file)
+    """`average_word_vectors` over a `load_word_vectors` table, or over an
+    empty table (every phrase drawn at random) when none is given."""
+    table: Mapping[str, np.ndarray] = {}
+    if word_vectors is not None:
+        table, file_dim = word_vectors
         if file_dim != d:
             raise ConfigError(
                 f"vectors file dimension {file_dim} does not match configured dim {d}"
             )
-    return average_word_vectors(kb, wv, d, rng)
+    return average_word_vectors(kb, table, d, rng)
 
 
 def save_embeddings(emb: EmbeddingSet, path, seed: int, kb: OpenKB) -> None:

@@ -32,13 +32,15 @@ import numpy as np
 import yaml
 
 from . import canonicalize as canon
-from .baselines import BaselineConfig, BaselineName, run_baseline
+from .baselines import VECTOR_BASELINES, BaselineConfig, BaselineName, run_baseline
 from .canonicalize import DEFAULT_THRESHOLD_GRID, Clustering, choose_threshold
 from .embedding import (
     EmbeddingSet,
     HyperParams,
+    WordVectors,
     default_init_rng,
     init_embeddings,
+    load_word_vectors,
     save_embeddings,
     train,
 )
@@ -183,8 +185,25 @@ def _check_section(cls, values, prefix: str = "", exclude: Sequence[str] = ()) -
         raise ConfigError(f"unknown config key(s) in {prefix[:-1] or 'config'}: {unknown}")
     for name, value in values.items():
         if not _fits(value, hints[name]):
+            hint = ""
+            if _fits(_floats_read(value), hints[name]):
+                hint = ("; YAML reads a float without a dot, such as 1e-3, as a "
+                        "string: write it with one, as in 1.0e-3")
             raise ConfigError(f"config key {prefix + name!r} must be "
-                              f"{cls.__annotations__[name]}, got {value!r}")
+                              f"{cls.__annotations__[name]}, got {value!r}{hint}")
+
+
+def _floats_read(value):
+    """``value`` with each string that ``float()`` parses, alone or in a
+    list or a mapping, read as a float."""
+    if isinstance(value, (list, tuple)):
+        return [_floats_read(v) for v in value]
+    if isinstance(value, Mapping):
+        return {k: _floats_read(v) for k, v in value.items()}
+    try:
+        return float(value) if isinstance(value, str) else value
+    except ValueError:
+        return value
 
 
 def _resolve(base_dir: Path, value: str | None) -> str | None:
@@ -411,13 +430,17 @@ def sideinfo_stage(config: PipelineConfig, out: Path, kb: OpenKB) -> SideInfoCol
     return side
 
 
-def embed_stage(config: PipelineConfig, out: Path, kb: OpenKB,
-                side: SideInfoCollection) -> EmbeddingSet:
+def embed_stage(config: PipelineConfig, out: Path, kb: OpenKB, side: SideInfoCollection,
+                ) -> tuple[EmbeddingSet, WordVectors | None]:
+    """Train from the word-vector initialization; returns the embeddings
+    and the word-vector table, which the vector baselines read too."""
     h = config.effective_hyperparams()
-    init = init_embeddings(kb, config.vectors_file, h.dim, default_init_rng(h.seed))
+    word_vectors = (load_word_vectors(config.vectors_file, kb)
+                    if config.vectors_file else None)
+    init = init_embeddings(kb, word_vectors, h.dim, default_init_rng(h.seed))
     emb = train(kb, side, h, init, log_file=out / "training_log.jsonl")
     save_embeddings(emb, out / "embeddings.npz", h.seed, kb)
-    return emb
+    return emb, word_vectors
 
 
 def thresholds_stage(config: PipelineConfig, out: Path, emb: EmbeddingSet,
@@ -471,9 +494,14 @@ def evaluate_stage(config: PipelineConfig, out: Path, split: Split,
 
 
 def baselines_stage(config: PipelineConfig, out: Path, kb: OpenKB, split: Split,
-                    report_np: MetricsReport | None) -> None:
+                    report_np: MetricsReport | None,
+                    word_vectors: WordVectors | None = None) -> None:
     """Run the configured NP baselines and write the leaderboard, this
-    system's test-split row first."""
+    system's test-split row first. Without a word-vector table, the
+    vectors file is read when a configured baseline needs it."""
+    if (word_vectors is None and config.vectors_file
+            and VECTOR_BASELINES & {BaselineName(b) for b in config.baselines}):
+        word_vectors = load_word_vectors(config.vectors_file, kb)
     rows = [LEADERBOARD_HEADER, leaderboard_row("full (this system)", report_np)]
     val_gold = split.np_gold.restricted_to(phrase_ids(split.validation, PhraseKind.NP))
     test_np_ids = phrase_ids(split.test, PhraseKind.NP)
@@ -489,7 +517,7 @@ def baselines_stage(config: PipelineConfig, out: Path, kb: OpenKB, split: Split,
         clustering = run_baseline(
             cfg, kb,
             ppdb_file=config.side.ppdb_file,
-            vectors_file=config.vectors_file,
+            word_vectors=word_vectors,
             validation_gold=val_gold,
             grid=config.threshold_grid,
         )
@@ -500,6 +528,7 @@ def baselines_stage(config: PipelineConfig, out: Path, kb: OpenKB, split: Split,
 
 def run_after_embed(config: PipelineConfig, out: Path, kb: OpenKB, split: Split,
                     emb: EmbeddingSet, timings: dict[str, float],
+                    word_vectors: WordVectors | None = None,
                     ) -> tuple[Clustering, Clustering]:
     """Every stage after embed: thresholds, cluster, canonicalize,
     evaluate and baselines, then manifest.json and timings.json. Returns
@@ -512,7 +541,8 @@ def run_after_embed(config: PipelineConfig, out: Path, kb: OpenKB, split: Split,
               config, out, kb, np_clustering, rel_clustering)
     report_np, _ = run_stage(timings, "evaluate", evaluate_stage,
                              config, out, split, np_clustering, rel_clustering)
-    run_stage(timings, "baselines", baselines_stage, config, out, kb, split, report_np)
+    run_stage(timings, "baselines", baselines_stage, config, out, kb, split, report_np,
+              word_vectors)
     _write_json(out / "manifest.json", {
         "config": config.as_dict(),
         "config_hash": config_hash(config),
@@ -550,8 +580,8 @@ def run_pipeline(config: PipelineConfig, out_dir=None) -> Path:
     kb = run_stage(timings, "ingest", ingest_stage, config, out)
     split = run_stage(timings, "split", split_stage, config, out, kb)
     side = run_stage(timings, "sideinfo", sideinfo_stage, config, out, kb)
-    emb = run_stage(timings, "embed", embed_stage, config, out, kb, side)
-    run_after_embed(config, out, kb, split, emb, timings)
+    emb, word_vectors = run_stage(timings, "embed", embed_stage, config, out, kb, side)
+    run_after_embed(config, out, kb, split, emb, timings, word_vectors)
     return out
 
 
@@ -594,10 +624,10 @@ def grid_search(
     ``_FIXED_GRID_FIELDS`` is a ConfigError. ``seed`` varies training
     only: every point is scored on the base seed's validation split.
     Side information is cached across points with an identical side
-    section, and trained embeddings are cached across points that differ
-    only in clustering settings. Ties keep the first point in enumeration
-    order. Returns (best overrides, leaderboard rows) and persists both
-    plus the winning config.
+    section, each vectors file is read once, and trained embeddings are
+    cached across points that differ only in clustering settings. Ties
+    keep the first point in enumeration order. Returns (best overrides,
+    leaderboard rows) and persists both plus the winning config.
     """
     if not grid:
         raise ConfigError("grid is empty")
@@ -619,6 +649,7 @@ def grid_search(
     val_np_ids = sorted(phrase_ids(split.validation, PhraseKind.NP))
     val_gold = split.np_gold.restricted_to(val_np_ids)
 
+    vectors_cache: dict[str | None, WordVectors | None] = {}
     side_cache: dict[str, SideInfoCollection] = {}
     emb_cache: dict[str, EmbeddingSet] = {}
     rows: list[dict] = []
@@ -643,7 +674,10 @@ def grid_search(
             sort_keys=True, default=str,
         )
         if emb_key not in emb_cache:
-            init = init_embeddings(kb, point.vectors_file, h.dim,
+            if point.vectors_file not in vectors_cache:
+                vectors_cache[point.vectors_file] = (load_word_vectors(point.vectors_file, kb)
+                                                     if point.vectors_file else None)
+            init = init_embeddings(kb, vectors_cache[point.vectors_file], h.dim,
                                    default_init_rng(h.seed))
             emb_cache[emb_key] = train(kb, side, h, init)
         emb = emb_cache[emb_key]

@@ -3,9 +3,11 @@ dataset with gold labels and a side-information file."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from kbcanon.kb import OpenKB, build_kb
+from kbcanon.side_info import tokenize
 from kbcanon.synth import make_synthetic_kb
 
 
@@ -16,6 +18,18 @@ def records_from_spo(spo_list, extra_by_index=None):
         rec.update((extra_by_index or {}).get(i, {}))
         records.append(rec)
     return records
+
+
+def write_kb_vectors(path, kb: OpenKB, dim: int, distractors: int = 20, seed: int = 0):
+    """A vectors file with rows for every other KB token (sorted), then
+    ``distractors`` rows of tokens that no KB phrase holds."""
+    tokens = sorted({t for p in (*kb.np_vocab, *kb.rel_vocab) for t in tokenize(p.text)})
+    rows = tokens[::2] + [f"zzdistractor{i}" for i in range(distractors)]
+    values = np.random.default_rng(seed).uniform(-1.0, 1.0, (len(rows), dim))
+    with open(path, "w", encoding="utf-8") as fh:
+        for token, vec in zip(rows, values):
+            fh.write(token + " " + " ".join(repr(float(x)) for x in vec) + "\n")
+    return path
 
 
 @pytest.fixture

@@ -28,6 +28,7 @@ from kbcanon.embedding import (
     HyperParams,
     default_init_rng,
     init_embeddings,
+    load_word_vectors,
     train,
     wordvec_phrase_embedding,
 )
@@ -277,17 +278,17 @@ class TestBaselineConfig:
     @pytest.mark.parametrize(
         "name", sorted(kbcanon.baselines._HAC_METHODS, key=lambda n: n.value))
     def test_hac_method_without_threshold_or_gold_refused_before_any_work(
-            self, name, gold, monkeypatch, tmp_path):
+            self, name, gold, monkeypatch):
         def no_work(*args, **kwargs):
             raise AssertionError("work started before the threshold check")
 
-        for fn in ("train", "init_embeddings", "load_word_vectors",
+        for fn in ("train", "init_embeddings", "average_word_vectors",
                    "jaro_winkler_distances", "build_df", "attribute_sets"):
             monkeypatch.setattr(kbcanon.baselines, fn, no_work)
         kb = np_kb("alpha", "beta", "gamma", "delta")
         with pytest.raises(ConfigError, match=f"{name.value} needs a threshold"):
             run_baseline(BaselineConfig(name=name), kb, validation_gold=gold,
-                         vectors_file=tmp_path / "vectors.txt")
+                         word_vectors=({"alpha": np.ones(2)}, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -511,32 +512,12 @@ class TestWordvecBaseline:
         clustering = run_baseline(
             BaselineConfig(name=BaselineName.WORDVEC_AVG, threshold=0.05),
             kb,
-            vectors_file=vec,
+            word_vectors=load_word_vectors(vec, kb),
         )
         rep_of = clustering.representative_of()
         assert rep_of[kb.np_id("red car")] == rep_of[kb.np_id("crimson car")]
         assert rep_of[kb.np_id("blue sky")] == rep_of[kb.np_id("azure sky")]
         assert rep_of[kb.np_id("red car")] != rep_of[kb.np_id("blue sky")]
-
-    def test_reads_vectors_file_once(self, tmp_path, monkeypatch):
-        import kbcanon.baselines
-        import kbcanon.embedding
-
-        paths = []
-        original = kbcanon.embedding.load_word_vectors
-
-        def counting(path):
-            paths.append(path)
-            return original(path)
-
-        for module in (kbcanon.embedding, kbcanon.baselines):
-            monkeypatch.setattr(module, "load_word_vectors", counting)
-        kb = np_kb("red car", "blue sky")
-        vec = tmp_path / "vectors.txt"
-        vec.write_text("red 1.0 0.0\nblue 0.0 1.0\n")
-        run_baseline(BaselineConfig(name=BaselineName.WORDVEC_AVG, threshold=0.05),
-                     kb, vectors_file=vec)
-        assert paths == [vec]
 
     def test_relation_vectors_follow_the_np_draws(self, tmp_path):
         # Relation phrases without a known token draw after every NP, as in
@@ -549,8 +530,8 @@ class TestWordvecBaseline:
         vec.write_text("red 1.0 0.0 0.2\nblue 0.0 1.0 0.1\ndrives 0.3 0.3 1.0\n")
         cfg = BaselineConfig(name=BaselineName.WORDVEC_AVG, kind=PhraseKind.REL,
                              threshold=0.3, seed=4)
-        clustering = run_baseline(cfg, kb, vectors_file=vec)
-        R = init_embeddings(kb, vec, 3, default_init_rng(4)).rel_vectors
+        clustering = run_baseline(cfg, kb, word_vectors=load_word_vectors(vec, kb))
+        R = init_embeddings(kb, load_word_vectors(vec), 3, default_init_rng(4)).rel_vectors
         ids = sorted(p.id for p in kb.rel_vocab)
         D = cosine_distance_matrix(np.stack([R[i] for i in ids]), labels=ids)
         assert clustering.member_sets() == hac_from_distance_matrix(ids, D, 0.3)

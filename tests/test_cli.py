@@ -14,12 +14,15 @@ import sys
 import pytest
 import yaml
 
+import kbcanon.embedding
 from kbcanon.cli import main
 from kbcanon.embedding import load_embeddings
 from kbcanon.errors import ParseError
 from kbcanon.kb import load_triples
 from kbcanon.pipeline import load_config
 from kbcanon.side_info import load_side_info
+
+from .conftest import write_kb_vectors
 
 SMALL_HP = {"dim": 12, "epochs": 8, "batch_size": 32, "learning_rate": 0.05}
 
@@ -162,6 +165,35 @@ class TestStagedChain:
                         == epochs_without_wall_time(run_dir / name))
             else:
                 assert (staged / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+    def test_cluster_reads_vectors_only_for_a_vector_baseline(self, tmp_path, monkeypatch):
+        data, config_path = make_dataset(tmp_path, seed=9)
+        doc = yaml.safe_load(config_path.read_text())
+        kb = load_triples(data / "triples.jsonl")
+        doc["vectors_file"] = str(write_kb_vectors(data / "vectors.txt", kb, SMALL_HP["dim"]))
+        loads = []
+        original = kbcanon.embedding.load_word_vectors
+
+        def counting(*args):
+            loads.append(args)
+            return original(*args)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("kbcanon") and getattr(mod, "load_word_vectors",
+                                                          None) is original:
+                monkeypatch.setattr(mod, "load_word_vectors", counting)
+
+        def run(command, baselines):
+            doc["baselines"] = baselines
+            config_path.write_text(yaml.safe_dump(doc))
+            loads.clear()
+            assert main([command, "--config", str(config_path),
+                         "--out", str(tmp_path / "run")]) == 0
+            return len(loads)
+
+        assert [run(stage, []) for stage in ("ingest", "sideinfo", "embed")] == [0, 0, 1]
+        assert run("cluster", ["morph"]) == 0
+        assert run("cluster", ["wordvec_avg", "hole_pretrained"]) == 1
 
     def test_evaluate_stage_on_chain_output(self, tmp_path, capsys):
         data, config_path = make_dataset(tmp_path, seed=8)

@@ -320,13 +320,13 @@ class TestInitEmbeddings:
         kb = build_kb(records_from_spo([("new york", "r", "unknown thing")]))
         path = self.write_vectors(tmp_path / "v.txt",
                                   [("new", [1.0, 0.0]), ("york", [0.0, 1.0])], 2)
-        emb = init_embeddings(kb, path, 2, default_init_rng(0))
+        emb = init_embeddings(kb, load_word_vectors(path), 2, default_init_rng(0))
         assert np.allclose(emb.np_vectors[kb.np_id("new york")], [0.5, 0.5])
 
     def test_single_token_verbatim(self, tmp_path):
         kb = build_kb(records_from_spo([("york", "r", "x")]))
         path = self.write_vectors(tmp_path / "v.txt", [("york", [2.0, 3.0])], 2)
-        emb = init_embeddings(kb, path, 2, default_init_rng(0))
+        emb = init_embeddings(kb, load_word_vectors(path), 2, default_init_rng(0))
         assert np.allclose(emb.np_vectors[kb.np_id("york")], [2.0, 3.0])
 
     def test_unknown_tokens_fallback_deterministic(self):
@@ -341,7 +341,7 @@ class TestInitEmbeddings:
         kb = small_kb()
         path = self.write_vectors(tmp_path / "v.txt", [("np0", [1.0, 2.0])], 2)
         with pytest.raises(ConfigError):
-            init_embeddings(kb, path, 3, default_init_rng(0))
+            init_embeddings(kb, load_word_vectors(path), 3, default_init_rng(0))
 
     def test_ragged_vector_file_is_parse_error(self, tmp_path):
         path = tmp_path / "v.txt"

@@ -11,6 +11,7 @@ import pytest
 import yaml
 
 import kbcanon.canonicalize
+import kbcanon.embedding
 import kbcanon.kb
 import kbcanon.metrics
 import kbcanon.side_info
@@ -47,6 +48,8 @@ from kbcanon.pipeline import (
     select_thresholds,
 )
 from kbcanon.side_info import EMPTY_SIDE_INFO, save_side_info
+
+from .conftest import write_kb_vectors
 
 SMALL_HP = {
     "dim": 16,
@@ -102,6 +105,28 @@ class TestConfigLoading:
         assert config.side.ppdb_np is True
         assert config.hyperparams.dim == 16
         config.validate()
+
+    def test_float_without_a_dot_is_refused_with_a_hint(self, synth_data, tmp_path):
+        # YAML 1.1, as PyYAML reads it, has no float without a dot
+        doc = base_config_doc(synth_data)
+        del doc["hyperparams"]
+        base = yaml.safe_dump(doc)
+        path = tmp_path / "config.yaml"
+        path.write_text(base + "hyperparams: {learning_rate: 1e-3}\n")
+        with pytest.raises(ConfigError, match=r"^config key 'hyperparams.learning_rate' "
+                           r"must be float, got '1e-3'; .* as in 1\.0e-3$"):
+            load_config(path)
+        path.write_text(base + "threshold_grid: [5e-2, 0.5]\n")
+        with pytest.raises(ConfigError, match=r"got \['5e-2', 0.5\]; .* 1\.0e-3$"):
+            load_config(path)
+        path.write_text(base + "hyperparams: {learning_rate: 1.0e-3}\n")
+        assert load_config(path).hyperparams.learning_rate == 0.001
+        # no hint for a string that is no float, nor for an int field
+        for line in ("hyperparams: {learning_rate: fast}", "hyperparams: {epochs: 1e3}"):
+            path.write_text(base + line + "\n")
+            with pytest.raises(ConfigError, match="^config key 'hyperparams[.]") as e:
+                load_config(path)
+            assert "YAML" not in str(e.value)
 
     def test_relative_paths_resolve_against_config_dir(self, synth_data, tmp_path):
         (tmp_path / "triples.jsonl").write_bytes(
@@ -515,6 +540,53 @@ class TestScoringWork:
         assert len(cuts) == 4
 
 
+def vectors_config_doc(synth_data, tmp_path, baselines=("wordvec_avg", "hole_pretrained")):
+    """The base config with a vectors file (half the KB's tokens, plus
+    tokens no phrase holds) and the given baselines."""
+    doc = base_config_doc(synth_data)
+    kb = load_triples(synth_data["triples"])
+    doc["vectors_file"] = str(write_kb_vectors(tmp_path / "vectors.txt", kb, SMALL_HP["dim"]))
+    doc["baselines"] = list(baselines)
+    return doc
+
+
+class TestWordVectorTable:
+    def test_pipeline_parses_the_vectors_file_once(self, synth_data, tmp_path, monkeypatch):
+        # init, wordvec_avg and hole_pretrained share the embed stage's table
+        loads = spy(monkeypatch, kbcanon.embedding, "load_word_vectors")
+        doc = vectors_config_doc(synth_data, tmp_path)
+        out = run_pipeline(config_from_dict(doc), out_dir=tmp_path / "run")
+        assert len(loads) == 1
+        board = (out / "leaderboard.txt").read_text()
+        assert "wordvec_avg" in board and "hole_pretrained" in board
+
+    def test_keeping_only_the_kbs_rows_changes_no_artifact(
+        self, synth_data, tmp_path, monkeypatch
+    ):
+        doc = vectors_config_doc(synth_data, tmp_path)
+        kept = run_pipeline(config_from_dict(doc), out_dir=tmp_path / "kept")
+        original = kbcanon.embedding.load_word_vectors
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("kbcanon") and getattr(mod, "load_word_vectors",
+                                                          None) is original:
+                monkeypatch.setattr(mod, "load_word_vectors",
+                                    lambda path, kb=None: original(path))
+        full = run_pipeline(config_from_dict(doc), out_dir=tmp_path / "full")
+
+        def epochs_without_wall_time(path):
+            return [{k: v for k, v in json.loads(line).items() if k != "wall_time_s"}
+                    for line in path.read_text().splitlines()]
+
+        names = sorted(p.name for p in kept.iterdir())
+        assert names == sorted(p.name for p in full.iterdir())
+        for name in names:
+            if name == "training_log.jsonl":
+                assert (epochs_without_wall_time(kept / name)
+                        == epochs_without_wall_time(full / name))
+            elif name != "timings.json":
+                assert (kept / name).read_bytes() == (full / name).read_bytes(), name
+
+
 class TestAtomicArtifacts:
     """A writer that fails midway leaves the previous file as it was and
     no temporary file beside it."""
@@ -670,6 +742,29 @@ class TestGridSearch:
         # A fixed relation threshold leaves only the NP threshold to tune.
         grid_search(config, {"rel_threshold": [0.45, 0.65]}, tmp_path)
         assert sizes == [n_val_nps, n_val_nps]
+
+    def test_vectors_file_parsed_once_for_every_trained_point(
+        self, synth_data, tmp_path, monkeypatch
+    ):
+        loads = spy(monkeypatch, kbcanon.embedding, "load_word_vectors")
+        config = config_from_dict(vectors_config_doc(synth_data, tmp_path, baselines=()))
+        _, rows = grid_search(config, {"hyperparams.epochs": [1, 2]}, tmp_path / "grid")
+        assert len(rows) == 2
+        assert len(loads) == 1
+
+    def test_grid_over_vectors_files_parses_each_once(
+        self, synth_data, tmp_path, monkeypatch
+    ):
+        loads = spy(monkeypatch, kbcanon.embedding, "load_word_vectors")
+        config = config_from_dict(vectors_config_doc(synth_data, tmp_path, baselines=()))
+        other = tmp_path / "other.txt"
+        other.write_text(Path(config.vectors_file).read_text())
+        grid = {"vectors_file": [config.vectors_file, str(other)],
+                "np_threshold": [0.3, 0.5]}
+        _, rows = grid_search(config, grid, tmp_path / "grid")
+        assert len(rows) == 4
+        assert sorted(str(args[0]) for args in loads) == sorted([config.vectors_file,
+                                                                 str(other)])
 
     def test_tie_keeps_first_point(self, synth_data, tmp_path):
         # The relation threshold does not affect the NP validation score,

@@ -1,13 +1,18 @@
 """Word-vector files in the plain, word2vec text and fastText .vec
-layouts."""
+layouts, and the rows the loader keeps."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
-from kbcanon.embedding import load_word_vectors
+from kbcanon.embedding import default_init_rng, init_embeddings, load_word_vectors
 from kbcanon.errors import ParseError
+from kbcanon.kb import build_kb
+
+from .conftest import records_from_spo, write_kb_vectors
 
 
 def test_word2vec_text_header(tmp_path):
@@ -32,3 +37,112 @@ def test_header_dimension_must_match_rows(tmp_path):
     path.write_text("2 4\nnew 1 0 0.5\nyork 0 1 -0.5\n", encoding="utf-8")
     with pytest.raises(ParseError, match=r":2: dimension 3 != header's 4"):
         load_word_vectors(path)
+
+
+# ---------------------------------------------------------------------------
+# every row checked, only the KB's rows kept
+
+
+def kb_of(*spo):
+    return build_kb(records_from_spo(spo))
+
+
+@pytest.mark.parametrize("text", ["", "2 3\n", "\n  \n\n", "2 3\n\n"])
+@pytest.mark.parametrize("with_kb", [False, True])
+def test_file_without_rows_is_empty(tmp_path, text, with_kb):
+    path = tmp_path / "vectors.txt"
+    path.write_text(text, encoding="utf-8")
+    kb = kb_of(("new york", "r", "x")) if with_kb else None
+    with pytest.raises(ParseError, match=r":1: vectors file is empty"):
+        load_word_vectors(path, kb)
+
+
+def test_rows_outside_the_kb_are_checked_and_dropped(tmp_path):
+    kb = kb_of(("New York", "r", "x"))
+    path = tmp_path / "vectors.txt"
+    path.write_text("new 1 0\nzebra 0.5 0.5\nyork 0 1\n", encoding="utf-8")
+    vectors, dim = load_word_vectors(path, kb)
+    assert dim == 2
+    assert sorted(vectors) == ["new", "york"]
+    assert np.array_equal(vectors["york"], [0.0, 1.0])
+    path.write_text("new 1 0\nzebra 0.5 x\nyork 0 1\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r":2: non-numeric vector entry"):
+        load_word_vectors(path, kb)
+    path.write_text("new 1 0\nzebra 0.5\nyork 0 1\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r":2: dimension 1 != first row's 2"):
+        load_word_vectors(path, kb)
+
+
+def test_no_kb_token_in_the_file_is_not_an_error(tmp_path):
+    kb = kb_of(("new york", "was in", "paris"))
+    path = tmp_path / "vectors.txt"
+    path.write_text("zebra 1 0 2\nlion 0 1 2\n", encoding="utf-8")
+    assert load_word_vectors(path, kb) == ({}, 3)
+    emb = init_embeddings(kb, load_word_vectors(path, kb), 3, default_init_rng(2))
+    expected = init_embeddings(kb, None, 3, default_init_rng(2))
+    assert emb.np_vectors.tobytes() == expected.np_vectors.tobytes()
+    assert emb.rel_vectors.tobytes() == expected.rel_vectors.tobytes()
+
+
+def test_kept_rows_give_the_same_embeddings(tmp_path, synth_kb):
+    path = write_kb_vectors(tmp_path / "vectors.txt", synth_kb, 6, distractors=50)
+    full, _ = load_word_vectors(path)
+    kept, _ = load_word_vectors(path, synth_kb)
+    assert len(kept) == len(full) - 50
+    assert all(np.array_equal(kept[t], full[t]) for t in kept)
+    a = init_embeddings(synth_kb, (full, 6), 6, default_init_rng(1))
+    b = init_embeddings(synth_kb, (kept, 6), 6, default_init_rng(1))
+    assert a.np_vectors.tobytes() == b.np_vectors.tobytes()
+    assert a.rel_vectors.tobytes() == b.rel_vectors.tobytes()
+
+
+@pytest.mark.parametrize("data, line_no", [
+    (b"new 1 0\nyo\xffrk 0 1\n", 2),
+    (b"\xe9t\xe9 1 0\nyork 0 1\n", 1),
+    (b"new 1 0\nyork 0 1\nzebra 0 \xc3\n", 3),
+])
+def test_bytes_not_utf8_name_the_file_and_line(tmp_path, data, line_no):
+    path = tmp_path / "vectors.txt"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=rf"vectors\.txt:{line_no}: not UTF-8: .*byte 0x") as e:
+        load_word_vectors(path)
+    assert e.value.line_no == line_no
+
+
+def test_utf8_tokens_and_any_line_end_load(tmp_path):
+    path = tmp_path / "vectors.txt"
+    path.write_bytes("été 1 0\r\nnaïve 0 1\rzoo 2 2\n".encode("utf-8"))
+    vectors, dim = load_word_vectors(path)
+    assert dim == 2
+    assert sorted(vectors) == ["naïve", "zoo", "été"]
+
+
+_ENTRY = st.one_of(
+    st.floats().map(repr),
+    st.text(alphabet="0123456789.eE+-_ naifINFty\t١٣٥０　", min_size=1, max_size=8),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r"),
+            min_size=1, max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(_ENTRY, min_size=1, max_size=5))
+@example(["1_0", "nan", "-inf", "1e400", "١"])
+@example(["1", "0x1"])
+def test_row_conversion_is_float_of_each_entry(tmp_path, entries):
+    path = tmp_path / "vectors.txt"
+    line = "w " + " ".join(entries) + "\n"
+    path.write_text(line, encoding="utf-8")
+    parts = line.rstrip().split(" ")
+    assume(len(parts) >= 2)
+    try:
+        expected = np.asarray([float(x) for x in parts[1:]], dtype=float)
+    except ValueError as e:
+        with pytest.raises(ParseError) as got:
+            load_word_vectors(path)
+        assert str(got.value) == f"{path}:1: non-numeric vector entry: {e}"
+    else:
+        vectors, dim = load_word_vectors(path)
+        assert dim == len(parts) - 1
+        assert vectors["w"].tobytes() == expected.tobytes()
