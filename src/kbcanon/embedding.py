@@ -13,6 +13,13 @@ sig is the logistic function. Because sig ranges in (0, 1), a margin
 gamma >= 1 keeps the hinge permanently active; the default margin is
 therefore 0.5 under the logistic hinge, while a raw-score hinge variant
 (no sigmoid, margin 1.0) is available behind config.
+
+The trainer holds every vector as its rfft coefficients from
+initialization to the end of the run (Hayashi & Shimbo 2017, On the
+Equivalence of Holographic and Complex Embeddings). There correlation and
+convolution are pointwise products and the score a weighted real part, so
+no step takes a transform; the vectors come back by irfft once per epoch,
+for the logged loss and the divergence check, and once at the end.
 """
 
 from __future__ import annotations
@@ -23,13 +30,22 @@ import time
 import zipfile
 import zlib
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ParseError, TrainingDivergedError
-from .kb import OpenKB, PhraseKind, Triple, atomic_open, vocab_hash
+from .kb import (
+    OpenKB,
+    PhraseKind,
+    Triple,
+    atomic_open,
+    index_contains,
+    read_lines,
+    spo_columns,
+    triple_keys,
+    vocab_hash,
+)
 from .side_info import SideInfoCollection, tokenize
 
 logger = logging.getLogger(__name__)
@@ -155,16 +171,35 @@ class HyperParams:
                     raise ConfigError(f"lambda for source {src!r} must be >= 0")
 
 
-@dataclass(frozen=True)
 class TrainingBatch:
-    """Positive triples with negatives aligned per positive."""
+    """Positive triples with negatives aligned per positive. The step reads
+    index arrays: ``spo`` holds the (subject, relation, object) columns of
+    the positives and then of the negatives, and ``owner[j]`` is the
+    positive that negative j corrupts. ``negatives`` reads as Triples."""
 
-    positives: tuple[Triple, ...]
-    negatives: tuple[tuple[Triple, ...], ...]
-
-    def __post_init__(self):
-        if len(self.positives) != len(self.negatives):
+    def __init__(self, positives: Sequence[Triple],
+                 negatives: Sequence[Sequence[Triple]]):
+        if len(positives) != len(negatives):
             raise ValueError("negatives must align one list per positive")
+        self.positives = tuple(positives)
+        self.spo = spo_columns([*positives, *(t for group in negatives for t in group)])
+        self.owner = np.array([i for i, group in enumerate(negatives) for _ in group],
+                              dtype=np.int64)
+
+    @classmethod
+    def from_columns(cls, positives: Sequence[Triple], spo: np.ndarray,
+                     owner: np.ndarray) -> TrainingBatch:
+        batch = cls.__new__(cls)
+        batch.positives, batch.spo, batch.owner = tuple(positives), spo, owner
+        return batch
+
+    @property
+    def negatives(self) -> tuple[tuple[Triple, ...], ...]:
+        groups: list[list[Triple]] = [[] for _ in self.positives]
+        for i, (s, p, o) in zip(self.owner.tolist(),
+                                self.spo[:, len(self.positives):].T.tolist()):
+            groups[i].append(Triple(triple_id=-1, subject=s, relation=p, object=o))
+        return tuple(map(tuple, groups))
 
 
 # ---------------------------------------------------------------------------
@@ -177,39 +212,93 @@ def score_triple(emb: EmbeddingSet, s: int, p: int, o: int) -> float:
     return float(np.dot(emb.rel_vectors[p], corr))
 
 
-def sample_negatives(kb: OpenKB, t: Triple, k: int, rng: np.random.Generator) -> list[Triple]:
-    """Corrupt the subject or the object (uniform choice) with an NP drawn
-    uniformly from the vocabulary; corruptions that exist in the KB are
-    rejected and redrawn, and a slot is skipped after NEGATIVE_RETRIES
-    draws. The relation is never corrupted."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    n = kb.n_nps
-    out: list[Triple] = []
-    for _ in range(k):
-        for _ in range(NEGATIVE_RETRIES):
-            corrupt_subject = bool(rng.integers(0, 2))
-            cand = int(rng.integers(0, n))
-            if corrupt_subject:
-                spo = (cand, t.relation, t.object)
-            else:
-                spo = (t.subject, t.relation, cand)
-            if spo not in kb.triple_index:
-                out.append(
-                    Triple(triple_id=-1, subject=spo[0], relation=spo[1], object=spo[2])
-                )
-                break
-    return out
+def _lemire(u: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's bounded draw from [0, n), 1 < n <= 2**32, on uint32 values
+    u (Lemire 2019, Fast Random Integer Generation in an Interval): u
+    maps to (u·n) >> 32, and is redrawn when (u·n) mod 2**32 < 2**32 mod n.
+    Returns (values, accepted mask)."""
+    m = np.multiply(u, n, dtype=np.uint64)
+    return (m >> 32).view(np.int64), m.astype(np.uint32) >= 2**32 % n
 
 
 def make_batch(
     kb: OpenKB, positives: Sequence[Triple], k: int, rng: np.random.Generator
 ) -> TrainingBatch:
-    negs = tuple(
-        tuple(sample_negatives(kb, t, k, rng)) if k >= 1 else ()
-        for t in positives
-    )
-    return TrainingBatch(tuple(positives), negs)
+    """k negatives per positive. A negative corrupts the subject or the
+    object (a fair coin) with an NP drawn uniformly from the vocabulary; a
+    corruption that exists in the KB is redrawn, and a slot is skipped
+    after NEGATIVE_RETRIES draws. The relation is never corrupted.
+
+    The draws are those of a scalar loop over the slots in order that,
+    per try, calls rng.integers(0, 2) for the coin and then
+    rng.integers(0, n_nps). numpy makes both from one stream of uint32
+    values: the coin is u >> 31, and the NP comes from `_lemire`. They are
+    read here in blocks of two values per open slot, which that loop
+    reads in any case, so the generator is left where the loop leaves it.
+    A block is one try per slot up to the first try that hits the KB or
+    needs a redrawn NP; that try is read one value at a time, and the
+    next block starts after it."""
+    pos = spo_columns(positives)
+    owner = np.repeat(np.arange(len(positives)), max(k, 0))
+    n, n_rels = kb.n_nps, kb.n_rels
+    width = 2 if n > 1 else 1  # rng.integers(0, 1) reads no value
+    s, p, o = pos[:, owner]
+    # the keys of (0, p, o) and (s, p, 0): a corrupted subject c adds c·n_rels·n,
+    # a corrupted object c adds c
+    keys_s, keys_o = triple_keys(0, p, o, n, n_rels), triple_keys(s, p, 0, n, n_rels)
+    subject = np.zeros(len(owner), dtype=bool)
+    cand = np.zeros(len(owner), dtype=np.int64)
+    found = np.zeros(len(owner), dtype=bool)
+    buf, at = np.empty(0, dtype=np.uint32), 0  # drawn values; the next unread one
+
+    def peek(count: int) -> np.ndarray:
+        nonlocal buf, at
+        if len(buf) - at < count:
+            more = rng.integers(0, 2**32, count - len(buf) + at, dtype=np.uint32)
+            buf, at = (np.concatenate([buf[at:], more]) if at < len(buf) else more), 0
+        return buf[at:at + count]
+
+    def tries(slots: slice, u: np.ndarray):
+        """(corrupt the subject, NP, NP accepted, hit) of one try per slot."""
+        if width == 2:
+            c, ok = _lemire(u[:, 1], n)
+        else:
+            c, ok = np.zeros(len(u), dtype=np.int64), np.ones(len(u), dtype=bool)
+        coin = u[:, 0] >= 2**31
+        keys = np.where(coin, keys_s[slots] + c * (n_rels * n), keys_o[slots] + c)
+        return coin, c, ok, index_contains(kb, keys)
+
+    slot = failed = 0  # the first open slot, and its tries that hit the KB
+    while slot < len(owner):
+        coin, c, ok, hit = tries(slice(slot, None),
+                                 peek(width * (len(owner) - slot)).reshape(-1, width))
+        stop = ~ok | hit
+        done = int(stop.argmax())
+        done = done if stop[done] else len(stop)
+        new = slice(slot, slot + done)
+        subject[new], cand[new], found[new] = coin[:done], c[:done], True
+        at += width * done
+        slot, failed = slot + done, failed if done == 0 else 0
+        if slot == len(owner):
+            break
+        if ok[done]:
+            at += width
+        else:  # numpy redraws the NP, one value at a time
+            u = peek(width).copy()
+            at += width
+            while not _lemire(u[1:], n)[1][0]:
+                u[1] = peek(1)[0]
+                at += 1
+            coin, c, _, hit = tries(slice(slot, slot + 1), u[None])
+            done = 0
+        failed += 1
+        if not hit[done]:
+            subject[slot], cand[slot], found[slot] = coin[done], c[done], True
+        if not hit[done] or failed == NEGATIVE_RETRIES:
+            slot, failed = slot + 1, 0
+    neg = np.stack([np.where(subject, cand, s), p, np.where(subject, o, cand)])
+    return TrainingBatch.from_columns(
+        positives, np.concatenate([pos, neg[:, found]], axis=1), owner[found])
 
 
 # ---------------------------------------------------------------------------
@@ -218,53 +307,59 @@ def make_batch(
 # The objective family below evaluates the written objective exactly: the
 # ranking term over the given batch, side and regularization terms at full
 # weight over the whole vocabulary. ``gradient`` and ``train`` share one
-# step function, ``_step``: gradient() calls it with the side terms at full
-# weight and adds the L2 term; the trainer scales the side terms by the
-# batch fraction, so that one epoch applies them at full weight exactly
-# once, and folds L2 in as a multiplicative decay. The side terms of a
-# kind arrive as one (ia, ib, w) pair array over all its sources, and
-# ``_step`` keeps one gradient buffer per kind: every ranking and side
-# piece is added into it in place with ``np.add.at`` on the flat view.
+# step function, ``_step``, which works on rfft coefficients F = rfft(W)
+# (numpy's default norm). There circular correlation and convolution are
+# pointwise: rfft(s * o) = conj(S)·O and rfft of r convolved with s is
+# R·S. A score is the Parseval sum Re(R·conj(conj(S)·O)) @ w, with w from
+# `_parseval_weights`. rfft is linear, so the rfft of each spatial
+# gradient piece is a product of the same coefficients, with no extra
+# weights. gradient() rffts its EmbeddingSet, calls ``_step`` with the side
+# terms at full weight, irffts and adds the L2 term; the trainer scales the
+# side terms by the batch fraction, so that one epoch applies them at full
+# weight exactly once, folds L2 in as a multiplicative decay, and lets
+# ``_step`` add the update straight into its coefficients. The side terms
+# of a kind arrive as one (ia, ib, w) pair array over all its sources.
 
 
-def _flatten_negatives(batch: TrainingBatch) -> tuple[list[Triple], list[int]]:
-    negs = [t for group in batch.negatives for t in group]
-    owner = [i for i, group in enumerate(batch.negatives) for _ in group]
-    return negs, owner
-
-
-def _spo_arrays(triples: Sequence[Triple]):
-    s = np.fromiter((t.subject for t in triples), dtype=np.intp, count=len(triples))
-    p = np.fromiter((t.relation for t in triples), dtype=np.intp, count=len(triples))
-    o = np.fromiter((t.object for t in triples), dtype=np.intp, count=len(triples))
-    return s, p, o
-
-
-def _hinge_pair_indices(owner: list[int], b: int, pairing: str):
+def _hinge_pair_indices(owner: np.ndarray, b: int, pairing: str):
     """(pos index, neg index) arrays into the instance list (b positives,
-    then the flattened negatives), one row per hinge pair."""
+    then the negatives), one row per hinge pair."""
     m = len(owner)
     if pairing == "per_positive":
-        return np.asarray(owner, dtype=np.intp), np.arange(b, b + m, dtype=np.intp)
-    pos_idx = np.repeat(np.arange(b, dtype=np.intp), m)
-    neg_idx = np.tile(np.arange(b, b + m, dtype=np.intp), b)
-    return pos_idx, neg_idx
+        return owner, np.arange(b, b + m)
+    return np.repeat(np.arange(b), m), np.tile(np.arange(b, b + m), b)
 
 
-def _ranking_margins(
-    E: np.ndarray, R: np.ndarray, batch: TrainingBatch, h: HyperParams
-):
-    """One forward pass over the batch: positives then flattened negatives
-    as instances, each row transformed once by rfft. Returns
-    ((s, p, o), (F_s, F_o, F_r, e_s * e_o), (pos index, neg index),
-    per-hinge-pair margins, d sig(eta)/d eta per instance)."""
-    negs, owner = _flatten_negatives(batch)
-    b = len(batch.positives)
-    s, p, o = _spo_arrays(batch.positives + tuple(negs))
-    Fs, Fo, Fr = (np.fft.rfft(W[i], axis=1) for W, i in ((E, s), (E, o), (R, p)))
-    corr_so = np.fft.irfft(np.conj(Fs) * Fo, n=E.shape[1], axis=1)
-    eta = np.einsum("ij,ij->i", R[p], corr_so)
-    pos_idx, neg_idx = _hinge_pair_indices(owner, b, h.pairing)
+def _parseval_weights(d: int) -> np.ndarray:
+    """w over the d // 2 + 1 rfft coefficients with x . y = Re(X·conj(Y)) @ w
+    for real d-vectors x, y: 1/d for the mean term and, when d is even,
+    the Nyquist term; 2/d for every other term, which stands for itself
+    and its conjugate twin."""
+    w = np.full(d // 2 + 1, 2.0 / d)
+    w[0] = 1.0 / d
+    if d % 2 == 0:
+        w[-1] = 1.0 / d
+    return w
+
+
+def _forward(FE: np.ndarray, FR: np.ndarray, d: int, batch: TrainingBatch,
+             h: HyperParams, work: np.ndarray | None = None):
+    """One forward pass over the batch's instances (positives, then
+    negatives) on the coefficients. Returns ((S, O, Rr) gathered rows,
+    C = conj(S)·O, (pos index, neg index), per-hinge-pair margins,
+    d sig(eta)/d eta per instance). S, O, Rr and C are written into
+    ``work`` (4 × at least as many rows as instances) when given."""
+    s, p, o = batch.spo
+    if work is None:
+        work = np.empty((4, len(s), FE.shape[1]), dtype=complex)
+    S, O, Rr, C = work[:, :len(s)]
+    np.take(FE, s, axis=0, out=S)
+    np.take(FE, o, axis=0, out=O)
+    np.take(FR, p, axis=0, out=Rr)
+    np.conjugate(S, out=C)
+    C *= O
+    eta = (Rr.view(float) * C.view(float)) @ np.repeat(_parseval_weights(d), 2)
+    pos_idx, neg_idx = _hinge_pair_indices(batch.owner, len(batch.positives), h.pairing)
     gamma = h.effective_margin
     if h.hinge == "sigmoid":
         sig = _sigmoid(eta)
@@ -273,7 +368,13 @@ def _ranking_margins(
     else:
         margins = gamma + eta[neg_idx] - eta[pos_idx]
         slopes = np.ones_like(eta)
-    return (s, p, o), (Fs, Fo, Fr, corr_so), (pos_idx, neg_idx), margins, slopes
+    return (S, O, Rr), C, (pos_idx, neg_idx), margins, slopes
+
+
+def _ranking_margins(E: np.ndarray, R: np.ndarray, batch: TrainingBatch,
+                     h: HyperParams):
+    """`_forward` at the vectors E and R."""
+    return _forward(np.fft.rfft(E), np.fft.rfft(R), E.shape[1], batch, h)
 
 
 def _side_pair_arrays(
@@ -324,37 +425,53 @@ def objective(
     return objective_terms(emb, batch, side, h)["total"]
 
 
-def _step(E, R, batch: TrainingBatch, h: HyperParams, np_terms, rel_terms,
-          side_scale: float):
-    """Loss and gradient of lambda_str * ranking + side_scale * side terms
-    (no L2) from one forward pass. Hinge-active pairs contribute
-    -sig'(eta_pos) through their positive and +sig'(eta_neg) through their
-    negative (1 in raw mode) to d(loss)/d(eta); the subgradient at the
-    kink is 0. With c that coefficient, g_r += c (e_s * e_o),
-    g_es += c (r * e_o) and g_eo += c (r conv e_s). Each kind has one
-    zeroed gradient buffer, and every ranking and side piece is added into
-    it in place. Returns (ranking loss, g_np, g_rel, hinge-active mask)."""
-    (s, p, o), (Fs, Fo, Fr, corr_so), (pos_idx, neg_idx), margins, slopes = (
-        _ranking_margins(E, R, batch, h))
+def _scatter(at, G: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
+    """``at`` (np.add.at or np.subtract.at) of each row into row idx of G."""
+    m = G.shape[1]
+    at(G.reshape(-1), (idx[:, None] * m + np.arange(m)).ravel(), rows.ravel())
+
+
+def _step(FE, FR, d: int, batch: TrainingBatch, h: HyperParams, terms,
+          side_scale: float, out, scale: float, decay: float = 1.0, work=None):
+    """``scale`` times the rfft of the gradient of lambda_str * ranking +
+    side_scale * side terms (no L2) at the coefficients FE, FR, added into
+    out = (G_np, G_rel) after out is multiplied by ``decay``. Hinge-active
+    pairs contribute -sig'(eta_pos) through their positive and
+    +sig'(eta_neg) through their negative (1 in raw mode) to d(loss)/d(eta);
+    the subgradient at the kink is 0. With c that coefficient, subject rows
+    get c·conj(R)·O, object rows c·R·S and relation rows c·C; a side pair
+    (a, b) of weight w gets 2·w·side_scale·(F[a] - F[b]) added at a and
+    subtracted at b. The gathered rows become these pieces in place, and
+    each is scattered once built. Everything is read before out is
+    written, so out may be (FE, FR), which is the trainer's update.
+    Returns (ranking loss, hinge-active mask)."""
+    (S, O, Rr), C, (pos_idx, neg_idx), margins, slopes = _forward(FE, FR, d, batch, h, work)
     active = margins > 0.0
     pa, na = pos_idx[active], neg_idx[active]
     coef = np.bincount(np.concatenate([pa, na]),
-                       weights=np.concatenate([-slopes[pa], slopes[na]]), minlength=len(s))
-    c = (h.lambda_str * coef)[:, None]
-    corr_ro = np.fft.irfft(np.conj(Fr) * Fo, n=E.shape[1], axis=1)
-    conv_rs = np.fft.irfft(Fr * Fs, n=E.shape[1], axis=1)
-    for rows in (corr_so, corr_ro, conv_rs):
-        rows *= c
-    g_np, g_rel = np.zeros_like(E), np.zeros_like(R)
-    pieces = [(g_np, s, corr_ro), (g_np, o, conv_rs), (g_rel, p, corr_so)]
-    for g, W, (ia, ib, w) in ((g_np, E, np_terms), (g_rel, R, rel_terms)):
-        diff = (2.0 * w * side_scale)[:, None] * (W[ia] - W[ib])
-        pieces += [(g, ia, diff), (g, ib, -diff)]
-    d = E.shape[1]
-    for g, idx, rows in pieces:
-        np.add.at(g.reshape(-1), (idx[:, None] * d + np.arange(d)).ravel(), rows.ravel())
+                       weights=np.concatenate([-slopes[pa], slopes[na]]), minlength=len(C))
+    c = (scale * h.lambda_str * coef)[:, None]
+    G_np, G_rel = out
+    sides = [(G, ia, ib, F[ia] - F[ib], 2.0 * scale * side_scale * w)
+             for G, F, (ia, ib, w) in zip(out, (FE, FR), terms)]
+    G_np *= decay
+    G_rel *= decay
+    s, p, o = batch.spo
+    S *= Rr
+    S *= c
+    _scatter(np.add.at, G_np, o, S)
+    np.conjugate(Rr, out=Rr)
+    O *= Rr
+    O *= c
+    _scatter(np.add.at, G_np, s, O)
+    C *= c
+    _scatter(np.add.at, G_rel, p, C)
+    for G, ia, ib, diff, w in sides:
+        diff *= w[:, None]
+        _scatter(np.add.at, G, ia, diff)
+        _scatter(np.subtract.at, G, ib, diff)
     loss = h.lambda_str * float(np.maximum(margins, 0.0).sum())
-    return loss, g_np, g_rel, active
+    return loss, active
 
 
 def gradient(
@@ -363,8 +480,11 @@ def gradient(
     """Analytic gradient of ``objective`` with respect to every vector;
     returns (d/d np_vectors, d/d rel_vectors)."""
     E, R = emb.np_vectors, emb.rel_vectors
-    _, g_np, g_rel, _ = _step(E, R, batch, h, _side_pair_arrays(side, PhraseKind.NP, h),
-                              _side_pair_arrays(side, PhraseKind.REL, h), 1.0)
+    FE, FR = np.fft.rfft(E), np.fft.rfft(R)
+    G = (np.zeros_like(FE), np.zeros_like(FR))
+    terms = [_side_pair_arrays(side, kind, h) for kind in (PhraseKind.NP, PhraseKind.REL)]
+    _step(FE, FR, emb.dim, batch, h, terms, 1.0, G, 1.0)
+    g_np, g_rel = (np.fft.irfft(g, n=emb.dim) for g in G)
     g_np += 2.0 * h.lambda_reg * E
     g_rel += 2.0 * h.lambda_reg * R
     return g_np, g_rel
@@ -393,43 +513,34 @@ def load_word_vectors(path, kb: OpenKB | None = None) -> WordVectors:
     rows must match. Every row is parsed and checked; given a KB, only the
     rows whose token occurs in one of its phrases under `tokenize` (the
     only rows `wordvec_phrase_embedding` can look up) are kept."""
-    path = Path(path)
     keep = None if kb is None else {
         t for p in (*kb.np_vocab, *kb.rel_vocab) for t in tokenize(p.text)}
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
     rows = 0
-    # surrogateescape keeps text mode's line ends and turns a byte that is
-    # not UTF-8 into a lone surrogate, which the line's check below finds
-    with path.open(encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.isascii():
-                try:
-                    line.encode("utf-8", "surrogateescape").decode("utf-8")
-                except UnicodeDecodeError as e:
-                    raise ParseError(path, line_no, f"not UTF-8: {e}") from e
-            parts = line.rstrip().split(" ")
-            if line_no == 1 and len(parts) == 2 and parts[0].isdigit() and parts[1].isdigit():
-                dim, dim_from = int(parts[1]), "header"
+    for line_no, line in read_lines(path):
+        parts = line.rstrip().split(" ")
+        if line_no == 1 and len(parts) == 2 and parts[0].isdigit() and parts[1].isdigit():
+            dim, dim_from = int(parts[1]), "header"
+            continue
+        if len(parts) < 2:
+            if not line.strip():
                 continue
-            if len(parts) < 2:
-                if not line.strip():
-                    continue
-                raise ParseError(path, line_no, "expected 'token v_1 ... v_d'")
-            try:
-                # numpy converts each str with float(): same values, same errors
-                vec = np.array(parts[1:], dtype=float)
-            except ValueError as e:
-                raise ParseError(path, line_no, f"non-numeric vector entry: {e}") from e
-            if dim is None:
-                dim, dim_from = vec.shape[0], "first row"
-            elif vec.shape[0] != dim:
-                raise ParseError(
-                    path, line_no, f"dimension {vec.shape[0]} != {dim_from}'s {dim}"
-                )
-            rows += 1
-            if keep is None or parts[0] in keep:
-                vectors[parts[0]] = vec
+            raise ParseError(path, line_no, "expected 'token v_1 ... v_d'")
+        try:
+            # numpy converts each str with float(): same values, same errors
+            vec = np.array(parts[1:], dtype=float)
+        except ValueError as e:
+            raise ParseError(path, line_no, f"non-numeric vector entry: {e}") from e
+        if dim is None:
+            dim, dim_from = vec.shape[0], "first row"
+        elif vec.shape[0] != dim:
+            raise ParseError(
+                path, line_no, f"dimension {vec.shape[0]} != {dim_from}'s {dim}"
+            )
+        rows += 1
+        if keep is None or parts[0] in keep:
+            vectors[parts[0]] = vec
     if not rows:
         raise ParseError(path, 1, "vectors file is empty")
     return vectors, dim
@@ -485,7 +596,7 @@ def save_embeddings(emb: EmbeddingSet, path, seed: int, kb: OpenKB) -> None:
     meta = {"version": 1, "dim": emb.dim, "seed": seed, "vocab_hash": vocab_hash(kb)}
     # through a handle, so numpy writes the temporary file and adds no suffix
     with atomic_open(path, "wb") as fh:
-        np.savez_compressed(
+        np.savez(
             fh,
             np_vectors=emb.np_vectors,
             rel_vectors=emb.rel_vectors,
@@ -529,27 +640,29 @@ def train(
     """Seeded mini-batch gradient descent on the full objective.
 
     Each epoch shuffles the triples, samples fresh negatives per batch, and
-    applies one SGD step per batch. The loss and gradient come from the
-    same step function as ``gradient``: the ranking gradient enters at full
-    weight; side and regularization gradients are scaled by the batch
-    fraction so an epoch applies each exactly once (regularization is
-    folded in as an equivalent multiplicative decay). Side penalties and
-    regularization consume no randomness, so the random stream depends only
-    on the KB and the sampling hyperparameters, and the run is
-    bit-reproducible under a fixed seed.
+    applies one SGD step per batch to the rfft coefficients of the
+    vectors. The loss and gradient come from the same step function as
+    ``gradient``: the ranking gradient enters at full weight; side and
+    regularization gradients are scaled by the batch fraction so an epoch
+    applies each exactly once (regularization is folded in as an
+    equivalent multiplicative decay). Side penalties and regularization
+    consume no randomness, so the random stream depends only on the KB and
+    the sampling hyperparameters, and the run is bit-reproducible under a
+    fixed seed.
     """
     h.validate()
     if init.np_vectors.shape[0] != kb.n_nps or init.rel_vectors.shape[0] != kb.n_rels:
         raise ConfigError("init embeddings do not cover the vocabulary")
     if init.dim != h.dim:
         raise ConfigError(f"init dim {init.dim} does not match hyperparams dim {h.dim}")
-    E = init.np_vectors.copy()
-    R = init.rel_vectors.copy()
+    FE, FR = np.fft.rfft(init.np_vectors), np.fft.rfft(init.rel_vectors)
     n = len(kb.triples)
+    k = h.negatives_per_positive
     rng_shuffle = np.random.default_rng([h.seed, 1])
     rng_neg = np.random.default_rng([h.seed, 2])
-    np_terms = _side_pair_arrays(side, PhraseKind.NP, h)
-    rel_terms = _side_pair_arrays(side, PhraseKind.REL, h)
+    terms = [_side_pair_arrays(side, kind, h) for kind in (PhraseKind.NP, PhraseKind.REL)]
+    # the step's gathered rows, allocated once: a batch has at most this many instances
+    work = np.empty((4, min(h.batch_size, n) * (1 + k), h.dim // 2 + 1), dtype=complex)
     lr = h.learning_rate
     log_fh = open(log_file, "w", encoding="utf-8") if log_file else None
     try:
@@ -561,22 +674,17 @@ def train(
             for start in range(0, n, h.batch_size):
                 idx = order[start:start + h.batch_size]
                 positives = [kb.triples[i] for i in idx]
-                batch = make_batch(kb, positives, h.negatives_per_positive, rng_neg)
-                skipped += sum(
-                    h.negatives_per_positive - len(g) for g in batch.negatives
-                )
+                batch = make_batch(kb, positives, k, rng_neg)
+                skipped += k * len(positives) - len(batch.owner)
                 frac = len(positives) / n
-                loss, g_np, g_rel, active = _step(E, R, batch, h, np_terms, rel_terms, frac)
+                decay = 1.0 - 2.0 * lr * h.lambda_reg * frac
+                loss, active = _step(FE, FR, h.dim, batch, h, terms, frac, (FE, FR), -lr,
+                                     decay, work)
                 ranking_loss += loss
                 active_pairs += int(active.sum())
                 pairs += active.size
-                decay = 1.0 - 2.0 * lr * h.lambda_reg * frac
-                E *= decay
-                R *= decay
-                E -= lr * g_np
-                R -= lr * g_rel
-            side_np = _side_loss(E, np_terms)
-            side_rel = _side_loss(R, rel_terms)
+            E, R = np.fft.irfft(FE, n=h.dim), np.fft.irfft(FR, n=h.dim)
+            side_np, side_rel = (_side_loss(W, t) for W, t in zip((E, R), terms))
             reg = h.lambda_reg * (float(np.sum(E * E)) + float(np.sum(R * R)))
             total = ranking_loss + side_np + side_rel + reg
             if not np.isfinite(total) or not np.isfinite(E).all() or not np.isfinite(R).all():
@@ -602,4 +710,5 @@ def train(
     finally:
         if log_fh:
             log_fh.close()
-    return EmbeddingSet(np_vectors=E, rel_vectors=R, dim=h.dim)
+    return EmbeddingSet(np_vectors=np.fft.irfft(FE, n=h.dim),
+                        rel_vectors=np.fft.irfft(FR, n=h.dim), dim=h.dim)

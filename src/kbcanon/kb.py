@@ -18,10 +18,12 @@ import random
 import re
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
+
+import numpy as np
 
 from .errors import EmptyKBError, InvariantViolation, ParseError
 
@@ -77,12 +79,14 @@ class Triple:
 @dataclass(frozen=True)
 class OpenKB:
     """Immutable after construction; safe for concurrent reads. A phrase id
-    is its position in its kind's vocabulary, which `audit` checks."""
+    is its position in its kind's vocabulary, which `audit` checks.
+    ``triple_index`` holds each distinct triple's `triple_keys` key once,
+    sorted, for membership by ``np.searchsorted``."""
 
     triples: tuple[Triple, ...]
     np_vocab: tuple[Phrase, ...]
     rel_vocab: tuple[Phrase, ...]
-    triple_index: frozenset[tuple[int, int, int]]
+    triple_index: np.ndarray = field(compare=False, repr=False)
 
     @property
     def n_nps(self) -> int:
@@ -178,12 +182,45 @@ def build_kb(records: Iterable[dict]) -> OpenKB:
                 gold_object=rec.get("gold_obj_id"),
             )
         )
+    np_vocab, rel_vocab = nps.phrases(), rels.phrases()
     return OpenKB(
         triples=tuple(triples),
-        np_vocab=nps.phrases(),
-        rel_vocab=rels.phrases(),
-        triple_index=frozenset(t.spo for t in triples),
+        np_vocab=np_vocab,
+        rel_vocab=rel_vocab,
+        triple_index=_triple_index(triples, len(np_vocab), len(rel_vocab)),
     )
+
+
+def triple_keys(s, p, o, n_nps: int, n_rels: int):
+    """(s·n_rels + p)·n_nps + o: one int64 per (s, p, o) with ids in range,
+    distinct triples giving distinct keys. Takes ints or int arrays."""
+    return (s * n_rels + p) * n_nps + o
+
+
+def spo_columns(triples) -> np.ndarray:
+    """(3, n) int64: the subject, relation and object ids of the triples."""
+    n = len(triples)
+    return np.stack([np.fromiter((t.subject for t in triples), np.int64, n),
+                     np.fromiter((t.relation for t in triples), np.int64, n),
+                     np.fromiter((t.object for t in triples), np.int64, n)])
+
+
+def _triple_index(triples, n_nps: int, n_rels: int) -> np.ndarray:
+    keys = np.sort(triple_keys(*spo_columns(triples), n_nps, n_rels))
+    # not np.unique, whose first call imports modules worth about 1.4 MB
+    distinct = np.ones(len(keys), dtype=bool)
+    distinct[1:] = keys[1:] != keys[:-1]
+    index = keys[distinct]
+    index.setflags(write=False)
+    return index
+
+
+def index_contains(kb: OpenKB, keys: np.ndarray) -> np.ndarray:
+    """Per key of `triple_keys`, whether its triple occurs in the KB."""
+    index = kb.triple_index
+    if not len(index):
+        return np.zeros(len(keys), dtype=bool)
+    return index[np.minimum(np.searchsorted(index, keys), len(index) - 1)] == keys
 
 
 _REQUIRED_FIELDS = ("subject", "relation", "object")
@@ -218,17 +255,32 @@ def _parse_record(raw: dict, path, line_no: int) -> dict:
     return rec
 
 
+def read_lines(path) -> Iterator[tuple[int, str]]:
+    """(line number, line) for every line of a UTF-8 text file, line ends
+    as text mode reads them; a line that is not UTF-8 raises ParseError
+    naming the file and line."""
+    # surrogateescape turns a byte that is not UTF-8 into a lone
+    # surrogate, which the line's round trip below finds
+    with Path(path).open(encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as e:
+                    raise ParseError(path, line_no, f"not UTF-8: {e}") from e
+            yield line_no, line
+
+
 def read_jsonl(path) -> Iterator[tuple[int, object]]:
     """(line number, value) for every non-blank line of a JSON-lines file;
     a line that is not JSON raises ParseError naming it."""
-    with Path(path).open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
-                    value = json.loads(line)
-                except json.JSONDecodeError as e:
-                    raise ParseError(path, line_no, f"invalid JSON: {e.msg}") from e
-                yield line_no, value
+    for line_no, line in read_lines(path):
+        if line.strip():
+            try:
+                value = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise ParseError(path, line_no, f"invalid JSON: {e.msg}") from e
+            yield line_no, value
 
 
 def load_triples(path, format: TripleFormat = TripleFormat.JSONL) -> OpenKB:
@@ -256,7 +308,7 @@ def load_triples(path, format: TripleFormat = TripleFormat.JSONL) -> OpenKB:
             add(raw, line_no)
     elif format is TripleFormat.JSON:
         try:
-            data = json.loads(path.read_text(encoding="utf-8"))
+            data = json.loads("".join(line for _, line in read_lines(path)))
         except json.JSONDecodeError as e:
             raise ParseError(path, e.lineno, f"invalid JSON: {e.msg}") from e
         if not isinstance(data, list):
@@ -330,7 +382,9 @@ def vocab_hash(kb: OpenKB) -> str:
 
 def contains(kb: OpenKB, s: int, p: int, o: int) -> bool:
     """True iff the exact triple (s, p, o) occurs in the KB."""
-    return (s, p, o) in kb.triple_index
+    if not (0 <= s < kb.n_nps and 0 <= p < kb.n_rels and 0 <= o < kb.n_nps):
+        return False
+    return bool(index_contains(kb, np.array([triple_keys(s, p, o, kb.n_nps, kb.n_rels)]))[0])
 
 
 def audit(kb: OpenKB) -> None:
@@ -360,7 +414,7 @@ def audit(kb: OpenKB) -> None:
                 raise InvariantViolation(f"phrase {p.id} has frequency {p.frequency}")
             if freq[(kind, i)] != p.frequency:
                 raise InvariantViolation(f"{kind.value} {p.id} frequency mismatch")
-    if kb.triple_index != frozenset(t.spo for t in kb.triples):
+    if not np.array_equal(kb.triple_index, _triple_index(kb.triples, kb.n_nps, kb.n_rels)):
         raise InvariantViolation("triple_index disagrees with triples list")
 
 
@@ -375,16 +429,15 @@ def read_gold_lines(path) -> Iterator[tuple[int, str, str | None]]:
     """(line number, whitespace-normalized phrase text, gold id) for every
     non-blank line of a ``phrase_text <TAB> gold_id`` file. A line holding
     only a phrase has gold id None; any other shape raises ParseError."""
-    with Path(path).open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) > 2 or not all(part.strip() for part in parts):
-                raise ParseError(path, line_no, _GOLD_LINE)
-            yield (line_no, normalize_whitespace(parts[0]),
-                   parts[1].strip() if len(parts) == 2 else None)
+    for line_no, line in read_lines(path):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) > 2 or not all(part.strip() for part in parts):
+            raise ParseError(path, line_no, _GOLD_LINE)
+        yield (line_no, normalize_whitespace(parts[0]),
+               parts[1].strip() if len(parts) == 2 else None)
 
 
 def load_gold(path, kb: OpenKB, kind: PhraseKind) -> GoldClustering:

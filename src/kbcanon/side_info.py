@@ -27,6 +27,7 @@ from .kb import (
     atomic_open,
     majority_labels,
     normalize_whitespace,
+    read_lines,
     vocab_hash,
 )
 from .stopwords import STOPWORDS
@@ -341,27 +342,26 @@ def load_ppdb(path, confidence_min: float) -> tuple[list[tuple[str, str]], int]:
     least confidence_min. Returns (kept rows, malformed-row count)."""
     rows: list[tuple[str, str]] = []
     malformed = 0
-    with Path(path).open(encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                malformed += 1
-                continue
-            try:
-                score = float(parts[2])
-            except ValueError:
-                malformed += 1
-                continue
-            p1 = normalize_whitespace(parts[0]).lower()
-            p2 = normalize_whitespace(parts[1]).lower()
-            if not p1 or not p2:
-                malformed += 1
-                continue
-            if score >= confidence_min:
-                rows.append((p1, p2))
+    for _, line in read_lines(path):
+        line = line.rstrip("\n")
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            malformed += 1
+            continue
+        try:
+            score = float(parts[2])
+        except ValueError:
+            malformed += 1
+            continue
+        p1 = normalize_whitespace(parts[0]).lower()
+        p2 = normalize_whitespace(parts[1]).lower()
+        if not p1 or not p2:
+            malformed += 1
+            continue
+        if score >= confidence_min:
+            rows.append((p1, p2))
     if malformed:
         logger.warning("load_ppdb: skipped %d malformed rows in %s", malformed, path)
     return rows, malformed
@@ -402,15 +402,13 @@ def _two_field_rows(path, expected: str):
     """(line number, lowercased phrase, stripped second field) for each
     non-blank row of a two-column TSV file; any other row is a ParseError
     naming the line."""
-    path = Path(path)
-    with path.open(encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
-                raise ParseError(path, line_no, f"expected '{expected}'")
-            yield line_no, normalize_whitespace(parts[0]).lower(), parts[1].strip()
+    for line_no, line in read_lines(path):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
+            raise ParseError(path, line_no, f"expected '{expected}'")
+        yield line_no, normalize_whitespace(parts[0]).lower(), parts[1].strip()
 
 
 def load_synsets(path) -> dict[str, set[str]]:

@@ -15,7 +15,7 @@ from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from kbcanon.embedding import HyperParams, TrainingBatch, make_batch
+from kbcanon.embedding import NEGATIVE_RETRIES, HyperParams, TrainingBatch
 from kbcanon.errors import InvariantViolation, MetricsUndefinedError
 from kbcanon.kb import OpenKB, PhraseKind, Triple, build_kb
 from kbcanon.metrics import MetricsReport, harmonic_mean, restrict_to_gold
@@ -403,7 +403,8 @@ def naive_attribute_overlap(kb: OpenKB, a: int, b: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the embedding trainer's per-batch update, in its original complex-FFT form
+# the embedding trainer's sampler and per-batch update, in their original
+# scalar and complex-FFT forms
 
 
 def _corr_rows(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -542,13 +543,66 @@ def _accumulate_side_grad(g: np.ndarray, W: np.ndarray, terms, scale: float) -> 
         np.add.at(g, ib, -diff)
 
 
+def sample_negatives(kb: OpenKB, t: Triple, k: int, rng: np.random.Generator) -> list[Triple]:
+    """The negative sampler as first written: per slot, up to
+    NEGATIVE_RETRIES tries of a fair coin (corrupt the subject or the
+    object) and a uniform NP, one ``rng.integers`` call each; a corruption
+    that exists in the KB is redrawn."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    existing = {u.spo for u in kb.triples}
+    n = kb.n_nps
+    out: list[Triple] = []
+    for _ in range(k):
+        for _ in range(NEGATIVE_RETRIES):
+            corrupt_subject = bool(rng.integers(0, 2))
+            cand = int(rng.integers(0, n))
+            if corrupt_subject:
+                spo = (cand, t.relation, t.object)
+            else:
+                spo = (t.subject, t.relation, cand)
+            if spo not in existing:
+                out.append(
+                    Triple(triple_id=-1, subject=spo[0], relation=spo[1], object=spo[2])
+                )
+                break
+    return out
+
+
+def reference_make_batch(kb: OpenKB, positives: Sequence[Triple], k: int,
+                         rng: np.random.Generator) -> TrainingBatch:
+    """``sample_negatives`` for each positive in order."""
+    return TrainingBatch(tuple(positives), tuple(
+        tuple(sample_negatives(kb, t, k, rng)) if k >= 1 else () for t in positives))
+
+
+def reference_step(E, R, batch: TrainingBatch, h, np_terms, rel_terms,
+                   frac: float) -> None:
+    """One SGD step in place on the vectors E and R, as first written:
+    three separate s*o correlations through complex FFTs, np.add.at
+    scatters, and L2 as a decay by 1 - 2·lr·lambda_reg·frac. ``np_terms``
+    and ``rel_terms`` come from this module's ``_side_pair_arrays``."""
+    lr = h.learning_rate
+    s_all, p_all, o_all, coef = _ranking_instances(E, R, batch, h)
+    g_np = np.zeros_like(E)
+    g_rel = np.zeros_like(R)
+    _accumulate_ranking_grad(g_np, g_rel, E, R, s_all, p_all, o_all,
+                             coef, h.lambda_str)
+    _accumulate_side_grad(g_np, E, np_terms, frac)
+    _accumulate_side_grad(g_rel, R, rel_terms, frac)
+    decay = 1.0 - 2.0 * lr * h.lambda_reg * frac
+    E *= decay
+    R *= decay
+    E -= lr * g_np
+    R -= lr * g_rel
+
+
 def reference_train(kb: OpenKB, side, h, init) -> tuple[np.ndarray, np.ndarray]:
-    """Mini-batch SGD as first written: three separate s*o correlations
-    per step through complex FFTs and np.add.at scatters. Batches come
-    from the package's ``make_batch``, so the random streams are consumed
-    exactly as in ``kbcanon.embedding.train``; the side terms are built
-    here, in the same sorted-pair order, and the update arithmetic is
-    independent. Returns the final (np_vectors, rel_vectors)."""
+    """Mini-batch SGD as first written: ``reference_step`` on batches from
+    ``reference_make_batch``, with the shuffling and sampling streams
+    seeded as in ``kbcanon.embedding.train``; the side terms are built
+    here, in the same sorted-pair order. Returns the final (np_vectors,
+    rel_vectors)."""
     E = init.np_vectors.copy()
     R = init.rel_vectors.copy()
     n = len(kb.triples)
@@ -556,26 +610,13 @@ def reference_train(kb: OpenKB, side, h, init) -> tuple[np.ndarray, np.ndarray]:
     rng_neg = np.random.default_rng([h.seed, 2])
     np_terms = _side_pair_arrays(side, PhraseKind.NP, h)
     rel_terms = _side_pair_arrays(side, PhraseKind.REL, h)
-    lr = h.learning_rate
     for _ in range(h.epochs):
         order = rng_shuffle.permutation(n)
         for start in range(0, n, h.batch_size):
             idx = order[start:start + h.batch_size]
             positives = [kb.triples[i] for i in idx]
-            batch = make_batch(kb, positives, h.negatives_per_positive, rng_neg)
-            frac = len(positives) / n
-            s_all, p_all, o_all, coef = _ranking_instances(E, R, batch, h)
-            g_np = np.zeros_like(E)
-            g_rel = np.zeros_like(R)
-            _accumulate_ranking_grad(g_np, g_rel, E, R, s_all, p_all, o_all,
-                                     coef, h.lambda_str)
-            _accumulate_side_grad(g_np, E, np_terms, frac)
-            _accumulate_side_grad(g_rel, R, rel_terms, frac)
-            decay = 1.0 - 2.0 * lr * h.lambda_reg * frac
-            E *= decay
-            R *= decay
-            E -= lr * g_np
-            R -= lr * g_rel
+            batch = reference_make_batch(kb, positives, h.negatives_per_positive, rng_neg)
+            reference_step(E, R, batch, h, np_terms, rel_terms, len(positives) / n)
     return E, R
 
 

@@ -4,6 +4,7 @@ gradient, initialization, persistence, and the trainer."""
 from __future__ import annotations
 
 import json
+import zipfile
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from kbcanon.embedding import (
     make_batch,
     objective,
     objective_terms,
-    sample_negatives,
     save_embeddings,
     score_triple,
     train,
@@ -128,29 +128,6 @@ class TestScoreTriple:
         R[0] = [1.0, 1.0]
         emb = EmbeddingSet(np_vectors=E, rel_vectors=R, dim=2)
         assert score_triple(emb, 0, 0, 1) == pytest.approx(21.0, abs=1e-10)
-
-
-class TestSampleNegatives:
-    def test_saturated_kb_yields_nothing(self):
-        rows = [("a", "r", "a"), ("a", "r", "b"), ("b", "r", "a"), ("b", "r", "b")]
-        kb = build_kb(records_from_spo(rows))
-        rng = np.random.default_rng(0)
-        assert sample_negatives(kb, kb.triples[0], 3, rng) == []
-
-    def test_negatives_absent_from_kb(self, synth_kb):
-        rng = np.random.default_rng(1)
-        for t in synth_kb.triples[:30]:
-            for neg in sample_negatives(synth_kb, t, 4, rng):
-                assert neg.spo not in synth_kb.triple_index
-                assert neg.relation == t.relation
-
-    def test_deterministic_under_seed(self, synth_kb):
-        t = synth_kb.triples[0]
-        seq1 = [n.spo for n in sample_negatives(synth_kb, t, 5,
-                                                np.random.default_rng(42))]
-        seq2 = [n.spo for n in sample_negatives(synth_kb, t, 5,
-                                                np.random.default_rng(42))]
-        assert seq1 == seq2
 
 
 class TestObjective:
@@ -361,6 +338,26 @@ class TestPersistence:
         assert np.array_equal(loaded.rel_vectors, emb.rel_vectors)
         assert meta["seed"] == 5
         assert meta["dim"] == 6
+
+    def test_vectors_are_stored_not_deflated(self, tmp_path):
+        kb = small_kb()
+        path = tmp_path / "emb.npz"
+        save_embeddings(random_embeddings(kb, 6, seed=14), path, seed=0, kb=kb)
+        with zipfile.ZipFile(path) as zf:
+            assert {i.compress_type for i in zf.infolist()} == {zipfile.ZIP_STORED}
+
+    def test_flipped_byte_is_parse_error(self, tmp_path):
+        # a stored member is checked against its CRC-32 as it is read
+        kb = small_kb()
+        emb = random_embeddings(kb, 6, seed=15)
+        path = tmp_path / "emb.npz"
+        save_embeddings(emb, path, seed=0, kb=kb)
+        data = bytearray(path.read_bytes())
+        at = data.index(emb.np_vectors.tobytes()) + 7
+        data[at] ^= 0x10
+        path.write_bytes(bytes(data))
+        with pytest.raises(ParseError, match=r"emb\.npz: not an embeddings checkpoint: .*CRC"):
+            load_embeddings(path, kb)
 
     def test_vocab_hash_mismatch_rejected(self, tmp_path):
         kb = small_kb()
