@@ -38,8 +38,8 @@ from .errors import ConfigError
 from .kb import GoldClustering, OpenKB, PhraseKind
 from .side_info import (
     EMPTY_SIDE_INFO,
-    DisjointSet,
     build_df,
+    components,
     content_tokens,
     entity_link_equivalences,
     idf_overlap_score,
@@ -257,16 +257,6 @@ def _freq_clustering(kb: OpenKB, kind: PhraseKind, member_sets,
     return Clustering(kind=kind, clusters=clusters, threshold_used=threshold)
 
 
-def _equivalence_clustering(kb: OpenKB, kind: PhraseKind, pairs) -> Clustering:
-    """Connected components of a pair set, singletons elsewhere."""
-    dsu = DisjointSet()
-    for p in kb.vocab(kind):
-        dsu.find(p.id)
-    for a, b in pairs:
-        dsu.union(a, b)
-    return _freq_clustering(kb, kind, dsu.groups(), NO_THRESHOLD)
-
-
 # ---------------------------------------------------------------------------
 # dispatch
 
@@ -292,18 +282,18 @@ def run_baseline(
         raise ConfigError(f"{name.value} needs a threshold or validation gold to tune one")
     if name in VECTOR_BASELINES and word_vectors is None:
         raise ConfigError(f"{name.value} baseline needs a vectors_file")
+    if name is BaselineName.PPDB and ppdb_file is None:
+        raise ConfigError("ppdb baseline needs a ppdb_file")
 
-    if name is BaselineName.MORPH:
-        return _equivalence_clustering(kb, kind, morph_equivalences(kb, kind).pairs)
-
-    if name is BaselineName.PPDB:
-        if ppdb_file is None:
-            raise ConfigError("ppdb baseline needs a ppdb_file")
-        pair_set = ppdb_equivalences(ppdb_file, cfg.ppdb_confidence_min, kb, kind)
-        return _equivalence_clustering(kb, kind, pair_set.pairs)
-
-    if name is BaselineName.ENTLINK:
-        return _equivalence_clustering(kb, kind, entity_link_equivalences(kb).pairs)
+    if name in (BaselineName.MORPH, BaselineName.PPDB, BaselineName.ENTLINK):
+        if name is BaselineName.MORPH:
+            pair_set = morph_equivalences(kb, kind)
+        elif name is BaselineName.PPDB:
+            pair_set = ppdb_equivalences(ppdb_file, cfg.ppdb_confidence_min, kb, kind)
+        else:
+            pair_set = entity_link_equivalences(kb)
+        # connected components of the pairs, singletons elsewhere
+        return _freq_clustering(kb, kind, components(len(vocab), pair_set.pairs), NO_THRESHOLD)
 
     if name in (BaselineName.IDF_HAC, BaselineName.STRSIM_HAC, BaselineName.ATTR_HAC):
         texts = [p.text for p in vocab]

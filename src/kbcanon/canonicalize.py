@@ -20,6 +20,7 @@ import json
 import logging
 from collections import Counter
 from dataclasses import dataclass
+from itertools import takewhile
 from math import comb
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, Sequence
@@ -29,7 +30,7 @@ import numpy as np
 from .errors import ConfigError, InvariantViolation, ZeroVectorError
 from .kb import GoldClustering, OpenKB, Phrase, PhraseKind, triple_record
 from .metrics import table_report
-from .side_info import DisjointSet
+from .side_info import components, find
 
 logger = logging.getLogger(__name__)
 
@@ -152,14 +153,9 @@ def cut_history(
     ids: Sequence[int], history: Sequence[tuple[float, int, int]], threshold: float
 ) -> list[frozenset[int]]:
     """Partition from replaying merges with distance <= threshold."""
-    dsu = DisjointSet()
-    for pid in ids:
-        dsu.find(pid)
-    for dist, i, j in history:
-        if dist > threshold:
-            break
-        dsu.union(ids[i], ids[j])
-    return sorted((frozenset(g) for g in dsu.groups()), key=min)
+    merges = takewhile(lambda merge: merge[0] <= threshold, history)
+    return [frozenset(ids[x] for x in members)
+            for members in components(len(ids), ((i, j) for _, i, j in merges))]
 
 
 def _check_ids(ids: Sequence[int], D: np.ndarray) -> None:
@@ -281,16 +277,11 @@ def _cut_scores(ids: Sequence[int], history: Sequence[tuple[float, int, int]],
     hits = row_pairs = 0
     label_pairs = sum(comb(c, 2) for c in totals.values())
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
     scores = []
     k = 0
     for t in thresholds:
         while k < len(history) and history[k][0] <= t:
-            a, b = find(history[k][1]), find(history[k][2])
+            a, b = find(parent, history[k][1]), find(parent, history[k][2])
             k += 1
             if a == b:
                 continue
@@ -386,8 +377,8 @@ def cluster_phrases(
     vocab = kb.vocab(kind)
     if len(V) != len(vocab):
         raise ValueError(f"{len(V)} vectors for the KB's {len(vocab)} {kind.value} phrases")
-    member_sets, threshold = tune_and_cut(range(len(vocab)), cosine_distance_matrix(V),
-                                          threshold, validation_gold, grid)
+    D = cosine_distance_matrix(V, labels=[p.text for p in vocab])
+    member_sets, threshold = tune_and_cut(range(len(vocab)), D, threshold, validation_gold, grid)
     return build_clustering(member_sets, kind, threshold, vocab, V)
 
 

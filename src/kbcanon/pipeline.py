@@ -636,6 +636,9 @@ def grid_search(
         raise ConfigError(
             f"grid key(s) {fixed} are fixed by the base config and cannot vary"
         )
+    for key, value in grid.items():
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"grid key {key!r} needs a list of values, got {value!r}")
     config.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -725,12 +728,18 @@ def grid_search(
 def evaluate_clusters_file(clusters_path, gold_path) -> MetricsReport:
     """Score a cluster artifact (JSON lines with a ``members`` list of
     surface texts) against a `phrase <TAB> gold_id` file. Phrases without a
-    gold id are not scored; a malformed line of either file raises ParseError."""
+    gold id are not scored; a malformed line of either file, or a phrase
+    listed twice, raises ParseError."""
     clusters: list[frozenset[str]] = []
+    seen: set[str] = set()
     for line_no, rec in read_jsonl(clusters_path):
         members = rec.get("members") if isinstance(rec, dict) else None
         if not isinstance(members, list) or not all(isinstance(m, str) for m in members):
             raise ParseError(clusters_path, line_no, "expected a `members` list of texts")
+        for m in members:
+            if m in seen:
+                raise ParseError(clusters_path, line_no, f"phrase {m!r} repeats")
+            seen.add(m)
         clusters.append(frozenset(members))
     gold = {text: gold_id for _, text, gold_id in read_gold_lines(gold_path)
             if gold_id is not None}

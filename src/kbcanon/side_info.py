@@ -177,37 +177,27 @@ class SideInfoCollection:
 EMPTY_SIDE_INFO = SideInfoCollection()
 
 
-class DisjointSet:
-    """Union-find over hashable items with path compression."""
+def find(parent: list[int], x: int) -> int:
+    """The root of position x in the union-find ``parent``, halving the
+    path on the way."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
 
-    def __init__(self):
-        self._parent: dict = {}
 
-    def find(self, x):
-        parent = self._parent
-        if x not in parent:
-            parent[x] = x
-            return x
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self._parent[rb] = ra
-
-    def __contains__(self, x) -> bool:
-        return x in self._parent
-
-    def groups(self) -> list[list]:
-        by_root = defaultdict(list)
-        for x in self._parent:
-            by_root[self.find(x)].append(x)
-        return list(by_root.values())
+def components(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Connected components of positions 0..n-1 under ``edges``, each in
+    ascending order, ordered by smallest member. A union links the larger
+    root under the smaller, so every root is its component's minimum."""
+    parent = list(range(n))
+    for a, b in edges:
+        a, b = find(parent, a), find(parent, b)
+        if a != b:
+            parent[max(a, b)] = min(a, b)
+    groups: dict[int, list[int]] = {}
+    for x in range(n):
+        groups.setdefault(find(parent, x), []).append(x)
+    return list(groups.values())
 
 
 # ---------------------------------------------------------------------------
@@ -370,16 +360,21 @@ def load_ppdb(path, confidence_min: float) -> tuple[list[tuple[str, str]], int]:
 def ppdb_equivalences(
     ppdb_file, confidence_min: float, kb: OpenKB, kind: PhraseKind
 ) -> EquivalencePairSet:
-    """Union-find over paraphrase rows passing the confidence cutoff; two
-    KB phrases are paired iff both occur in the resource and share a root.
-    KB phrases absent from the resource contribute nothing."""
+    """Connected components of the paraphrase rows passing the confidence
+    cutoff; two KB phrases are paired iff both occur in the resource and
+    share a component. KB phrases absent from the resource contribute
+    nothing."""
     rows, _ = load_ppdb(ppdb_file, confidence_min)
-    dsu = DisjointSet()
-    for p1, p2 in rows:
-        dsu.union(p1, p2)
+    position: dict[str, int] = {}  # resource strings in first-seen order
+    edges = [(position.setdefault(p1, len(position)),
+              position.setdefault(p2, len(position))) for p1, p2 in rows]
+    smallest = [0] * len(position)
+    for members in components(len(position), edges):
+        for x in members:
+            smallest[x] = members[0]
     return _label_pair_set("ppdb", kind, (
-        (pid, dsu.find(text))
-        for text, ids in _lower_index(kb, kind).items() if text in dsu
+        (pid, smallest[position[text]])
+        for text, ids in _lower_index(kb, kind).items() if text in position
         for pid in ids
     ))
 

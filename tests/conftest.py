@@ -3,6 +3,9 @@ dataset with gold labels and a side-information file."""
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,14 @@ def records_from_spo(spo_list, extra_by_index=None):
         rec.update((extra_by_index or {}).get(i, {}))
         records.append(rec)
     return records
+
+
+def checkout_env() -> dict[str, str]:
+    """The environment with this checkout's ``src/`` first on PYTHONPATH,
+    so a subprocess imports kbcanon from it, installed or not."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
 def write_kb_vectors(path, kb: OpenKB, dim: int, distractors: int = 20, seed: int = 0):

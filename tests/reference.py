@@ -8,7 +8,7 @@ the package under test.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from itertools import combinations
 from math import comb
 from typing import Collection, Iterable, Mapping, Sequence
@@ -364,6 +364,34 @@ def reference_distance_matrix(features: Sequence, similarity) -> np.ndarray:
     for (i, x), (j, y) in combinations(enumerate(features), 2):
         D[i, j] = D[j, i] = 1.0 - similarity(x, y)
     return D
+
+
+# Connected components by breadth-first search over an adjacency list,
+# independent of the package's union-find.
+
+
+def reference_components(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Components of the graph on 0..n-1, each sorted, ordered by their
+    smallest member."""
+    adjacent = defaultdict(set)
+    for a, b in edges:
+        adjacent[a].add(b)
+        adjacent[b].add(a)
+    seen: set[int] = set()
+    out = []
+    for start in range(n):
+        if start in seen:
+            continue
+        seen.add(start)
+        queue, members = deque([start]), [start]
+        while queue:
+            for y in adjacent[queue.popleft()]:
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+                    members.append(y)
+        out.append(sorted(members))
+    return out
 
 
 # The package's original IDF side information, kept verbatim: it scores

@@ -10,7 +10,6 @@ line per criterion.
 from __future__ import annotations
 
 import json
-import os
 import random
 import subprocess
 import sys
@@ -43,6 +42,7 @@ from kbcanon.pipeline import LEADERBOARD_HEADER, PipelineConfig, run_pipeline
 from kbcanon.side_info import EMPTY_SIDE_INFO, SideInfoConfig, amie_mine
 from kbcanon.synth import make_synthetic_kb
 
+from .conftest import checkout_env
 from .reference import (
     brute_force_rule_pairs,
     naive_complete_linkage,
@@ -255,9 +255,7 @@ def test_criterion_08_benchmark_reproduction_harness(tmp_path):
     leaderboards in the fixed row format. No score values are asserted."""
     script = REPO_ROOT / "scripts" / "reproduce_reverb45k.py"
     assert script.is_file(), "reproduction harness script is missing"
-    # the script imports kbcanon from this checkout, installed or not
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+    env = checkout_env()
 
     helptext = subprocess.run(
         [sys.executable, str(script), "--help"],

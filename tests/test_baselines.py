@@ -32,7 +32,7 @@ from kbcanon.embedding import (
     train,
     wordvec_phrase_embedding,
 )
-from kbcanon.errors import ConfigError
+from kbcanon.errors import ConfigError, ZeroVectorError
 from kbcanon.kb import GoldClustering, PhraseKind, build_kb
 from kbcanon.side_info import EMPTY_SIDE_INFO
 
@@ -518,6 +518,14 @@ class TestWordvecBaseline:
         assert rep_of[kb.np_id("red car")] == rep_of[kb.np_id("crimson car")]
         assert rep_of[kb.np_id("blue sky")] == rep_of[kb.np_id("azure sky")]
         assert rep_of[kb.np_id("red car")] != rep_of[kb.np_id("blue sky")]
+
+    def test_zero_vector_named_by_phrase(self, tmp_path):
+        kb = np_kb("red car", "null void")
+        vec = tmp_path / "vectors.txt"
+        vec.write_text("red 1.0 0.0\ncar 0.9 0.1\nnull 0.0 0.0\nvoid 0.0 0.0\n")
+        cfg = BaselineConfig(name=BaselineName.WORDVEC_AVG, threshold=0.5)
+        with pytest.raises(ZeroVectorError, match=r"zero vectors: \['null void'\]$"):
+            run_baseline(cfg, kb, word_vectors=load_word_vectors(vec, kb))
 
     def test_relation_vectors_follow_the_np_draws(self, tmp_path):
         # Relation phrases without a known token draw after every NP, as in

@@ -22,7 +22,7 @@ from kbcanon.kb import load_triples
 from kbcanon.pipeline import load_config
 from kbcanon.side_info import load_side_info
 
-from .conftest import write_kb_vectors
+from .conftest import checkout_env, write_kb_vectors
 
 SMALL_HP = {"dim": 12, "epochs": 8, "batch_size": 32, "learning_rate": 0.05}
 
@@ -143,6 +143,7 @@ class TestStagedChain:
                 capture_output=True,
                 text=True,
                 timeout=300,
+                env=checkout_env(),
             )
             assert proc.returncode == 0, f"{command} failed: {proc.stderr}"
 
@@ -256,6 +257,23 @@ class TestGridSearchCommand:
         )
         assert rc == 2
         assert "grid file must map" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [0.3, "0.3"], ids=["float", "string"])
+    def test_grid_value_not_a_list_exits_2_naming_its_key(self, tmp_path, capsys, value):
+        _, config_path = make_dataset(tmp_path, seed=10)
+        grid_path = tmp_path / "grid.yaml"
+        grid_path.write_text(yaml.safe_dump({"np_threshold": value}))
+        rc = main(
+            [
+                "grid-search",
+                "--config", str(config_path),
+                "--grid", str(grid_path),
+                "--out", str(tmp_path / "sweep"),
+            ]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            "error: grid key 'np_threshold' needs a list of values")
 
 
 # ---------------------------------------------------------------------------

@@ -76,3 +76,18 @@ def test_evaluate_command_exits_2_naming_a_bad_cluster_line(tmp_path, capsys, ba
     rc = main(["evaluate", "--clusters", str(clusters), "--gold", str(gold)])
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: {clusters}:2:")
+
+
+@pytest.mark.parametrize("members, phrase", [
+    (["Paris", "Obama"], "Obama"),  # also in the record on line 1
+    (["Paris", "Paris"], "Paris"),
+], ids=["across_records", "within_a_record"])
+def test_evaluate_names_a_repeated_phrase(tmp_path, capsys, members, phrase):
+    clusters, gold = write_files(tmp_path, "Obama\tE1")
+    with clusters.open("a", encoding="utf-8") as fh:
+        fh.write(json.dumps({"members": members}) + "\n")
+    with pytest.raises(ParseError) as raised:
+        evaluate_clusters_file(clusters, gold)
+    assert str(raised.value) == f"{clusters}:2: phrase {phrase!r} repeats"
+    assert main(["evaluate", "--clusters", str(clusters), "--gold", str(gold)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {clusters}:2: phrase {phrase!r}")

@@ -7,7 +7,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kbcanon.errors import ConfigError
@@ -19,6 +19,7 @@ from kbcanon.side_info import (
     amie_mine,
     assemble_side_info,
     build_df,
+    components,
     content_tokens,
     entity_link_equivalences,
     idf_equivalences,
@@ -35,7 +36,7 @@ from kbcanon.side_info import (
 )
 
 from .conftest import records_from_spo
-from .reference import brute_force_rule_pairs, random_kb
+from .reference import brute_force_rule_pairs, random_kb, reference_components
 
 
 def np_kb(*texts):
@@ -201,6 +202,13 @@ class TestPpdb:
         pairs = text_pairs(ppdb_equivalences(path, 0.5, kb, PhraseKind.NP), kb)
         assert pairs == {("a", "c")}
 
+    def test_resource_components_merge_later(self, tmp_path):
+        # (a, x) and (c, y) form two components before (x, y) joins them
+        kb = np_kb("a", "c")
+        path = self.write(tmp_path, [("a", "x", 0.9), ("c", "y", 0.9), ("x", "y", 0.9)])
+        pairs = text_pairs(ppdb_equivalences(path, 0.5, kb, PhraseKind.NP), kb)
+        assert pairs == {("a", "c")}
+
     def test_confidence_filter(self, tmp_path):
         kb = np_kb("a", "b")
         path = self.write(tmp_path, [("a", "b", 0.3)])
@@ -213,6 +221,30 @@ class TestPpdb:
         rows, malformed = load_ppdb(path, 0.5)
         assert rows == [("a", "b")]
         assert malformed == 2
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edges) with n from 0, self-loops and repeated edges allowed."""
+    n = draw(st.integers(0, 12))
+    if not n:
+        return 0, []
+    node = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(node, node), max_size=3 * n))
+    repeats = draw(st.lists(st.sampled_from(edges), max_size=3)) if edges else []
+    return n, edges + repeats
+
+
+class TestComponents:
+    @settings(max_examples=200, deadline=None)
+    @given(edge_lists())
+    @example((0, []))
+    def test_matches_breadth_first_search(self, graph):
+        n, edges = graph
+        assert components(n, edges) == reference_components(n, edges)
+
+    def test_self_loop_and_repeated_edge(self):
+        assert components(4, [(2, 2), (3, 1), (1, 3), (3, 1)]) == [[0], [1, 3], [2]]
 
 
 class TestSynsets:
