@@ -200,9 +200,9 @@ def attribute_sets(kb: OpenKB) -> dict[int, frozenset[tuple[str, int, int]]]:
     co-occurs with: subject occurrences yield ("s", r, o), object
     occurrences ("o", r, s)."""
     sets: dict[int, set] = {p.id: set() for p in kb.np_vocab}
-    for t in kb.triples:
-        sets[t.subject].add(("s", t.relation, t.object))
-        sets[t.object].add(("o", t.relation, t.subject))
+    for s, p, o in zip(*kb.spo.tolist()):
+        sets[s].add(("s", p, o))
+        sets[o].add(("o", p, s))
     return {pid: frozenset(s) for pid, s in sets.items()}
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import time
 import zipfile
 import zlib
@@ -42,7 +43,6 @@ from .kb import (
     atomic_open,
     index_contains,
     read_lines,
-    spo_columns,
     triple_keys,
     vocab_hash,
 )
@@ -142,16 +142,23 @@ class HyperParams:
     def validate(self) -> None:
         if self.dim < 1:
             raise ConfigError(f"dim must be >= 1, got {self.dim}")
-        if self.effective_margin <= 0:
-            raise ConfigError(f"margin must be > 0, got {self.effective_margin}")
+        for name, value, bound in (
+                ("margin", self.effective_margin, "> 0"),
+                ("learning_rate", self.learning_rate, "> 0"),
+                ("lambda_str", self.lambda_str, ">= 0"),
+                ("lambda_reg", self.lambda_reg, ">= 0"),
+                ("lambda_side_default", self.lambda_side_default, ">= 0"),
+                *((f"{table}.{src}", v, ">= 0")
+                  for table in ("lambda_ent", "lambda_rel")
+                  for src, v in getattr(self, table).items())):
+            if not math.isfinite(value) or value < 0 or (value == 0 and bound == "> 0"):
+                raise ConfigError(f"{name} must be a finite number {bound}, got {value}")
         if self.hinge not in HINGE_MODES:
             raise ConfigError(f"hinge must be one of {HINGE_MODES}, got {self.hinge!r}")
         if self.pairing not in PAIRING_MODES:
             raise ConfigError(
                 f"pairing must be one of {PAIRING_MODES}, got {self.pairing!r}"
             )
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be > 0")
         if self.batch_size < 1 or self.epochs < 0:
             raise ConfigError("batch_size must be >= 1 and epochs >= 0")
         if self.negatives_per_positive < 0:
@@ -160,44 +167,29 @@ class HyperParams:
             raise ConfigError(
                 f"threads must be 1 (training runs on one thread), got {self.threads}"
             )
-        for name, value in (("lambda_str", self.lambda_str),
-                            ("lambda_reg", self.lambda_reg),
-                            ("lambda_side_default", self.lambda_side_default)):
-            if value < 0:
-                raise ConfigError(f"{name} must be >= 0")
-        for table in (self.lambda_ent, self.lambda_rel):
-            for src, value in table.items():
-                if value < 0:
-                    raise ConfigError(f"lambda for source {src!r} must be >= 0")
 
 
+@dataclass(frozen=True, eq=False)
 class TrainingBatch:
-    """Positive triples with negatives aligned per positive. The step reads
-    index arrays: ``spo`` holds the (subject, relation, object) columns of
-    the positives and then of the negatives, and ``owner[j]`` is the
-    positive that negative j corrupts. ``negatives`` reads as Triples."""
+    """b positive triples and the negatives that corrupt them, as index
+    arrays: ``spo`` holds the (subject, relation, object) columns of the
+    positives and then of the negatives, and ``owner[j]`` is the positive
+    that negative j corrupts. ``positives`` and ``negatives`` read them as
+    Triples."""
 
-    def __init__(self, positives: Sequence[Triple],
-                 negatives: Sequence[Sequence[Triple]]):
-        if len(positives) != len(negatives):
-            raise ValueError("negatives must align one list per positive")
-        self.positives = tuple(positives)
-        self.spo = spo_columns([*positives, *(t for group in negatives for t in group)])
-        self.owner = np.array([i for i, group in enumerate(negatives) for _ in group],
-                              dtype=np.int64)
+    spo: np.ndarray
+    owner: np.ndarray
+    b: int
 
-    @classmethod
-    def from_columns(cls, positives: Sequence[Triple], spo: np.ndarray,
-                     owner: np.ndarray) -> TrainingBatch:
-        batch = cls.__new__(cls)
-        batch.positives, batch.spo, batch.owner = tuple(positives), spo, owner
-        return batch
+    @property
+    def positives(self) -> tuple[Triple, ...]:
+        return tuple(Triple(triple_id=-1, subject=s, relation=p, object=o)
+                     for s, p, o in self.spo[:, :self.b].T.tolist())
 
     @property
     def negatives(self) -> tuple[tuple[Triple, ...], ...]:
-        groups: list[list[Triple]] = [[] for _ in self.positives]
-        for i, (s, p, o) in zip(self.owner.tolist(),
-                                self.spo[:, len(self.positives):].T.tolist()):
+        groups: list[list[Triple]] = [[] for _ in range(self.b)]
+        for i, (s, p, o) in zip(self.owner.tolist(), self.spo[:, self.b:].T.tolist()):
             groups[i].append(Triple(triple_id=-1, subject=s, relation=p, object=o))
         return tuple(map(tuple, groups))
 
@@ -222,9 +214,10 @@ def _lemire(u: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def make_batch(
-    kb: OpenKB, positives: Sequence[Triple], k: int, rng: np.random.Generator
+    kb: OpenKB, rows: Sequence[int] | np.ndarray, k: int, rng: np.random.Generator
 ) -> TrainingBatch:
-    """k negatives per positive. A negative corrupts the subject or the
+    """The KB's triples at positions ``rows`` as positives, with k
+    negatives per positive. A negative corrupts the subject or the
     object (a fair coin) with an NP drawn uniformly from the vocabulary; a
     corruption that exists in the KB is redrawn, and a slot is skipped
     after NEGATIVE_RETRIES draws. The relation is never corrupted.
@@ -238,8 +231,8 @@ def make_batch(
     A block is one try per slot up to the first try that hits the KB or
     needs a redrawn NP; that try is read one value at a time, and the
     next block starts after it."""
-    pos = spo_columns(positives)
-    owner = np.repeat(np.arange(len(positives)), max(k, 0))
+    pos = kb.spo[:, rows]
+    owner = np.repeat(np.arange(pos.shape[1]), max(k, 0))
     n, n_rels = kb.n_nps, kb.n_rels
     width = 2 if n > 1 else 1  # rng.integers(0, 1) reads no value
     s, p, o = pos[:, owner]
@@ -297,8 +290,8 @@ def make_batch(
         if not hit[done] or failed == NEGATIVE_RETRIES:
             slot, failed = slot + 1, 0
     neg = np.stack([np.where(subject, cand, s), p, np.where(subject, o, cand)])
-    return TrainingBatch.from_columns(
-        positives, np.concatenate([pos, neg[:, found]], axis=1), owner[found])
+    return TrainingBatch(np.concatenate([pos, neg[:, found]], axis=1), owner[found],
+                         pos.shape[1])
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +352,7 @@ def _forward(FE: np.ndarray, FR: np.ndarray, d: int, batch: TrainingBatch,
     np.conjugate(S, out=C)
     C *= O
     eta = (Rr.view(float) * C.view(float)) @ np.repeat(_parseval_weights(d), 2)
-    pos_idx, neg_idx = _hinge_pair_indices(batch.owner, len(batch.positives), h.pairing)
+    pos_idx, neg_idx = _hinge_pair_indices(batch.owner, batch.b, h.pairing)
     gamma = h.effective_margin
     if h.hinge == "sigmoid":
         sig = _sigmoid(eta)
@@ -672,11 +665,10 @@ def train(
             ranking_loss = 0.0
             skipped = active_pairs = pairs = 0
             for start in range(0, n, h.batch_size):
-                idx = order[start:start + h.batch_size]
-                positives = [kb.triples[i] for i in idx]
-                batch = make_batch(kb, positives, k, rng_neg)
-                skipped += k * len(positives) - len(batch.owner)
-                frac = len(positives) / n
+                rows = order[start:start + h.batch_size]
+                batch = make_batch(kb, rows, k, rng_neg)
+                skipped += k * len(rows) - len(batch.owner)
+                frac = len(rows) / n
                 decay = 1.0 - 2.0 * lr * h.lambda_reg * frac
                 loss, active = _step(FE, FR, h.dim, batch, h, terms, frac, (FE, FR), -lr,
                                      decay, work)

@@ -2,10 +2,10 @@
 
 An Open KB is a list of (noun phrase, relation phrase, noun phrase) triples
 whose arguments are raw surface strings. This module builds integer-keyed
-vocabularies over those strings, indexes the triples for membership queries,
-and carries optional per-triple annotations: linker output (side information)
-and gold entity ids (evaluation only; nothing in the training or clustering
-path may read them).
+vocabularies over those strings, keeps the triples' ids as integer columns
+with a membership index, and carries optional per-triple annotations: linker
+output (side information) and gold entity ids (evaluation only; nothing in
+the training or clustering path may read them).
 """
 
 from __future__ import annotations
@@ -80,13 +80,16 @@ class Triple:
 class OpenKB:
     """Immutable after construction; safe for concurrent reads. A phrase id
     is its position in its kind's vocabulary, which `audit` checks.
-    ``triple_index`` holds each distinct triple's `triple_keys` key once,
-    sorted, for membership by ``np.searchsorted``."""
+    Construction derives two read-only arrays from ``triples``: ``spo``,
+    (3, n) int64, whose column j holds the subject, relation and object
+    ids of ``triples[j]``, and ``triple_index``, each distinct triple's
+    `triple_keys` key once, sorted, for membership by ``np.searchsorted``."""
 
     triples: tuple[Triple, ...]
     np_vocab: tuple[Phrase, ...]
     rel_vocab: tuple[Phrase, ...]
-    triple_index: np.ndarray = field(compare=False, repr=False)
+    spo: np.ndarray = field(init=False, compare=False, repr=False)
+    triple_index: np.ndarray = field(init=False, compare=False, repr=False)
 
     @property
     def n_nps(self) -> int:
@@ -112,6 +115,18 @@ class OpenKB:
         return self._rel_by_text.get(normalize_whitespace(text))
 
     def __post_init__(self):
+        ts = self.triples
+        spo = np.array([[t.subject for t in ts], [t.relation for t in ts],
+                        [t.object for t in ts]], dtype=np.int64)
+        spo.setflags(write=False)
+        keys = np.sort(triple_keys(*spo, self.n_nps, self.n_rels))
+        # not np.unique, whose first call imports modules worth about 1.4 MB
+        distinct = np.ones(len(keys), dtype=bool)
+        distinct[1:] = keys[1:] != keys[:-1]
+        index = keys[distinct]
+        index.setflags(write=False)
+        object.__setattr__(self, "spo", spo)
+        object.__setattr__(self, "triple_index", index)
         object.__setattr__(self, "_np_by_text", {p.text: p.id for p in self.np_vocab})
         object.__setattr__(self, "_rel_by_text", {p.text: p.id for p in self.rel_vocab})
 
@@ -182,37 +197,13 @@ def build_kb(records: Iterable[dict]) -> OpenKB:
                 gold_object=rec.get("gold_obj_id"),
             )
         )
-    np_vocab, rel_vocab = nps.phrases(), rels.phrases()
-    return OpenKB(
-        triples=tuple(triples),
-        np_vocab=np_vocab,
-        rel_vocab=rel_vocab,
-        triple_index=_triple_index(triples, len(np_vocab), len(rel_vocab)),
-    )
+    return OpenKB(triples=tuple(triples), np_vocab=nps.phrases(), rel_vocab=rels.phrases())
 
 
 def triple_keys(s, p, o, n_nps: int, n_rels: int):
     """(s·n_rels + p)·n_nps + o: one int64 per (s, p, o) with ids in range,
     distinct triples giving distinct keys. Takes ints or int arrays."""
     return (s * n_rels + p) * n_nps + o
-
-
-def spo_columns(triples) -> np.ndarray:
-    """(3, n) int64: the subject, relation and object ids of the triples."""
-    n = len(triples)
-    return np.stack([np.fromiter((t.subject for t in triples), np.int64, n),
-                     np.fromiter((t.relation for t in triples), np.int64, n),
-                     np.fromiter((t.object for t in triples), np.int64, n)])
-
-
-def _triple_index(triples, n_nps: int, n_rels: int) -> np.ndarray:
-    keys = np.sort(triple_keys(*spo_columns(triples), n_nps, n_rels))
-    # not np.unique, whose first call imports modules worth about 1.4 MB
-    distinct = np.ones(len(keys), dtype=bool)
-    distinct[1:] = keys[1:] != keys[:-1]
-    index = keys[distinct]
-    index.setflags(write=False)
-    return index
 
 
 def index_contains(kb: OpenKB, keys: np.ndarray) -> np.ndarray:
@@ -392,18 +383,14 @@ def audit(kb: OpenKB) -> None:
     repeated = [i for i, c in Counter(t.triple_id for t in kb.triples).items() if c > 1]
     if repeated:
         raise InvariantViolation(f"duplicate triple ids {sorted(repeated)}")
-    freq: Counter = Counter()
-    for t in kb.triples:
-        for pid in (t.subject, t.object):
-            if not 0 <= pid < kb.n_nps:
-                raise InvariantViolation(f"triple {t.triple_id}: unknown NP id {pid}")
-        if not 0 <= t.relation < kb.n_rels:
-            raise InvariantViolation(
-                f"triple {t.triple_id}: unknown REL id {t.relation}"
-            )
-        freq[(PhraseKind.NP, t.subject)] += 1
-        freq[(PhraseKind.REL, t.relation)] += 1
-        freq[(PhraseKind.NP, t.object)] += 1
+    bad = (kb.spo < 0) | (kb.spo >= np.array([[kb.n_nps], [kb.n_rels], [kb.n_nps]]))
+    if bad.any():
+        j = int(bad.any(axis=0).argmax())
+        row = next(r for r in (0, 2, 1) if bad[r, j])
+        raise InvariantViolation(f"triple {kb.triples[j].triple_id}: unknown "
+                                 f"{'REL' if row == 1 else 'NP'} id {kb.spo[row, j]}")
+    freq = {PhraseKind.NP: np.bincount(kb.spo[[0, 2]].ravel(), minlength=kb.n_nps),
+            PhraseKind.REL: np.bincount(kb.spo[1], minlength=kb.n_rels)}
     for kind in PhraseKind:
         for i, p in enumerate(kb.vocab(kind)):
             if p.id != i:
@@ -412,10 +399,8 @@ def audit(kb: OpenKB) -> None:
                 raise InvariantViolation(f"phrase {p.id} text not whitespace-normalized")
             if p.frequency < 1:
                 raise InvariantViolation(f"phrase {p.id} has frequency {p.frequency}")
-            if freq[(kind, i)] != p.frequency:
+            if freq[kind][i] != p.frequency:
                 raise InvariantViolation(f"{kind.value} {p.id} frequency mismatch")
-    if not np.array_equal(kb.triple_index, _triple_index(kb.triples, kb.n_nps, kb.n_rels)):
-        raise InvariantViolation("triple_index disagrees with triples list")
 
 
 # ---------------------------------------------------------------------------

@@ -447,8 +447,8 @@ def relation_argument_pairs(kb: OpenKB) -> dict[int, frozenset[tuple[str, str]]]
     replaced by their morphological normal forms first."""
     canon = {p.id: morph_normalize(p.text) for p in kb.np_vocab}
     pairs: dict[int, set[tuple[str, str]]] = defaultdict(set)
-    for t in kb.triples:
-        pairs[t.relation].add((canon[t.subject], canon[t.object]))
+    for s, p, o in zip(*kb.spo.tolist()):
+        pairs[p].add((canon[s], canon[o]))
     return {r: frozenset(s) for r, s in pairs.items()}
 
 
@@ -517,6 +517,9 @@ class SideInfoConfig:
             raise ConfigError("amie_support_min must be >= 1")
         if not 0.0 <= self.amie_confidence_min <= 1.0:
             raise ConfigError("amie_confidence_min must be in [0, 1]")
+        if not math.isfinite(self.ppdb_confidence_min):
+            raise ConfigError(
+                f"ppdb_confidence_min must be a finite number, got {self.ppdb_confidence_min}")
 
 
 # The source names `assemble_side_info` can emit, per kind: the valid

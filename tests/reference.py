@@ -597,11 +597,24 @@ def sample_negatives(kb: OpenKB, t: Triple, k: int, rng: np.random.Generator) ->
     return out
 
 
-def reference_make_batch(kb: OpenKB, positives: Sequence[Triple], k: int,
+def make_training_batch(positives: Sequence[Triple],
+                        groups: Sequence[Sequence[Triple]]) -> TrainingBatch:
+    """The batch of the given positives and, per positive, its negatives."""
+    if len(positives) != len(groups):
+        raise ValueError("negatives must align one list per positive")
+    triples = [*positives, *(t for group in groups for t in group)]
+    spo = np.array([[t.subject for t in triples], [t.relation for t in triples],
+                    [t.object for t in triples]], dtype=np.int64)
+    owner = np.array([i for i, group in enumerate(groups) for _ in group], dtype=np.int64)
+    return TrainingBatch(spo, owner, len(positives))
+
+
+def reference_make_batch(kb: OpenKB, rows: Sequence[int], k: int,
                          rng: np.random.Generator) -> TrainingBatch:
-    """``sample_negatives`` for each positive in order."""
-    return TrainingBatch(tuple(positives), tuple(
-        tuple(sample_negatives(kb, t, k, rng)) if k >= 1 else () for t in positives))
+    """``sample_negatives`` for the KB's triple at each of ``rows`` in order."""
+    positives = [kb.triples[i] for i in rows]
+    return make_training_batch(positives, [
+        sample_negatives(kb, t, k, rng) if k >= 1 else () for t in positives])
 
 
 def reference_step(E, R, batch: TrainingBatch, h, np_terms, rel_terms,
@@ -641,10 +654,9 @@ def reference_train(kb: OpenKB, side, h, init) -> tuple[np.ndarray, np.ndarray]:
     for _ in range(h.epochs):
         order = rng_shuffle.permutation(n)
         for start in range(0, n, h.batch_size):
-            idx = order[start:start + h.batch_size]
-            positives = [kb.triples[i] for i in idx]
-            batch = reference_make_batch(kb, positives, h.negatives_per_positive, rng_neg)
-            reference_step(E, R, batch, h, np_terms, rel_terms, len(positives) / n)
+            rows = order[start:start + h.batch_size]
+            batch = reference_make_batch(kb, rows, h.negatives_per_positive, rng_neg)
+            reference_step(E, R, batch, h, np_terms, rel_terms, len(rows) / n)
     return E, R
 
 

@@ -311,6 +311,24 @@ def test_criterion_08_benchmark_reproduction_harness(tmp_path):
           "per-configuration leaderboards")
 
 
+def test_synthetic_experiment_script_runs(tmp_path):
+    """The side-information ablation script that README documents runs
+    end to end at toy size and prints a leaderboard row per run, for NPs
+    and for relations."""
+    run = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "run_synthetic_experiment.py"),
+         "--epochs", "2", "--dim", "8", "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120, env=checkout_env(),
+    )
+    assert run.returncode == 0, run.stderr
+    _, np_table, rel_table = run.stdout.split(LEADERBOARD_HEADER)
+    for table in (np_table, rel_table):
+        labels = [row[:40].strip() for row in table.strip().splitlines()[:2]]
+        assert labels == ["with_side", "no_side"]
+    for label in ("with_side", "no_side"):
+        assert (tmp_path / "out" / label / "metrics.json").is_file()
+
+
 def test_criterion_09_hole_random_is_training_special_case(synth_kb):
     """The structure-only baseline must be the embedding trainer run with
     empty side information and the matching seed: bit-identical vector

@@ -426,6 +426,18 @@ class TestErrorHandling:
         assert capsys.readouterr().err.startswith(f"error: config key '{dotted}' must be")
         assert not (tmp_path / "run").exists()
 
+    def test_non_finite_learning_rate_exits_2_before_any_artifact(self, tmp_path, capsys):
+        _, config_path = make_dataset(tmp_path, seed=17)
+        doc = yaml.safe_load(config_path.read_text())
+        doc["hyperparams"]["learning_rate"] = float("nan")
+        config_path.write_text(yaml.safe_dump(doc))
+        assert ".nan" in config_path.read_text()
+        capsys.readouterr()
+        rc = main(["pipeline", "--config", str(config_path), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert "learning_rate must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "kb.jsonl").exists()
+
     def test_evaluate_missing_file_exits_3(self, tmp_path, capsys):
         rc = main(
             [

@@ -32,7 +32,7 @@ from kbcanon.embedding import (
 from kbcanon.side_info import EMPTY_SIDE_INFO, SideInfoCollection, make_pair_set
 
 from .conftest import records_from_spo
-from .reference import direct_circular_correlation
+from .reference import direct_circular_correlation, make_training_batch
 
 
 def small_kb(n_nps=6, n_rels=2, n_triples=10, salt=0):
@@ -137,7 +137,7 @@ class TestObjective:
         side = np_side(kb, [(0, 1)])
         h = HyperParams(dim=4, lambda_str=0.0, lambda_reg=0.0,
                         lambda_side_default=1.0)
-        batch = make_batch(kb, kb.triples[:2], 0, np.random.default_rng(0))
+        batch = make_batch(kb, [0, 1], 0, np.random.default_rng(0))
         diff = emb.np_vectors[0] - emb.np_vectors[1]
         assert objective(emb, batch, side, h) == pytest.approx(
             float(diff @ diff), abs=1e-10
@@ -150,7 +150,7 @@ class TestObjective:
         emb = EmbeddingSet(np_vectors=E, rel_vectors=R, dim=3)
         side = np_side(kb, [(0, 1), (2, 3)])
         h = HyperParams(dim=3, lambda_str=0.0, lambda_reg=0.0)
-        batch = make_batch(kb, kb.triples[:1], 0, np.random.default_rng(0))
+        batch = make_batch(kb, [0], 0, np.random.default_rng(0))
         assert objective(emb, batch, side, h) == 0.0
 
     def test_satisfied_margin_gives_zero_ranking(self):
@@ -167,9 +167,7 @@ class TestObjective:
 
         neg = Triple(triple_id=-1, subject=kb.np_id("c"), relation=0,
                      object=kb.np_id("d"))
-        from kbcanon.embedding import TrainingBatch
-
-        batch = TrainingBatch((pos,), ((neg,),))
+        batch = make_training_batch([pos], [[neg]])
         h = HyperParams(dim=d, lambda_reg=0.0)
         terms = objective_terms(emb, batch, EMPTY_SIDE_INFO, h)
         assert terms["ranking"] == 0.0
@@ -179,7 +177,7 @@ class TestObjective:
         emb = random_embeddings(kb, 3, seed=8)
         h = HyperParams(dim=3, lambda_str=0.0, lambda_side_default=0.0,
                         lambda_reg=0.5)
-        batch = make_batch(kb, kb.triples[:1], 0, np.random.default_rng(0))
+        batch = make_batch(kb, [0], 0, np.random.default_rng(0))
         expected = 0.5 * (np.sum(emb.np_vectors ** 2) + np.sum(emb.rel_vectors ** 2))
         assert objective(emb, batch, EMPTY_SIDE_INFO, h) == pytest.approx(
             float(expected), abs=1e-10
@@ -190,7 +188,7 @@ class TestObjective:
         emb = random_embeddings(kb, 3, seed=9)
         side = np_side(kb, [])
         h = HyperParams(dim=3, lambda_str=0.0, lambda_reg=0.0)
-        batch = make_batch(kb, kb.triples[:1], 0, np.random.default_rng(0))
+        batch = make_batch(kb, [0], 0, np.random.default_rng(0))
         assert objective(emb, batch, side, h) == 0.0
 
 
@@ -200,7 +198,7 @@ class TestGradient:
         emb = random_embeddings(kb, 4, seed=10)
         h = HyperParams(dim=4, lambda_str=0.0, lambda_side_default=0.0,
                         lambda_reg=0.3)
-        batch = make_batch(kb, kb.triples[:1], 0, np.random.default_rng(0))
+        batch = make_batch(kb, [0], 0, np.random.default_rng(0))
         g_np, g_rel = gradient(emb, batch, EMPTY_SIDE_INFO, h)
         assert np.allclose(g_np, 2 * 0.3 * emb.np_vectors, atol=1e-12)
         assert np.allclose(g_rel, 2 * 0.3 * emb.rel_vectors, atol=1e-12)
@@ -211,7 +209,7 @@ class TestGradient:
         side = np_side(kb, [(0, 1)])
         h = HyperParams(dim=4, lambda_str=0.0, lambda_reg=0.0,
                         lambda_side_default=0.7)
-        batch = make_batch(kb, kb.triples[:1], 0, np.random.default_rng(0))
+        batch = make_batch(kb, [0], 0, np.random.default_rng(0))
         g_np, _ = gradient(emb, batch, side, h)
         diff = emb.np_vectors[0] - emb.np_vectors[1]
         assert np.allclose(g_np[0], 2 * 0.7 * diff, atol=1e-12)
@@ -256,8 +254,7 @@ def _finite_difference_max_error(n_draws: int, dim: int, seed: int,
             rel_vectors=rng.normal(scale=0.5, size=(kb.n_rels, dim)),
             dim=dim,
         )
-        positives = [kb.triples[i] for i in rng.permutation(len(kb.triples))[:5]]
-        batch = make_batch(kb, positives, 1, rng)
+        batch = make_batch(kb, rng.permutation(len(kb.triples))[:5], 1, rng)
         margins = _ranking_margins(emb.np_vectors, emb.rel_vectors, batch, h)[3]
         if margins.size and np.abs(margins).min() < 1e-3:
             continue
@@ -391,7 +388,7 @@ class TestTrain:
                         lambda_side_default=0.1, lambda_reg=1e-4)
         side = np_side(kb, [(0, 1), (2, 3)])
         init = init_embeddings(kb, None, 6, default_init_rng(1))
-        fixed_batch = make_batch(kb, kb.triples, 2, np.random.default_rng(777))
+        fixed_batch = make_batch(kb, range(len(kb.triples)), 2, np.random.default_rng(777))
         before = objective(init, fixed_batch, side, h)
         emb = train(kb, side, h, init)
         after = objective(emb, fixed_batch, side, h)

@@ -181,6 +181,80 @@ class TestAudit:
                 audit(dataclasses.replace(toy_kb, **{field: bad}))
 
 
+    @staticmethod
+    def with_triple(kb, j, **ids):
+        triples = list(kb.triples)
+        triples[j] = dataclasses.replace(triples[j], **ids)
+        return dataclasses.replace(kb, triples=tuple(triples))
+
+    @pytest.mark.parametrize("j, field, kind", [(0, "subject", "NP"), (2, "object", "NP"),
+                                                (4, "relation", "REL")])
+    @pytest.mark.parametrize("bad", ["past_the_end", -1])
+    def test_unknown_id_names_triple(self, toy_kb, j, field, kind, bad):
+        bad = len(toy_kb.vocab(PhraseKind(kind))) if bad == "past_the_end" else bad
+        kb = self.with_triple(toy_kb, j, **{field: bad})
+        tid = toy_kb.triples[j].triple_id
+        with pytest.raises(InvariantViolation, match=rf"^triple {tid}: unknown {kind} id {bad}$"):
+            audit(kb)
+
+    def test_first_bad_triple_is_named_subject_before_relation(self, toy_kb):
+        kb = self.with_triple(toy_kb, 1, relation=toy_kb.n_rels)
+        kb = self.with_triple(kb, 3, subject=-2, relation=-1)
+        with pytest.raises(InvariantViolation,
+                           match=rf"^triple 2: unknown REL id {toy_kb.n_rels}$"):
+            audit(kb)
+        kb = self.with_triple(toy_kb, 3, subject=-2, relation=-1)
+        with pytest.raises(InvariantViolation, match=r"^triple 4: unknown NP id -2$"):
+            audit(kb)
+
+    @pytest.mark.parametrize("field, kind", [("np_vocab", "NP"), ("rel_vocab", "REL")])
+    def test_frequency_mismatch(self, toy_kb, field, kind):
+        vocab = list(getattr(toy_kb, field))
+        vocab[1] = dataclasses.replace(vocab[1], frequency=vocab[1].frequency + 1)
+        with pytest.raises(InvariantViolation, match=rf"^{kind} 1 frequency mismatch$"):
+            audit(dataclasses.replace(toy_kb, **{field: tuple(vocab)}))
+
+    def test_frequency_below_one(self, toy_kb):
+        vocab = list(toy_kb.np_vocab)
+        vocab[2] = dataclasses.replace(vocab[2], frequency=0)
+        with pytest.raises(InvariantViolation, match=r"^phrase 2 has frequency 0$"):
+            audit(dataclasses.replace(toy_kb, np_vocab=tuple(vocab)))
+
+    @pytest.mark.parametrize("text", [" Obama", "Barack  Obama", ""])
+    def test_text_not_whitespace_normalized(self, toy_kb, text):
+        vocab = list(toy_kb.rel_vocab)
+        vocab[3] = dataclasses.replace(vocab[3], text=text)
+        with pytest.raises(InvariantViolation,
+                           match=r"^phrase 3 text not whitespace-normalized$"):
+            audit(dataclasses.replace(toy_kb, rel_vocab=tuple(vocab)))
+
+
+class TestColumns:
+    def test_spo_holds_each_triples_ids(self, synth_kb):
+        assert synth_kb.spo.dtype == np.int64
+        assert synth_kb.spo.shape == (3, len(synth_kb.triples))
+        for j, t in enumerate(synth_kb.triples):
+            assert tuple(synth_kb.spo[:, j].tolist()) == t.spo
+
+    def test_spo_and_triple_index_are_read_only(self, toy_kb):
+        for arr in (toy_kb.spo, toy_kb.triple_index):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
+
+    @pytest.mark.parametrize("keep", [slice(0, 3), slice(None, None, -1), slice(0, 0)])
+    def test_replaced_triples_rebuild_the_columns(self, toy_kb, keep):
+        triples = toy_kb.triples[keep]
+        kb = dataclasses.replace(toy_kb, triples=triples)
+        assert kb.spo.shape == (3, len(triples))
+        assert [tuple(col) for col in kb.spo.T.tolist()] == [t.spo for t in triples]
+        assert sorted(kb.triple_index.tolist()) == kb.triple_index.tolist()
+        want = {(t.subject * kb.n_rels + t.relation) * kb.n_nps + t.object for t in triples}
+        assert set(kb.triple_index.tolist()) == want
+        assert len(kb.triple_index) == len(want)
+        for t in toy_kb.triples:
+            assert contains(kb, *t.spo) == (t.spo in {u.spo for u in triples})
+
+
 class TestGold:
     def test_gold_from_triples_majority(self):
         records = records_from_spo(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -259,6 +260,24 @@ class TestConfigValidation:
         doc["hyperparams"] = {"lambda_ent": {"ppdb": 5.0, "morph": 1.0},
                               "lambda_rel": {"amie": 3.0}}
         config_from_dict(doc).validate()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("section, key", [
+        ("hyperparams", "learning_rate"),
+        ("hyperparams", "margin"),
+        ("hyperparams", "lambda_str"),
+        ("hyperparams", "lambda_reg"),
+        ("hyperparams", "lambda_side_default"),
+        ("hyperparams", "lambda_ent.ppdb"),
+        ("hyperparams", "lambda_rel.amie"),
+        ("side", "ppdb_confidence_min"),
+    ])
+    def test_non_finite_float_names_its_key(self, synth_data, section, key, value):
+        doc = base_config_doc(synth_data)
+        table, _, source = key.partition(".")
+        doc[section][table] = {source: value} if source else value
+        with pytest.raises(ConfigError, match=rf"^{re.escape(key)} must be a finite number"):
+            config_from_dict(doc).validate()
 
     def test_effective_hyperparams_carry_master_seed(self, synth_data):
         doc = base_config_doc(synth_data)

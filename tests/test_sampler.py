@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kbcanon.embedding import _lemire, make_batch
-from kbcanon.kb import build_kb
+from kbcanon.kb import Triple, build_kb
 
 from .conftest import records_from_spo
 from .reference import reference_make_batch
@@ -23,10 +23,10 @@ def assert_same_batches(kb, k, seed, batches=6, batch_size=16):
     got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     order = np.random.default_rng([seed, 1]).permutation(len(kb.triples))
     for b in range(batches):
-        positives = [kb.triples[i] for i in order[:batch_size]]
+        rows = order[:batch_size]
         order = np.roll(order, batch_size)
-        got = make_batch(kb, positives, k, got_rng)
-        want = reference_make_batch(kb, positives, k, want_rng)
+        got = make_batch(kb, rows, k, got_rng)
+        want = reference_make_batch(kb, rows, k, want_rng)
         assert spo_groups(got) == spo_groups(want), f"batch {b}"
         assert got.positives == want.positives
         assert got_rng.integers(0, 2**32) == want_rng.integers(0, 2**32)
@@ -62,13 +62,24 @@ def test_matches_scalar_sampler_where_hits_are_common(name, k):
 def test_negatives_are_corruptions_absent_from_the_kb(synth_kb):
     existing = {t.spo for t in synth_kb.triples}
     positives = synth_kb.triples[:30]
-    batch = make_batch(synth_kb, positives, 4, np.random.default_rng(1))
+    batch = make_batch(synth_kb, range(30), 4, np.random.default_rng(1))
     assert sum(map(len, batch.negatives)) > 100
     for t, group in zip(positives, batch.negatives):
         for neg in group:
             assert neg.spo not in existing
             assert neg.relation == t.relation
             assert neg.subject == t.subject or neg.object == t.object
+
+
+def test_rows_as_list_range_or_array_give_one_batch(synth_kb):
+    batches = [make_batch(synth_kb, rows, 2, np.random.default_rng(5))
+               for rows in (list(range(7, 40)), range(7, 40), np.arange(7, 40))]
+    for batch in batches:
+        assert batch.b == 33
+        assert np.array_equal(batch.spo[:, :33], synth_kb.spo[:, 7:40])
+        assert np.array_equal(batch.spo, batches[0].spo)
+        assert np.array_equal(batch.owner, batches[0].owner)
+    assert batches[0].positives == tuple(Triple(-1, *t.spo) for t in synth_kb.triples[7:40])
 
 
 @pytest.mark.parametrize("n", [2, 3, 450, 3 * 2**30, 2**31 + 1])
@@ -139,8 +150,8 @@ def test_redrawn_nps_and_coin_edges_match_the_scalar_loop(seed):
     values[rng.choice(len(values), size=600, replace=False)] = specials
     got_rng, want_rng = ScriptedRng(values), ScriptedRng(values)
     for _ in range(20):
-        got = make_batch(kb, kb.triples, 3, got_rng)
-        want = reference_make_batch(kb, kb.triples, 3, want_rng)
+        got = make_batch(kb, range(len(kb.triples)), 3, got_rng)
+        want = reference_make_batch(kb, range(len(kb.triples)), 3, want_rng)
         assert spo_groups(got) == spo_groups(want)
         assert got_rng.read == want_rng.read
     assert want_rng.read > 500
