@@ -18,10 +18,8 @@ from __future__ import annotations
 
 import json
 import logging
-from collections import Counter
 from dataclasses import dataclass
 from itertools import takewhile
-from math import comb
 from pathlib import Path
 from typing import Collection, Iterable, Mapping, Sequence
 
@@ -30,7 +28,7 @@ import numpy as np
 from .errors import ConfigError, InvariantViolation, ZeroVectorError
 from .kb import GoldClustering, OpenKB, Phrase, PhraseKind, triple_record
 from .metrics import table_report
-from .side_info import components, find
+from .side_info import components
 
 logger = logging.getLogger(__name__)
 
@@ -117,7 +115,9 @@ def cosine_distance_matrix(X: np.ndarray, labels: Sequence | None = None) -> np.
 def hac_merge_history(D: np.ndarray, upto: float = np.inf) -> list[tuple[float, int, int]]:
     """Agglomerate until the next merge is farther than ``upto`` (by
     default, to a single cluster), recording (distance, i, j) per merge
-    with i < j as matrix positions. Complete linkage makes the recorded
+    with i < j as matrix positions: i and j are two live clusters'
+    positions, each its smallest member's, and the merged cluster lives at
+    i while j is never read again. Complete linkage makes the recorded
     distances non-decreasing, so the result is the full history's prefix
     of merges at distance <= upto. D is read, never modified; only its
     upper triangle is used, and it must be square and finite."""
@@ -236,10 +236,11 @@ def best_cut(ids: Sequence[int], history: Sequence[tuple[float, int, int]],
              validation_gold: GoldClustering,
              grid: Sequence[float]) -> tuple[float, list[float]]:
     """(threshold, scores): the grid value whose cut of the merge history
-    has the highest validation mean F1, ties to the smallest value, and the
-    mean F1 at each grid value in grid order; undefined scores count as 0,
-    as does every score when no id has a gold label. A missing or empty
-    gold, or an empty grid, is a ConfigError."""
+    (as `hac_merge_history` records it) has the highest validation mean
+    F1, ties to the smallest value, and the mean F1 at each grid value in
+    grid order; undefined scores count as 0, as does every score when no
+    id has a gold label. A missing or empty gold, or an empty grid, is a
+    ConfigError."""
     _tuning_bound(validation_gold, grid)
     ascending = sorted(grid)
     scores = dict(zip(ascending, _cut_scores(ids, history, validation_gold.assignment,
@@ -254,66 +255,24 @@ def _cut_scores(ids: Sequence[int], history: Sequence[tuple[float, int, int]],
     """``evaluate(cut_history(ids, history, t), gold).mean_f1()`` at each
     of the ascending ``thresholds``, from one replay of the history.
 
-    A union-find over positions keeps, at each root, the cluster's row of
-    the contingency table: the count of each gold label among its labelled
-    members. A merge folds the smaller row into the larger and updates the
-    integers `table_report` reads, so each score equals `evaluate`'s bit
-    for bit."""
-    labels = [gold.get(pid) for pid in ids]
-    totals = Counter(label for label in labels if label is not None)
-    n = sum(totals.values())
-    if not n:
+    ``root`` holds, per labelled position, the position of its cluster. A
+    merge (d, i, j) joins two live clusters at positions i and j into i,
+    so it relabels j's members as i's; at each threshold `table_report`
+    scores ``root`` against the labels, as `evaluate` scores the cut."""
+    labelled = [x for x, pid in enumerate(ids) if pid in gold]
+    if not labelled:
         return [0.0] * len(thresholds)
-    # Every labelled element starts as a row of its own: one cell of 1.
-    row = [Counter() if label is None else Counter((label,)) for label in labels]
-    size = [int(label is not None) for label in labels]
-    top = size[:]
-    parent = list(range(len(ids)))
-    in_rows = Counter(totals)  # per label, the rows holding it
-    label_top = dict.fromkeys(totals, 1)  # per label, its largest cell
-    rows = pure_rows = row_max = n
-    solo_labels = sum(c == 1 for c in totals.values())
-    label_max = len(totals)
-    hits = row_pairs = 0
-    label_pairs = sum(comb(c, 2) for c in totals.values())
-
+    codes: dict[str, int] = {}
+    labels = [codes.setdefault(gold[ids[x]], len(codes)) for x in labelled]
+    root = np.asarray(labelled)
     scores = []
     k = 0
     for t in thresholds:
         while k < len(history) and history[k][0] <= t:
-            a, b = find(parent, history[k][1]), find(parent, history[k][2])
+            _, i, j = history[k]
+            root[root == j] = i
             k += 1
-            if a == b:
-                continue
-            if len(row[a]) < len(row[b]):
-                a, b = b, a
-            parent[b] = a
-            A, B = row[a], row[b]
-            row[b] = None
-            if not B:
-                continue
-            rows -= 1
-            pure_rows -= (len(A) == 1) + (len(B) == 1)
-            row_pairs += size[a] * size[b]
-            row_max -= top[a] + top[b]
-            for label, m in B.items():
-                c = A[label]
-                if c:
-                    hits += c * m
-                    in_rows[label] -= 1
-                    solo_labels += in_rows[label] == 1
-                    if c + m > label_top[label]:
-                        label_max += c + m - label_top[label]
-                        label_top[label] = c + m
-                A[label] = c + m
-                top[a] = max(top[a], c + m)
-            size[a] += size[b]
-            row_max += top[a]
-            pure_rows += len(A) == 1
-        scores.append(table_report(
-            n=n, rows=rows, pure_rows=pure_rows, labels=len(totals),
-            solo_labels=solo_labels, row_max=row_max, label_max=label_max, hits=hits,
-            row_pairs=row_pairs, label_pairs=label_pairs).mean_f1())
+        scores.append(table_report(root, labels).mean_f1())
     return scores
 
 

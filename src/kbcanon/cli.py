@@ -71,8 +71,10 @@ def _load_run_config(args) -> PipelineConfig:
 
 
 def _stage_run(args) -> tuple[PipelineConfig, Path]:
-    """The run config and its run directory, created if missing."""
+    """The run config, its values checked, and its run directory, created
+    if missing."""
     config = _load_run_config(args)
+    config.check_values()
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return config, out

@@ -11,10 +11,10 @@ explicit None, never as a silent 0 or 1.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import asdict, dataclass
-from math import comb
 from typing import Collection, Iterable, Mapping
+
+import numpy as np
 
 from .errors import InvariantViolation, MetricsUndefinedError
 
@@ -67,10 +67,8 @@ def restrict_to_gold(
 def evaluate(
     clusters: Iterable[Collection[int]], gold: Mapping[int, str]
 ) -> MetricsReport:
-    """Restrict to gold-labeled elements and read all nine scores plus
-    counts off one contingency table: a row per predicted cluster holding
-    the count of each gold label among its members. A label's column is
-    its nonzero cells across the rows."""
+    """Restrict to gold-labeled elements, code the labels in first-seen
+    order, and score the partition with `table_report`."""
     C = restrict_to_gold(clusters, gold)
     n = sum(len(c) for c in C)
     if not n:
@@ -81,42 +79,46 @@ def evaluate(
         raise InvariantViolation(
             "predicted clustering is not a partition: an element repeats"
         )
-    rows = [Counter(gold[x] for x in c) for c in C]
-    columns = defaultdict(list)
-    for row in rows:
-        for label, count in row.items():
-            columns[label].append(count)
-    return table_report(
-        n=n, rows=len(rows), pure_rows=sum(len(row) == 1 for row in rows),
-        labels=len(columns), solo_labels=sum(len(col) == 1 for col in columns.values()),
-        row_max=sum(max(row.values()) for row in rows),
-        label_max=sum(max(col) for col in columns.values()),
-        hits=sum(comb(count, 2) for row in rows for count in row.values()),
-        row_pairs=sum(comb(len(c), 2) for c in C),
-        label_pairs=sum(comb(sum(col), 2) for col in columns.values()),
-    )
+    codes: dict[str, int] = {}
+    labels = [codes.setdefault(gold[x], len(codes)) for c in C for x in c]
+    return table_report(np.repeat(np.arange(len(C)), [len(c) for c in C]), labels)
 
 
-def table_report(*, n: int, rows: int, pure_rows: int, labels: int, solo_labels: int,
-                 row_max: int, label_max: int, hits: int, row_pairs: int,
-                 label_pairs: int) -> MetricsReport:
-    """The nine scores of a contingency table of ``n`` elements in ``rows``
-    predicted clusters and ``labels`` gold labels (n > 0), as ratios of its
-    integers: ``pure_rows`` rows hold one label, ``solo_labels`` labels sit
-    in one row, ``row_max`` and ``label_max`` sum each row's and each
-    label's largest cell, ``hits`` sums C(cell, 2), and ``row_pairs`` and
-    ``label_pairs`` sum C(total, 2) over the rows and over the labels."""
-    macro_p = pure_rows / rows
-    macro_r = solo_labels / labels
-    micro_p = row_max / n
-    micro_r = label_max / n
+def table_report(rows, labels) -> MetricsReport:
+    """The report of the contingency table of predicted-cluster ids
+    ``rows`` against gold-label codes ``labels`` (0..L-1), one entry of
+    each per labelled element, at least one. Sorting ``rows * L + labels``
+    lays out each cell as a run of elements and each row as a run of
+    cells; every score is a ratio of Python ints, so its float does not
+    depend on how the table was counted."""
+    labels = np.asarray(labels, dtype=np.int64)
+    L = int(labels.max()) + 1
+    keys = np.sort(np.asarray(rows, dtype=np.int64) * L + labels)
+    starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+    cells = np.diff(np.r_[starts, keys.size])
+    cell_row, cell_label = np.divmod(keys[starts], L)
+    row_starts = np.flatnonzero(np.r_[True, cell_row[1:] != cell_row[:-1]])
+    label_top = np.zeros(L, dtype=np.int64)
+    np.maximum.at(label_top, cell_label, cells)
+    label_sizes = np.bincount(labels)
+
+    def pairs(sizes: np.ndarray) -> int:
+        return int((sizes * (sizes - 1) // 2).sum())
+
+    n, n_rows, n_labels = keys.size, row_starts.size, int(np.count_nonzero(label_sizes))
+    macro_p = int((np.diff(np.r_[row_starts, cells.size]) == 1).sum()) / n_rows
+    macro_r = int((np.bincount(cell_label) == 1).sum()) / n_labels
+    micro_p = int(np.maximum.reduceat(cells, row_starts).sum()) / n
+    micro_r = int(label_top.sum()) / n
+    hits, label_pairs = pairs(cells), pairs(label_sizes)
+    row_pairs = pairs(np.add.reduceat(cells, row_starts))
     pair_p = hits / row_pairs if row_pairs else None
     pair_r = hits / label_pairs if label_pairs else None
     return MetricsReport(
         macro_p=macro_p, macro_r=macro_r, macro_f1=harmonic_mean(macro_p, macro_r),
         micro_p=micro_p, micro_r=micro_r, micro_f1=harmonic_mean(micro_p, micro_r),
         pair_p=pair_p, pair_r=pair_r, pair_f1=harmonic_mean(pair_p, pair_r),
-        n_clusters=rows, n_gold=labels, n_elements=n,
+        n_clusters=n_rows, n_gold=n_labels, n_elements=n,
     )
 
 

@@ -121,6 +121,18 @@ class PipelineConfig:
         return d
 
     def validate(self) -> None:
+        """`check_values`, then that each configured input file exists."""
+        self.check_values()
+        for name in _INPUT_FIELDS:
+            value = getattr(self, name)
+            if value is not None and not Path(value).is_file():
+                raise ConfigError(f"{name} does not exist: {value}")
+        self.side.validate()
+
+    def check_values(self) -> None:
+        """Every check that opens no file. A staged command runs these
+        before it writes anything and leaves each input file to the
+        reader that opens it."""
         if not self.deterministic:
             raise ConfigError(
                 "deterministic must be true: every run is single-threaded "
@@ -128,22 +140,17 @@ class PipelineConfig:
             )
         if self.format not in ("jsonl", "json"):
             raise ConfigError(f"format must be jsonl or json, got {self.format!r}")
-        if not Path(self.triples_file).is_file():
-            raise ConfigError(f"triples_file does not exist: {self.triples_file}")
-        for name in ("gold_np_file", "gold_rel_file", "vectors_file"):
-            value = getattr(self, name)
-            if value is not None and not Path(value).is_file():
-                raise ConfigError(f"{name} does not exist: {value}")
         if not 0.0 < self.validation_fraction < 1.0:
             raise ConfigError("validation_fraction must be in (0, 1)")
         if not self.threshold_grid:
             raise ConfigError("threshold_grid is empty")
         for t in self.threshold_grid:
             if not 0.0 <= t <= 2.0:
-                raise ConfigError(f"threshold grid value out of [0, 2]: {t}")
-        for t in (self.np_threshold, self.rel_threshold):
+                raise ConfigError(f"threshold_grid value out of [0, 2]: {t}")
+        for name in ("np_threshold", "rel_threshold"):
+            t = getattr(self, name)
             if t is not None and not 0.0 <= t <= 2.0:
-                raise ConfigError(f"threshold out of [0, 2]: {t}")
+                raise ConfigError(f"{name} out of [0, 2]: {t}")
         for b in self.baselines:
             if b not in BASELINE_NAMES:
                 raise ConfigError(
@@ -154,7 +161,7 @@ class PipelineConfig:
             if unknown:
                 raise ConfigError(f"unknown side-info source(s) in hyperparams.{table}: "
                                   f"{unknown}; valid: {sources}")
-        self.side.validate()
+        self.side.check_values()
         self.effective_hyperparams().validate()
 
 

@@ -500,17 +500,22 @@ class SideInfoConfig:
     kbp_file: str | None = None
 
     def validate(self) -> None:
+        """`check_values`, then that each configured resource file exists."""
+        self.check_values()
+        for name, path in (("ppdb_file", self.ppdb_file),
+                           ("wordnet_file", self.wordnet_file),
+                           ("kbp_file", self.kbp_file)):
+            if path is not None and not Path(path).is_file():
+                raise ConfigError(f"{name} does not exist: {path}")
+
+    def check_values(self) -> None:
+        """Every check that opens no file."""
         if (self.ppdb_np or self.ppdb_rel) and not self.ppdb_file:
             raise ConfigError("ppdb provider enabled but ppdb_file not set")
         if (self.wordnet_np or self.wordnet_rel) and not self.wordnet_file:
             raise ConfigError("wordnet provider enabled but wordnet_file not set")
         if self.kbp and not self.kbp_file:
             raise ConfigError("kbp provider enabled but kbp_file not set")
-        for name, path in (("ppdb_file", self.ppdb_file),
-                           ("wordnet_file", self.wordnet_file),
-                           ("kbp_file", self.kbp_file)):
-            if path is not None and not Path(path).is_file():
-                raise ConfigError(f"{name} does not exist: {path}")
         if not 0.0 <= self.idf_cutoff <= 1.0:
             raise ConfigError(f"idf_cutoff must be in [0, 1], got {self.idf_cutoff}")
         if self.amie_support_min < 1:

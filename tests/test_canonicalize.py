@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -450,6 +451,31 @@ class TestBestCutReplay:
         assert t == min(g for g, score in zip(grid, expected) if score == best)
         if not set(ids) & gold.keys():
             assert set(scores) == {0.0} and t == min(grid)
+
+    def test_scores_at_size_without_calling_evaluate(self, monkeypatch):
+        """300 quantized points, three labels and unlabelled ids, every
+        merge height on the grid: the replay scores each cut as the
+        reference does, and never through `evaluate`."""
+        rand = random.Random(20)
+        X = random_points(rand, 300, 6, quantized=True)
+        ids = sorted(rand.sample(range(600), 300))
+        gold = {pid: f"g{rand.randrange(3)}" for pid in ids if rand.random() < 0.7}
+        history = hac_merge_history(cosine_distance_matrix(X))
+        grid = sorted({d for d, _, _ in history})
+
+        def refuse(*args):
+            raise AssertionError("best_cut called evaluate")
+
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("kbcanon") and hasattr(mod, "evaluate"):
+                monkeypatch.setattr(mod, "evaluate", refuse)
+        t, scores = best_cut(ids, history, GoldClustering(PhraseKind.NP, gold), grid)
+        monkeypatch.undo()
+        expected = [reference_evaluate(cut_history(ids, history, g), gold).mean_f1()
+                    for g in grid]
+        assert len(grid) > 20
+        assert list(map(float.hex, scores)) == list(map(float.hex, expected))
+        assert t == grid[expected.index(max(expected))]
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ through run-directory artifacts.
 from __future__ import annotations
 
 import json
+import shutil
 import subprocess
 import sys
 
@@ -437,6 +438,41 @@ class TestErrorHandling:
         assert rc == 2
         assert "learning_rate must be a finite number" in capsys.readouterr().err
         assert not (tmp_path / "run" / "kb.jsonl").exists()
+
+    @pytest.fixture(scope="class")
+    def embedded_run(self, tmp_path_factory):
+        """A dataset and a run directory through ``embed``, so that every
+        stage command would run to completion on a valid config."""
+        tmp = tmp_path_factory.mktemp("embedded")
+        _, config_path = make_dataset(tmp, seed=18)
+        for stage in ("ingest", "sideinfo", "embed"):
+            assert main([stage, "--config", str(config_path), "--out", str(tmp / "run")]) == 0
+        return config_path, tmp / "run"
+
+    @pytest.mark.parametrize("stage", ["ingest", "sideinfo", "embed", "cluster"])
+    @pytest.mark.parametrize("section, key, value, message", [
+        (None, "np_threshold", 5.0, "np_threshold out of [0, 2]: 5.0"),
+        ("hyperparams", "lambda_ent", {"bogus": 1.0},
+         "unknown side-info source(s) in hyperparams.lambda_ent: ['bogus']"),
+        (None, "deterministic", False, "deterministic must be true"),
+    ])
+    def test_stage_refuses_a_config_the_pipeline_refuses_before_writing(
+            self, tmp_path, capsys, embedded_run, stage, section, key, value, message):
+        config_path, embedded = embedded_run
+        run_dir = shutil.copytree(embedded, tmp_path / "run")
+        before = {p.name: p.stat().st_mtime_ns for p in run_dir.iterdir()}
+        doc = yaml.safe_load(config_path.read_text())
+        (doc[section] if section else doc)[key] = value
+        bad_config = config_path.with_name(f"{tmp_path.name}.yaml")  # same relative paths
+        bad_config.write_text(yaml.safe_dump(doc))
+        capsys.readouterr()
+        assert main(["pipeline", "--config", str(bad_config),
+                     "--out", str(tmp_path / "whole")]) == 2
+        assert message in capsys.readouterr().err
+        rc = main([stage, "--config", str(bad_config), "--out", str(run_dir)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert {p.name: p.stat().st_mtime_ns for p in run_dir.iterdir()} == before
 
     def test_evaluate_missing_file_exits_3(self, tmp_path, capsys):
         rc = main(

@@ -268,7 +268,9 @@ class TestAgainstReferenceEvaluate:
     @given(labeled_clusterings())
     def test_same_report_or_same_error(self, data):
         """The one-table evaluate equals the original four-pass one
-        exactly, float for float, or raises the same error."""
+        exactly, float for float, or raises the same error. Its report
+        holds plain Python ints and floats, never numpy scalars, so it
+        serializes to JSON as it is."""
         clusters, gold = data
 
         def outcome(fn):
@@ -277,7 +279,10 @@ class TestAgainstReferenceEvaluate:
             except (InvariantViolation, MetricsUndefinedError) as e:
                 return type(e)
 
-        assert outcome(evaluate) == outcome(reference_evaluate)
+        got = outcome(evaluate)
+        assert got == outcome(reference_evaluate)
+        if isinstance(got, dict):
+            assert {type(v) for v in got.values()} <= {int, float, type(None)}
 
 
 class TestFormatReport:
