@@ -36,9 +36,8 @@ import logging
 import sys
 from pathlib import Path
 
-import yaml
-
 from kbcanon import HyperParams, PipelineConfig, SideInfoConfig, run_pipeline
+from kbcanon.kb import read_yaml
 from kbcanon.pipeline import grid_search, load_config
 
 log = logging.getLogger("reproduce")
@@ -153,7 +152,7 @@ def main(argv: list[str] | None = None) -> int:
     config = make_config(args)
 
     if args.grid is not None:
-        grid = yaml.safe_load(args.grid.read_text(encoding="utf-8"))
+        grid = read_yaml(args.grid)
         if not isinstance(grid, dict) or not grid:
             raise SystemExit(f"grid file must be a non-empty mapping: {args.grid}")
         log.info("grid-searching %d fields: %s", len(grid), sorted(grid))

@@ -16,17 +16,15 @@ and cuts it there.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from itertools import takewhile
-from pathlib import Path
 from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InvariantViolation, ZeroVectorError
-from .kb import GoldClustering, OpenKB, Phrase, PhraseKind, triple_record
+from .kb import GoldClustering, OpenKB, Phrase, PhraseKind, triple_record, write_jsonl
 from .metrics import table_report
 from .side_info import components
 
@@ -393,20 +391,14 @@ def save_clusters(clustering: Clustering, kb: OpenKB, path) -> None:
     """One JSON record per cluster (representative, members, frequencies),
     ordered by smallest member id; byte-deterministic for a fixed input."""
     vocab = kb.vocab(clustering.kind)
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for c in clustering.clusters:
-            ids = sorted(c.members)
-            rec = {
-                "kind": clustering.kind.value,
-                "representative": vocab[c.representative].text,
-                "members": [vocab[i].text for i in ids],
-                "frequencies": [vocab[i].frequency for i in ids],
-                "threshold": clustering.threshold_used,
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_jsonl(path, ({
+        "kind": clustering.kind.value,
+        "representative": vocab[c.representative].text,
+        "members": [vocab[i].text for i in ids],
+        "frequencies": [vocab[i].frequency for i in ids],
+        "threshold": clustering.threshold_used,
+    } for c in clustering.clusters for ids in [sorted(c.members)]))
 
 
 def save_canonicalized(result: CanonicalizedKB, path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for rec in result.records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+    write_jsonl(path, result.records)

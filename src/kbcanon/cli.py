@@ -21,7 +21,7 @@ import yaml
 
 from .embedding import load_embeddings
 from .errors import KBCanonError
-from .kb import TripleFormat, load_triples
+from .kb import TripleFormat, load_triples, read_yaml, write_json, write_text
 from .metrics import format_report
 from .pipeline import (
     PipelineConfig,
@@ -145,10 +145,7 @@ def cmd_evaluate(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "metrics.json").write_text(
-            json.dumps(report.as_dict(), sort_keys=True, indent=1) + "\n",
-            encoding="utf-8",
-        )
+        write_json(out / "metrics.json", report.as_dict())
     return 0
 
 
@@ -162,8 +159,7 @@ def cmd_pipeline(args) -> int:
 
 def cmd_grid_search(args) -> int:
     config = _load_run_config(args)
-    with open(args.grid, encoding="utf-8") as fh:
-        grid = yaml.safe_load(fh)
+    grid = read_yaml(args.grid)
     if not isinstance(grid, dict):
         raise KBCanonError("grid file must map config paths to value lists")
     best, rows = grid_search(config, grid, config.out_dir)
@@ -200,8 +196,7 @@ def cmd_synth(args) -> int:
         "out_dir": "run",
         "side": {"ppdb_np": True, "ppdb_file": "side_ppdb.tsv"},
     }
-    with (out / "config.yaml").open("w", encoding="utf-8") as fh:
-        yaml.safe_dump(config_doc, fh, sort_keys=True)
+    write_text(out / "config.yaml", yaml.safe_dump(config_doc, sort_keys=True))
     print(f"synthetic KB: {len(synth.records)} triples, "
           f"{len(synth.np_gold)} noun phrases over {args.entities} entities, "
           f"{len(synth.rel_gold)} relation surfaces -> {out}")

@@ -5,7 +5,8 @@ whose arguments are raw surface strings. This module builds integer-keyed
 vocabularies over those strings, keeps the triples' ids as integer columns
 with a membership index, and carries optional per-triple annotations: linker
 output (side information) and gold entity ids (evaluation only; nothing in
-the training or clustering path may read them).
+the training or clustering path may read them). It also holds the text
+readers, and the atomic writers for every file but the streamed training log.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
+import yaml
 
 from .errors import EmptyKBError, InvariantViolation, ParseError
 
@@ -184,19 +186,10 @@ def build_kb(records: Iterable[dict]) -> OpenKB:
         s = nps.add(rec["subject"])
         p = rels.add(rec["relation"])
         o = nps.add(rec["object"])
-        triples.append(
-            Triple(
-                triple_id=rec["triple_id"],
-                subject=s,
-                relation=p,
-                object=o,
-                source_sentences=tuple(rec.get("src_sentences", ())),
-                subject_link=rec.get("entity_link_sub"),
-                object_link=rec.get("entity_link_obj"),
-                gold_subject=rec.get("gold_sub_id"),
-                gold_object=rec.get("gold_obj_id"),
-            )
-        )
+        triples.append(Triple(
+            triple_id=rec["triple_id"], subject=s, relation=p, object=o,
+            source_sentences=tuple(rec.get("src_sentences", ())),
+            **{attr: rec.get(name) for name, attr in _OPTIONAL_FIELDS.items()}))
     return OpenKB(triples=tuple(triples), np_vocab=nps.phrases(), rel_vocab=rels.phrases())
 
 
@@ -215,6 +208,9 @@ def index_contains(kb: OpenKB, keys: np.ndarray) -> np.ndarray:
 
 
 _REQUIRED_FIELDS = ("subject", "relation", "object")
+# the triples file's optional string fields, each to the Triple field it fills
+_OPTIONAL_FIELDS = {"entity_link_sub": "subject_link", "entity_link_obj": "object_link",
+                    "gold_sub_id": "gold_subject", "gold_obj_id": "gold_object"}
 
 
 def _parse_record(raw: dict, path, line_no: int) -> dict:
@@ -238,7 +234,7 @@ def _parse_record(raw: dict, path, line_no: int) -> dict:
     if not isinstance(sents, list) or any(not isinstance(x, str) for x in sents):
         raise ParseError(path, line_no, "field 'src_sentences' must be a list of strings")
     rec["src_sentences"] = sents
-    for name in ("entity_link_sub", "entity_link_obj", "gold_sub_id", "gold_obj_id"):
+    for name in _OPTIONAL_FIELDS:
         value = raw.get(name)
         if value is not None and not isinstance(value, str):
             raise ParseError(path, line_no, f"field '{name}' must be a string")
@@ -272,6 +268,17 @@ def read_jsonl(path) -> Iterator[tuple[int, object]]:
             except json.JSONDecodeError as e:
                 raise ParseError(path, line_no, f"invalid JSON: {e.msg}") from e
             yield line_no, value
+
+
+def read_yaml(path):
+    """The value of a YAML file; text that is not UTF-8, or not YAML,
+    raises ParseError naming the file and line."""
+    try:
+        return yaml.safe_load("".join(line for _, line in read_lines(path)))
+    except yaml.YAMLError as e:
+        mark = getattr(e, "problem_mark", None)
+        raise ParseError(path, mark and mark.line + 1,
+                         f"invalid YAML: {getattr(e, 'problem', None) or e}") from e
 
 
 def load_triples(path, format: TripleFormat = TripleFormat.JSONL) -> OpenKB:
@@ -322,14 +329,10 @@ def triple_record(kb: OpenKB, t: Triple) -> dict:
         "object": kb.np_phrase(t.object).text,
         "src_sentences": list(t.source_sentences),
     }
-    if t.subject_link is not None:
-        rec["entity_link_sub"] = t.subject_link
-    if t.object_link is not None:
-        rec["entity_link_obj"] = t.object_link
-    if t.gold_subject is not None:
-        rec["gold_sub_id"] = t.gold_subject
-    if t.gold_object is not None:
-        rec["gold_obj_id"] = t.gold_object
+    for name, attr in _OPTIONAL_FIELDS.items():
+        value = getattr(t, attr)
+        if value is not None:
+            rec[name] = value
     return rec
 
 
@@ -349,10 +352,26 @@ def atomic_open(path, mode: str = "w"):
         raise
 
 
-def save_triples(kb: OpenKB, path) -> None:
+def write_text(path, text: str) -> None:
+    """``text`` as the whole of ``path``, written atomically."""
     with atomic_open(path) as fh:
-        for t in kb.triples:
-            fh.write(json.dumps(triple_record(kb, t), sort_keys=True) + "\n")
+        fh.write(text)
+
+
+def write_json(path, payload) -> None:
+    """``payload`` as indented JSON with sorted keys and a final newline."""
+    write_text(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
+
+
+def write_jsonl(path, records: Iterable) -> None:
+    """One JSON line with sorted keys per record; no records, no lines."""
+    with atomic_open(path) as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+def save_triples(kb: OpenKB, path) -> None:
+    write_jsonl(path, (triple_record(kb, t) for t in kb.triples))
 
 
 def vocab_hash(kb: OpenKB) -> str:

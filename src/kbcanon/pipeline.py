@@ -57,8 +57,11 @@ from .kb import (
     load_triples,
     read_gold_lines,
     read_jsonl,
+    read_yaml,
     save_triples,
     split_validation,
+    write_json,
+    write_text,
 )
 from .metrics import MetricsReport, evaluate, format_report
 from .side_info import (
@@ -256,8 +259,7 @@ def config_from_dict(raw: Mapping, base_dir=".") -> PipelineConfig:
 
 def load_config(path) -> PipelineConfig:
     path = Path(path)
-    with path.open(encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+    raw = read_yaml(path)
     if raw is None:
         raise ConfigError(f"{path}: empty config")
     return config_from_dict(raw, base_dir=path.parent)
@@ -321,11 +323,6 @@ def run_stage(timings: dict[str, float], name: str, fn, *args):
         raise StageError(name, e) from e
     timings[name] = time.perf_counter() - t0
     return result
-
-
-def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n",
-                    encoding="utf-8")
 
 
 def load_np_gold(kb: OpenKB, config: PipelineConfig) -> GoldClustering:
@@ -421,7 +418,7 @@ def ingest_stage(config: PipelineConfig, out: Path) -> OpenKB:
 
 def split_stage(config: PipelineConfig, out: Path, kb: OpenKB) -> Split:
     split = make_split(kb, config)
-    _write_json(out / "split.json", {
+    write_json(out / "split.json", {
         "validation_triple_ids": sorted(t.triple_id for t in split.validation),
         "test_triple_ids": sorted(t.triple_id for t in split.test),
     })
@@ -431,9 +428,7 @@ def split_stage(config: PipelineConfig, out: Path, kb: OpenKB) -> Split:
 def sideinfo_stage(config: PipelineConfig, out: Path, kb: OpenKB) -> SideInfoCollection:
     side = assemble_side_info(kb, config.side)
     save_side_info(side, out / "side_info.json", kb)
-    (out / "coverage.txt").write_text(
-        "\n".join(coverage_report(side, kb)) + "\n", encoding="utf-8"
-    )
+    write_text(out / "coverage.txt", "\n".join(coverage_report(side, kb)) + "\n")
     return side
 
 
@@ -453,7 +448,7 @@ def embed_stage(config: PipelineConfig, out: Path, kb: OpenKB, side: SideInfoCol
 def thresholds_stage(config: PipelineConfig, out: Path, emb: EmbeddingSet,
                      split: Split) -> tuple[float, float]:
     np_t, rel_t, detail = select_thresholds(emb, split, config)
-    _write_json(out / "thresholds.json", detail)
+    write_json(out / "thresholds.json", detail)
     return np_t, rel_t
 
 
@@ -471,8 +466,8 @@ def canonicalize_stage(config: PipelineConfig, out: Path, kb: OpenKB,
                        rel_clustering: Clustering) -> canon.CanonicalizedKB:
     result = canon.canonicalize_kb(kb, np_clustering, rel_clustering)
     canon.save_canonicalized(result, out / "canonical_triples.jsonl")
-    _write_json(out / "duplicates.json",
-                {"duplicate_groups": [list(g) for g in result.duplicate_groups]})
+    write_json(out / "duplicates.json",
+               {"duplicate_groups": [list(g) for g in result.duplicate_groups]})
     return result
 
 
@@ -484,7 +479,7 @@ def evaluate_stage(config: PipelineConfig, out: Path, split: Split,
                                   phrase_ids(split.test, PhraseKind.NP))
     report_rel = _evaluate_or_none(rel_clustering, split.rel_gold,
                                    phrase_ids(split.test, PhraseKind.REL))
-    _write_json(out / "metrics.json", {
+    write_json(out / "metrics.json", {
         "np": report_np.as_dict() if report_np else None,
         "rel": report_rel.as_dict() if report_rel else None,
     })
@@ -496,7 +491,7 @@ def evaluate_stage(config: PipelineConfig, out: Path, split: Split,
         text.append("")
         text.append("REL clustering vs gold (test split)")
         text.append(format_report(report_rel))
-    (out / "metrics.txt").write_text("\n".join(text) + "\n", encoding="utf-8")
+    write_text(out / "metrics.txt", "\n".join(text) + "\n")
     return report_np, report_rel
 
 
@@ -530,7 +525,7 @@ def baselines_stage(config: PipelineConfig, out: Path, kb: OpenKB, split: Split,
         )
         report = _evaluate_or_none(clustering, split.np_gold, test_np_ids)
         rows.append(leaderboard_row(name, report))
-    (out / "leaderboard.txt").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    write_text(out / "leaderboard.txt", "\n".join(rows) + "\n")
 
 
 def run_after_embed(config: PipelineConfig, out: Path, kb: OpenKB, split: Split,
@@ -550,7 +545,7 @@ def run_after_embed(config: PipelineConfig, out: Path, kb: OpenKB, split: Split,
                              config, out, split, np_clustering, rel_clustering)
     run_stage(timings, "baselines", baselines_stage, config, out, kb, split, report_np,
               word_vectors)
-    _write_json(out / "manifest.json", {
+    write_json(out / "manifest.json", {
         "config": config.as_dict(),
         "config_hash": config_hash(config),
         "seed": config.seed,
@@ -566,7 +561,7 @@ def run_after_embed(config: PipelineConfig, out: Path, kb: OpenKB, split: Split,
             if p.is_file() and p.name not in ("manifest.json", "timings.json")
         ),
     })
-    _write_json(out / "timings.json", {k: round(v, 6) for k, v in timings.items()})
+    write_json(out / "timings.json", {k: round(v, 6) for k, v in timings.items()})
     return np_clustering, rel_clustering
 
 
@@ -718,13 +713,10 @@ def grid_search(
             best, best_score = row, score
         logger.info("grid point %s: validation mean F1 %.4f", overrides, score)
 
-    (out / "leaderboard.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    (out / "leaderboard.json").write_text(
-        json.dumps(rows, sort_keys=True, indent=1) + "\n", encoding="utf-8"
-    )
+    write_text(out / "leaderboard.txt", "\n".join(lines) + "\n")
+    write_json(out / "leaderboard.json", rows)
     best_config = _apply_overrides(config, best["overrides"])
-    with (out / "best_config.yaml").open("w", encoding="utf-8") as fh:
-        yaml.safe_dump(best_config.as_dict(), fh, sort_keys=True)
+    write_text(out / "best_config.yaml", yaml.safe_dump(best_config.as_dict(), sort_keys=True))
     return best["overrides"], rows
 
 

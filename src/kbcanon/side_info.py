@@ -24,11 +24,11 @@ from .errors import ConfigError, ParseError
 from .kb import (
     OpenKB,
     PhraseKind,
-    atomic_open,
     majority_labels,
     normalize_whitespace,
     read_lines,
     vocab_hash,
+    write_json,
 )
 from .stopwords import STOPWORDS
 
@@ -585,9 +585,7 @@ def save_side_info(collection: SideInfoCollection, path, kb: OpenKB) -> None:
                              ("rel_sources", collection.rel_sources))
     }
     payload["vocab_hash"] = vocab_hash(kb)
-    with atomic_open(path) as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+    write_json(path, payload)
 
 
 def load_side_info(path, kb: OpenKB) -> SideInfoCollection:

@@ -11,13 +11,11 @@ file with controllable coverage and precision.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from pathlib import Path
 
-from .kb import OpenKB, build_kb
+from .kb import OpenKB, build_kb, write_jsonl, write_text
 
 _SYLLABLES = [
     "ba", "ce", "di", "fo", "gu", "ha", "ki", "lo", "mu", "ne",
@@ -69,19 +67,13 @@ class SyntheticKB:
         return build_kb(list(self.records))
 
     def write_triples(self, path) -> None:
-        with Path(path).open("w", encoding="utf-8") as fh:
-            for rec in self.records:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        write_jsonl(path, self.records)
 
     def write_np_gold(self, path) -> None:
-        with Path(path).open("w", encoding="utf-8") as fh:
-            for text in sorted(self.np_gold):
-                fh.write(f"{text}\t{self.np_gold[text]}\n")
+        write_text(path, "".join(f"{t}\t{self.np_gold[t]}\n" for t in sorted(self.np_gold)))
 
     def write_rel_gold(self, path) -> None:
-        with Path(path).open("w", encoding="utf-8") as fh:
-            for text in sorted(self.rel_gold):
-                fh.write(f"{text}\t{self.rel_gold[text]}\n")
+        write_text(path, "".join(f"{t}\t{self.rel_gold[t]}\n" for t in sorted(self.rel_gold)))
 
     def write_side_file(
         self, path, coverage: float = 0.5, precision: float = 1.0,
@@ -96,8 +88,12 @@ class SyntheticKB:
         rng = random.Random(self.seed if seed is None else seed)
         true_pool = sorted(self.alias_pairs)
         n_true = round(coverage * len(true_pool))
-        chosen = sorted(rng.sample(true_pool, n_true)) if n_true else []
         n_false = round(n_true * (1.0 - precision) / precision)
+        n_cross = len(self.np_gold) * (len(self.np_gold) - 1) // 2 - len(true_pool)
+        if n_false > n_cross:
+            raise ValueError(f"precision={precision} needs {n_false} pairs of aliases of "
+                             f"different entities, but only {n_cross} exist")
+        chosen = sorted(rng.sample(true_pool, n_true)) if n_true else []
         aliases = sorted(self.np_gold)
         false_pairs: set[tuple[str, str]] = set()
         while len(false_pairs) < n_false:
@@ -107,9 +103,7 @@ class SyntheticKB:
             false_pairs.add((a, b) if a < b else (b, a))
         rows = chosen + sorted(false_pairs)
         rng.shuffle(rows)
-        with Path(path).open("w", encoding="utf-8") as fh:
-            for a, b in rows:
-                fh.write(f"{a}\t{b}\t1.0\n")
+        write_text(path, "".join(f"{a}\t{b}\t1.0\n" for a, b in rows))
         return len(chosen), len(false_pairs)
 
 
@@ -191,16 +185,17 @@ def make_synthetic_kb(
             planned.append(fact_triple(e, j, fact, c % paraphrases_per_relation))
             c += 1
     used_rels = {p for _, p, _ in planned}
+    # each relation group's first entity and fact (reversed, so the first wins)
+    holder = {f[0]: (e, f) for e in reversed(range(n_entities)) for f in reversed(facts[e])}
     for g in range(n_relations):
         for k in range(paraphrases_per_relation):
-            surface = rels[g][k]
-            if surface in used_rels:
+            if rels[g][k] in used_rels:
                 continue
-            e = next(ent for ent in range(n_entities)
-                     if any(fg == g for fg, _ in facts[ent]))
-            fact = next(f for f in facts[e] if f[0] == g)
+            if g not in holder:
+                raise ValueError(f"n_relations={n_relations} is more than n_entities + 2 = "
+                                 f"{n_entities + 2}: no entity's facts hold relation group {g}")
+            e, fact = holder[g]
             planned.append(fact_triple(e, rng.randrange(aliases_per_entity), fact, k))
-            used_rels.add(surface)
     if n_triples < len(planned):
         raise ValueError(
             f"n_triples={n_triples} too small to cover all {len(planned)} "

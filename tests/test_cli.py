@@ -84,6 +84,24 @@ class TestSynthCommand:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_more_relations_than_entities_hold_exit_2(self, tmp_path, capsys):
+        rc = main(["synth", "--out", str(tmp_path / "x"), "--entities", "2",
+                   "--relations", "5", "--triples", "100"])
+        assert rc == 2
+        assert "n_relations=5 is more than n_entities + 2" in capsys.readouterr().err
+
+    def test_side_precision_beyond_the_false_pairs_exit_2(self, tmp_path):
+        # 54 false pairs wanted, 9 exist; a subprocess, so that a draw loop
+        # that cannot finish ends at the timeout instead of hanging the suite
+        r = subprocess.run(
+            [sys.executable, "-m", "kbcanon", "synth", "--out", str(tmp_path / "x"),
+             "--entities", "2", "--aliases", "3", "--relations", "2", "--triples", "40",
+             "--side-coverage", "1.0", "--side-precision", "0.1"],
+            env=checkout_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert r.returncode == 2
+        assert "needs 54 pairs" in r.stderr and "only 9 exist" in r.stderr
+
 
 # ---------------------------------------------------------------------------
 # pipeline command
@@ -275,6 +293,37 @@ class TestGridSearchCommand:
         assert rc == 2
         assert capsys.readouterr().err.startswith(
             "error: grid key 'np_threshold' needs a list of values")
+
+
+# ---------------------------------------------------------------------------
+# YAML files that do not load
+
+YAML_FAULTS = {"unclosed_bracket": b"seed: 1\nthreshold_grid: [0.3, 0.5\n",
+               "not_utf8": b"seed: 1\nout_dir: caf\xe9\n"}
+
+
+class TestBrokenYaml:
+    @pytest.mark.parametrize("fault", sorted(YAML_FAULTS))
+    def test_pipeline_config(self, tmp_path, capsys, fault):
+        config_path = tmp_path / "broken.yaml"
+        config_path.write_bytes(YAML_FAULTS[fault])
+        run_dir = tmp_path / "run"
+        rc = main(["pipeline", "--config", str(config_path), "--out", str(run_dir)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {config_path}:")
+        assert not run_dir.exists()
+
+    @pytest.mark.parametrize("fault", sorted(YAML_FAULTS))
+    def test_grid_file(self, tmp_path, capsys, fault):
+        _, config_path = make_dataset(tmp_path, seed=10)
+        grid_path = tmp_path / "grid.yaml"
+        grid_path.write_bytes(YAML_FAULTS[fault])
+        out_dir = tmp_path / "sweep"
+        rc = main(["grid-search", "--config", str(config_path), "--grid", str(grid_path),
+                   "--out", str(out_dir)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {grid_path}:")
+        assert not out_dir.exists()
 
 
 # ---------------------------------------------------------------------------

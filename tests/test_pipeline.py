@@ -32,6 +32,7 @@ from kbcanon.kb import (
     load_triples,
     save_triples,
     split_validation,
+    write_jsonl,
 )
 from kbcanon.metrics import evaluate
 from kbcanon.pipeline import (
@@ -47,8 +48,9 @@ from kbcanon.pipeline import (
     phrase_ids,
     run_pipeline,
     select_thresholds,
+    sideinfo_stage,
 )
-from kbcanon.side_info import EMPTY_SIDE_INFO, save_side_info
+from kbcanon.side_info import EMPTY_SIDE_INFO, SideInfoConfig, save_side_info
 
 from .conftest import write_kb_vectors
 
@@ -651,6 +653,24 @@ class TestAtomicArtifacts:
         # np_vectors is in the archive by the time rel_vectors is read
         object.__setattr__(emb, "rel_vectors", Unreadable())
         self.rewrite_fails(path, lambda: save_embeddings(emb, path, 0, toy_kb), OSError)
+
+    def test_jsonl_records_that_fail_partway(self, tmp_path):
+        path = tmp_path / "rows.jsonl"
+        write_jsonl(path, [{"row": 0}])
+
+        def records():
+            yield {"row": 1}
+            raise OSError("disk full")
+
+        self.rewrite_fails(path, lambda: write_jsonl(path, records()), OSError)
+
+
+def test_coverage_with_every_provider_off_is_one_newline(toy_kb, tmp_path):
+    # a report file ends in a newline even with no lines; a row file
+    # (JSON lines, TSV) with no rows is empty
+    off = SideInfoConfig(morph=False, idf_overlap=False, entity_linking=False, amie=False)
+    sideinfo_stage(PipelineConfig(triples_file="unused", side=off), tmp_path, toy_kb)
+    assert (tmp_path / "coverage.txt").read_bytes() == b"\n"
 
 
 class TestPipelineFailures:

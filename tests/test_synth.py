@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from kbcanon.kb import PhraseKind, gold_from_triples, load_gold
@@ -78,6 +80,45 @@ class TestGeneratorValidation:
     def test_nonpositive_sizes_rejected(self):
         with pytest.raises(ValueError):
             make_synthetic_kb(5, 0, 2, 2, 50, 0.0, seed=1)
+
+    def test_relation_group_no_entity_holds_rejected(self):
+        # entity e holds groups e, e + 1 and e + 2, so 2 entities hold 4 groups
+        with pytest.raises(ValueError, match=r"n_relations=5 is more than "
+                                             r"n_entities \+ 2 = 4: .* group 4"):
+            make_synthetic_kb(2, 3, 5, 2, 100, 0.0, seed=1)
+
+
+# sha256 of the triples file at seed 1 for the relation rung and the three
+# benchmark workloads' shapes; any change to the generator's random stream
+# changes them
+PINNED_TRIPLES = {
+    "relation_rung": ((5000, 3, 5000, 4, 45000, 0.1),
+                      "461861db1d22e1ea170e3fc23850de151ae923ba3d824c0d51266147211b30bc"),
+    "dense_triples": ((150, 3, 100, 3, 4000, 0.1),
+                      "f6f7dc9c1aca5a13205c7f23ba9a5df53b6effe3e0b8fb7fdf9b01be7c000887"),
+    "sparse_vocab": ((900, 2, 100, 2, 2200, 0.1),
+                     "0643871e27c05e3f7ce771b679bd091c66da31806460517b754d5f755c1bbd9a"),
+    "leaderboard": ((280, 2, 80, 2, 1700, 0.1),
+                    "3d6ed7b5e2e36a4792eca1d869067e52364a1ff55be02aac42fd5c6a50d0a554"),
+}
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestPinnedOutputs:
+    @pytest.mark.parametrize("name", sorted(PINNED_TRIPLES))
+    def test_triples_file(self, tmp_path, name):
+        sizes, digest = PINNED_TRIPLES[name]
+        make_synthetic_kb(*sizes, seed=1).write_triples(tmp_path / "triples.jsonl")
+        assert sha256_of(tmp_path / "triples.jsonl") == digest
+
+    def test_side_file(self, tmp_path):
+        synth = make_synthetic_kb(*PINNED_TRIPLES["leaderboard"][0], seed=1)
+        synth.write_side_file(tmp_path / "side.tsv", coverage=0.5, precision=0.9)
+        assert (sha256_of(tmp_path / "side.tsv")
+                == "ffbc2f63d82c7794fc5a8b21626776a9b7edd95dfda59f627b4e4075d272afe9")
 
 
 class TestGoldPerfectScores:
@@ -156,3 +197,8 @@ class TestFileOutputs:
             synth.write_side_file(tmp_path / "x.tsv", coverage=1.5)
         with pytest.raises(ValueError):
             synth.write_side_file(tmp_path / "x.tsv", precision=0.0)
+
+    def test_side_file_at_coverage_zero_is_empty(self, tmp_path):
+        synth = make_synthetic_kb(5, 2, 2, 2, 40, 0.0, seed=12)
+        assert synth.write_side_file(tmp_path / "x.tsv", coverage=0.0) == (0, 0)
+        assert (tmp_path / "x.tsv").read_bytes() == b""

@@ -6,7 +6,7 @@ from __future__ import annotations
 import pytest
 
 from kbcanon.errors import ParseError
-from kbcanon.kb import PhraseKind, TripleFormat, build_kb, load_gold, load_triples
+from kbcanon.kb import PhraseKind, TripleFormat, build_kb, load_gold, load_triples, read_yaml
 from kbcanon.side_info import load_kbp, load_ppdb, load_synsets
 
 from .conftest import records_from_spo
@@ -26,6 +26,7 @@ READERS = {
              lambda path: load_ppdb(path, 0.5)),
     "synsets": ("synsets.tsv", "a\ts1\n", "café\ts2\n", load_synsets),
     "kbp": ("kbp.tsv", "r\tper:origin\n", "rés\tper:origin\n", load_kbp),
+    "yaml": ("config.yaml", "seed: 1\n", "out_dir: café\n", read_yaml),
 }
 
 
