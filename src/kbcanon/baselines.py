@@ -21,9 +21,11 @@ from .canonicalize import (
     DEFAULT_THRESHOLD_GRID,
     Cluster,
     Clustering,
+    choose_threshold,
     cluster_phrases,
+    hac_from_distance_matrix,
     hac_merge_history,  # noqa: F401 -- bound here too, where the benchmark's tracer rebinds it
-    tune_and_cut,
+    tune_threshold,
 )
 from .embedding import (
     EmbeddingSet,
@@ -235,14 +237,10 @@ def train_structure_only(kb: OpenKB, h: HyperParams,
     return train(kb, EMPTY_SIDE_INFO, h, init)
 
 
-def tune_threshold_on_matrix(
-    ids: Sequence[int],
-    D: np.ndarray,
-    gold: GoldClustering,
-    grid: Sequence[float] = DEFAULT_THRESHOLD_GRID,
-) -> float:
-    """The threshold `tune_and_cut` tunes on a precomputed distance matrix."""
-    return tune_and_cut(ids, D, None, gold, grid)[1]
+def tune_threshold_on_matrix(ids: Sequence[int], D: np.ndarray, gold: GoldClustering,
+                             grid: Sequence[float] = DEFAULT_THRESHOLD_GRID) -> float:
+    """The threshold `tune_threshold` tunes on the validation phrases' D."""
+    return tune_threshold(ids, D, gold, grid)[0]
 
 
 def _freq_clustering(kb: OpenKB, kind: PhraseKind, member_sets,
@@ -261,25 +259,26 @@ def _freq_clustering(kb: OpenKB, kind: PhraseKind, member_sets,
 # dispatch
 
 
-def run_baseline(
-    cfg: BaselineConfig,
-    kb: OpenKB,
-    *,
-    ppdb_file=None,
-    word_vectors: WordVectors | None = None,
-    validation_gold: GoldClustering | None = None,
-    grid: Sequence[float] = DEFAULT_THRESHOLD_GRID,
-) -> Clustering:
+def run_baseline(cfg: BaselineConfig, kb: OpenKB, *, ppdb_file=None,
+                 word_vectors: WordVectors | None = None,
+                 validation_gold: GoldClustering | None = None,
+                 grid: Sequence[float] = DEFAULT_THRESHOLD_GRID,
+                 validation_ids: Sequence[int] = ()) -> Clustering:
     """Run one comparison method and return its Clustering. A HAC method
-    without a threshold or gold, or a missing input, fails before work.
+    without a threshold tunes one as the system does, on the distances of
+    the ascending ``validation_ids`` scored against ``validation_gold``,
+    and cuts the whole vocabulary there; without a threshold or both of
+    those, or with an input missing, a method fails before work.
     ``word_vectors`` is a `load_word_vectors` table, which `wordvec_avg`
     and `hole_pretrained` need."""
     cfg.validate()
     kind = cfg.kind
     vocab = kb.vocab(kind)
     name = cfg.name
-    if name in _HAC_METHODS and cfg.threshold is None and not validation_gold:
-        raise ConfigError(f"{name.value} needs a threshold or validation gold to tune one")
+    threshold = cfg.threshold
+    if name in _HAC_METHODS and threshold is None and not (validation_ids and validation_gold):
+        raise ConfigError(f"{name.value} needs a threshold, or validation ids and gold to tune one")
+    val = list(validation_ids)
     if name in VECTOR_BASELINES and word_vectors is None:
         raise ConfigError(f"{name.value} baseline needs a vectors_file")
     if name is BaselineName.PPDB and ppdb_file is None:
@@ -306,8 +305,9 @@ def run_baseline(
         else:
             sets = attribute_sets(kb)
             D = _overlap_distance_matrix([sets[p.id] for p in vocab], _jaccard)
-        member_sets, threshold = tune_and_cut(range(len(vocab)), D, cfg.threshold,
-                                              validation_gold, grid)
+        if threshold is None:
+            threshold = tune_threshold_on_matrix(val, D[np.ix_(val, val)], validation_gold, grid)
+        member_sets = hac_from_distance_matrix(range(len(vocab)), D, threshold)
         return _freq_clustering(kb, kind, member_sets, threshold)
 
     if name is BaselineName.WORDVEC_AVG:
@@ -319,4 +319,8 @@ def run_baseline(
             word_vectors if name is BaselineName.HOLE_PRETRAINED else None)
     else:
         raise ConfigError(f"unknown baseline: {name!r}")
-    return cluster_phrases(kb, kind, emb.vectors(kind), cfg.threshold, validation_gold, grid)
+    V = emb.vectors(kind)
+    if threshold is None:
+        threshold = choose_threshold(val, V[val], validation_gold, grid,
+                                     labels=[vocab[i].text for i in val])[0]
+    return cluster_phrases(kb, kind, V, threshold)

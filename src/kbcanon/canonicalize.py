@@ -8,10 +8,9 @@ threshold its caller reads; ties break toward the pair with the
 lexicographically smallest (minimum member id, minimum member id).
 Complete linkage has monotone merge distances, so cutting that history at
 a threshold gives the same partition as stopping the merges there:
-clustering at a threshold is one cut, threshold selection (`best_cut`)
-replays one history once and scores every grid value on the way, and a
-tuned clustering (`tune_and_cut`) picks its threshold from that history
-and cuts it there.
+clustering at a threshold is one cut. Every method tunes its threshold
+(`tune_threshold`) on one history over the validation phrases, which
+`best_cut` replays once, scoring every grid value on the way.
 """
 
 from __future__ import annotations
@@ -166,11 +165,11 @@ def _check_ids(ids: Sequence[int], D: np.ndarray) -> None:
 def hac_from_distance_matrix(
     ids: Sequence[int], D: np.ndarray, threshold: float
 ) -> list[frozenset[int]]:
-    """Complete-linkage HAC over a precomputed distance matrix: a cut of
-    the merge history at the threshold, which equals stopping the merges
-    there because complete-linkage heights never decrease. ``ids`` label
-    D's rows and must be sorted ascending so the tie-break is id-based."""
-    return tune_and_cut(ids, D, threshold, None, ())[0]
+    """Complete-linkage HAC over a precomputed distance matrix: its merge
+    history up to the threshold, cut there. ``ids`` label D's rows and
+    must be sorted ascending so the tie-break is id-based."""
+    _check_ids(ids, D)
+    return cut_history(ids, hac_merge_history(D, threshold), threshold)
 
 
 def tune_and_cut(
@@ -181,12 +180,11 @@ def tune_and_cut(
     highest threshold read, cut at ``threshold`` or, when that is None, at
     the grid value `best_cut` tunes on the validation gold. ``ids`` label
     D's rows and must be sorted ascending so the tie-break is id-based."""
+    if threshold is not None:
+        return hac_from_distance_matrix(ids, D, threshold), threshold
     _check_ids(ids, D)
-    if threshold is None:
-        history = hac_merge_history(D, _tuning_bound(validation_gold, grid))
-        threshold = best_cut(ids, history, validation_gold, grid)[0]
-    else:
-        history = hac_merge_history(D, threshold)
+    history = hac_merge_history(D, _tuning_bound(validation_gold, grid))
+    threshold = best_cut(ids, history, validation_gold, grid)[0]
     return cut_history(ids, history, threshold), threshold
 
 
@@ -202,22 +200,28 @@ def hac_complete_linkage(
 # threshold selection
 
 
-def choose_threshold(
-    ids: Sequence[int],
-    X: np.ndarray,
-    validation_gold: GoldClustering,
-    grid: Sequence[float] = DEFAULT_THRESHOLD_GRID,
-) -> tuple[float, list[float]]:
-    """`best_cut` of the merge history of the rows of X, labelled by the
-    ascending ``ids``: the grid threshold maximizing the mean of macro,
-    micro, and pairwise F1 on the validation phrases (ties go to the
-    smallest value), and that score at each grid value."""
+def tune_threshold(ids: Sequence[int], D: np.ndarray, validation_gold: GoldClustering,
+                   grid: Sequence[float] = DEFAULT_THRESHOLD_GRID) -> tuple[float, list[float]]:
+    """`best_cut` of D's merge history up to the top of the grid, for D
+    the distances of the validation phrases labelled by the ascending
+    ``ids``: the grid threshold with the highest validation mean F1 (ties
+    to the smallest value) and that score at each grid value. No cut."""
     if not ids:
-        raise ConfigError("no vectors to cluster")
+        raise ConfigError("no phrases to tune a threshold on")
     upto = _tuning_bound(validation_gold, grid)
-    D = cosine_distance_matrix(X, labels=ids)
     _check_ids(ids, D)
     return best_cut(ids, hac_merge_history(D, upto), validation_gold, grid)
+
+
+def choose_threshold(ids: Sequence[int], X: np.ndarray, validation_gold: GoldClustering,
+                     grid: Sequence[float] = DEFAULT_THRESHOLD_GRID,
+                     labels: Sequence | None = None) -> tuple[float, list[float]]:
+    """`tune_threshold` on the cosine distances of the rows of X, labelled
+    by the ascending ``ids``, after the gold and grid checks; a zero row is
+    named by its ``labels`` entry (by default its id)."""
+    _tuning_bound(validation_gold, grid)
+    D = cosine_distance_matrix(X, labels=labels or ids)
+    return tune_threshold(ids, D, validation_gold, grid)
 
 
 def _tuning_bound(validation_gold: GoldClustering | None, grid: Sequence[float]) -> float:
@@ -253,22 +257,24 @@ def _cut_scores(ids: Sequence[int], history: Sequence[tuple[float, int, int]],
     """``evaluate(cut_history(ids, history, t), gold).mean_f1()`` at each
     of the ascending ``thresholds``, from one replay of the history.
 
-    ``root`` holds, per labelled position, the position of its cluster. A
-    merge (d, i, j) joins two live clusters at positions i and j into i,
-    so it relabels j's members as i's; at each threshold `table_report`
-    scores ``root`` against the labels, as `evaluate` scores the cut."""
+    ``root`` holds, per labelled position, the position of its cluster,
+    and ``members`` each cluster's indices into ``root``. A merge (d, i, j)
+    joins the clusters at positions i and j into i, relabelling only j's
+    members; `table_report` scores ``root`` as `evaluate` scores the cut."""
     labelled = [x for x, pid in enumerate(ids) if pid in gold]
     if not labelled:
         return [0.0] * len(thresholds)
     codes: dict[str, int] = {}
     labels = [codes.setdefault(gold[ids[x]], len(codes)) for x in labelled]
     root = np.asarray(labelled)
+    members = {x: [k] for k, x in enumerate(labelled)}
     scores = []
     k = 0
     for t in thresholds:
         while k < len(history) and history[k][0] <= t:
             _, i, j = history[k]
-            root[root == j] = i
+            root[members.get(j, [])] = i
+            members.setdefault(i, []).extend(members.pop(j, []))
             k += 1
         scores.append(table_report(root, labels).mean_f1())
     return scores
@@ -319,23 +325,15 @@ def build_clustering(
     return Clustering(kind=kind, clusters=clusters, threshold_used=threshold)
 
 
-def cluster_phrases(
-    kb: OpenKB,
-    kind: PhraseKind,
-    V: np.ndarray,
-    threshold: float | None,
-    validation_gold: GoldClustering | None = None,
-    grid: Sequence[float] = (),
-) -> Clustering:
+def cluster_phrases(kb: OpenKB, kind: PhraseKind, V: np.ndarray, threshold: float) -> Clustering:
     """Complete-linkage HAC over the cosine distances of the kind's whole
-    embedding matrix V (row i is phrase i), cut at ``threshold`` or, when
-    None, at the grid value tuned on the validation gold (`tune_and_cut`);
+    embedding matrix V (row i is phrase i), cut at ``threshold``;
     frequency-weighted representatives."""
     vocab = kb.vocab(kind)
     if len(V) != len(vocab):
         raise ValueError(f"{len(V)} vectors for the KB's {len(vocab)} {kind.value} phrases")
     D = cosine_distance_matrix(V, labels=[p.text for p in vocab])
-    member_sets, threshold = tune_and_cut(range(len(vocab)), D, threshold, validation_gold, grid)
+    member_sets = hac_from_distance_matrix(range(len(vocab)), D, threshold)
     return build_clustering(member_sets, kind, threshold, vocab, V)
 
 

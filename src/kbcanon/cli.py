@@ -180,14 +180,12 @@ def cmd_synth(args) -> int:
         noise=args.noise,
         seed=args.seed if args.seed is not None else 0,
     )
+    # the side file first: its size checks refuse before any file is written
+    n_true, n_false = synth.write_side_file(out / "side_ppdb.tsv", coverage=args.side_coverage,
+                                            precision=args.side_precision)
     synth.write_triples(out / "triples.jsonl")
     synth.write_np_gold(out / "gold_np.tsv")
     synth.write_rel_gold(out / "gold_rel.tsv")
-    n_true, n_false = synth.write_side_file(
-        out / "side_ppdb.tsv",
-        coverage=args.side_coverage,
-        precision=args.side_precision,
-    )
     config_doc = {
         "triples_file": "triples.jsonl",
         "gold_np_file": "gold_np.tsv",

@@ -273,8 +273,12 @@ def read_jsonl(path) -> Iterator[tuple[int, object]]:
 def read_yaml(path):
     """The value of a YAML file; text that is not UTF-8, or not YAML,
     raises ParseError naming the file and line."""
+    text = "".join(line for _, line in read_lines(path))
     try:
-        return yaml.safe_load("".join(line for _, line in read_lines(path)))
+        return yaml.safe_load(text)
+    except yaml.reader.ReaderError as e:  # a character YAML refuses: a position, no mark
+        raise ParseError(path, text.count("\n", 0, e.position) + 1,
+                         f"invalid YAML: {str(e).splitlines()[0]}") from e
     except yaml.YAMLError as e:
         mark = getattr(e, "problem_mark", None)
         raise ParseError(path, mark and mark.line + 1,

@@ -340,12 +340,16 @@ def load_np_gold(kb: OpenKB, config: PipelineConfig) -> GoldClustering:
 
 @dataclass(frozen=True)
 class Split:
-    """Gold labels and the validation and test triples of the KB."""
+    """The validation and test triples of the KB and, per kind, the
+    ascending ids of the validation triples' phrases, which every
+    threshold is tuned on, and the gold labels (empty without a gold
+    file) restricted to them and to the test triples' phrases."""
 
-    np_gold: GoldClustering
-    rel_gold: GoldClustering | None
     validation: tuple[Triple, ...]
     test: tuple[Triple, ...]
+    validation_ids: Mapping[PhraseKind, list[int]]
+    validation_gold: Mapping[PhraseKind, GoldClustering]
+    test_gold: Mapping[PhraseKind, GoldClustering]
 
 
 def make_split(kb: OpenKB, config: PipelineConfig) -> Split:
@@ -353,10 +357,14 @@ def make_split(kb: OpenKB, config: PipelineConfig) -> Split:
     validation fraction and seed."""
     np_gold = load_np_gold(kb, config)
     rel_gold = (load_gold(config.gold_rel_file, kb, PhraseKind.REL)
-                if config.gold_rel_file else None)
+                if config.gold_rel_file else GoldClustering(PhraseKind.REL, {}))
     validation, test = split_validation(kb, np_gold, config.validation_fraction,
                                         config.seed)
-    return Split(np_gold, rel_gold, validation, test)
+    golds = {PhraseKind.NP: np_gold, PhraseKind.REL: rel_gold}
+    val_ids = {kind: sorted(phrase_ids(validation, kind)) for kind in golds}
+    return Split(validation, test, val_ids,
+                 {kind: gold.restricted_to(val_ids[kind]) for kind, gold in golds.items()},
+                 {kind: gold.restricted_to(phrase_ids(test, kind)) for kind, gold in golds.items()})
 
 
 def phrase_ids(triples: Sequence[Triple], kind: PhraseKind) -> set[int]:
@@ -375,16 +383,14 @@ def select_thresholds(
     kind, the threshold, its source and the validation mean F1 at each
     grid value (None unless tuned)."""
     detail: dict = {"grid": list(config.threshold_grid)}
-    for kind, gold, fixed in ((PhraseKind.NP, split.np_gold, config.np_threshold),
-                              (PhraseKind.REL, split.rel_gold, config.rel_threshold)):
+    for kind, fixed in ((PhraseKind.NP, config.np_threshold),
+                        (PhraseKind.REL, config.rel_threshold)):
         key = kind.value.lower()
-        val_ids = phrase_ids(split.validation, kind)
-        val_gold = gold.restricted_to(val_ids) if gold is not None else None
+        ids, val_gold = split.validation_ids[kind], split.validation_gold[kind]
         scores = None
         if fixed is not None:
             t, source = fixed, "config"
-        elif kind is PhraseKind.NP or (val_gold is not None and val_gold.assignment):
-            ids = sorted(val_ids)
+        elif kind is PhraseKind.NP or val_gold:
             t, scores = choose_threshold(ids, emb.vectors(kind)[ids], val_gold,
                                          config.threshold_grid)
             source = "validation"
@@ -395,15 +401,8 @@ def select_thresholds(
     return detail["np_threshold"], detail["rel_threshold"], detail
 
 
-def _evaluate_or_none(
-    clustering: Clustering, gold: GoldClustering | None, ids: set[int]
-) -> MetricsReport | None:
-    if gold is None:
-        return None
-    subset = gold.restricted_to(ids)
-    if not subset:
-        return None
-    return evaluate(clustering.member_sets(), subset.assignment)
+def _evaluate_or_none(clustering: Clustering, gold: GoldClustering) -> MetricsReport | None:
+    return evaluate(clustering.member_sets(), gold.assignment) if gold else None
 
 
 def ingest_stage(config: PipelineConfig, out: Path) -> OpenKB:
@@ -475,10 +474,8 @@ def evaluate_stage(config: PipelineConfig, out: Path, split: Split,
                    np_clustering: Clustering, rel_clustering: Clustering,
                    ) -> tuple[MetricsReport | None, MetricsReport | None]:
     """Score both clusterings on the test split's phrases."""
-    report_np = _evaluate_or_none(np_clustering, split.np_gold,
-                                  phrase_ids(split.test, PhraseKind.NP))
-    report_rel = _evaluate_or_none(rel_clustering, split.rel_gold,
-                                   phrase_ids(split.test, PhraseKind.REL))
+    report_np = _evaluate_or_none(np_clustering, split.test_gold[PhraseKind.NP])
+    report_rel = _evaluate_or_none(rel_clustering, split.test_gold[PhraseKind.REL])
     write_json(out / "metrics.json", {
         "np": report_np.as_dict() if report_np else None,
         "rel": report_rel.as_dict() if report_rel else None,
@@ -505,8 +502,6 @@ def baselines_stage(config: PipelineConfig, out: Path, kb: OpenKB, split: Split,
             and VECTOR_BASELINES & {BaselineName(b) for b in config.baselines}):
         word_vectors = load_word_vectors(config.vectors_file, kb)
     rows = [LEADERBOARD_HEADER, leaderboard_row("full (this system)", report_np)]
-    val_gold = split.np_gold.restricted_to(phrase_ids(split.validation, PhraseKind.NP))
-    test_np_ids = phrase_ids(split.test, PhraseKind.NP)
     for name in config.baselines:
         cfg = BaselineConfig(
             name=BaselineName(name),
@@ -520,10 +515,11 @@ def baselines_stage(config: PipelineConfig, out: Path, kb: OpenKB, split: Split,
             cfg, kb,
             ppdb_file=config.side.ppdb_file,
             word_vectors=word_vectors,
-            validation_gold=val_gold,
+            validation_gold=split.validation_gold[PhraseKind.NP],
             grid=config.threshold_grid,
+            validation_ids=split.validation_ids[PhraseKind.NP],
         )
-        report = _evaluate_or_none(clustering, split.np_gold, test_np_ids)
+        report = _evaluate_or_none(clustering, split.test_gold[PhraseKind.NP])
         rows.append(leaderboard_row(name, report))
     write_text(out / "leaderboard.txt", "\n".join(rows) + "\n")
 
@@ -651,8 +647,8 @@ def grid_search(
 
     kb = load_triples(config.triples_file, TripleFormat(config.format))
     split = make_split(kb, config)
-    val_np_ids = sorted(phrase_ids(split.validation, PhraseKind.NP))
-    val_gold = split.np_gold.restricted_to(val_np_ids)
+    val_np_ids = split.validation_ids[PhraseKind.NP]
+    val_gold = split.validation_gold[PhraseKind.NP]
 
     vectors_cache: dict[str | None, WordVectors | None] = {}
     side_cache: dict[str, SideInfoCollection] = {}

@@ -23,7 +23,11 @@ from kbcanon.baselines import (
     train_structure_only,
     tune_threshold_on_matrix,
 )
-from kbcanon.canonicalize import cosine_distance_matrix, hac_from_distance_matrix
+from kbcanon.canonicalize import (
+    DEFAULT_THRESHOLD_GRID,
+    cosine_distance_matrix,
+    hac_from_distance_matrix,
+)
 from kbcanon.embedding import (
     HyperParams,
     default_init_rng,
@@ -279,6 +283,18 @@ class TestBaselineConfig:
         "name", sorted(kbcanon.baselines._HAC_METHODS, key=lambda n: n.value))
     def test_hac_method_without_threshold_or_gold_refused_before_any_work(
             self, name, gold, monkeypatch):
+        self.assert_refused_before_any_work(name, gold, [0, 1], monkeypatch)
+
+    @pytest.mark.parametrize(
+        "name", sorted(kbcanon.baselines._HAC_METHODS, key=lambda n: n.value))
+    def test_hac_method_without_validation_ids_refused_before_any_work(
+            self, name, monkeypatch):
+        # the gold's labelled ids are not a stand-in for the validation ids
+        gold = GoldClustering(PhraseKind.NP, {0: "e1", 1: "e1"})
+        self.assert_refused_before_any_work(name, gold, (), monkeypatch)
+
+    @staticmethod
+    def assert_refused_before_any_work(name, gold, validation_ids, monkeypatch):
         def no_work(*args, **kwargs):
             raise AssertionError("work started before the threshold check")
 
@@ -288,6 +304,7 @@ class TestBaselineConfig:
         kb = np_kb("alpha", "beta", "gamma", "delta")
         with pytest.raises(ConfigError, match=f"{name.value} needs a threshold"):
             run_baseline(BaselineConfig(name=name), kb, validation_gold=gold,
+                         validation_ids=validation_ids,
                          word_vectors=({"alpha": np.ones(2)}, 2))
 
 
@@ -447,7 +464,8 @@ class TestSimilarityBaselines:
             },
         )
         clustering = run_baseline(
-            BaselineConfig(name=BaselineName.STRSIM_HAC), kb, validation_gold=gold
+            BaselineConfig(name=BaselineName.STRSIM_HAC), kb, validation_gold=gold,
+            validation_ids=sorted(gold.assignment)
         )
         rep_of = clustering.representative_of()
         assert rep_of[kb.np_id("colour")] == rep_of[kb.np_id("color")]
@@ -463,17 +481,21 @@ class TestSimilarityBaselines:
         gold = GoldClustering(PhraseKind.NP, {kb.np_id("colour"): "e1"})
         with pytest.raises(ConfigError, match="grid"):
             run_baseline(BaselineConfig(BaselineName.IDF_HAC), kb,
-                         validation_gold=gold, grid=())
+                         validation_gold=gold, validation_ids=sorted(gold.assignment),
+                         grid=())
 
     def test_tuned_baseline_builds_one_merge_history(self, monkeypatch):
         import kbcanon.baselines
         import kbcanon.canonicalize
 
-        sizes = []
+        # One history over the validation phrases tunes the threshold, and
+        # one over the whole vocabulary, stopped there, is cut.
+        sizes, bounds = [], []
         original = kbcanon.canonicalize.hac_merge_history
 
         def counting(D, upto=np.inf):
             sizes.append(D.shape[0])
+            bounds.append(upto)
             return original(D, upto)
 
         for module in (kbcanon.canonicalize, kbcanon.baselines):
@@ -482,8 +504,11 @@ class TestSimilarityBaselines:
         gold = GoldClustering(PhraseKind.NP, {kb.np_id("colour"): "e1",
                                               kb.np_id("color"): "e1",
                                               kb.np_id("zebra"): "e2"})
-        run_baseline(BaselineConfig(BaselineName.STRSIM_HAC), kb, validation_gold=gold)
-        assert sizes == [kb.n_nps]
+        clustering = run_baseline(BaselineConfig(BaselineName.STRSIM_HAC), kb,
+                                  validation_gold=gold,
+                                  validation_ids=sorted(gold.assignment))
+        assert sizes == [len(gold), kb.n_nps]
+        assert bounds == [max(DEFAULT_THRESHOLD_GRID), clustering.threshold_used]
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +551,18 @@ class TestWordvecBaseline:
         cfg = BaselineConfig(name=BaselineName.WORDVEC_AVG, threshold=0.5)
         with pytest.raises(ZeroVectorError, match=r"zero vectors: \['null void'\]$"):
             run_baseline(cfg, kb, word_vectors=load_word_vectors(vec, kb))
+
+    def test_zero_vector_named_by_phrase_when_tuning(self, tmp_path):
+        # the validation phrases' matrix names it too, before any cut
+        kb = np_kb("red car", "null void")
+        vec = tmp_path / "vectors.txt"
+        vec.write_text("red 1.0 0.0\ncar 0.9 0.1\nnull 0.0 0.0\nvoid 0.0 0.0\n")
+        gold = GoldClustering(PhraseKind.NP, {kb.np_id("red car"): "e1",
+                                              kb.np_id("null void"): "e2"})
+        with pytest.raises(ZeroVectorError, match=r"zero vectors: \['null void'\]$"):
+            run_baseline(BaselineConfig(name=BaselineName.WORDVEC_AVG), kb,
+                         word_vectors=load_word_vectors(vec, kb), validation_gold=gold,
+                         validation_ids=sorted(gold.assignment))
 
     def test_relation_vectors_follow_the_np_draws(self, tmp_path):
         # Relation phrases without a known token draw after every NP, as in

@@ -407,6 +407,14 @@ class TestChooseThreshold:
         with pytest.raises(ConfigError):
             tune_and_cut(ids, cosine_distance_matrix(X), None, gold, grid)
 
+    @pytest.mark.parametrize("gold, grid", [
+        (None, [0.5]), (GoldClustering(PhraseKind.NP, {}), [0.5]),
+        (GoldClustering(PhraseKind.NP, {0: "a"}), [])])
+    def test_bad_gold_or_grid_rejected_before_the_matrix(self, gold, grid):
+        # a zero row would fail the matrix, so the ConfigError comes first
+        with pytest.raises(ConfigError):
+            choose_threshold([0, 1], np.zeros((2, 2)), gold, grid=grid)
+
     def test_all_scores_undefined_returns_smallest(self):
         # Gold labels never intersect the clustered ids, so every grid
         # value scores 0 and the smallest wins.
@@ -553,23 +561,6 @@ class TestClusteringInvariants:
         assert clustering.kind is PhraseKind.NP
         assert clustering.n_elements == n
         assert clustering.threshold_used == 2.0
-
-    def test_cluster_phrases_tunes_on_gold_without_a_threshold(self, toy_kb):
-        ids, V = ids_and_rows(np.random.default_rng(4).normal(size=(toy_kb.n_nps, 4)))
-        gold = GoldClustering(PhraseKind.NP, {i: str(i % 3) for i in ids})
-        grid = (0.2, 0.5, 0.9, 1.3)
-        clustering = cluster_phrases(toy_kb, PhraseKind.NP, V, None, gold, grid)
-        t, _ = choose_threshold(ids, V, gold, grid)
-        assert clustering.threshold_used == t
-        assert clustering.member_sets() == hac_complete_linkage(ids, V, t)
-
-    def test_cluster_phrases_without_threshold_or_gold_rejected(self, toy_kb):
-        V = np.ones((toy_kb.n_nps, 4))
-        with pytest.raises(ConfigError):
-            cluster_phrases(toy_kb, PhraseKind.NP, V, None)
-        with pytest.raises(ConfigError):
-            cluster_phrases(toy_kb, PhraseKind.NP, V, None, None,
-                            DEFAULT_THRESHOLD_GRID)
 
     @pytest.mark.parametrize("extra", [-1, 1])
     def test_cluster_phrases_needs_a_row_per_phrase(self, toy_kb, extra):

@@ -102,6 +102,15 @@ class TestSynthCommand:
         assert r.returncode == 2
         assert "needs 54 pairs" in r.stderr and "only 9 exist" in r.stderr
 
+    def test_side_precision_refusal_writes_no_file(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        rc = main(["synth", "--out", str(out), "--entities", "2", "--aliases", "3",
+                   "--relations", "2", "--triples", "40", "--side-coverage", "1.0",
+                   "--side-precision", "0.1"])
+        assert rc == 2
+        assert "needs 54 pairs" in capsys.readouterr().err
+        assert sorted(out.glob("*")) == []
+
 
 # ---------------------------------------------------------------------------
 # pipeline command
@@ -312,6 +321,15 @@ class TestBrokenYaml:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {config_path}:")
         assert not run_dir.exists()
+
+    def test_unacceptable_character_named_by_line(self, tmp_path, capsys):
+        config_path = tmp_path / "nul.yaml"
+        config_path.write_bytes(b"seed: 1\nx: \x00")
+        rc = main(["pipeline", "--config", str(config_path), "--out", str(tmp_path / "run")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {config_path}:2: invalid YAML: unacceptable character #x0000: "
+            "special characters are not allowed\n")
 
     @pytest.mark.parametrize("fault", sorted(YAML_FAULTS))
     def test_grid_file(self, tmp_path, capsys, fault):

@@ -101,13 +101,13 @@ class TestOverlapBaselineMatrices:
     ])
     def test_equals_all_pairs_matrix(self, name, kind, monkeypatch):
         captured = []
-        original = kbcanon.baselines.tune_and_cut
+        original = kbcanon.baselines.hac_from_distance_matrix
 
         def capturing(ids, D, *args):
             captured.append(D.copy())
             return original(ids, D, *args)
 
-        monkeypatch.setattr(kbcanon.baselines, "tune_and_cut", capturing)
+        monkeypatch.setattr(kbcanon.baselines, "hac_from_distance_matrix", capturing)
         rand = random.Random(47)
         for _ in range(20):
             kb = kb_with_edge_cases(rand)

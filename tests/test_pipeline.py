@@ -11,24 +11,36 @@ import numpy as np
 import pytest
 import yaml
 
+import kbcanon.baselines
 import kbcanon.canonicalize
 import kbcanon.embedding
 import kbcanon.kb
 import kbcanon.metrics
+import kbcanon.pipeline
 import kbcanon.side_info
-from kbcanon.canonicalize import cosine_distance_matrix, cut_history, hac_merge_history
+from kbcanon.baselines import train_structure_only
+from kbcanon.canonicalize import (
+    choose_threshold,
+    cluster_phrases,
+    cosine_distance_matrix,
+    cut_history,
+    hac_from_distance_matrix,
+    hac_merge_history,
+    tune_threshold,
+)
 from kbcanon.embedding import (
     EmbeddingSet,
     HyperParams,
+    average_word_vectors,
     default_init_rng,
     init_embeddings,
+    load_word_vectors,
     save_embeddings,
     train,
 )
 from kbcanon.errors import ConfigError, MetricsUndefinedError, StageError
 from kbcanon.kb import (
     PhraseKind,
-    gold_from_triples,
     load_triples,
     save_triples,
     split_validation,
@@ -38,19 +50,21 @@ from kbcanon.metrics import evaluate
 from kbcanon.pipeline import (
     LEADERBOARD_HEADER,
     PipelineConfig,
-    Split,
+    baselines_stage,
     config_from_dict,
     config_hash,
     evaluate_clusters_file,
     grid_search,
     leaderboard_row,
     load_config,
+    make_split,
     phrase_ids,
     run_pipeline,
     select_thresholds,
     sideinfo_stage,
 )
 from kbcanon.side_info import EMPTY_SIDE_INFO, SideInfoConfig, save_side_info
+from kbcanon.synth import make_synthetic_kb
 
 from .conftest import write_kb_vectors
 
@@ -354,12 +368,14 @@ class TestConfigTypes:
 @pytest.fixture(scope="module")
 def trained(synth_data):
     kb = load_triples(synth_data["triples"])
-    gold = gold_from_triples(kb)
-    val, test = split_validation(kb, gold, 0.2, seed=3)
+    # NP gold from the triples, no relation gold, a fifth of the subject
+    # entities for validation
+    split = make_split(kb, config_from_dict({"triples_file": str(synth_data["triples"]),
+                                             "seed": 3}))
     h = HyperParams(seed=3, **SMALL_HP)
     init = init_embeddings(kb, None, h.dim, default_init_rng(h.seed))
     emb = train(kb, EMPTY_SIDE_INFO, h, init)
-    return Split(gold, None, val, test), emb
+    return split, emb
 
 
 class TestSelectThresholds:
@@ -390,7 +406,7 @@ class TestSelectThresholds:
         config = config_from_dict(doc)
         np_t, _, detail = select_thresholds(emb, split, config)
         ids = sorted(phrase_ids(split.validation, PhraseKind.NP))
-        gold = split.np_gold.restricted_to(ids).assignment
+        gold = split.validation_gold[PhraseKind.NP].assignment
         history = hac_merge_history(cosine_distance_matrix(emb.np_vectors[ids]))
         expected = []
         for t in config.threshold_grid:
@@ -559,6 +575,93 @@ class TestScoringWork:
         assert metrics["np"] is not None and metrics["rel"] is not None
         assert len(evaluations) == 4
         assert len(cuts) == 4
+
+
+class TestOneTuningProtocol:
+    """Every tuned HAC baseline picks its threshold as the system does: the
+    one tuner on the distances of the validation phrases that `Split`
+    carries, labelled or not; it then cuts the whole vocabulary there."""
+
+    MATRIX_BASELINES = ("idf_hac", "strsim_hac", "attr_hac")
+    VECTOR_BASELINES = ("wordvec_avg", "hole_random")
+
+    def run_dataset(self, data: Path, seed: int, monkeypatch):
+        """(config, kb, split, {baseline: (clustering, D or None)}) of
+        `baselines_stage` on a synthetic KB whose NP gold leaves every
+        third alias unlabelled."""
+        synth = make_synthetic_kb(n_entities=8, aliases_per_entity=3, n_relations=3,
+                                  paraphrases_per_relation=2, n_triples=60, noise=0.2,
+                                  seed=seed)
+        data.mkdir()
+        synth.write_triples(data / "triples.jsonl")
+        (data / "gold_np.tsv").write_text("".join(
+            f"{text}\t{g}\n" for k, (text, g) in enumerate(sorted(synth.np_gold.items()))
+            if k % 3))
+        kb = load_triples(data / "triples.jsonl")
+        config = config_from_dict({
+            "triples_file": "triples.jsonl", "gold_np_file": "gold_np.tsv",
+            "vectors_file": str(write_kb_vectors(data / "vectors.txt", kb, SMALL_HP["dim"])),
+            "seed": seed, "validation_fraction": 0.5,
+            "baselines": list(self.MATRIX_BASELINES + self.VECTOR_BASELINES),
+            "hyperparams": dict(SMALL_HP, epochs=2),
+        }, base_dir=data)
+        split = make_split(kb, config)
+        runs, matrices = {}, []
+        run_baseline = kbcanon.baselines.run_baseline
+        cut = kbcanon.baselines.hac_from_distance_matrix
+
+        def recording_run(cfg, kb, **kwargs):
+            matrices.clear()
+            clustering = run_baseline(cfg, kb, **kwargs)
+            runs[cfg.name.value] = clustering, matrices[0] if matrices else None
+            return clustering
+
+        def recording_cut(ids, D, threshold):
+            matrices.append(D)
+            return cut(ids, D, threshold)
+
+        with monkeypatch.context() as m:
+            m.setattr(kbcanon.pipeline, "run_baseline", recording_run)
+            m.setattr(kbcanon.baselines, "hac_from_distance_matrix", recording_cut)
+            baselines_stage(config, data, kb, split, None)
+        return config, kb, split, runs
+
+    def test_baselines_tune_on_the_validation_phrases_of_the_split(self, tmp_path,
+                                                                   monkeypatch):
+        # Tuning only on the gold's labelled ids would pick another
+        # threshold in some of these cases; count them, so that the test
+        # shows it tells the two apart.
+        differs = 0
+        for seed in range(4):
+            config, kb, split, runs = self.run_dataset(tmp_path / str(seed), seed, monkeypatch)
+            val = split.validation_ids[PhraseKind.NP]
+            gold = split.validation_gold[PhraseKind.NP]
+            grid = config.threshold_grid
+            labelled = sorted(gold.assignment)
+            assert val == sorted(phrase_ids(split.validation, PhraseKind.NP))
+            assert set(val) > set(labelled)
+            for name in self.MATRIX_BASELINES:
+                clustering, D = runs[name]
+                t = clustering.threshold_used
+                assert t == tune_threshold(val, D[np.ix_(val, val)], gold, grid)[0]
+                assert (set(clustering.member_sets())
+                        == set(hac_from_distance_matrix(range(kb.n_nps), D, t)))
+                differs += t != tune_threshold(labelled, D[np.ix_(labelled, labelled)],
+                                               gold, grid)[0]
+            table = load_word_vectors(config.vectors_file, kb)
+            vectors = {
+                "wordvec_avg": average_word_vectors(kb, *table, default_init_rng(seed)),
+                "hole_random": train_structure_only(kb, config.effective_hyperparams()),
+            }
+            for name in self.VECTOR_BASELINES:
+                clustering, _ = runs[name]
+                V = vectors[name].np_vectors
+                t = clustering.threshold_used
+                assert t == choose_threshold(val, V[val], gold, grid)[0]
+                assert clustering.member_sets() == cluster_phrases(
+                    kb, PhraseKind.NP, V, t).member_sets()
+                differs += t != choose_threshold(labelled, V[labelled], gold, grid)[0]
+        assert differs > 0
 
 
 def vectors_config_doc(synth_data, tmp_path, baselines=("wordvec_avg", "hole_pretrained")):
