@@ -23,7 +23,6 @@ from .embedding import (
     HyperParams,
     circular_correlation,
     init_embeddings,
-    score_triple,
     train,
 )
 from .errors import (
@@ -103,7 +102,6 @@ __all__ = [
     "morph_normalize",
     "run_baseline",
     "run_pipeline",
-    "score_triple",
     "split_validation",
     "train",
     "__version__",

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, InvariantViolation, ZeroVectorError
 from .kb import GoldClustering, OpenKB, Phrase, PhraseKind, triple_record, write_jsonl
-from .metrics import table_report
+from .metrics import MetricsReport, table_report
 from .side_info import components
 
 logger = logging.getLogger(__name__)
@@ -172,22 +172,6 @@ def hac_from_distance_matrix(
     return cut_history(ids, hac_merge_history(D, threshold), threshold)
 
 
-def tune_and_cut(
-    ids: Sequence[int], D: np.ndarray, threshold: float | None,
-    validation_gold: GoldClustering | None, grid: Sequence[float],
-) -> tuple[list[frozenset[int]], float]:
-    """(partition, threshold): one merge history over D, up to the
-    highest threshold read, cut at ``threshold`` or, when that is None, at
-    the grid value `best_cut` tunes on the validation gold. ``ids`` label
-    D's rows and must be sorted ascending so the tie-break is id-based."""
-    if threshold is not None:
-        return hac_from_distance_matrix(ids, D, threshold), threshold
-    _check_ids(ids, D)
-    history = hac_merge_history(D, _tuning_bound(validation_gold, grid))
-    threshold = best_cut(ids, history, validation_gold, grid)[0]
-    return cut_history(ids, history, threshold), threshold
-
-
 def hac_complete_linkage(
     ids: Sequence[int], X: np.ndarray, threshold: float
 ) -> list[frozenset[int]]:
@@ -201,11 +185,13 @@ def hac_complete_linkage(
 
 
 def tune_threshold(ids: Sequence[int], D: np.ndarray, validation_gold: GoldClustering,
-                   grid: Sequence[float] = DEFAULT_THRESHOLD_GRID) -> tuple[float, list[float]]:
+                   grid: Sequence[float] = DEFAULT_THRESHOLD_GRID,
+                   ) -> tuple[float, list[float], MetricsReport | None]:
     """`best_cut` of D's merge history up to the top of the grid, for D
     the distances of the validation phrases labelled by the ascending
     ``ids``: the grid threshold with the highest validation mean F1 (ties
-    to the smallest value) and that score at each grid value. No cut."""
+    to the smallest value), that score at each grid value, and the report
+    of the cut there. A one-value grid scores a fixed threshold."""
     if not ids:
         raise ConfigError("no phrases to tune a threshold on")
     upto = _tuning_bound(validation_gold, grid)
@@ -215,7 +201,8 @@ def tune_threshold(ids: Sequence[int], D: np.ndarray, validation_gold: GoldClust
 
 def choose_threshold(ids: Sequence[int], X: np.ndarray, validation_gold: GoldClustering,
                      grid: Sequence[float] = DEFAULT_THRESHOLD_GRID,
-                     labels: Sequence | None = None) -> tuple[float, list[float]]:
+                     labels: Sequence | None = None,
+                     ) -> tuple[float, list[float], MetricsReport | None]:
     """`tune_threshold` on the cosine distances of the rows of X, labelled
     by the ascending ``ids``, after the gold and grid checks; a zero row is
     named by its ``labels`` entry (by default its id)."""
@@ -236,26 +223,29 @@ def _tuning_bound(validation_gold: GoldClustering | None, grid: Sequence[float])
 
 def best_cut(ids: Sequence[int], history: Sequence[tuple[float, int, int]],
              validation_gold: GoldClustering,
-             grid: Sequence[float]) -> tuple[float, list[float]]:
-    """(threshold, scores): the grid value whose cut of the merge history
-    (as `hac_merge_history` records it) has the highest validation mean
-    F1, ties to the smallest value, and the mean F1 at each grid value in
-    grid order; undefined scores count as 0, as does every score when no
-    id has a gold label. A missing or empty gold, or an empty grid, is a
-    ConfigError."""
+             grid: Sequence[float]) -> tuple[float, list[float], MetricsReport | None]:
+    """(threshold, scores, report): the grid value whose cut of the merge
+    history (as `hac_merge_history` records it) has the highest validation
+    mean F1, ties to the smallest value, the mean F1 at each grid value in
+    grid order, and the report of the chosen cut. Undefined scores count as
+    0; when no id has a gold label every score is 0 and the report is None.
+    A missing or empty gold, or an empty grid, is a ConfigError."""
     _tuning_bound(validation_gold, grid)
     ascending = sorted(grid)
-    scores = dict(zip(ascending, _cut_scores(ids, history, validation_gold.assignment,
-                                             ascending)))
+    reports = dict(zip(ascending, _cut_reports(ids, history, validation_gold.assignment,
+                                               ascending)))
+    scores = {t: report.mean_f1() if report else 0.0 for t, report in reports.items()}
     best_t = max(ascending, key=scores.__getitem__)
     logger.info("chose threshold %s (validation mean F1 %.4f)", best_t, scores[best_t])
-    return float(best_t), [scores[t] for t in grid]
+    return float(best_t), [scores[t] for t in grid], reports[best_t]
 
 
-def _cut_scores(ids: Sequence[int], history: Sequence[tuple[float, int, int]],
-                gold: Mapping[int, str], thresholds: Sequence[float]) -> list[float]:
-    """``evaluate(cut_history(ids, history, t), gold).mean_f1()`` at each
-    of the ascending ``thresholds``, from one replay of the history.
+def _cut_reports(ids: Sequence[int], history: Sequence[tuple[float, int, int]],
+                 gold: Mapping[int, str], thresholds: Sequence[float],
+                 ) -> list[MetricsReport | None]:
+    """``evaluate(cut_history(ids, history, t), gold)`` at each of the
+    ascending ``thresholds``, from one replay of the history; None at
+    every threshold when no id has a gold label.
 
     ``root`` holds, per labelled position, the position of its cluster,
     and ``members`` each cluster's indices into ``root``. A merge (d, i, j)
@@ -263,12 +253,12 @@ def _cut_scores(ids: Sequence[int], history: Sequence[tuple[float, int, int]],
     members; `table_report` scores ``root`` as `evaluate` scores the cut."""
     labelled = [x for x, pid in enumerate(ids) if pid in gold]
     if not labelled:
-        return [0.0] * len(thresholds)
+        return [None] * len(thresholds)
     codes: dict[str, int] = {}
     labels = [codes.setdefault(gold[ids[x]], len(codes)) for x in labelled]
     root = np.asarray(labelled)
     members = {x: [k] for k, x in enumerate(labelled)}
-    scores = []
+    reports = []
     k = 0
     for t in thresholds:
         while k < len(history) and history[k][0] <= t:
@@ -276,8 +266,8 @@ def _cut_scores(ids: Sequence[int], history: Sequence[tuple[float, int, int]],
             root[members.get(j, [])] = i
             members.setdefault(i, []).extend(members.pop(j, []))
             k += 1
-        scores.append(table_report(root, labels).mean_f1())
-    return scores
+        reports.append(table_report(root, labels))
+    return reports
 
 
 # ---------------------------------------------------------------------------

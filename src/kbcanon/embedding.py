@@ -195,13 +195,7 @@ class TrainingBatch:
 
 
 # ---------------------------------------------------------------------------
-# scoring and sampling
-
-
-def score_triple(emb: EmbeddingSet, s: int, p: int, o: int) -> float:
-    """eta = r_p . (e_s * e_o)."""
-    corr = circular_correlation(emb.np_vectors[s], emb.np_vectors[o])
-    return float(np.dot(emb.rel_vectors[p], corr))
+# negative sampling
 
 
 def _lemire(u: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -387,10 +381,14 @@ def _side_pair_arrays(
     return ia, ib, np.asarray(weights, dtype=float)
 
 
-def _side_loss(W: np.ndarray, terms) -> float:
-    ia, ib, w = terms
-    diff = W[ia] - W[ib]
-    return float(w @ np.einsum("ij,ij->i", diff, diff))
+def _penalties(E: np.ndarray, R: np.ndarray, terms, h: HyperParams) -> tuple[float, float, float]:
+    """(side_np, side_rel, reg): the objective's full-vocabulary terms at
+    the vectors E, R, with ``terms`` the NP and REL `_side_pair_arrays`."""
+    side = []
+    for W, (ia, ib, w) in zip((E, R), terms):
+        diff = W[ia] - W[ib]
+        side.append(float(w @ np.einsum("ij,ij->i", diff, diff)))
+    return (*side, h.lambda_reg * (float(np.sum(E * E)) + float(np.sum(R * R))))
 
 
 def objective_terms(
@@ -400,9 +398,8 @@ def objective_terms(
     E, R = emb.np_vectors, emb.rel_vectors
     margins = _ranking_margins(E, R, batch, h)[3]
     ranking = h.lambda_str * float(np.maximum(margins, 0.0).sum())
-    side_np = _side_loss(E, _side_pair_arrays(side, PhraseKind.NP, h))
-    side_rel = _side_loss(R, _side_pair_arrays(side, PhraseKind.REL, h))
-    reg = h.lambda_reg * (float(np.sum(E * E)) + float(np.sum(R * R)))
+    terms = [_side_pair_arrays(side, kind, h) for kind in (PhraseKind.NP, PhraseKind.REL)]
+    side_np, side_rel, reg = _penalties(E, R, terms, h)
     return {
         "ranking": ranking,
         "side_np": side_np,
@@ -676,8 +673,7 @@ def train(
                 active_pairs += int(active.sum())
                 pairs += active.size
             E, R = np.fft.irfft(FE, n=h.dim), np.fft.irfft(FR, n=h.dim)
-            side_np, side_rel = (_side_loss(W, t) for W, t in zip((E, R), terms))
-            reg = h.lambda_reg * (float(np.sum(E * E)) + float(np.sum(R * R)))
+            side_np, side_rel, reg = _penalties(E, R, terms, h)
             total = ranking_loss + side_np + side_rel + reg
             if not np.isfinite(total) or not np.isfinite(E).all() or not np.isfinite(R).all():
                 raise TrainingDivergedError(

@@ -394,13 +394,6 @@ def vocab_hash(kb: OpenKB) -> str:
 # queries
 
 
-def contains(kb: OpenKB, s: int, p: int, o: int) -> bool:
-    """True iff the exact triple (s, p, o) occurs in the KB."""
-    if not (0 <= s < kb.n_nps and 0 <= p < kb.n_rels and 0 <= o < kb.n_nps):
-        return False
-    return bool(index_contains(kb, np.array([triple_keys(s, p, o, kb.n_nps, kb.n_rels)]))[0])
-
-
 def audit(kb: OpenKB) -> None:
     """Full-scan consistency check; raises InvariantViolation on failure."""
     repeated = [i for i, c in Counter(t.triple_id for t in kb.triples).items() if c > 1]

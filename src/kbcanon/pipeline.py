@@ -391,8 +391,8 @@ def select_thresholds(
         if fixed is not None:
             t, source = fixed, "config"
         elif kind is PhraseKind.NP or val_gold:
-            t, scores = choose_threshold(ids, emb.vectors(kind)[ids], val_gold,
-                                         config.threshold_grid)
+            t, scores, _ = choose_threshold(ids, emb.vectors(kind)[ids], val_gold,
+                                            config.threshold_grid)
             source = "validation"
         else:
             t, source = detail["np_threshold"], "np_threshold"
@@ -625,7 +625,8 @@ def grid_search(
     section, each vectors file is read once, and trained embeddings are
     cached across points that differ only in clustering settings. Ties
     keep the first point in enumeration order. Returns (best overrides,
-    leaderboard rows) and persists both plus the winning config.
+    leaderboard rows) and persists both plus the winning config, whose
+    out_dir is left null so that a run from it needs its own directory.
     """
     if not grid:
         raise ConfigError("grid is empty")
@@ -683,15 +684,13 @@ def grid_search(
             emb_cache[emb_key] = train(kb, side, h, init)
         emb = emb_cache[emb_key]
 
-        # One validation NP merge history both tunes the NP threshold and
-        # gives the clustering scored at it; select_thresholds then only
-        # settles the REL threshold, which may fall back to the NP one.
-        D = canon.cosine_distance_matrix(emb.np_vectors[val_np_ids], labels=val_np_ids)
-        member_sets, np_t = canon.tune_and_cut(val_np_ids, D, point.np_threshold, val_gold,
-                                               point.threshold_grid)
+        # One validation NP merge history tunes the NP threshold (a fixed one
+        # is a one-value grid) and scores its cut; select_thresholds sets REL's.
+        np_t, _, report = choose_threshold(
+            val_np_ids, emb.np_vectors[val_np_ids], val_gold,
+            point.threshold_grid if point.np_threshold is None else (point.np_threshold,))
         _, rel_t, _ = select_thresholds(emb, split,
                                         dataclasses.replace(point, np_threshold=np_t))
-        report = evaluate(member_sets, val_gold.assignment)
         score = report.mean_f1()
         row = {
             "overrides": overrides,
@@ -711,7 +710,7 @@ def grid_search(
 
     write_text(out / "leaderboard.txt", "\n".join(lines) + "\n")
     write_json(out / "leaderboard.json", rows)
-    best_config = _apply_overrides(config, best["overrides"])
+    best_config = dataclasses.replace(_apply_overrides(config, best["overrides"]), out_dir=None)
     write_text(out / "best_config.yaml", yaml.safe_dump(best_config.as_dict(), sort_keys=True))
     return best["overrides"], rows
 

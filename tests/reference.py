@@ -15,7 +15,13 @@ from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from kbcanon.embedding import NEGATIVE_RETRIES, HyperParams, TrainingBatch
+from kbcanon.embedding import (
+    NEGATIVE_RETRIES,
+    EmbeddingSet,
+    HyperParams,
+    TrainingBatch,
+    circular_correlation,
+)
 from kbcanon.errors import InvariantViolation, MetricsUndefinedError
 from kbcanon.kb import OpenKB, PhraseKind, Triple, build_kb
 from kbcanon.metrics import MetricsReport, harmonic_mean, restrict_to_gold
@@ -305,6 +311,11 @@ def reference_evaluate(
     )
 
 
+def report_bits(report: MetricsReport) -> dict:
+    """Every field of a report, each float as its `float.hex` bits."""
+    return {k: v.hex() if isinstance(v, float) else v for k, v in report.as_dict().items()}
+
+
 # ---------------------------------------------------------------------------
 # string similarity, written straight from the formula
 
@@ -350,6 +361,12 @@ def direct_circular_correlation(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     for k in range(d):
         out[k] = sum(a[i] * b[(k + i) % d] for i in range(d))
     return out
+
+
+def score_triple(emb: EmbeddingSet, s: int, p: int, o: int) -> float:
+    """eta = r_p . (e_s * e_o) for one triple."""
+    corr = circular_correlation(emb.np_vectors[s], emb.np_vectors[o])
+    return float(np.dot(emb.rel_vectors[p], corr))
 
 
 # The package's original all-pairs distance matrix for the similarity

@@ -31,7 +31,7 @@ from kbcanon.canonicalize import (
     save_canonicalized,
     save_clusters,
     select_representative,
-    tune_and_cut,
+    tune_threshold,
 )
 from kbcanon.errors import (
     ConfigError,
@@ -46,6 +46,7 @@ from .reference import (
     random_points,
     reference_evaluate,
     reference_merge_history,
+    report_bits,
 )
 
 
@@ -361,7 +362,7 @@ class TestChooseThreshold:
 
     def test_perfect_threshold_found(self):
         ids, X, gold = self.separable()
-        t, _ = choose_threshold(ids, X, gold, grid=DEFAULT_THRESHOLD_GRID)
+        t = choose_threshold(ids, X, gold, grid=DEFAULT_THRESHOLD_GRID)[0]
         clusters = hac_complete_linkage(ids, X, t)
         assert clusters == [frozenset({0, 1, 2}), frozenset({3, 4})]
 
@@ -405,7 +406,7 @@ class TestChooseThreshold:
         with pytest.raises(ConfigError):
             choose_threshold(ids, X, gold, grid=grid)
         with pytest.raises(ConfigError):
-            tune_and_cut(ids, cosine_distance_matrix(X), None, gold, grid)
+            tune_threshold(ids, cosine_distance_matrix(X), gold, grid)
 
     @pytest.mark.parametrize("gold, grid", [
         (None, [0.5]), (GoldClustering(PhraseKind.NP, {}), [0.5]),
@@ -425,7 +426,8 @@ class TestChooseThreshold:
 
 class TestBestCutReplay:
     """`best_cut` scores every grid value from one replay of the history;
-    each score must be the bits `evaluate` gives the cut there."""
+    each score, and the report of the chosen cut, must be the bits
+    `evaluate` gives the cut there."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -446,7 +448,7 @@ class TestBestCutReplay:
         grid = [d for d, _, _ in history] + [rand.uniform(0, 2) for _ in range(3)]
         grid += [0.0, 2.0, rand.choice(grid)]
         rand.shuffle(grid)
-        t, scores = best_cut(ids, history, GoldClustering(PhraseKind.NP, gold), grid)
+        t, scores, report = best_cut(ids, history, GoldClustering(PhraseKind.NP, gold), grid)
         expected = []
         for g in grid:
             try:
@@ -459,6 +461,10 @@ class TestBestCutReplay:
         assert t == min(g for g, score in zip(grid, expected) if score == best)
         if not set(ids) & gold.keys():
             assert set(scores) == {0.0} and t == min(grid)
+            assert report is None
+        else:
+            assert report_bits(report) == report_bits(
+                reference_evaluate(cut_history(ids, history, t), gold))
 
     def test_scores_at_size_without_calling_evaluate(self, monkeypatch):
         """300 quantized points, three labels and unlabelled ids, every
@@ -477,7 +483,7 @@ class TestBestCutReplay:
         for name, mod in list(sys.modules.items()):
             if name.startswith("kbcanon") and hasattr(mod, "evaluate"):
                 monkeypatch.setattr(mod, "evaluate", refuse)
-        t, scores = best_cut(ids, history, GoldClustering(PhraseKind.NP, gold), grid)
+        t, scores, _ = best_cut(ids, history, GoldClustering(PhraseKind.NP, gold), grid)
         monkeypatch.undo()
         expected = [reference_evaluate(cut_history(ids, history, g), gold).mean_f1()
                     for g in grid]

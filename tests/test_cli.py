@@ -271,6 +271,23 @@ class TestGridSearchCommand:
         assert "searched 2 configurations" in out
         assert "best overrides" in out
 
+    def test_best_config_runs_only_into_its_own_directory(self, tmp_path, capsys):
+        _, config_path = make_dataset(tmp_path, seed=9)
+        grid_path = tmp_path / "grid.yaml"
+        grid_path.write_text(yaml.safe_dump({"np_threshold": [0.3, 0.6]}))
+        sweep = tmp_path / "sweep"
+        assert main(["grid-search", "--config", str(config_path), "--grid", str(grid_path),
+                     "--out", str(sweep)]) == 0
+        before = {p.name: p.read_bytes() for p in sweep.iterdir()}
+        best = sweep / "best_config.yaml"
+        assert yaml.safe_load(best.read_text())["out_dir"] is None
+        capsys.readouterr()
+        assert main(["pipeline", "--config", str(best)]) == 2
+        assert "an output directory is required" in capsys.readouterr().err
+        assert main(["pipeline", "--config", str(best), "--out", str(tmp_path / "run")]) == 0
+        assert (tmp_path / "run" / "leaderboard.txt").is_file()
+        assert {p.name: p.read_bytes() for p in sweep.iterdir()} == before
+
     def test_non_mapping_grid_exits_2(self, tmp_path, capsys):
         _, config_path = make_dataset(tmp_path, seed=10)
         grid_path = tmp_path / "grid.yaml"

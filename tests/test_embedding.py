@@ -26,13 +26,12 @@ from kbcanon.embedding import (
     objective,
     objective_terms,
     save_embeddings,
-    score_triple,
     train,
 )
 from kbcanon.side_info import EMPTY_SIDE_INFO, SideInfoCollection, make_pair_set
 
 from .conftest import records_from_spo
-from .reference import direct_circular_correlation, make_training_batch
+from .reference import direct_circular_correlation, make_training_batch, score_triple
 
 
 def small_kb(n_nps=6, n_rels=2, n_triples=10, salt=0):

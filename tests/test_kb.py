@@ -20,13 +20,14 @@ from kbcanon.kb import (
     TripleFormat,
     audit,
     build_kb,
-    contains,
     gold_from_triples,
+    index_contains,
     load_gold,
     load_triples,
     normalize_whitespace,
     save_triples,
     split_validation,
+    triple_keys,
 )
 from kbcanon.side_info import SideInfoConfig, assemble_side_info
 
@@ -137,6 +138,11 @@ class TestNormalizeWhitespace:
         assert normalize_whitespace("barack obama") == "barack obama"
 
 
+def contains(kb, s: int, p: int, o: int) -> bool:
+    """Whether the KB holds (s, p, o), for ids in range."""
+    return bool(index_contains(kb, np.array([triple_keys(s, p, o, kb.n_nps, kb.n_rels)]))[0])
+
+
 class TestContains:
     def test_existing_and_corrupted(self, toy_kb):
         t = toy_kb.triples[0]
@@ -152,7 +158,8 @@ class TestContains:
         kb1 = build_kb(base)
         kb2 = build_kb(base + [{"triple_id": 2, "subject": "a", "relation": "r",
                                 "object": "c"}])
-        assert not contains(kb1, kb1.np_id("a"), kb1.rel_id("r"), kb1.np_id("b") + 1)
+        assert not contains(kb1, kb1.np_id("b"), kb1.rel_id("r"), kb1.np_id("a"))
+        assert contains(kb2, kb2.np_id("a"), kb2.rel_id("r"), kb2.np_id("b"))
         assert contains(kb2, kb2.np_id("a"), kb2.rel_id("r"), kb2.np_id("c"))
 
 
@@ -251,8 +258,9 @@ class TestColumns:
         want = {(t.subject * kb.n_rels + t.relation) * kb.n_nps + t.object for t in triples}
         assert set(kb.triple_index.tolist()) == want
         assert len(kb.triple_index) == len(want)
-        for t in toy_kb.triples:
-            assert contains(kb, *t.spo) == (t.spo in {u.spo for u in triples})
+        kept = {u.spo for u in triples}
+        assert (index_contains(kb, triple_keys(*toy_kb.spo, kb.n_nps, kb.n_rels)).tolist()
+                == [t.spo in kept for t in toy_kb.triples])
 
 
 class TestGold:

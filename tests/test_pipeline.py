@@ -67,6 +67,7 @@ from kbcanon.side_info import EMPTY_SIDE_INFO, SideInfoConfig, save_side_info
 from kbcanon.synth import make_synthetic_kb
 
 from .conftest import write_kb_vectors
+from .reference import reference_evaluate, report_bits
 
 SMALL_HP = {
     "dim": 16,
@@ -884,6 +885,52 @@ class TestGridSearch:
         # A fixed relation threshold leaves only the NP threshold to tune.
         grid_search(config, {"rel_threshold": [0.45, 0.65]}, tmp_path)
         assert sizes == [n_val_nps, n_val_nps]
+
+    def test_fixed_np_thresholds_score_one_history_each(
+        self, synth_data, tmp_path, monkeypatch
+    ):
+        """Each np_threshold point is tuned over its one-value grid: one
+        validation NP history per point, no `evaluate` or `cut_history`
+        call, and rows equal to the reference report of the cut."""
+        sizes, trained = [], []
+        history_of, train_of = kbcanon.canonicalize.hac_merge_history, kbcanon.pipeline.train
+
+        def counting(D, upto=float("inf")):
+            sizes.append(D.shape[0])
+            return history_of(D, upto)
+
+        def keeping(*args):
+            trained.append(train_of(*args))
+            return trained[-1]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("grid search cut or evaluated outside the replay")
+
+        monkeypatch.setattr(kbcanon.canonicalize, "hac_merge_history", counting)
+        monkeypatch.setattr(kbcanon.pipeline, "train", keeping)
+        for name, mod in list(sys.modules.items()):
+            for fn in ("evaluate", "cut_history"):
+                if name.startswith("kbcanon") and hasattr(mod, fn):
+                    monkeypatch.setattr(mod, fn, refuse)
+        doc = base_config_doc(synth_data)
+        doc["rel_threshold"] = 0.5  # only the NP threshold reads a history
+        config = config_from_dict(doc)
+        grid = [0.3, 0.5, 0.7]
+        _, rows = grid_search(config, {"np_threshold": grid}, tmp_path)
+        monkeypatch.undo()
+
+        split = make_split(load_triples(config.triples_file), config)
+        ids = split.validation_ids[PhraseKind.NP]
+        gold = split.validation_gold[PhraseKind.NP].assignment
+        assert sizes == [len(ids)] * len(grid) and len(trained) == 1
+        history = hac_merge_history(cosine_distance_matrix(trained[0].np_vectors[ids]))
+        for t, row in zip(grid, rows):
+            want = reference_evaluate(cut_history(ids, history, t), gold)
+            assert (row["np_threshold"], row["rel_threshold"]) == (t, 0.5)
+            assert row["validation_mean_f1"].hex() == want.mean_f1().hex()
+            got = {k: None if row[k] is None else row[k].hex()
+                   for k in ("macro_f1", "micro_f1", "pair_f1")}
+            assert got == {k: report_bits(want)[k] for k in got}
 
     def test_vectors_file_parsed_once_for_every_trained_point(
         self, synth_data, tmp_path, monkeypatch
