@@ -9,6 +9,10 @@ its cluster representatives.
 
 from __future__ import annotations
 
+# defined before the submodules are imported: the pipeline writes it into
+# every manifest
+__version__ = "0.1.0"
+
 from .baselines import BaselineConfig, BaselineName, run_baseline
 from .canonicalize import (
     Cluster,
@@ -56,8 +60,6 @@ from .side_info import (
     morph_normalize,
 )
 from .synth import SyntheticKB, make_synthetic_kb
-
-__version__ = "0.1.0"
 
 __all__ = [
     "BaselineConfig",

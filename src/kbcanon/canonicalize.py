@@ -1,16 +1,29 @@
 """Clustering embeddings into canonical groups and rewriting the KB.
 
 Complete-linkage hierarchical agglomerative clustering over cosine
-distance (1 - cosine similarity). One loop, ``hac_merge_history``, merges
-a distance matrix with cached per-row nearest neighbours (the "generic"
-algorithm of Müllner 2011) and records every merge, up to the highest
-threshold its caller reads; ties break toward the pair with the
-lexicographically smallest (minimum member id, minimum member id).
-Complete linkage has monotone merge distances, so cutting that history at
-a threshold gives the same partition as stopping the merges there:
-clustering at a threshold is one cut. Every method tunes its threshold
-(`tune_threshold`) on one history over the validation phrases, which
-`best_cut` replays once, scoring every grid value on the way.
+distance (1 - cosine similarity). One loop, `_merge`, merges a distance
+matrix with cached per-row nearest neighbours (the "generic" algorithm of
+Müllner 2011) and records every merge, up to the highest threshold its
+caller reads; ties break toward the pair with the lexicographically
+smallest (minimum member id, minimum member id). Complete linkage has
+monotone merge distances, so cutting that history at a threshold gives
+the same partition as stopping the merges there.
+
+A fixed-threshold cut (`hac_from_distance_matrix`) runs the loop one
+connected component at a time, on the graph that joins positions a < b
+when D[a, b] <= t. That is exact: (i) every pair inside a cluster formed
+at height <= t is at distance <= t, so the cluster lies inside one
+component; (ii) the linkage between clusters of different components is
+> t, so a merge in one component never changes another's merges up to
+t; (iii) a component keeps its positions in id order, so ties break as
+they do in the whole matrix. The partition is the union of the component
+cuts. Singletons need no matrix and a pair is one cluster; a larger
+component agglomerates its own submatrix. Beyond D, the cut holds one
+row block of the scan for edges and the largest component's copy.
+
+Every method tunes its threshold (`tune_threshold`) on one history over
+the validation phrases (`hac_merge_history`), which `best_cut` replays
+once, scoring every grid value on the way.
 """
 
 from __future__ import annotations
@@ -25,7 +38,7 @@ import numpy as np
 from .errors import ConfigError, InvariantViolation, ZeroVectorError
 from .kb import GoldClustering, OpenKB, Phrase, PhraseKind, triple_record, write_jsonl
 from .metrics import MetricsReport, table_report
-from .side_info import components
+from .side_info import components, groups, link
 
 logger = logging.getLogger(__name__)
 
@@ -94,19 +107,72 @@ def cosine_distance_matrix(X: np.ndarray, labels: Sequence | None = None) -> np.
 # ids were given, which callers keep id-sorted); a merge keeps the smaller
 # position, so position order equals minimum-member-id order. The working
 # matrix M is the upper triangle of D mirrored into a symmetric copy, with
-# +inf on the diagonal and on retired rows and columns.
+# +inf on the diagonal.
 #
 # Each row caches its nearest neighbour: nn[k] is the first argmin of row k
-# and nd[k] its distance. i = argmin(nd) is the smallest row holding the
-# global minimum d, and j = nn[i] > i (a smaller j would hold d in its own
-# row and win the argmin first), so each merge takes the smallest
-# (distance, i, j), the same pair a flat row-major argmin over the upper
-# triangle finds. A complete-linkage update only raises distances: the
-# survivor's row and column become max(M[i], M[j]), and j's become inf.
-# Another row's cached first argmin therefore stays exact unless it pointed
-# at j, or pointed at i and the new distance to i exceeds it; only those
-# rows are rescanned, the survivor's among them (nn[i] == j). A retired
-# row caches nn = -1 and nd = inf, so it never matches again.
+# over the live columns and nd[k] its distance. i = argmin(nd) is the
+# smallest row holding the global minimum d, and j = nn[i] > i (a smaller
+# j would hold d in its own row and win the argmin first), so each merge
+# takes the smallest (distance, i, j), the same pair a flat row-major
+# argmin over the upper triangle finds. A complete-linkage update only
+# raises distances: the survivor's row and column become
+# max(M[i], M[j]). j is retired without a write to M: ``retired`` holds
+# +inf at its position, and a rescan adds it to the rows, so retired
+# columns never win. Another row's cached first argmin therefore stays
+# exact unless it pointed at j, or pointed at i and the new distance to i
+# exceeds it; only those rows are rescanned, the survivor's among them
+# (nn[i] == j). A retired row caches nn = -1 and nd = inf, so it never
+# matches again.
+
+# Entries of D a row block of the edge scan, or of the mirroring, covers:
+# their temporaries stay a few MB whatever the size of D.
+_BLOCK = 1 << 18
+
+
+def _check_square(D: np.ndarray) -> None:
+    n = D.shape[0]
+    if D.shape != (n, n):
+        raise ValueError("distance matrix must be square")
+
+
+def _check_finite(D: np.ndarray) -> None:
+    if not np.isfinite(D).all():
+        raise ValueError("distance matrix must be finite")
+
+
+def _merge(M: np.ndarray, upto: float) -> list[tuple[float, int, int]]:
+    """`hac_merge_history` of a square working matrix the caller hands
+    over: only its upper triangle is read, and the loop overwrites the rest
+    and merges in it."""
+    n = M.shape[0]
+    if n < 2:
+        return []
+    M = M.astype(float, copy=False)
+    step = max(1, _BLOCK // n)
+    for r0 in range(0, n, step):
+        r1 = min(r0 + step, n)
+        M[r0:r1, :r0] = M[:r0, r0:r1].T
+        square = M[r0:r1, r0:r1]
+        lower = np.tri(r1 - r0, k=-1, dtype=bool)
+        square[lower] = square.T[lower]
+    np.fill_diagonal(M, np.inf)
+    nn = M.argmin(axis=1)
+    nd = M[np.arange(n), nn]
+    retired = np.zeros(n)
+    history: list[tuple[float, int, int]] = []
+    for _ in range(n - 1):
+        i = int(nd.argmin())
+        if nd[i] > upto:
+            break
+        j = int(nn[i])
+        history.append((float(nd[i]), i, j))
+        new = np.maximum(M[i], M[j])
+        nn[j], nd[j], retired[j] = -1, np.inf, np.inf
+        rows = np.flatnonzero((nn == j) | ((nn == i) & (new > nd)))
+        M[i], M[:, i] = new, new
+        nn[rows] = (M[rows] + retired).argmin(axis=1)
+        nd[rows] = M[rows, nn[rows]]
+    return history
 
 
 def hac_merge_history(D: np.ndarray, upto: float = np.inf) -> list[tuple[float, int, int]]:
@@ -118,32 +184,9 @@ def hac_merge_history(D: np.ndarray, upto: float = np.inf) -> list[tuple[float, 
     distances non-decreasing, so the result is the full history's prefix
     of merges at distance <= upto. D is read, never modified; only its
     upper triangle is used, and it must be square and finite."""
-    n = D.shape[0]
-    if D.shape != (n, n):
-        raise ValueError("distance matrix must be square")
-    if not np.isfinite(D).all():
-        raise ValueError("distance matrix must be finite")
-    if n < 2:
-        return []
-    M = np.where(np.tri(n, k=-1, dtype=bool), D.T, D).astype(float, copy=False)
-    np.fill_diagonal(M, np.inf)
-    nn = M.argmin(axis=1)
-    nd = M[np.arange(n), nn]
-    history: list[tuple[float, int, int]] = []
-    for _ in range(n - 1):
-        i = int(nd.argmin())
-        if nd[i] > upto:
-            break
-        j = int(nn[i])
-        history.append((float(nd[i]), i, j))
-        new = np.maximum(M[i], M[j])
-        nn[j], nd[j] = -1, np.inf
-        rows = np.flatnonzero((nn == j) | ((nn == i) & (new > nd)))
-        M[i], M[:, i] = new, new
-        M[j], M[:, j] = np.inf, np.inf
-        nn[rows] = M[rows].argmin(axis=1)
-        nd[rows] = M[rows, nn[rows]]
-    return history
+    _check_square(D)
+    _check_finite(D)
+    return _merge(D.copy(), upto)
 
 
 def cut_history(
@@ -165,11 +208,40 @@ def _check_ids(ids: Sequence[int], D: np.ndarray) -> None:
 def hac_from_distance_matrix(
     ids: Sequence[int], D: np.ndarray, threshold: float
 ) -> list[frozenset[int]]:
-    """Complete-linkage HAC over a precomputed distance matrix: its merge
-    history up to the threshold, cut there. ``ids`` label D's rows and
-    must be sorted ascending so the tie-break is id-based."""
+    """Complete-linkage HAC over a precomputed distance matrix, cut at the
+    threshold: the cut of the merges of each connected component of
+    {D <= threshold}, agglomerated on its own (see the module docstring).
+    ``ids`` label D's rows and must be sorted ascending so the tie-break
+    is id-based. D is read, never written, and must be square and
+    finite."""
     _check_ids(ids, D)
-    return cut_history(ids, hac_merge_history(D, threshold), threshold)
+    _check_square(D)
+    merges: list[tuple[float, int, int]] = []
+    for c in _threshold_components(D, threshold):
+        if len(c) == 2:
+            merges.append((float(D[c[0], c[1]]), c[0], c[1]))
+        else:
+            merges += [(d, c[i], c[j]) for d, i, j in _merge(D[np.ix_(c, c)], threshold)]
+    return cut_history(ids, merges, threshold)
+
+
+def _threshold_components(D: np.ndarray, threshold: float) -> list[list[int]]:
+    """The connected components of two or more positions in the graph that
+    joins a < b when D[a, b] <= threshold, each ascending, ordered by
+    smallest member. D is scanned, and checked finite, a row block at a
+    time."""
+    n = D.shape[0]
+    parent = np.arange(n)
+    step = max(1, _BLOCK // max(n, 1))
+    for r0 in range(0, n, step):
+        block = D[r0:r0 + step]
+        _check_finite(block)
+        a, b = np.nonzero(block[:, r0 + 1:] <= threshold)
+        a += r0
+        b += r0 + 1
+        upper = a < b
+        link(parent, a[upper], b[upper])
+    return [c for c in groups(parent) if len(c) > 1]
 
 
 def hac_complete_linkage(

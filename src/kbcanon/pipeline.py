@@ -31,6 +31,7 @@ from typing import Mapping, Sequence
 import numpy as np
 import yaml
 
+from . import __version__
 from . import canonicalize as canon
 from .baselines import VECTOR_BASELINES, BaselineConfig, BaselineName, run_baseline
 from .canonicalize import DEFAULT_THRESHOLD_GRID, Clustering, choose_threshold
@@ -291,22 +292,34 @@ def config_hash(config: PipelineConfig) -> str:
 # leaderboard formatting
 
 
-def leaderboard_row(label: str, report: MetricsReport | None) -> str:
-    """One comparison-table row: macro / micro / pairwise F1 as
-    percentages to one decimal."""
+def leaderboard_row(label: str, report: MetricsReport | None, width: int = 40) -> str:
+    """One comparison-table row: the label padded to ``width``, then
+    macro / micro / pairwise F1 as percentages to one decimal."""
 
     def cell(x: float | None) -> str:
         return "   --" if x is None else f"{100.0 * x:5.1f}"
 
     if report is None:
-        return f"{label:<40} {'   --'}  {'   --'}  {'   --'}"
+        return f"{label:<{width}} {'   --'}  {'   --'}  {'   --'}"
     return (
-        f"{label:<40} {cell(report.macro_f1)}  {cell(report.micro_f1)}  "
+        f"{label:<{width}} {cell(report.macro_f1)}  {cell(report.micro_f1)}  "
         f"{cell(report.pair_f1)}"
     )
 
 
-LEADERBOARD_HEADER = f"{'system':<40} {'macro':>5}  {'micro':>5}  {'pair':>5}"
+def leaderboard_header(width: int = 40) -> str:
+    return f"{'system':<{width}} {'macro':>5}  {'micro':>5}  {'pair':>5}"
+
+
+def leaderboard_text(rows: Sequence[tuple[str, MetricsReport | None]]) -> str:
+    """The comparison table of (label, report) rows under its header. The
+    label column fits the longest label, and is at least 40 wide."""
+    width = max([40, *(len(label) for label, _ in rows)])
+    return "\n".join([leaderboard_header(width)] + [
+        leaderboard_row(label, report, width) for label, report in rows]) + "\n"
+
+
+LEADERBOARD_HEADER = leaderboard_header()
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +514,7 @@ def baselines_stage(config: PipelineConfig, out: Path, kb: OpenKB, split: Split,
     if (word_vectors is None and config.vectors_file
             and VECTOR_BASELINES & {BaselineName(b) for b in config.baselines}):
         word_vectors = load_word_vectors(config.vectors_file, kb)
-    rows = [LEADERBOARD_HEADER, leaderboard_row("full (this system)", report_np)]
+    rows = [("full (this system)", report_np)]
     for name in config.baselines:
         cfg = BaselineConfig(
             name=BaselineName(name),
@@ -520,8 +533,8 @@ def baselines_stage(config: PipelineConfig, out: Path, kb: OpenKB, split: Split,
             validation_ids=split.validation_ids[PhraseKind.NP],
         )
         report = _evaluate_or_none(clustering, split.test_gold[PhraseKind.NP])
-        rows.append(leaderboard_row(name, report))
-    write_text(out / "leaderboard.txt", "\n".join(rows) + "\n")
+        rows.append((name, report))
+    write_text(out / "leaderboard.txt", leaderboard_text(rows))
 
 
 def run_after_embed(config: PipelineConfig, out: Path, kb: OpenKB, split: Split,
@@ -548,7 +561,7 @@ def run_after_embed(config: PipelineConfig, out: Path, kb: OpenKB, split: Split,
         "versions": {
             "python": platform.python_version(),
             "numpy": np.__version__,
-            "package": _package_version(),
+            "package": __version__,
         },
         # timings.json differs on every run and may be left over from an
         # earlier run into this directory, so it is never listed.
@@ -581,15 +594,6 @@ def run_pipeline(config: PipelineConfig, out_dir=None) -> Path:
     emb, word_vectors = run_stage(timings, "embed", embed_stage, config, out, kb, side)
     run_after_embed(config, out, kb, split, emb, timings, word_vectors)
     return out
-
-
-def _package_version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("kbcanon")
-    except Exception:
-        return "unknown"
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +659,7 @@ def grid_search(
     side_cache: dict[str, SideInfoCollection] = {}
     emb_cache: dict[str, EmbeddingSet] = {}
     rows: list[dict] = []
-    lines = [LEADERBOARD_HEADER]
+    table: list[tuple[str, MetricsReport]] = []
     best: dict | None = None
     best_score = -1.0
 
@@ -703,12 +707,12 @@ def grid_search(
         }
         rows.append(row)
         label = ",".join(f"{k}={overrides[k]}" for k in keys)
-        lines.append(leaderboard_row(label, report))
+        table.append((label, report))
         if score > best_score:
             best, best_score = row, score
         logger.info("grid point %s: validation mean F1 %.4f", overrides, score)
 
-    write_text(out / "leaderboard.txt", "\n".join(lines) + "\n")
+    write_text(out / "leaderboard.txt", leaderboard_text(table))
     write_json(out / "leaderboard.json", rows)
     best_config = dataclasses.replace(_apply_overrides(config, best["overrides"]), out_dir=None)
     write_text(out / "best_config.yaml", yaml.safe_dump(best_config.as_dict(), sort_keys=True))

@@ -16,9 +16,11 @@ import math
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 from typing import Hashable, Iterable, Mapping
+
+import numpy as np
 
 from .errors import ConfigError, ParseError
 from .kb import (
@@ -177,27 +179,40 @@ class SideInfoCollection:
 EMPTY_SIDE_INFO = SideInfoCollection()
 
 
-def find(parent: list[int], x: int) -> int:
-    """The root of position x in the union-find ``parent``, halving the
-    path on the way."""
-    while parent[x] != x:
-        parent[x] = x = parent[parent[x]]
-    return x
+def link(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Join the components of positions a[k] and b[k], for every k, in the
+    flat union-find ``parent``: on entry and on return parent[x] is the
+    smallest position in x's component. Each round hooks every root an
+    unjoined pair touches under the smallest root it is paired with, then
+    flattens the forest by pointer jumping; pairs whose roots agree drop
+    out. A hook only lowers a root's parent, so the rounds end."""
+    while True:
+        ra, rb = parent[a], parent[b]
+        apart = ra != rb
+        if not apart.any():
+            return
+        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(up := parent[parent], parent):
+            parent[:] = up
+
+
+def groups(parent: np.ndarray) -> list[list[int]]:
+    """The components of a flat union-find (see `link`), each an ascending
+    list of positions, ordered by smallest member."""
+    order = np.argsort(parent, kind="stable")
+    bounds = [0, *(np.flatnonzero(np.diff(parent[order])) + 1).tolist(), len(parent)]
+    order = order.tolist()
+    return [order[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
 
 
 def components(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
     """Connected components of positions 0..n-1 under ``edges``, each in
-    ascending order, ordered by smallest member. A union links the larger
-    root under the smaller, so every root is its component's minimum."""
-    parent = list(range(n))
-    for a, b in edges:
-        a, b = find(parent, a), find(parent, b)
-        if a != b:
-            parent[max(a, b)] = min(a, b)
-    groups: dict[int, list[int]] = {}
-    for x in range(n):
-        groups.setdefault(find(parent, x), []).append(x)
-    return list(groups.values())
+    ascending order, ordered by smallest member."""
+    ends = np.fromiter(chain.from_iterable(edges), dtype=np.intp).reshape(-1, 2)
+    parent = np.arange(n)
+    link(parent, ends[:, 0], ends[:, 1])
+    return groups(parent)
 
 
 # ---------------------------------------------------------------------------

@@ -488,18 +488,25 @@ class TestSimilarityBaselines:
         import kbcanon.baselines
         import kbcanon.canonicalize
 
-        # One history over the validation phrases tunes the threshold, and
-        # one over the whole vocabulary, stopped there, is cut.
-        sizes, bounds = [], []
+        # One history over the validation phrases tunes the threshold; the
+        # whole vocabulary is then cut there one component at a time, with
+        # no whole-vocabulary history.
+        sizes, bounds, cuts = [], [], []
         original = kbcanon.canonicalize.hac_merge_history
+        original_cut = kbcanon.canonicalize.hac_from_distance_matrix
 
         def counting(D, upto=np.inf):
             sizes.append(D.shape[0])
             bounds.append(upto)
             return original(D, upto)
 
+        def cutting(ids, D, threshold):
+            cuts.append((D.shape[0], threshold))
+            return original_cut(ids, D, threshold)
+
         for module in (kbcanon.canonicalize, kbcanon.baselines):
             monkeypatch.setattr(module, "hac_merge_history", counting)
+        monkeypatch.setattr(kbcanon.baselines, "hac_from_distance_matrix", cutting)
         kb = np_kb("colour", "color", "zebra", "quartz")
         gold = GoldClustering(PhraseKind.NP, {kb.np_id("colour"): "e1",
                                               kb.np_id("color"): "e1",
@@ -507,8 +514,9 @@ class TestSimilarityBaselines:
         clustering = run_baseline(BaselineConfig(BaselineName.STRSIM_HAC), kb,
                                   validation_gold=gold,
                                   validation_ids=sorted(gold.assignment))
-        assert sizes == [len(gold), kb.n_nps]
-        assert bounds == [max(DEFAULT_THRESHOLD_GRID), clustering.threshold_used]
+        assert sizes == [len(gold)]
+        assert bounds == [max(DEFAULT_THRESHOLD_GRID)]
+        assert cuts == [(kb.n_nps, clustering.threshold_used)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from .reference import (
     naive_complete_linkage,
     random_points,
     reference_evaluate,
+    reference_components,
     reference_merge_history,
     report_bits,
 )
@@ -287,6 +289,119 @@ class TestMergeHistory:
             hac_merge_history(D)
         with pytest.raises(ValueError, match="finite"):
             hac_from_distance_matrix([0, 1, 2], D, 1.0)
+
+
+def reference_cut(n: int, history, t: float) -> list[frozenset[int]]:
+    """The partition of the merges at or below t in a reference history
+    over n positions."""
+    merges = [(i, j) for d, i, j in history if d <= t]
+    return [frozenset(c) for c in reference_components(n, merges)]
+
+
+def interleaved_twins(rng, n: int) -> np.ndarray:
+    """One tie-heavy block twice on the diagonal, 1.0 between the copies,
+    rows shuffled: every distance inside one copy recurs in the other, and
+    the two components interleave in id order."""
+    B = tie_heavy_matrix(rng, n)
+    D = np.ones((2 * n, 2 * n))
+    D[:n, :n] = D[n:, n:] = B
+    np.fill_diagonal(D, 0.0)
+    order = rng.permutation(2 * n)
+    return D[np.ix_(order, order)]
+
+
+class TestComponentCut:
+    """The fixed-threshold cut agglomerates each connected component of
+    {D <= t} on its own; its partition is the cut of the whole matrix's
+    history."""
+
+    @staticmethod
+    def matrices() -> list[np.ndarray]:
+        rand = random.Random(23)
+        rng = np.random.default_rng(23)
+        matrices = [np.zeros((4, 4)), np.full((5, 5), 0.7)]
+        for k in range(12):
+            X = random_points(rand, rand.randint(2, 50), rand.randint(2, 6),
+                              quantized=bool(k % 2))
+            matrices.append(cosine_distance_matrix(X))
+        # only the upper triangle counts: noise below it must change nothing
+        D = matrices[-1].copy()
+        D[np.tril_indices(len(D), -1)] += rng.uniform(-0.2, 0.2, len(D) * (len(D) - 1) // 2)
+        matrices.append(D)
+        for _ in range(6):
+            matrices.append(tie_heavy_matrix(rng, rand.randint(2, 50)))
+            matrices.append(interleaved_twins(rng, rand.randint(2, 25)))
+        return matrices
+
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_equals_cut_of_reference_history(self, block, monkeypatch):
+        # Checked at 0, at 2, at distances that occur in D (up to 30 of
+        # them) and between them; a 7-entry block makes the scan and the mirroring span many
+        # row blocks.
+        if block:
+            monkeypatch.setattr(kbcanon.canonicalize, "_BLOCK", block)
+        for D in self.matrices():
+            n, history = len(D), reference_merge_history(D)
+            heights = np.unique(D[np.triu_indices(n, 1)])
+            heights = heights[::max(1, len(heights) // 30)]
+            thresholds = [0.0, 2.0, *heights, *(heights[1:] + heights[:-1]) / 2]
+            for t in thresholds:
+                assert hac_from_distance_matrix(range(n), D, t) == reference_cut(n, history, t)
+
+    def test_equals_naive_reclustering_across_twin_components(self):
+        rng = np.random.default_rng(24)
+        for n in (2, 3, 5, 8):
+            D = interleaved_twins(rng, n)
+            for t in (0.0, 0.1, 0.3, 0.6, 1.0):
+                ids = list(range(len(D)))
+                assert hac_from_distance_matrix(ids, D, t) == naive_complete_linkage(ids, D, t)
+
+    def test_reads_d_without_writing(self):
+        D = interleaved_twins(np.random.default_rng(25), 12)
+        before = D.tobytes()
+        for t in (0.3, 0.6, 2.0):
+            hac_from_distance_matrix(range(len(D)), D, t)
+        assert D.tobytes() == before
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(9, 9), (8, 3), (2, 9), (4, 5)])
+    def test_non_finite_anywhere_rejected(self, bad, where, monkeypatch):
+        # on the diagonal, below it, and above it outside the one component
+        # {0, 1}, in a row block after the first
+        monkeypatch.setattr(kbcanon.canonicalize, "_BLOCK", 20)
+        D = np.ones((10, 10))
+        np.fill_diagonal(D, 0.0)
+        D[0, 1] = D[1, 0] = 0.1
+        D[where] = bad
+        with pytest.raises(ValueError, match="finite"):
+            hac_from_distance_matrix(range(10), D, 0.5)
+
+
+class TestComponentCutMemory:
+    """Beyond D, the cut holds row blocks of its scan and one working copy
+    per component, never a whole-matrix copy or mask."""
+
+    N = 1500
+
+    @staticmethod
+    def traced_peak(D: np.ndarray, t: float) -> int:
+        tracemalloc.start()
+        try:
+            hac_from_distance_matrix(range(len(D)), D, t)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_no_edge_allocates_a_fraction_of_d(self):
+        D = np.ones((self.N, self.N))
+        np.fill_diagonal(D, 0.0)
+        assert self.traced_peak(D, 0.5) < 0.25 * D.nbytes
+
+    def test_one_component_allocates_no_more_than_d_and_a_copy(self):
+        # at t = 2 everything is one component; the whole-matrix cut held
+        # a working copy beside D, and this cut may not hold more
+        D = cosine_distance_matrix(random_points(random.Random(26), self.N, 8, quantized=False))
+        assert self.traced_peak(D, 2.0) <= 2 * D.nbytes
 
 
 class TestHacProperties:

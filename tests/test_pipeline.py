@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
+import kbcanon
 import kbcanon.baselines
 import kbcanon.canonicalize
 import kbcanon.embedding
@@ -56,6 +57,7 @@ from kbcanon.pipeline import (
     evaluate_clusters_file,
     grid_search,
     leaderboard_row,
+    leaderboard_text,
     load_config,
     make_split,
     phrase_ids,
@@ -533,6 +535,11 @@ class TestRunPipeline:
         ):
             assert (out / name).read_bytes() == (out2 / name).read_bytes(), name
 
+    def test_manifest_names_the_package_version(self, pipeline_run):
+        _, out = pipeline_run
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["versions"]["package"] == kbcanon.__version__
+
     def test_rerun_into_same_dir_keeps_manifest(self, pipeline_run, tmp_path):
         # The second run finds the first run's timings.json in the
         # directory; the manifest must not pick it up.
@@ -565,17 +572,23 @@ class TestScoringWork:
     ):
         # Tuning scores every grid value from one replay of the history, so
         # only the test-split reports (the system's NP and REL clusterings
-        # and one per baseline) call evaluate, and only the clusterings
-        # themselves cut a history.
+        # and one per baseline) call evaluate. The only merge histories are
+        # the tuning ones, over the validation phrases; each clustering is
+        # one cut of its components' merges.
         evaluations = spy(monkeypatch, kbcanon.metrics, "evaluate")
         cuts = spy(monkeypatch, kbcanon.canonicalize, "cut_history")
+        histories = spy(monkeypatch, kbcanon.canonicalize, "hac_merge_history")
         doc = base_config_doc(synth_data)
         doc["baselines"] = ["strsim_hac", "idf_hac"]
-        out = run_pipeline(config_from_dict(doc), out_dir=tmp_path)
+        config = config_from_dict(doc)
+        out = run_pipeline(config, out_dir=tmp_path)
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["np"] is not None and metrics["rel"] is not None
         assert len(evaluations) == 4
         assert len(cuts) == 4
+        split = make_split(load_triples(synth_data["triples"]), config)
+        n_np, n_rel = (len(split.validation_ids[k]) for k in (PhraseKind.NP, PhraseKind.REL))
+        assert sorted(args[0].shape[0] for args in histories) == sorted([n_np] * 3 + [n_rel])
 
 
 class TestOneTuningProtocol:
@@ -1046,3 +1059,40 @@ class TestLeaderboardRow:
     def test_none_report_renders_dashes(self):
         row = leaderboard_row("missing", None)
         assert "--" in row
+
+
+LONG_LABEL = "hyperparams.dim=12,hyperparams.learning_rate=0.05"
+
+
+class TestLeaderboardText:
+    REPORT = evaluate([frozenset({"a", "b"}), frozenset({"c"})],
+                      {"a": "e1", "b": "e1", "c": "e2"})
+
+    def test_labels_up_to_40_keep_the_40_wide_table(self):
+        rows = [("full (this system)", self.REPORT), ("x" * 40, None)]
+        assert leaderboard_text(rows) == "\n".join(
+            [LEADERBOARD_HEADER] + [leaderboard_row(label, r) for label, r in rows]) + "\n"
+
+    def test_long_label_widens_the_label_column_of_every_row(self):
+        lines = leaderboard_text([("full (this system)", self.REPORT),
+                                  (LONG_LABEL, self.REPORT), ("missing", None)]).splitlines()
+        assert len(LONG_LABEL) == 49
+        assert [line[:49].rstrip() for line in lines] == [
+            "system", "full (this system)", LONG_LABEL, "missing"]
+        assert lines[0][49:] == LEADERBOARD_HEADER[40:]
+        assert lines[1][49:] == leaderboard_row("", self.REPORT)[40:]
+        assert {len(line) for line in lines} == {len(LEADERBOARD_HEADER) + 9}
+
+    def test_grid_search_leaderboard_keeps_its_columns(self, synth_data, tmp_path):
+        config = config_from_dict(base_config_doc(synth_data))
+        grid_search(config, {"hyperparams.dim": [12], "hyperparams.learning_rate": [0.05]},
+                    tmp_path)
+        header, row = (tmp_path / "leaderboard.txt").read_text().splitlines()
+        assert row.startswith(LONG_LABEL + " ")
+        assert header == f"{'system':<49}" + LEADERBOARD_HEADER[40:]
+        assert len(row) == len(header)
+
+
+def test_package_version_is_pyproject_version():
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    assert re.search(r'^version = "(.+)"$', pyproject, re.M).group(1) == kbcanon.__version__

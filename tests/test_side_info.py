@@ -246,6 +246,20 @@ class TestComponents:
     def test_self_loop_and_repeated_edge(self):
         assert components(4, [(2, 2), (3, 1), (1, 3), (3, 1)]) == [[0], [1, 3], [2]]
 
+    def test_long_paths_in_any_edge_order(self):
+        # deep union-find trees: each round must flatten them completely
+        rand = random.Random(3)
+        n = 200
+        path = [(k, k + 1) for k in range(n - 1)]
+        orders = [path, path[::-1], [(b, a) for a, b in path]]
+        for _ in range(5):
+            perm = rand.sample(range(n), n)
+            orders.append(rand.sample([(perm[a], perm[b]) for a, b in path], n - 1))
+        for edges in orders:
+            split = edges[: n // 2] + edges[n // 2 + 1:]
+            for graph in (edges, split):
+                assert components(n, graph) == reference_components(n, graph)
+
 
 class TestSynsets:
     def test_shared_synset(self, tmp_path):
