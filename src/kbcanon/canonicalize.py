@@ -9,21 +9,35 @@ smallest (minimum member id, minimum member id). Complete linkage has
 monotone merge distances, so cutting that history at a threshold gives
 the same partition as stopping the merges there.
 
-A fixed-threshold cut (`hac_from_distance_matrix`) runs the loop one
-connected component at a time, on the graph that joins positions a < b
-when D[a, b] <= t. That is exact: (i) every pair inside a cluster formed
-at height <= t is at distance <= t, so the cluster lies inside one
-component; (ii) the linkage between clusters of different components is
-> t, so a merge in one component never changes another's merges up to
-t; (iii) a component keeps its positions in id order, so ties break as
-they do in the whole matrix. The partition is the union of the component
-cuts. Singletons need no matrix and a pair is one cluster; a larger
-component agglomerates its own submatrix. Beyond D, the cut holds one
-row block of the scan for edges and the largest component's copy.
+A fixed-threshold cut runs the loop one connected component at a time,
+on the graph whose edges join positions a < b when D[a, b] <= t. That is
+exact: (i) every pair inside a cluster formed at height <= t is at
+distance <= t, so the cluster lies inside one component; (ii) the
+linkage between clusters of different components is > t, so a merge in
+one component never changes another's merges up to t; (iii) a component
+keeps its positions in id order, so ties break as they do in the whole
+matrix. The partition is the union of the component cuts. Singletons
+need no matrix and a pair is one merge; a larger component agglomerates
+its own matrix. A corollary: replacing any entry above t by another
+value above t leaves the cut unchanged, so a component's matrix may hold
+its edges' distances and a finite sentinel above t everywhere else.
+
+Both cuts find the edges one row block of distances at a time.
+`hac_from_distance_matrix` reads the blocks from a dense D (the overlap
+baselines') and agglomerates each component on a copy of its submatrix.
+`hac_complete_linkage` computes each block from its diagonal on,
+1 - N[r0:r1] @ N[r0:].T for the unit rows N, the way
+`cosine_distance_matrix` computes its rows, so both read the same bits.
+It keeps the edges with their distances (12 bytes each) and builds each
+component's matrix from them with the sentinel, so it never holds an n×n
+array: beyond the vectors, it holds the edges, one row block and the
+components' matrices.
 
 Every method tunes its threshold (`tune_threshold`) on one history over
 the validation phrases (`hac_merge_history`), which `best_cut` replays
-once, scoring every grid value on the way.
+once, scoring every grid value on the way. The history is merged in the
+distance matrix it is handed, which the tuner always builds for the
+call, so tuning holds one n×n array.
 """
 
 from __future__ import annotations
@@ -84,9 +98,9 @@ class Clustering:
 # distances
 
 
-def cosine_distance_matrix(X: np.ndarray, labels: Sequence | None = None) -> np.ndarray:
-    """Pairwise 1 - cosine similarity for the rows of X. Rows must be
-    nonzero; offenders are named via ``labels`` when given."""
+def _unit_rows(X: np.ndarray, labels: Sequence | None = None) -> np.ndarray:
+    """The rows of X scaled to unit length. Rows must be nonzero;
+    offenders are named via ``labels`` when given."""
     X = np.asarray(X, dtype=float)
     norms = np.linalg.norm(X, axis=1)
     bad = np.flatnonzero(norms == 0.0)
@@ -95,9 +109,41 @@ def cosine_distance_matrix(X: np.ndarray, labels: Sequence | None = None) -> np.
         raise ZeroVectorError(
             f"cosine distance undefined for zero vectors: {names[:10]}"
         )
-    N = X / norms[:, None]
-    G = N @ N.T
+    return X / norms[:, None]
+
+
+# Entries of an n×n matrix that one row block covers (at least one row):
+# the temporaries of a block-wise pass stay a few MB whatever n is.
+_BLOCK = 1 << 18
+
+
+def _row_blocks(n: int) -> Iterable[tuple[int, int]]:
+    """(r0, r1) of each row block of an n-row matrix, in order."""
+    step = max(1, _BLOCK // max(n, 1))
+    return ((r0, min(r0 + step, n)) for r0 in range(0, n, step))
+
+
+def _cosine_rows(N: np.ndarray, r0: int, r1: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Rows r0:r1 of the cosine distances of the unit rows N from column
+    r0 on, 1 - N[r0:r1] @ N[r0:].T, written into ``out`` when given. BLAS
+    may round a product of some rows differently from a product of
+    others, so every cosine distance in this module is computed by this
+    call over `_row_blocks`: the cosine cut then reads the bits of
+    `cosine_distance_matrix`, whatever the block size or thread count."""
+    G = np.matmul(N[r0:r1], N[r0:].T, out=out)
     return np.subtract(1.0, G, out=G)
+
+
+def cosine_distance_matrix(X: np.ndarray, labels: Sequence | None = None) -> np.ndarray:
+    """Pairwise 1 - cosine similarity for the rows of X. Rows must be
+    nonzero; offenders are named via ``labels`` when given. Each row
+    block is computed from its diagonal on and mirrored to the left."""
+    N = _unit_rows(X, labels)
+    D = np.empty((len(N), len(N)))
+    for r0, r1 in _row_blocks(len(N)):
+        _cosine_rows(N, r0, r1, out=D[r0:r1, r0:])
+        D[r0:r1, :r0] = D[:r0, r0:r1].T
+    return D
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +152,8 @@ def cosine_distance_matrix(X: np.ndarray, labels: Sequence | None = None) -> np.
 # Clusters live at matrix positions (row/column indices in the order the
 # ids were given, which callers keep id-sorted); a merge keeps the smaller
 # position, so position order equals minimum-member-id order. The working
-# matrix M is the upper triangle of D mirrored into a symmetric copy, with
-# +inf on the diagonal.
+# matrix M is the matrix handed over with its upper triangle mirrored into
+# the lower one, and +inf on the diagonal.
 #
 # Each row caches its nearest neighbour: nn[k] is the first argmin of row k
 # over the live columns and nd[k] its distance. i = argmin(nd) is the
@@ -123,11 +169,6 @@ def cosine_distance_matrix(X: np.ndarray, labels: Sequence | None = None) -> np.
 # exceeds it; only those rows are rescanned, the survivor's among them
 # (nn[i] == j). A retired row caches nn = -1 and nd = inf, so it never
 # matches again.
-
-# Entries of D a row block of the edge scan, or of the mirroring, covers:
-# their temporaries stay a few MB whatever the size of D.
-_BLOCK = 1 << 18
-
 
 def _check_square(D: np.ndarray) -> None:
     n = D.shape[0]
@@ -148,9 +189,7 @@ def _merge(M: np.ndarray, upto: float) -> list[tuple[float, int, int]]:
     if n < 2:
         return []
     M = M.astype(float, copy=False)
-    step = max(1, _BLOCK // n)
-    for r0 in range(0, n, step):
-        r1 = min(r0 + step, n)
+    for r0, r1 in _row_blocks(n):
         M[r0:r1, :r0] = M[:r0, r0:r1].T
         square = M[r0:r1, r0:r1]
         lower = np.tri(r1 - r0, k=-1, dtype=bool)
@@ -182,11 +221,13 @@ def hac_merge_history(D: np.ndarray, upto: float = np.inf) -> list[tuple[float, 
     positions, each its smallest member's, and the merged cluster lives at
     i while j is never read again. Complete linkage makes the recorded
     distances non-decreasing, so the result is the full history's prefix
-    of merges at distance <= upto. D is read, never modified; only its
-    upper triangle is used, and it must be square and finite."""
+    of merges at distance <= upto. D must be square and finite, and only
+    its upper triangle is read. The merges are made in D itself (a float64
+    D; another dtype is converted into a new array), so D is overwritten:
+    pass a copy to keep it. A refused D is left untouched."""
     _check_square(D)
     _check_finite(D)
-    return _merge(D.copy(), upto)
+    return _merge(D, upto)
 
 
 def cut_history(
@@ -198,58 +239,116 @@ def cut_history(
             for members in components(len(ids), ((i, j) for _, i, j in merges))]
 
 
-def _check_ids(ids: Sequence[int], D: np.ndarray) -> None:
+def _check_ids(ids: Sequence[int], rows: np.ndarray) -> None:
     if list(ids) != sorted(ids):
         raise ValueError("ids must be sorted ascending")
-    if len(ids) != D.shape[0]:
-        raise ValueError(f"{len(ids)} ids for a distance matrix of {D.shape[0]} rows")
+    if len(ids) != len(rows):
+        raise ValueError(f"{len(ids)} ids for a matrix of {len(rows)} rows")
 
 
 def hac_from_distance_matrix(
     ids: Sequence[int], D: np.ndarray, threshold: float
 ) -> list[frozenset[int]]:
     """Complete-linkage HAC over a precomputed distance matrix, cut at the
-    threshold: the cut of the merges of each connected component of
-    {D <= threshold}, agglomerated on its own (see the module docstring).
+    threshold one connected component at a time (see the module
+    docstring), each component agglomerated on a copy of its submatrix.
     ``ids`` label D's rows and must be sorted ascending so the tie-break
-    is id-based. D is read, never written, and must be square and
-    finite."""
+    is id-based. D is read, never written, and must be square and finite;
+    only its upper triangle is used."""
     _check_ids(ids, D)
     _check_square(D)
-    merges: list[tuple[float, int, int]] = []
-    for c in _threshold_components(D, threshold):
-        if len(c) == 2:
-            merges.append((float(D[c[0], c[1]]), c[0], c[1]))
-        else:
-            merges += [(d, c[i], c[j]) for d, i, j in _merge(D[np.ix_(c, c)], threshold)]
-    return cut_history(ids, merges, threshold)
 
+    def rows(r0: int, r1: int) -> np.ndarray:
+        _check_finite(D[r0:r1, :r0])  # the scan checks the rest
+        return D[r0:r1, r0:]
 
-def _threshold_components(D: np.ndarray, threshold: float) -> list[list[int]]:
-    """The connected components of two or more positions in the graph that
-    joins a < b when D[a, b] <= threshold, each ascending, ordered by
-    smallest member. D is scanned, and checked finite, a row block at a
-    time."""
-    n = D.shape[0]
-    parent = np.arange(n)
-    step = max(1, _BLOCK // max(n, 1))
-    for r0 in range(0, n, step):
-        block = D[r0:r0 + step]
-        _check_finite(block)
-        a, b = np.nonzero(block[:, r0 + 1:] <= threshold)
-        a += r0
-        b += r0 + 1
-        upper = a < b
-        link(parent, a[upper], b[upper])
-    return [c for c in groups(parent) if len(c) > 1]
+    found, _ = _threshold_graph(len(D), rows, threshold, keep=False)
+    return _cut_components(ids, ((c, D[np.ix_(c, c)]) for c in found), threshold)
 
 
 def hac_complete_linkage(
-    ids: Sequence[int], X: np.ndarray, threshold: float
+    ids: Sequence[int], X: np.ndarray, threshold: float, labels: Sequence | None = None
 ) -> list[frozenset[int]]:
     """Cluster the rows of X, labelled by the ascending ``ids``, by cosine
-    distance with complete linkage."""
-    return hac_from_distance_matrix(ids, cosine_distance_matrix(X, labels=ids), threshold)
+    distance with complete linkage, cut at the threshold one connected
+    component at a time. The distances are `cosine_distance_matrix`'s,
+    computed a row block at a time, and only those <= threshold are kept;
+    each component is agglomerated on a matrix of its edges' distances and
+    a sentinel above the threshold elsewhere, so no n×n array is built
+    (see the module docstring). A zero row is named by its ``labels``
+    entry (by default its id)."""
+    N = _unit_rows(X, ids if labels is None else labels)
+    _check_ids(ids, N)
+    n = len(N)
+    found, edges = _threshold_graph(n, lambda r0, r1: _cosine_rows(N, r0, r1), threshold,
+                                    keep=True)
+    matrices = _edge_matrices(n, found, edges, np.nextafter(threshold, np.inf))
+    return _cut_components(ids, zip(found, matrices), threshold)
+
+
+def _threshold_graph(n: int, rows, threshold: float, keep: bool):
+    """(components, edges) of the graph that joins positions a < b when
+    their distance is <= threshold, for the n×n matrix whose rows r0:r1
+    from column r0 on `rows(r0, r1)` returns (each block is checked
+    finite): the components of two or more positions, each ascending,
+    ordered by smallest member, and when ``keep``, the edges, one (r0,
+    flat indices into the block, distances) per row block holding any,
+    12 bytes an edge."""
+    parent = np.arange(n)
+    edges = []
+    for r0, r1 in _row_blocks(n):
+        block = rows(r0, r1)
+        _check_finite(block)
+        # row i, column j of the block is the pair (r0 + i, r0 + j)
+        near = np.flatnonzero(np.triu(block <= threshold, k=1))
+        if near.size:
+            a, b = np.divmod(near, n - r0)
+            link(parent, a + r0, b + r0)
+            if keep:
+                edges.append((r0, near.astype(np.int32), block[a, b]))
+        del block  # before the next one is computed
+    return [c for c in groups(parent) if len(c) > 1], edges
+
+
+def _edge_matrices(n: int, found: list[list[int]], edges: list,
+                   sentinel: float) -> list[np.ndarray]:
+    """The working matrix of each component (ascending positions) in
+    ``found``, as views into one buffer: the distances of its ``edges``
+    (see `_threshold_graph`) at their positions in the component, and
+    ``sentinel`` everywhere else. ``edges`` is emptied on the way, last
+    row block first: the later blocks hold fewer edges, so the index
+    temporaries stay small beside the edges not yet written."""
+    base = np.zeros(n, dtype=np.int64)
+    col = np.zeros(n, dtype=np.int64)
+    shapes = []
+    total = 0
+    for c in found:
+        k = len(c)
+        pos = np.arange(k)
+        base[c] = total + k * pos
+        col[c] = pos
+        shapes.append((total, k))
+        total += k * k
+    W = np.full(total, sentinel)
+    while edges:
+        r0, near, d = edges.pop()
+        a, b = np.divmod(near, n - r0)
+        W[base[a + r0] + col[b + r0]] = d
+    return [W[off:off + k * k].reshape(k, k) for off, k in shapes]
+
+
+def _cut_components(ids: Sequence[int], components: Iterable[tuple[list[int], np.ndarray]],
+                    threshold: float) -> list[frozenset[int]]:
+    """The cut at ``threshold`` from each component's working matrix: a
+    pair is one merge, a larger component is agglomerated on its own, and
+    all the merges go to one `cut_history` call."""
+    merges: list[tuple[float, int, int]] = []
+    for c, M in components:
+        if len(c) == 2:
+            merges.append((float(M[0, 1]), c[0], c[1]))
+        else:
+            merges += [(d, c[i], c[j]) for d, i, j in _merge(M, threshold)]
+    return cut_history(ids, merges, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +362,9 @@ def tune_threshold(ids: Sequence[int], D: np.ndarray, validation_gold: GoldClust
     the distances of the validation phrases labelled by the ascending
     ``ids``: the grid threshold with the highest validation mean F1 (ties
     to the smallest value), that score at each grid value, and the report
-    of the cut there. A one-value grid scores a fixed threshold."""
+    of the cut there. A one-value grid scores a fixed threshold. The
+    history is merged in D itself (`hac_merge_history`), so D is
+    overwritten: hand over a matrix built for the call."""
     if not ids:
         raise ConfigError("no phrases to tune a threshold on")
     upto = _tuning_bound(validation_gold, grid)
@@ -388,14 +489,14 @@ def build_clustering(
 
 
 def cluster_phrases(kb: OpenKB, kind: PhraseKind, V: np.ndarray, threshold: float) -> Clustering:
-    """Complete-linkage HAC over the cosine distances of the kind's whole
-    embedding matrix V (row i is phrase i), cut at ``threshold``;
-    frequency-weighted representatives."""
+    """`hac_complete_linkage` of the kind's whole embedding matrix V (row i
+    is phrase i), cut at ``threshold``; frequency-weighted
+    representatives."""
     vocab = kb.vocab(kind)
     if len(V) != len(vocab):
         raise ValueError(f"{len(V)} vectors for the KB's {len(vocab)} {kind.value} phrases")
-    D = cosine_distance_matrix(V, labels=[p.text for p in vocab])
-    member_sets = hac_from_distance_matrix(range(len(vocab)), D, threshold)
+    member_sets = hac_complete_linkage(range(len(vocab)), V, threshold,
+                                       labels=[p.text for p in vocab])
     return build_clustering(member_sets, kind, threshold, vocab, V)
 
 

@@ -340,9 +340,14 @@ def _forward(FE: np.ndarray, FR: np.ndarray, d: int, batch: TrainingBatch,
     if work is None:
         work = np.empty((4, len(s), FE.shape[1]), dtype=complex)
     S, O, Rr, C = work[:, :len(s)]
-    np.take(FE, s, axis=0, out=S)
-    np.take(FE, o, axis=0, out=O)
-    np.take(FR, p, axis=0, out=Rr)
+    # mode="clip" gathers straight into ``out`` ("raise" buffers it first),
+    # so the ids are range-checked once here instead
+    if s.size and (batch.spo.min() < 0 or max(s.max(), o.max()) >= len(FE)
+                   or p.max() >= len(FR)):
+        raise IndexError("a batch id is outside the embedding rows")
+    np.take(FE, s, axis=0, out=S, mode="clip")
+    np.take(FE, o, axis=0, out=O, mode="clip")
+    np.take(FR, p, axis=0, out=Rr, mode="clip")
     np.conjugate(S, out=C)
     C *= O
     eta = (Rr.view(float) * C.view(float)) @ np.repeat(_parseval_weights(d), 2)

@@ -186,10 +186,9 @@ def build_kb(records: Iterable[dict]) -> OpenKB:
         s = nps.add(rec["subject"])
         p = rels.add(rec["relation"])
         o = nps.add(rec["object"])
-        triples.append(Triple(
-            triple_id=rec["triple_id"], subject=s, relation=p, object=o,
-            source_sentences=tuple(rec.get("src_sentences", ())),
-            **{attr: rec.get(name) for name, attr in _OPTIONAL_FIELDS.items()}))
+        triples.append(Triple(rec["triple_id"], s, p, o,
+                              tuple(rec.get("src_sentences", ())),
+                              *map(rec.get, _OPTIONAL_FIELDS)))
     return OpenKB(triples=tuple(triples), np_vocab=nps.phrases(), rel_vocab=rels.phrases())
 
 
@@ -208,7 +207,8 @@ def index_contains(kb: OpenKB, keys: np.ndarray) -> np.ndarray:
 
 
 _REQUIRED_FIELDS = ("subject", "relation", "object")
-# the triples file's optional string fields, each to the Triple field it fills
+# the triples file's optional string fields, each to the Triple field it
+# fills, in Triple's field order: `build_kb` passes them by position
 _OPTIONAL_FIELDS = {"entity_link_sub": "subject_link", "entity_link_obj": "object_link",
                     "gold_sub_id": "gold_subject", "gold_obj_id": "gold_object"}
 

@@ -211,7 +211,7 @@ class TestHacAgainstOracle:
             X = random_points(rand, n, 3, quantized=rand.random() < 0.5)
             D = cosine_distance_matrix(X)
             ids = list(range(n))
-            history = hac_merge_history(D)
+            history = hac_merge_history(D.copy())
             for t in (0.0, 0.2, 0.5, 0.9, 1.5, 2.0):
                 assert cut_history(ids, history, t) == hac_from_distance_matrix(
                     ids, D, t
@@ -248,7 +248,7 @@ class TestMergeHistory:
             matrices.append(cosine_distance_matrix(X))
         matrices += [tie_heavy_matrix(rng, rand.randint(2, 300)) for _ in range(12)]
         for D in matrices:
-            assert hac_merge_history(D) == reference_merge_history(D), D.shape
+            assert hac_merge_history(D.copy()) == reference_merge_history(D), D.shape
 
     def test_upto_stops_at_the_reference_prefix(self):
         # Checked at every distinct height (ties at exactly `upto` are
@@ -267,14 +267,21 @@ class TestMergeHistory:
             between = [(a + b) / 2 for a, b in zip(heights, heights[1:])]
             for upto in heights + between + [0.0, 2.0]:
                 prefix = list(itertools.takewhile(lambda m: m[0] <= upto, full))
-                assert hac_merge_history(D, upto) == prefix, (D.shape, upto)
+                assert hac_merge_history(D.copy(), upto) == prefix, (D.shape, upto)
         assert len(hac_merge_history(np.zeros((4, 4)), 0.0)) == 3
 
-    def test_leaves_input_unmodified(self):
+    @pytest.mark.parametrize("bad", ["shape", np.inf, np.nan])
+    def test_leaves_refused_input_unmodified(self, bad):
+        # the merges are made in D itself, but only once D passes the checks
         X = random_points(random.Random(16), 30, 4, quantized=True)
         D = cosine_distance_matrix(X)
+        if bad == "shape":
+            D = D[:, :-1]
+        else:
+            D[3, 7] = bad
         before = D.tobytes()
-        hac_merge_history(D)
+        with pytest.raises(ValueError):
+            hac_merge_history(D)
         assert D.tobytes() == before
 
     def test_non_square_rejected(self):
@@ -377,6 +384,48 @@ class TestComponentCut:
             hac_from_distance_matrix(range(10), D, 0.5)
 
 
+class TestCosineCut:
+    """`hac_complete_linkage` computes its distances a row block at a time
+    and keeps only the edges; its partition is the dense cut's."""
+
+    @staticmethod
+    def inputs() -> list[np.ndarray]:
+        rand = random.Random(27)
+        inputs = []
+        for k in range(16):
+            inputs.append(random_points(rand, rand.randint(1, 60), rand.randint(2, 6),
+                                        quantized=bool(k % 2)))
+        for _ in range(4):
+            # duplicate rows, some of them scaled: pairs at distance 0 (or
+            # within rounding of it), repeated in several components
+            X = random_points(rand, rand.randint(2, 20), rand.randint(2, 5),
+                              quantized=False)
+            picks = [rand.randrange(len(X)) for _ in range(2 * len(X))]
+            inputs.append(X[picks] * np.asarray([rand.choice([1.0, 3.0]) for _ in picks])[:, None])
+        return inputs
+
+    @pytest.mark.parametrize("block", [None, 7, 200])
+    def test_equals_dense_cut(self, block, monkeypatch):
+        # Checked at 0, at 2 and between consecutive merge heights; a
+        # 7-entry block makes every row a block of its own, a 200-entry
+        # one blocks of a few rows.
+        if block:
+            monkeypatch.setattr(kbcanon.canonicalize, "_BLOCK", block)
+        for X in self.inputs():
+            ids = list(range(len(X)))
+            D = cosine_distance_matrix(X)
+            heights = np.unique([d for d, _, _ in hac_merge_history(D.copy())])
+            for t in [0.0, 2.0, *(heights[1:] + heights[:-1]) / 2]:
+                assert hac_complete_linkage(ids, X, t) == hac_from_distance_matrix(ids, D, t)
+
+    def test_zero_row_named_by_its_label(self):
+        X = np.array([[1.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ZeroVectorError, match="'b'"):
+            hac_complete_linkage([0, 1], X, 0.5, labels=["a", "b"])
+        with pytest.raises(ZeroVectorError, match=r"\[7\]"):
+            hac_complete_linkage([3, 7], X, 0.5)
+
+
 class TestComponentCutMemory:
     """Beyond D, the cut holds row blocks of its scan and one working copy
     per component, never a whole-matrix copy or mask."""
@@ -402,6 +451,42 @@ class TestComponentCutMemory:
         # a working copy beside D, and this cut may not hold more
         D = cosine_distance_matrix(random_points(random.Random(26), self.N, 8, quantized=False))
         assert self.traced_peak(D, 2.0) <= 2 * D.nbytes
+
+
+class TestCosineCutMemory:
+    """Beyond the vectors, the cosine cut holds row blocks of its scan, the
+    edges and the components' matrices, never an n×n array; tuning holds
+    its one matrix and no copy of it."""
+
+    N = 1500
+    DENSE = N * N * 8  # bytes of one n×n float64 matrix
+
+    @staticmethod
+    def traced_peak(call, *args) -> int:
+        tracemalloc.start()
+        try:
+            call(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_no_edge_allocates_a_fraction_of_d(self):
+        X = random_points(random.Random(28), self.N, 8, quantized=False)
+        assert self.traced_peak(hac_complete_linkage, range(self.N), X, 0.0) < 0.25 * self.DENSE
+
+    def test_one_component_allocates_no_more_than_d_and_a_copy(self):
+        # at t = 2 everything is one component: the edges and its working
+        # matrix, where the dense cut held D and the component's copy
+        X = random_points(random.Random(29), self.N, 8, quantized=False)
+        assert self.traced_peak(hac_complete_linkage, range(self.N), X, 2.0) <= 2 * self.DENSE
+
+    def test_choose_threshold_merges_in_its_one_matrix(self):
+        # D and no copy of it: the merge history is made in D itself
+        rand = random.Random(30)
+        X = random_points(rand, self.N, 8, quantized=False)
+        gold = GoldClustering(PhraseKind.NP, {i: f"g{rand.randrange(40)}"
+                                              for i in range(0, self.N, 3)})
+        assert self.traced_peak(choose_threshold, range(self.N), X, gold) <= 1.25 * self.DENSE
 
 
 class TestHacProperties:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kbcanon.errors import ConfigError, ParseError, TrainingDivergedError
-from kbcanon.kb import PhraseKind, build_kb
+from kbcanon.kb import PhraseKind, Triple, build_kb
 from kbcanon.embedding import (
     EmbeddingSet,
     HyperParams,
@@ -214,6 +214,19 @@ class TestGradient:
         assert np.allclose(g_np[0], 2 * 0.7 * diff, atol=1e-12)
         assert np.allclose(g_np[1], -2 * 0.7 * diff, atol=1e-12)
         assert np.allclose(g_np[2:], 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    @pytest.mark.parametrize("outside", ["past_the_end", "negative"])
+    def test_batch_id_outside_the_rows_raises(self, column, outside):
+        # the rows are gathered without numpy's own range check, so the
+        # trainer makes its own; a negative id is refused, not wrapped
+        kb = small_kb()
+        emb = random_embeddings(kb, 4, seed=12)
+        spo = [1, 0, 2]
+        spo[column] = -1 if outside == "negative" else (kb.n_rels if column == 1 else kb.n_nps)
+        batch = make_training_batch([Triple(0, *spo)], [[Triple(-1, 1, 0, 3)]])
+        with pytest.raises(IndexError, match="outside the embedding rows"):
+            gradient(emb, batch, EMPTY_SIDE_INFO, HyperParams(dim=4))
 
     def test_matches_finite_differences_small(self):
         max_err = _finite_difference_max_error(n_draws=5, dim=6, seed=123)

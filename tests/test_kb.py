@@ -129,6 +129,15 @@ class TestLoadTriples:
         kb = build_kb(records_from_spo([("Apple", "r", "apple")]))
         assert kb.n_nps == 2
 
+    def test_optional_fields_fill_their_triple_fields(self):
+        # build_kb passes the optional fields by position
+        kb = build_kb([{"triple_id": 0, "subject": "a", "relation": "r", "object": "b",
+                        "entity_link_sub": "Qa", "entity_link_obj": "Qb",
+                        "gold_sub_id": "Ea", "gold_obj_id": "Eb"}])
+        t = kb.triples[0]
+        assert (t.subject_link, t.object_link, t.gold_subject, t.gold_object) == (
+            "Qa", "Qb", "Ea", "Eb")
+
 
 class TestNormalizeWhitespace:
     def test_collapses_and_trims(self):
