@@ -21,6 +21,7 @@ from .canonicalize import (
     DEFAULT_THRESHOLD_GRID,
     Cluster,
     Clustering,
+    Triangle,
     choose_threshold,
     cluster_phrases,
     hac_from_distance_matrix,
@@ -306,7 +307,7 @@ def run_baseline(cfg: BaselineConfig, kb: OpenKB, *, ppdb_file=None,
             sets = attribute_sets(kb)
             D = _overlap_distance_matrix([sets[p.id] for p in vocab], _jaccard)
         if threshold is None:
-            threshold = tune_threshold_on_matrix(val, D[np.ix_(val, val)], validation_gold, grid)
+            threshold = tune_threshold_on_matrix(val, Triangle.of(D, val), validation_gold, grid)
         member_sets = hac_from_distance_matrix(range(len(vocab)), D, threshold)
         return _freq_clustering(kb, kind, member_sets, threshold)
 

@@ -2,7 +2,8 @@
 
 Complete-linkage hierarchical agglomerative clustering over cosine
 distance (1 - cosine similarity). One loop, `_merge`, merges a distance
-matrix with cached per-row nearest neighbours (the "generic" algorithm of
+matrix held as its packed upper triangle (`Triangle`, n(n-1)/2 values)
+with cached per-row nearest neighbours (the "generic" algorithm of
 Müllner 2011) and records every merge, up to the highest threshold its
 caller reads; ties break toward the pair with the lexicographically
 smallest (minimum member id, minimum member id). Complete linkage has
@@ -18,26 +19,29 @@ one component never changes another's merges up to t; (iii) a component
 keeps its positions in id order, so ties break as they do in the whole
 matrix. The partition is the union of the component cuts. Singletons
 need no matrix and a pair is one merge; a larger component agglomerates
-its own matrix. A corollary: replacing any entry above t by another
-value above t leaves the cut unchanged, so a component's matrix may hold
-its edges' distances and a finite sentinel above t everywhere else.
+its own triangle. A corollary: replacing any entry above t by another
+value above t leaves the cut unchanged, so a component's triangle may
+hold its edges' distances and a finite sentinel above t everywhere else.
 
 Both cuts find the edges one row block of distances at a time.
 `hac_from_distance_matrix` reads the blocks from a dense D (the overlap
-baselines') and agglomerates each component on a copy of its submatrix.
-`hac_complete_linkage` computes each block from its diagonal on,
-1 - N[r0:r1] @ N[r0:].T for the unit rows N, the way
-`cosine_distance_matrix` computes its rows, so both read the same bits.
-It keeps the edges with their distances (12 bytes each) and builds each
-component's matrix from them with the sentinel, so it never holds an n×n
-array: beyond the vectors, it holds the edges, one row block and the
-components' matrices.
+baselines') and agglomerates each component on the triangle of its
+submatrix, gathered from D a row at a time. `hac_complete_linkage`
+computes each block from its diagonal on, 1 - N[r0:r1] @ N[r0:].T for
+the unit rows N, the way `cosine_distance_matrix` computes its rows, so
+both read the same bits. It keeps the edges with their distances (12
+bytes each) and builds each component's triangle from them with the
+sentinel, so it never holds an n×n array: beyond the vectors, it holds
+the edges, one row block and the components' triangles.
 
 Every method tunes its threshold (`tune_threshold`) on one history over
 the validation phrases (`hac_merge_history`), which `best_cut` replays
 once, scoring every grid value on the way. The history is merged in the
-distance matrix it is handed, which the tuner always builds for the
-call, so tuning holds one n×n array.
+packed triangle of their distances, built for the call with no square
+matrix (by `cosine_triangle` from the same row blocks, or gathered by
+`Triangle.of` from the overlap baselines' D), so tuning holds half of
+one n×n float64 array: 7.0 MB against 14.0 MB at 1,322 validation
+phrases, and (computed, not run) 205 MB against 410 MB at 7,163.
 """
 
 from __future__ import annotations
@@ -98,6 +102,38 @@ class Clustering:
 # distances
 
 
+class Triangle:
+    """A symmetric n×n distance matrix stored as its row-major upper
+    triangle: the n(n-1)/2 float64 distances of the position pairs a < b,
+    the pair (a, b) at a·n - a(a+1)/2 + b - a - 1 (the order of scipy's
+    condensed form), half the memory of the square. ``shape`` is the
+    square's, (n, n)."""
+
+    def __init__(self, n: int, values: np.ndarray | None = None):
+        self.n = n
+        self.values = np.empty(n * (n - 1) // 2) if values is None else values
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.n, self.n)
+
+    def row(self, a: int) -> np.ndarray:
+        """The distances of the pairs (a, b), b > a, in b order: a view."""
+        start = a * (2 * self.n - a - 1) // 2
+        return self.values[start:start + self.n - a - 1]
+
+    @classmethod
+    def of(cls, D: np.ndarray, rows: Sequence[int] | None = None) -> Triangle:
+        """The upper triangle of the square D, or of D[np.ix_(rows, rows)]
+        for the ascending ``rows``, gathered a row at a time, so no square
+        copy is made."""
+        rows = np.arange(len(D)) if rows is None else np.asarray(rows)
+        T = cls(len(rows))
+        for a, r in enumerate(rows):
+            T.row(a)[:] = D[r, rows[a + 1:]]
+        return T
+
+
 def _unit_rows(X: np.ndarray, labels: Sequence | None = None) -> np.ndarray:
     """The rows of X scaled to unit length. Rows must be nonzero;
     offenders are named via ``labels`` when given."""
@@ -128,8 +164,9 @@ def _cosine_rows(N: np.ndarray, r0: int, r1: int, out: np.ndarray | None = None)
     r0 on, 1 - N[r0:r1] @ N[r0:].T, written into ``out`` when given. BLAS
     may round a product of some rows differently from a product of
     others, so every cosine distance in this module is computed by this
-    call over `_row_blocks`: the cosine cut then reads the bits of
-    `cosine_distance_matrix`, whatever the block size or thread count."""
+    call over `_row_blocks`: the cosine cut and `cosine_triangle` then
+    read the bits of `cosine_distance_matrix`, whatever the block size or
+    thread count."""
     G = np.matmul(N[r0:r1], N[r0:].T, out=out)
     return np.subtract(1.0, G, out=G)
 
@@ -146,29 +183,42 @@ def cosine_distance_matrix(X: np.ndarray, labels: Sequence | None = None) -> np.
     return D
 
 
+def cosine_triangle(X: np.ndarray, labels: Sequence | None = None) -> Triangle:
+    """`cosine_distance_matrix` as a packed `Triangle`, built from the
+    same row blocks, so it holds the same bits in half the memory."""
+    N = _unit_rows(X, labels)
+    T = Triangle(len(N))
+    for r0, r1 in _row_blocks(len(N)):
+        block = _cosine_rows(N, r0, r1)
+        for a in range(r0, r1):
+            T.row(a)[:] = block[a - r0, a - r0 + 1:]
+        del block  # before the next one is computed
+    return T
+
+
 # ---------------------------------------------------------------------------
 # agglomeration
 
 # Clusters live at matrix positions (row/column indices in the order the
 # ids were given, which callers keep id-sorted); a merge keeps the smaller
-# position, so position order equals minimum-member-id order. The working
-# matrix M is the matrix handed over with its upper triangle mirrored into
-# the lower one, and +inf on the diagonal.
+# position, so position order equals minimum-member-id order. The loop
+# merges in the packed upper triangle it is handed, where row k's pairs
+# (k, b), b > k, are contiguous and column b's pairs (k, b), k < b, are
+# gathered by index.
 #
-# Each row caches its nearest neighbour: nn[k] is the first argmin of row k
-# over the live columns and nd[k] its distance. i = argmin(nd) is the
-# smallest row holding the global minimum d, and j = nn[i] > i (a smaller
-# j would hold d in its own row and win the argmin first), so each merge
-# takes the smallest (distance, i, j), the same pair a flat row-major
-# argmin over the upper triangle finds. A complete-linkage update only
-# raises distances: the survivor's row and column become
-# max(M[i], M[j]). j is retired without a write to M: ``retired`` holds
-# +inf at its position, and a rescan adds it to the rows, so retired
-# columns never win. Another row's cached first argmin therefore stays
-# exact unless it pointed at j, or pointed at i and the new distance to i
-# exceeds it; only those rows are rescanned, the survivor's among them
-# (nn[i] == j). A retired row caches nn = -1 and nd = inf, so it never
-# matches again.
+# Each row caches its nearest neighbour to the right: nn[k] is the first
+# argmin of the live pairs (k, b), b > k, and nd[k] its distance. i =
+# argmin(nd) is the smallest row holding the global minimum d and j =
+# nn[i] the first column of that row holding it, so each merge takes the
+# smallest (distance, i, j), the pair a flat row-major argmin over the
+# upper triangle finds. A complete-linkage update only raises distances:
+# the survivor's pairs become the maximum of its and j's. j is retired by
+# writing +inf over its pairs (k, j), k < j, so no rescan finds it, and
+# caching nn = -1, nd = inf; its own row is never read again. A row's
+# cached first argmin therefore stays exact unless it pointed at j, or
+# pointed at i and the new distance to i exceeds it; only those rows are
+# rescanned, the survivor's among them (nn[i] == j). ``pointing[b]``
+# holds the rows whose nn is b, so they are found without a scan.
 
 def _check_square(D: np.ndarray) -> None:
     n = D.shape[0]
@@ -181,52 +231,75 @@ def _check_finite(D: np.ndarray) -> None:
         raise ValueError("distance matrix must be finite")
 
 
-def _merge(M: np.ndarray, upto: float) -> list[tuple[float, int, int]]:
-    """`hac_merge_history` of a square working matrix the caller hands
-    over: only its upper triangle is read, and the loop overwrites the rest
-    and merges in it."""
-    n = M.shape[0]
+def _merge(T: Triangle, upto: float) -> list[tuple[float, int, int]]:
+    """`hac_merge_history` of a finite packed triangle the caller hands
+    over; the loop merges in it and overwrites it."""
+    n, P = T.n, T.values
     if n < 2:
         return []
-    M = M.astype(float, copy=False)
-    for r0, r1 in _row_blocks(n):
-        M[r0:r1, :r0] = M[:r0, r0:r1].T
-        square = M[r0:r1, r0:r1]
-        lower = np.tri(r1 - r0, k=-1, dtype=bool)
-        square[lower] = square.T[lower]
-    np.fill_diagonal(M, np.inf)
-    nn = M.argmin(axis=1)
-    nd = M[np.arange(n), nn]
-    retired = np.zeros(n)
+    # P[start[k]:start[k + 1]] is row k, and P[col[k] + b] the pair (k, b)
+    start = [a * (2 * n - a - 1) // 2 for a in range(n + 1)]
+    col = np.array(start[:n]) - np.arange(1, n + 1)
+    nn = [-1] * n
+    nd = np.full(n, np.inf)
+    pointing = [set() for _ in range(n)]
+
+    def rescan(k: int) -> None:
+        row = P[start[k]:start[k + 1]]
+        b = int(row.argmin())
+        nn[k], nd[k] = k + 1 + b, row[b]
+        pointing[k + 1 + b].add(k)
+
+    for k in range(n - 1):
+        rescan(k)
     history: list[tuple[float, int, int]] = []
     for _ in range(n - 1):
         i = int(nd.argmin())
         if nd[i] > upto:
             break
-        j = int(nn[i])
+        j = nn[i]
         history.append((float(nd[i]), i, j))
-        new = np.maximum(M[i], M[j])
-        nn[j], nd[j], retired[j] = -1, np.inf, np.inf
-        rows = np.flatnonzero((nn == j) | ((nn == i) & (new > nd)))
-        M[i], M[:, i] = new, new
-        nn[rows] = (M[rows] + retired).argmin(axis=1)
-        nd[rows] = M[rows, nn[rows]]
+        to_j = col[:j] + j  # the pairs (k, j), k < j
+        if i:
+            to_i = to_j[:i] - (j - i)  # the pairs (k, i), k < i
+            P[to_i] = np.maximum(P[to_i], P[to_j[:i]])
+        row_i = P[start[i]:start[i + 1]]
+        if j > i + 1:
+            between = row_i[:j - i - 1]
+            np.maximum(between, P[to_j[i + 1:]], out=between)
+        after = row_i[j - i:]
+        np.maximum(after, P[start[j]:start[j + 1]], out=after)
+        P[to_j] = np.inf
+        if nn[j] >= 0:  # the last row has no pairs to point at
+            pointing[nn[j]].discard(j)
+        nn[j], nd[j] = -1, np.inf
+        stale, pointing[j] = pointing[j], set()
+        stale |= {k for k in pointing[i] if P[col[k] + i] > nd[k]}
+        pointing[i] -= stale
+        for k in stale:
+            rescan(k)
     return history
 
 
-def hac_merge_history(D: np.ndarray, upto: float = np.inf) -> list[tuple[float, int, int]]:
+def hac_merge_history(D: np.ndarray | Triangle,
+                      upto: float = np.inf) -> list[tuple[float, int, int]]:
     """Agglomerate until the next merge is farther than ``upto`` (by
     default, to a single cluster), recording (distance, i, j) per merge
     with i < j as matrix positions: i and j are two live clusters'
     positions, each its smallest member's, and the merged cluster lives at
     i while j is never read again. Complete linkage makes the recorded
     distances non-decreasing, so the result is the full history's prefix
-    of merges at distance <= upto. D must be square and finite, and only
-    its upper triangle is read. The merges are made in D itself (a float64
-    D; another dtype is converted into a new array), so D is overwritten:
-    pass a copy to keep it. A refused D is left untouched."""
-    _check_square(D)
-    _check_finite(D)
+    of merges at distance <= upto. D must be finite and is either a
+    `Triangle`, in which the merges are made, so it is overwritten, or a
+    square matrix, of which only the upper triangle is read: it is packed
+    into a new `Triangle`, half its size, and left untouched. A refused D
+    is left untouched."""
+    if isinstance(D, Triangle):
+        _check_finite(D.values)
+    else:
+        _check_square(D)
+        _check_finite(D)
+        D = Triangle.of(D)
     return _merge(D, upto)
 
 
@@ -239,11 +312,12 @@ def cut_history(
             for members in components(len(ids), ((i, j) for _, i, j in merges))]
 
 
-def _check_ids(ids: Sequence[int], rows: np.ndarray) -> None:
+def _check_ids(ids: Sequence[int], rows: np.ndarray | Triangle) -> None:
+    n = rows.shape[0]
     if list(ids) != sorted(ids):
         raise ValueError("ids must be sorted ascending")
-    if len(ids) != len(rows):
-        raise ValueError(f"{len(ids)} ids for a matrix of {len(rows)} rows")
+    if len(ids) != n:
+        raise ValueError(f"{len(ids)} ids for a matrix of {n} rows")
 
 
 def hac_from_distance_matrix(
@@ -251,7 +325,8 @@ def hac_from_distance_matrix(
 ) -> list[frozenset[int]]:
     """Complete-linkage HAC over a precomputed distance matrix, cut at the
     threshold one connected component at a time (see the module
-    docstring), each component agglomerated on a copy of its submatrix.
+    docstring), each component agglomerated on the packed upper triangle
+    of its submatrix.
     ``ids`` label D's rows and must be sorted ascending so the tie-break
     is id-based. D is read, never written, and must be square and finite;
     only its upper triangle is used."""
@@ -263,7 +338,7 @@ def hac_from_distance_matrix(
         return D[r0:r1, r0:]
 
     found, _ = _threshold_graph(len(D), rows, threshold, keep=False)
-    return _cut_components(ids, ((c, D[np.ix_(c, c)]) for c in found), threshold)
+    return _cut_components(ids, ((c, Triangle.of(D, c)) for c in found), threshold)
 
 
 def hac_complete_linkage(
@@ -311,13 +386,15 @@ def _threshold_graph(n: int, rows, threshold: float, keep: bool):
 
 
 def _edge_matrices(n: int, found: list[list[int]], edges: list,
-                   sentinel: float) -> list[np.ndarray]:
-    """The working matrix of each component (ascending positions) in
-    ``found``, as views into one buffer: the distances of its ``edges``
-    (see `_threshold_graph`) at their positions in the component, and
-    ``sentinel`` everywhere else. ``edges`` is emptied on the way, last
-    row block first: the later blocks hold fewer edges, so the index
-    temporaries stay small beside the edges not yet written."""
+                   sentinel: float) -> list[Triangle]:
+    """The packed working triangle of each component (ascending
+    positions) in ``found``, with its values a view into one buffer: the
+    distances of its ``edges`` (see `_threshold_graph`) at their pairs in
+    the component, and ``sentinel`` everywhere else. ``edges`` is emptied
+    on the way, last row block first: the later blocks hold fewer edges,
+    so the index temporaries stay small beside the edges not yet
+    written."""
+    # the pair (a, b), a < b, of a component sits at base[a] + col[b]
     base = np.zeros(n, dtype=np.int64)
     col = np.zeros(n, dtype=np.int64)
     shapes = []
@@ -325,29 +402,29 @@ def _edge_matrices(n: int, found: list[list[int]], edges: list,
     for c in found:
         k = len(c)
         pos = np.arange(k)
-        base[c] = total + k * pos
+        base[c] = total + pos * (2 * k - pos - 1) // 2 - pos - 1
         col[c] = pos
         shapes.append((total, k))
-        total += k * k
+        total += k * (k - 1) // 2
     W = np.full(total, sentinel)
     while edges:
         r0, near, d = edges.pop()
         a, b = np.divmod(near, n - r0)
         W[base[a + r0] + col[b + r0]] = d
-    return [W[off:off + k * k].reshape(k, k) for off, k in shapes]
+    return [Triangle(k, W[off:off + k * (k - 1) // 2]) for off, k in shapes]
 
 
-def _cut_components(ids: Sequence[int], components: Iterable[tuple[list[int], np.ndarray]],
+def _cut_components(ids: Sequence[int], components: Iterable[tuple[list[int], Triangle]],
                     threshold: float) -> list[frozenset[int]]:
-    """The cut at ``threshold`` from each component's working matrix: a
+    """The cut at ``threshold`` from each component's working triangle: a
     pair is one merge, a larger component is agglomerated on its own, and
     all the merges go to one `cut_history` call."""
     merges: list[tuple[float, int, int]] = []
-    for c, M in components:
+    for c, T in components:
         if len(c) == 2:
-            merges.append((float(M[0, 1]), c[0], c[1]))
+            merges.append((float(T.values[0]), c[0], c[1]))
         else:
-            merges += [(d, c[i], c[j]) for d, i, j in _merge(M, threshold)]
+            merges += [(d, c[i], c[j]) for d, i, j in _merge(T, threshold)]
     return cut_history(ids, merges, threshold)
 
 
@@ -355,16 +432,17 @@ def _cut_components(ids: Sequence[int], components: Iterable[tuple[list[int], np
 # threshold selection
 
 
-def tune_threshold(ids: Sequence[int], D: np.ndarray, validation_gold: GoldClustering,
+def tune_threshold(ids: Sequence[int], D: np.ndarray | Triangle,
+                   validation_gold: GoldClustering,
                    grid: Sequence[float] = DEFAULT_THRESHOLD_GRID,
                    ) -> tuple[float, list[float], MetricsReport | None]:
     """`best_cut` of D's merge history up to the top of the grid, for D
     the distances of the validation phrases labelled by the ascending
     ``ids``: the grid threshold with the highest validation mean F1 (ties
     to the smallest value), that score at each grid value, and the report
-    of the cut there. A one-value grid scores a fixed threshold. The
-    history is merged in D itself (`hac_merge_history`), so D is
-    overwritten: hand over a matrix built for the call."""
+    of the cut there. A one-value grid scores a fixed threshold. D is
+    a square matrix or a `Triangle`, which `hac_merge_history` merges in
+    and so overwrites: hand over a triangle built for the call."""
     if not ids:
         raise ConfigError("no phrases to tune a threshold on")
     upto = _tuning_bound(validation_gold, grid)
@@ -376,12 +454,11 @@ def choose_threshold(ids: Sequence[int], X: np.ndarray, validation_gold: GoldClu
                      grid: Sequence[float] = DEFAULT_THRESHOLD_GRID,
                      labels: Sequence | None = None,
                      ) -> tuple[float, list[float], MetricsReport | None]:
-    """`tune_threshold` on the cosine distances of the rows of X, labelled
-    by the ascending ``ids``, after the gold and grid checks; a zero row is
-    named by its ``labels`` entry (by default its id)."""
+    """`tune_threshold` on the `cosine_triangle` of the rows of X,
+    labelled by the ascending ``ids``, after the gold and grid checks; a
+    zero row is named by its ``labels`` entry (by default its id)."""
     _tuning_bound(validation_gold, grid)
-    D = cosine_distance_matrix(X, labels=labels or ids)
-    return tune_threshold(ids, D, validation_gold, grid)
+    return tune_threshold(ids, cosine_triangle(X, labels=labels or ids), validation_gold, grid)
 
 
 def _tuning_bound(validation_gold: GoldClustering | None, grid: Sequence[float]) -> float:

@@ -518,6 +518,40 @@ class TestSimilarityBaselines:
         assert bounds == [max(DEFAULT_THRESHOLD_GRID)]
         assert cuts == [(kb.n_nps, clustering.threshold_used)]
 
+    def test_tuning_adds_no_square_validation_copy(self, monkeypatch):
+        # Traced from the moment the vocabulary's D is built to the cut:
+        # tuning holds the packed triangle of the validation phrases' D,
+        # half a square copy, and 1 MB for the rest (history, reports).
+        rand = random.Random(32)
+        words = [f"w{k}" for k in range(400)]
+        kb = np_kb(*sorted({" ".join(rand.sample(words, 2)) for _ in range(1300)})[:1200])
+        val = [i for i in range(kb.n_nps) if i % 3]
+        gold = GoldClustering(PhraseKind.NP, {i: f"g{i // 6}" for i in val})
+        build = kbcanon.baselines._overlap_distance_matrix
+        cut = kbcanon.baselines.hac_from_distance_matrix
+        peaks = []
+
+        def traced_build(*args):
+            D = build(*args)
+            tracemalloc.start()
+            return D
+
+        def untraced_cut(ids, D, threshold):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+            return cut(ids, D, threshold)
+
+        monkeypatch.setattr(kbcanon.baselines, "_overlap_distance_matrix", traced_build)
+        monkeypatch.setattr(kbcanon.baselines, "hac_from_distance_matrix", untraced_cut)
+        try:
+            run_baseline(BaselineConfig(BaselineName.IDF_HAC), kb, validation_gold=gold,
+                         validation_ids=val)
+        finally:
+            tracemalloc.stop()
+        triangle = len(val) * (len(val) - 1) // 2 * 8
+        assert len(peaks) == 1
+        assert peaks[0] < triangle + 2**20 < len(val) ** 2 * 8
+
 
 # ---------------------------------------------------------------------------
 # embedding methods

@@ -25,6 +25,7 @@ from kbcanon.canonicalize import (
     choose_threshold,
     cluster_phrases,
     cosine_distance_matrix,
+    cosine_triangle,
     cut_history,
     hac_complete_linkage,
     hac_from_distance_matrix,
@@ -408,12 +409,15 @@ class TestCosineCut:
     def test_equals_dense_cut(self, block, monkeypatch):
         # Checked at 0, at 2 and between consecutive merge heights; a
         # 7-entry block makes every row a block of its own, a 200-entry
-        # one blocks of a few rows.
+        # one blocks of a few rows. The packed triangle that tuning builds
+        # holds D's upper triangle bit for bit.
         if block:
             monkeypatch.setattr(kbcanon.canonicalize, "_BLOCK", block)
         for X in self.inputs():
             ids = list(range(len(X)))
             D = cosine_distance_matrix(X)
+            assert (cosine_triangle(X).values.tobytes()
+                    == D[np.triu_indices(len(X), 1)].tobytes())
             heights = np.unique([d for d, _, _ in hac_merge_history(D.copy())])
             for t in [0.0, 2.0, *(heights[1:] + heights[:-1]) / 2]:
                 assert hac_complete_linkage(ids, X, t) == hac_from_distance_matrix(ids, D, t)
@@ -455,8 +459,9 @@ class TestComponentCutMemory:
 
 class TestCosineCutMemory:
     """Beyond the vectors, the cosine cut holds row blocks of its scan, the
-    edges and the components' matrices, never an n×n array; tuning holds
-    its one matrix and no copy of it."""
+    edges and the components' triangles, never an n×n array; tuning holds
+    the packed triangle of its distances, and one row block while it
+    builds it."""
 
     N = 1500
     DENSE = N * N * 8  # bytes of one n×n float64 matrix
@@ -481,12 +486,17 @@ class TestCosineCutMemory:
         assert self.traced_peak(hac_complete_linkage, range(self.N), X, 2.0) <= 2 * self.DENSE
 
     def test_choose_threshold_merges_in_its_one_matrix(self):
-        # D and no copy of it: the merge history is made in D itself
+        # the triangle, half of one n×n matrix, one row block of 2^18
+        # entries and 1 MB for the rest (unit rows, history, reports);
+        # the n×n matrix alone would exceed it
         rand = random.Random(30)
         X = random_points(rand, self.N, 8, quantized=False)
         gold = GoldClustering(PhraseKind.NP, {i: f"g{rand.randrange(40)}"
                                               for i in range(0, self.N, 3)})
-        assert self.traced_peak(choose_threshold, range(self.N), X, gold) <= 1.25 * self.DENSE
+        triangle = self.N * (self.N - 1) // 2 * 8
+        block = kbcanon.canonicalize._BLOCK * 8
+        assert (self.traced_peak(choose_threshold, range(self.N), X, gold)
+                < triangle + block + 2**20 < self.DENSE)
 
 
 class TestHacProperties:
