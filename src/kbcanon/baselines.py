@@ -25,7 +25,9 @@ from .canonicalize import (
     choose_threshold,
     cluster_phrases,
     hac_from_distance_matrix,
+    hac_from_pairs,
     hac_merge_history,  # noqa: F401 -- bound here too, where the benchmark's tracer rebinds it
+    pair_triangle,
     tune_threshold,
 )
 from .embedding import (
@@ -45,10 +47,10 @@ from .side_info import (
     components,
     content_tokens,
     entity_link_equivalences,
-    idf_overlap_score,
+    idf_weight,
     morph_equivalences,
+    overlap_scores,
     ppdb_equivalences,
-    shared_key_pairs,
 )
 
 logger = logging.getLogger(__name__)
@@ -198,32 +200,30 @@ def _jaro_winkler_block(codes: np.ndarray, starts: np.ndarray, lens: np.ndarray,
     return np.where(m == 0, 0.0, jw)
 
 
-def attribute_sets(kb: OpenKB) -> dict[int, frozenset[tuple[str, int, int]]]:
-    """Per NP, the set of (position, relation, other NP) attributes it
-    co-occurs with: subject occurrences yield ("s", r, o), object
-    occurrences ("o", r, s)."""
-    sets: dict[int, set] = {p.id: set() for p in kb.np_vocab}
-    for s, p, o in zip(*kb.spo.tolist()):
-        sets[s].add(("s", p, o))
-        sets[o].add(("o", p, s))
-    return {pid: frozenset(s) for pid, s in sets.items()}
-
-
-def _jaccard(x: frozenset, y: frozenset) -> float:
-    """Jaccard coefficient of two sets; 0 when the union is empty."""
-    union = len(x | y)
-    return len(x & y) / union if union else 0.0
-
-
-def _overlap_distance_matrix(features: Sequence, similarity) -> np.ndarray:
-    """1 - similarity(features[i], features[j]) at each position pair
-    i < j whose feature sets intersect, 1 at every other pair (IDF overlap
-    and Jaccard score them 0), 0 on the diagonal."""
-    D = np.ones((len(features), len(features)))
-    np.fill_diagonal(D, 0.0)
-    for i, j in shared_key_pairs((k, x) for k, f in enumerate(features) for x in f):
-        D[i, j] = D[j, i] = 1.0 - similarity(features[i], features[j])
-    return D
+def overlap_distances(name: BaselineName, kb: OpenKB
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, d) for every pair of NP positions a < b that share a
+    feature, d = 1 - `overlap_scores`: for IDF_HAC the features are the
+    content tokens, weighted by `idf_weight`, and for ATTR_HAC the
+    unweighted (position, relation, other NP) attributes, one per subject
+    and one per object occurrence, as integers read from ``kb.spo``. Every
+    other pair scores 0, a distance of 1."""
+    n = kb.n_nps
+    if name is BaselineName.IDF_HAC:
+        df = build_df(kb)
+        tokens: dict[str, int] = {}
+        pos, key = [], []
+        for p in kb.np_vocab:
+            for t in content_tokens(p.text):
+                pos.append(p.id)
+                key.append(tokens.setdefault(t, len(tokens)))
+        a, b, score = overlap_scores(n, pos, key, [idf_weight(t, df) for t in tokens])
+    else:
+        s, r, o = kb.spo
+        # ("s", r, o) of a subject and ("o", r, s) of an object
+        a, b, score = overlap_scores(n, np.concatenate((s, o)),
+                                     np.concatenate(((r * n + o) * 2, (r * n + s) * 2 + 1)))
+    return a, b, np.subtract(1.0, score, out=score)
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +270,12 @@ def run_baseline(cfg: BaselineConfig, kb: OpenKB, *, ppdb_file=None,
     the ascending ``validation_ids`` scored against ``validation_gold``,
     and cuts the whole vocabulary there; without a threshold or both of
     those, or with an input missing, a method fails before work.
-    ``word_vectors`` is a `load_word_vectors` table, which `wordvec_avg`
-    and `hole_pretrained` need."""
+    `strsim_hac` builds the dense Jaro-Winkler D. `idf_hac` and
+    `attr_hac` build none: they score the pairs that share a key
+    (`overlap_distances`), tune on the `pair_triangle` of the validation
+    positions' pairs, 1 where no key is shared, and cut with
+    `hac_from_pairs`. ``word_vectors`` is a `load_word_vectors` table,
+    which `wordvec_avg` and `hole_pretrained` need."""
     cfg.validate()
     kind = cfg.kind
     vocab = kb.vocab(kind)
@@ -295,20 +299,24 @@ def run_baseline(cfg: BaselineConfig, kb: OpenKB, *, ppdb_file=None,
         # connected components of the pairs, singletons elsewhere
         return _freq_clustering(kb, kind, components(len(vocab), pair_set.pairs), NO_THRESHOLD)
 
-    if name in (BaselineName.IDF_HAC, BaselineName.STRSIM_HAC, BaselineName.ATTR_HAC):
-        texts = [p.text for p in vocab]
-        if name is BaselineName.IDF_HAC:
-            df = build_df(kb)
-            D = _overlap_distance_matrix([content_tokens(t) for t in texts],
-                                         lambda x, y: idf_overlap_score(x, y, df))
-        elif name is BaselineName.STRSIM_HAC:
-            D = jaro_winkler_distances(texts)
-        else:
-            sets = attribute_sets(kb)
-            D = _overlap_distance_matrix([sets[p.id] for p in vocab], _jaccard)
+    if name is BaselineName.STRSIM_HAC:
+        D = jaro_winkler_distances([p.text for p in vocab])
         if threshold is None:
             threshold = tune_threshold_on_matrix(val, Triangle.of(D, val), validation_gold, grid)
         member_sets = hac_from_distance_matrix(range(len(vocab)), D, threshold)
+        return _freq_clustering(kb, kind, member_sets, threshold)
+
+    if name in (BaselineName.IDF_HAC, BaselineName.ATTR_HAC):
+        a, b, d = overlap_distances(name, kb)
+        if threshold is None:
+            # the validation positions' pairs, renumbered in the ascending val
+            at = np.full(len(vocab), -1)
+            at[val] = np.arange(len(val))
+            both = (at[a] >= 0) & (at[b] >= 0)
+            threshold = tune_threshold_on_matrix(
+                val, pair_triangle(len(val), at[a[both]], at[b[both]], d[both], 1.0),
+                validation_gold, grid)
+        member_sets = hac_from_pairs(range(len(vocab)), a, b, d, threshold, 1.0)
         return _freq_clustering(kb, kind, member_sets, threshold)
 
     if name is BaselineName.WORDVEC_AVG:

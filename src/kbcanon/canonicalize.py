@@ -23,25 +23,31 @@ its own triangle. A corollary: replacing any entry above t by another
 value above t leaves the cut unchanged, so a component's triangle may
 hold its edges' distances and a finite sentinel above t everywhere else.
 
-Both cuts find the edges one row block of distances at a time.
-`hac_from_distance_matrix` reads the blocks from a dense D (the overlap
-baselines') and agglomerates each component on the triangle of its
-submatrix, gathered from D a row at a time. `hac_complete_linkage`
-computes each block from its diagonal on, 1 - N[r0:r1] @ N[r0:].T for
-the unit rows N, the way `cosine_distance_matrix` computes its rows, so
-both read the same bits. It keeps the edges with their distances (12
-bytes each) and builds each component's triangle from them with the
-sentinel, so it never holds an n×n array: beyond the vectors, it holds
-the edges, one row block and the components' triangles.
+Two cuts find the edges one row block of distances at a time.
+`hac_from_distance_matrix` reads the blocks from a dense D (the
+Jaro-Winkler baseline's) and agglomerates each component on the
+triangle of its submatrix, gathered from D a row at a time.
+`hac_complete_linkage` computes each block from its diagonal on,
+1 - N[r0:r1] @ N[r0:].T for the unit rows N, the way
+`cosine_distance_matrix` computes its rows, so both read the same bits.
+It keeps the edges with their distances (12 bytes each) and builds each
+component's triangle from them with the sentinel, so it never holds an
+n×n array: beyond the vectors, it holds the edges, one row block and the
+components' triangles. `hac_from_pairs` cuts the overlap baselines'
+distances, listed only at the pairs that share a key and 1 at every
+other pair: its edges are the listed pairs at distance <= t, whose
+components' triangles are built the same way; from t >= 1 on every pair
+is an edge, and the one component's triangle holds 1 off the list.
 
 Every method tunes its threshold (`tune_threshold`) on one history over
 the validation phrases (`hac_merge_history`), which `best_cut` replays
 once, scoring every grid value on the way. The history is merged in the
 packed triangle of their distances, built for the call with no square
-matrix (by `cosine_triangle` from the same row blocks, or gathered by
-`Triangle.of` from the overlap baselines' D), so tuning holds half of
-one n×n float64 array: 7.0 MB against 14.0 MB at 1,322 validation
-phrases, and (computed, not run) 205 MB against 410 MB at 7,163.
+matrix (by `cosine_triangle` from the same row blocks, by `Triangle.of`
+from the Jaro-Winkler D, or by `pair_triangle` from the overlap
+baselines' listed pairs), so tuning holds half of one n×n float64
+array: 7.0 MB against 14.0 MB at 1,322 validation phrases, and 202 MB
+against 404 MB at the 7,105 validation NPs of the 15,000-NP top rung.
 """
 
 from __future__ import annotations
@@ -357,8 +363,41 @@ def hac_complete_linkage(
     n = len(N)
     found, edges = _threshold_graph(n, lambda r0, r1: _cosine_rows(N, r0, r1), threshold,
                                     keep=True)
-    matrices = _edge_matrices(n, found, edges, np.nextafter(threshold, np.inf))
+    matrices = _edge_matrices(n, found, _block_edges(n, edges), np.nextafter(threshold, np.inf))
     return _cut_components(ids, zip(found, matrices), threshold)
+
+
+def hac_from_pairs(ids: Sequence[int], a: np.ndarray, b: np.ndarray, d: np.ndarray,
+                   threshold: float, far: float) -> list[frozenset[int]]:
+    """Complete-linkage HAC of the positions of the ascending ``ids`` over
+    the distance d[k] of each listed pair (a[k], b[k]), a < b, listed once,
+    and ``far`` (at least every d) at every other pair, cut at the
+    threshold one connected component at a time (see the module
+    docstring); no n×n array is built. Below ``far`` the edges are the
+    listed pairs at distance <= threshold, each component agglomerated on
+    their distances and the sentinel; from ``far`` on every pair is an
+    edge, and the one component's triangle holds ``far`` off the list."""
+    n = len(ids)
+    if list(ids) != sorted(ids):
+        raise ValueError("ids must be sorted ascending")
+    if threshold >= far:
+        found = [list(range(n))] if n > 1 else []
+        fill = far
+    else:
+        near = d <= threshold
+        a, b, d = a[near], b[near], d[near]
+        parent = np.arange(n)
+        link(parent, a, b)
+        found = [c for c in groups(parent) if len(c) > 1]
+        fill = np.nextafter(threshold, np.inf)
+    matrices = _edge_matrices(n, found, [(a, b, d)], fill)
+    return _cut_components(ids, zip(found, matrices), threshold)
+
+
+def pair_triangle(n: int, a: np.ndarray, b: np.ndarray, d: np.ndarray, far: float) -> Triangle:
+    """The `Triangle` of the n×n distances holding d[k] at each listed
+    pair (a[k], b[k]), a < b, and ``far`` at every other pair."""
+    return _edge_matrices(n, [list(range(n))], [(a, b, d)], far)[0]
 
 
 def _threshold_graph(n: int, rows, threshold: float, keep: bool):
@@ -374,8 +413,11 @@ def _threshold_graph(n: int, rows, threshold: float, keep: bool):
     for r0, r1 in _row_blocks(n):
         block = rows(r0, r1)
         _check_finite(block)
-        # row i, column j of the block is the pair (r0 + i, r0 + j)
-        near = np.flatnonzero(np.triu(block <= threshold, k=1))
+        # row i, column j of the block is the pair (r0 + i, r0 + j): only
+        # the first r1 - r0 columns hold pairs at or below the diagonal
+        near = block <= threshold
+        near[:, :r1 - r0] &= ~np.tri(r1 - r0, dtype=bool)
+        near = np.flatnonzero(near)
         if near.size:
             a, b = np.divmod(near, n - r0)
             link(parent, a + r0, b + r0)
@@ -385,15 +427,24 @@ def _threshold_graph(n: int, rows, threshold: float, keep: bool):
     return [c for c in groups(parent) if len(c) > 1], edges
 
 
-def _edge_matrices(n: int, found: list[list[int]], edges: list,
+def _block_edges(n: int, edges: list) -> Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(a, b, d) position arrays of the row blocks' ``edges`` (see
+    `_threshold_graph`), emptying the list last row block first: the later
+    blocks hold fewer edges, so the index temporaries stay small beside
+    the edges not yet decoded."""
+    while edges:
+        r0, near, d = edges.pop()
+        a, b = np.divmod(near, n - r0)
+        yield a + r0, b + r0, d
+
+
+def _edge_matrices(n: int, found: list[list[int]],
+                   edges: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
                    sentinel: float) -> list[Triangle]:
     """The packed working triangle of each component (ascending
     positions) in ``found``, with its values a view into one buffer: the
-    distances of its ``edges`` (see `_threshold_graph`) at their pairs in
-    the component, and ``sentinel`` everywhere else. ``edges`` is emptied
-    on the way, last row block first: the later blocks hold fewer edges,
-    so the index temporaries stay small beside the edges not yet
-    written."""
+    distance d[k] of each of the (a, b, d) ``edges`` at its pair (a[k],
+    b[k]), a < b, in the component, and ``sentinel`` everywhere else."""
     # the pair (a, b), a < b, of a component sits at base[a] + col[b]
     base = np.zeros(n, dtype=np.int64)
     col = np.zeros(n, dtype=np.int64)
@@ -407,10 +458,8 @@ def _edge_matrices(n: int, found: list[list[int]], edges: list,
         shapes.append((total, k))
         total += k * (k - 1) // 2
     W = np.full(total, sentinel)
-    while edges:
-        r0, near, d = edges.pop()
-        a, b = np.divmod(near, n - r0)
-        W[base[a + r0] + col[b + r0]] = d
+    for a, b, d in edges:
+        W[base[a] + col[b]] = d
     return [Triangle(k, W[off:off + k * (k - 1) // 2]) for off, k in shapes]
 
 

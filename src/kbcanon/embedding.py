@@ -501,44 +501,110 @@ WordVectors = tuple[dict[str, np.ndarray], int]
 """A word-vector table and its dimension, as `load_word_vectors` returns them."""
 
 
+# Characters of vectors-file rows that numpy's C text reader
+# (`np.loadtxt`) converts at once. It holds a chunk as 4-byte characters
+# beside the chunk's strings: 1 MB chunks raised the loader's peak RSS by
+# 3.6 MB, 64 KB chunks by 0.4 MB, and both ran as fast.
+_VECTOR_CHUNK = 1 << 16
+# The numpy reader strips these four separators around an entry as
+# whitespace, where float() refuses the entry; a chunk holding one is
+# parsed line by line.
+_NOT_FLOAT_SPACE = "\x1c\x1d\x1e\x1f"
+
+
 def load_word_vectors(path, kb: OpenKB | None = None) -> WordVectors:
     """Read `token v_1 ... v_d` lines; all rows must share one dimension.
     Trailing whitespace is ignored, and a first line of exactly two
-    integers is a word2vec / fastText `count dim` header whose dim the
-    rows must match. Every row is parsed and checked; given a KB, only the
-    rows whose token occurs in one of its phrases under `tokenize` (the
-    only rows `wordvec_phrase_embedding` can look up) are kept."""
+    integers is a word2vec / fastText `count dim` header whose count and
+    dim the rows must match. Every row is parsed and checked; given a KB,
+    only the rows whose token occurs in one of its phrases under
+    `tokenize` (the only rows `wordvec_phrase_embedding` can look up) are
+    kept. The entries are converted about ``_VECTOR_CHUNK`` characters of
+    rows at a time by `np.loadtxt`, whose C reader calls the string to
+    double routine of float(); a chunk it refuses, or whose width is not
+    the file's, is parsed one line at a time, with float()'s values and
+    errors, so every entry float() accepts loads and every other one is a
+    ParseError naming its line."""
     keep = None if kb is None else {
         t for p in (*kb.np_vocab, *kb.rel_vocab) for t in tokenize(p.text)}
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
+    dim_from = ""
+    count: int | None = None
     rows = 0
+    chunk: list[tuple[int, str]] = []  # (line number, line without trailing whitespace)
+    size = 0
+
+    def convert() -> None:
+        nonlocal dim, dim_from, rows
+        tokens, _, entries = zip(*(line.partition(" ") for _, line in chunk))
+        M = _loadtxt(entries)
+        if M is None or dim is not None and M.shape[1] != dim:
+            M = []
+            for line_no, line in chunk:
+                vec = _vector_row(path, line_no, line)
+                if dim is None:
+                    dim, dim_from = len(vec), "first row"
+                elif len(vec) != dim:
+                    raise ParseError(path, line_no, f"dimension {len(vec)} != {dim_from}'s {dim}")
+                M.append(vec)
+            M = np.array(M)
+        elif dim is None:
+            dim, dim_from = M.shape[1], "first row"
+        rows += len(M)
+        if keep is not None:
+            at = [k for k, t in enumerate(tokens) if t in keep]
+            tokens, M = [tokens[k] for k in at], M[at]
+        vectors.update(zip(tokens, M))
+        chunk.clear()
+
     for line_no, line in read_lines(path):
-        parts = line.rstrip().split(" ")
-        if line_no == 1 and len(parts) == 2 and parts[0].isdigit() and parts[1].isdigit():
-            dim, dim_from = int(parts[1]), "header"
-            continue
-        if len(parts) < 2:
-            if not line.strip():
+        line = line.rstrip()
+        if line_no == 1:
+            parts = line.split(" ")
+            if len(parts) == 2 and parts[0].isdigit() and parts[1].isdigit():
+                count, dim, dim_from = int(parts[0]), int(parts[1]), "header"
                 continue
-            raise ParseError(path, line_no, "expected 'token v_1 ... v_d'")
-        try:
-            # numpy converts each str with float(): same values, same errors
-            vec = np.array(parts[1:], dtype=float)
-        except ValueError as e:
-            raise ParseError(path, line_no, f"non-numeric vector entry: {e}") from e
-        if dim is None:
-            dim, dim_from = vec.shape[0], "first row"
-        elif vec.shape[0] != dim:
-            raise ParseError(
-                path, line_no, f"dimension {vec.shape[0]} != {dim_from}'s {dim}"
-            )
-        rows += 1
-        if keep is None or parts[0] in keep:
-            vectors[parts[0]] = vec
+        if line:
+            chunk.append((line_no, line))
+            size += len(line)
+            if size >= _VECTOR_CHUNK:
+                convert()
+                size = 0
+    if chunk:
+        convert()
     if not rows:
         raise ParseError(path, 1, "vectors file is empty")
+    if count is not None and count != rows:
+        raise ParseError(path, 1, f"the header counts {count} rows, the file holds {rows}")
     return vectors, dim
+
+
+def _loadtxt(entries: Sequence[str]) -> np.ndarray | None:
+    """The rows of ``entries`` (space-separated numbers) converted by
+    numpy's C text reader, or None where it refuses them or where float()
+    might refuse an entry it accepts."""
+    text = "".join(entries)
+    if not all(entries) or any(c in text for c in _NOT_FLOAT_SPACE):
+        return None
+    try:
+        return np.loadtxt(entries, comments=None, delimiter=" ", ndmin=2)
+    except ValueError:
+        return None
+
+
+def _vector_row(path, line_no: int, line: str) -> np.ndarray:
+    """The vector of one `token v_1 ... v_d` line (trailing whitespace
+    stripped), each entry converted by float(); a line with no entry or
+    with an entry float() refuses raises ParseError naming the line."""
+    parts = line.split(" ")
+    if len(parts) < 2:
+        raise ParseError(path, line_no, "expected 'token v_1 ... v_d'")
+    try:
+        # numpy converts each str with float(): same values, same errors
+        return np.array(parts[1:], dtype=float)
+    except ValueError as e:
+        raise ParseError(path, line_no, f"non-numeric vector entry: {e}") from e
 
 
 def wordvec_phrase_embedding(

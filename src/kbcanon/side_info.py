@@ -18,7 +18,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, combinations
 from pathlib import Path
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -147,6 +147,93 @@ def shared_key_pairs(rows: Iterable[tuple[int, Hashable]]) -> frozenset[tuple[in
     return frozenset(
         pair for ids in groups.values() for pair in combinations(sorted(set(ids)), 2)
     )
+
+
+def _distinct_rows(pos: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct (pos, key) rows, ordered by key, then position."""
+    order = np.lexsort((pos, key))
+    pos, key = pos[order], key[order]
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = (key[1:] != key[:-1]) | (pos[1:] != pos[:-1])
+    return pos[new], key[new]
+
+
+def key_pairs(pos: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The join of `shared_key_pairs` on integer arrays: (a, b, key), one
+    row for every key and every two distinct positions a < b that carry
+    it, from (pos[i], key[i]) rows; a repeated row counts once."""
+    pos, key = _distinct_rows(pos, key)
+    # row r pairs with the rows after it up to its key's last row, s
+    last = np.flatnonzero(np.append(key[1:] != key[:-1], True))
+    count = np.repeat(last, np.diff(last, prepend=-1)) - np.arange(len(key))
+    r = np.repeat(np.arange(len(key)), count)
+    s = np.arange(len(r))
+    s -= np.repeat(np.cumsum(count) - count - np.arange(len(key)) - 1, count)
+    return pos[r], pos[s], key[r]
+
+
+# A position's key weights, each an integer multiple of 2**-E for the
+# least such E (E = 0 for unit weights), sum exactly to an integer total
+# once scaled by 2**E. Below this limit a pair's shared sum, its union
+# S_a + S_b - shared and their float64 roundings are exact int64 work, and
+# rounding once is what math.fsum does to the unscaled sum.
+_EXACT_TOTAL = 1 << 62
+
+
+def overlap_scores(n: int, pos: np.ndarray, key: np.ndarray,
+                   weights: Sequence[float] | None = None,
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, score) for every pair a < b of the positions 0..n-1 that
+    share a key, from (pos[i], key[i]) rows: the weight of the keys both
+    carry over the weight of the keys either carries, 0 when that is 0.
+    Key k weighs ``weights[k]`` (a finite float >= 0), or 1 for every key
+    when ``weights`` is None. Each score equals, bit for bit, the quotient
+    of the two `math.fsum` sums that `idf_overlap_score` and Jaccard's
+    len(x & y) / len(x | y) compute: the sums are exact int64 sums of the
+    weights scaled by 2**E (see `_EXACT_TOTAL`), each rounded once. A pair
+    with a position whose scaled total reaches ``_EXACT_TOTAL`` is scored
+    by those fsums instead."""
+    pos, key = _distinct_rows(np.asarray(pos, dtype=np.int64), np.asarray(key, dtype=np.int64))
+    if weights is None:
+        scaled = None
+        totals = np.bincount(pos, minlength=n).tolist()
+    else:
+        ratios = [w.as_integer_ratio() for w in map(float, weights)]
+        E = max((q.bit_length() - 1 for _, q in ratios), default=0)
+        scaled = [p << (E - q.bit_length() + 1) for p, q in ratios]
+        totals = [0] * n
+        for p, k in zip(pos.tolist(), key.tolist()):
+            totals[p] += scaled[k]
+    exact = np.array([s < _EXACT_TOTAL for s in totals], dtype=bool)
+    S = np.array([s if ok else 0 for s, ok in zip(totals, exact)], dtype=np.int64)
+    a, b, k = key_pairs(pos, key)
+    # group the rows of each pair: sort by a·n + b, carrying the weights
+    code = a * n + b
+    del a, b
+    order = np.argsort(code)
+    code = code[order]
+    w = (np.ones(len(k), dtype=np.int64) if scaled is None else
+         np.array([s if s < _EXACT_TOTAL else 0 for s in scaled], dtype=np.int64)[k[order]])
+    del k, order
+    first = np.flatnonzero(np.diff(code, prepend=-1))
+    shared = np.add.reduceat(w, first) if len(w) else w
+    del w
+    a, b = np.divmod(code[first], n)
+    del code, first
+    union = S[a] + S[b] - shared
+    score = np.zeros(len(shared))
+    np.divide(shared, union, out=score, where=union != 0)
+    redo = np.flatnonzero(~(exact[a] & exact[b]))
+    if redo.size:
+        sets = [set() for _ in range(n)]
+        for p, k in zip(pos.tolist(), key.tolist()):
+            sets[p].add(k)
+        fw = [float(w) for w in weights]
+        for i in redo.tolist():
+            x, y = sets[a[i]], sets[b[i]]
+            den = math.fsum(fw[k] for k in x | y)
+            score[i] = math.fsum(fw[k] for k in x & y) / den if den else 0.0
+    return a, b, score
 
 
 def _label_pair_set(

@@ -29,6 +29,7 @@ from kbcanon.side_info import (
     DocumentFrequency,
     EquivalencePairSet,
     SideInfoCollection,
+    build_df,
     content_tokens,
     idf_overlap_score,
     morph_normalize,
@@ -430,6 +431,36 @@ def reference_idf_equivalences(
         (a, b) for a, b in candidates
         if idf_overlap_score(toks[a], toks[b], df) >= cutoff
     ))
+
+
+def attribute_sets(kb: OpenKB) -> dict[int, frozenset[tuple[str, int, int]]]:
+    """Per NP, the set of (position, relation, other NP) attributes it
+    co-occurs with: subject occurrences yield ("s", r, o), object
+    occurrences ("o", r, s)."""
+    sets: dict[int, set] = {p.id: set() for p in kb.np_vocab}
+    for s, p, o in zip(*kb.spo.tolist()):
+        sets[s].add(("s", p, o))
+        sets[o].add(("o", p, s))
+    return {pid: frozenset(s) for pid, s in sets.items()}
+
+
+def jaccard(x: frozenset, y: frozenset) -> float:
+    """Jaccard coefficient of two sets; 0 when the union is empty."""
+    union = len(x | y)
+    return len(x & y) / union if union else 0.0
+
+
+def reference_overlap_matrix(name: str, kb: OpenKB) -> np.ndarray:
+    """The distances of the overlap baseline ``name`` ("idf_hac" or
+    "attr_hac") at every NP pair, scored by the scalar functions."""
+    ids = [p.id for p in kb.np_vocab]
+    if name == "idf_hac":
+        df = build_df(kb)
+        return reference_distance_matrix(
+            [content_tokens(kb.np_phrase(i).text) for i in ids],
+            lambda x, y: idf_overlap_score(x, y, df))
+    sets = attribute_sets(kb)
+    return reference_distance_matrix([sets[i] for i in ids], jaccard)
 
 
 def naive_attribute_overlap(kb: OpenKB, a: int, b: int) -> float:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import string
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,9 +17,8 @@ from kbcanon.baselines import (
     NO_THRESHOLD,
     BaselineConfig,
     BaselineName,
-    _jaccard,
-    attribute_sets,
     jaro_winkler_distances,
+    overlap_distances,
     run_baseline,
     train_structure_only,
     tune_threshold_on_matrix,
@@ -38,10 +38,11 @@ from kbcanon.embedding import (
 )
 from kbcanon.errors import ConfigError, ZeroVectorError
 from kbcanon.kb import GoldClustering, PhraseKind, build_kb
-from kbcanon.side_info import EMPTY_SIDE_INFO
+from kbcanon.side_info import EMPTY_SIDE_INFO, components, content_tokens
 
 from .conftest import records_from_spo
 from .reference import (
+    attribute_sets,
     naive_attribute_overlap,
     random_kb,
     reference_distance_matrix,
@@ -167,9 +168,11 @@ class TestJaroWinklerDistances:
 
 
 def attr_hac_score(a: int, b: int, kb) -> float:
-    """The pair score ATTR_HAC uses: Jaccard over ``attribute_sets``."""
-    sets = attribute_sets(kb)
-    return _jaccard(sets[a], sets[b])
+    """The pair score ATTR_HAC clusters by: 1 - its distance, 0 at a pair
+    that shares no attribute."""
+    x, y, d = overlap_distances(BaselineName.ATTR_HAC, kb)
+    at = np.flatnonzero((x == min(a, b)) & (y == max(a, b)))
+    return 1.0 - d[at[0]] if at.size else 0.0
 
 
 class TestAttributeOverlap:
@@ -202,10 +205,9 @@ class TestAttributeOverlap:
         for _ in range(25):
             kb = random_kb(rand, max_rels=4, max_triples=30)
             ids = [p.id for p in kb.np_vocab]
-            sets = attribute_sets(kb)
             for _ in range(10):
-                a, b = rand.choice(ids), rand.choice(ids)
-                assert _jaccard(sets[a], sets[b]) == pytest.approx(
+                a, b = rand.sample(ids, 2)
+                assert attr_hac_score(a, b, kb) == pytest.approx(
                     naive_attribute_overlap(kb, a, b), abs=1e-12
                 )
 
@@ -299,7 +301,7 @@ class TestBaselineConfig:
             raise AssertionError("work started before the threshold check")
 
         for fn in ("train", "init_embeddings", "average_word_vectors",
-                   "jaro_winkler_distances", "build_df", "attribute_sets"):
+                   "jaro_winkler_distances", "build_df", "overlap_scores"):
             monkeypatch.setattr(kbcanon.baselines, fn, no_work)
         kb = np_kb("alpha", "beta", "gamma", "delta")
         with pytest.raises(ConfigError, match=f"{name.value} needs a threshold"):
@@ -518,39 +520,31 @@ class TestSimilarityBaselines:
         assert bounds == [max(DEFAULT_THRESHOLD_GRID)]
         assert cuts == [(kb.n_nps, clustering.threshold_used)]
 
-    def test_tuning_adds_no_square_validation_copy(self, monkeypatch):
-        # Traced from the moment the vocabulary's D is built to the cut:
-        # tuning holds the packed triangle of the validation phrases' D,
-        # half a square copy, and 1 MB for the rest (history, reports).
+    def test_holds_no_square_matrix(self):
+        # The whole tuned run: the join's rows (at most five int64 arrays of
+        # them at once), then the packed triangle of the validation
+        # phrases' distances while tuning, then the working triangle of the
+        # cut's largest component, and 1 MB for the rest; the dense D of
+        # all 1,200 NPs alone would be 11.5 MB.
         rand = random.Random(32)
         words = [f"w{k}" for k in range(400)]
         kb = np_kb(*sorted({" ".join(rand.sample(words, 2)) for _ in range(1300)})[:1200])
         val = [i for i in range(kb.n_nps) if i % 3]
         gold = GoldClustering(PhraseKind.NP, {i: f"g{i // 6}" for i in val})
-        build = kbcanon.baselines._overlap_distance_matrix
-        cut = kbcanon.baselines.hac_from_distance_matrix
-        peaks = []
-
-        def traced_build(*args):
-            D = build(*args)
-            tracemalloc.start()
-            return D
-
-        def untraced_cut(ids, D, threshold):
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            tracemalloc.stop()
-            return cut(ids, D, threshold)
-
-        monkeypatch.setattr(kbcanon.baselines, "_overlap_distance_matrix", traced_build)
-        monkeypatch.setattr(kbcanon.baselines, "hac_from_distance_matrix", untraced_cut)
+        cfg = BaselineConfig(BaselineName.IDF_HAC)
+        tracemalloc.start()
         try:
-            run_baseline(BaselineConfig(BaselineName.IDF_HAC), kb, validation_gold=gold,
-                         validation_ids=val)
+            clustering = run_baseline(cfg, kb, validation_gold=gold, validation_ids=val)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        triangle = len(val) * (len(val) - 1) // 2 * 8
-        assert len(peaks) == 1
-        assert peaks[0] < triangle + 2**20 < len(val) ** 2 * 8
+        holders = Counter(t for p in kb.np_vocab for t in content_tokens(p.text))
+        join = sum(g * (g - 1) // 2 for g in holders.values()) * 5 * 8
+        a, b, d = overlap_distances(BaselineName.IDF_HAC, kb)
+        near = d <= clustering.threshold_used
+        component = max(len(c) for c in components(kb.n_nps, zip(a[near], b[near])))
+        triangle = max(len(val), component) ** 2 // 2 * 8
+        assert peak < triangle + join + 2**20 < kb.n_nps ** 2 * 8
 
 
 # ---------------------------------------------------------------------------

@@ -69,7 +69,7 @@ from kbcanon.side_info import EMPTY_SIDE_INFO, SideInfoConfig, save_side_info
 from kbcanon.synth import make_synthetic_kb
 
 from .conftest import write_kb_vectors
-from .reference import reference_evaluate, report_bits
+from .reference import reference_evaluate, reference_overlap_matrix, report_bits
 
 SMALL_HP = {
     "dim": 16,
@@ -597,12 +597,15 @@ class TestOneTuningProtocol:
     carries, labelled or not; it then cuts the whole vocabulary there."""
 
     MATRIX_BASELINES = ("idf_hac", "strsim_hac", "attr_hac")
+    OVERLAP_BASELINES = ("idf_hac", "attr_hac")
     VECTOR_BASELINES = ("wordvec_avg", "hole_random")
 
     def run_dataset(self, data: Path, seed: int, monkeypatch):
         """(config, kb, split, {baseline: (clustering, D or None)}) of
         `baselines_stage` on a synthetic KB whose NP gold leaves every
-        third alias unlabelled."""
+        third alias unlabelled; D is the dense matrix a baseline cuts, the
+        reference all-pairs matrix for the overlap baselines, which build
+        none."""
         synth = make_synthetic_kb(n_entities=8, aliases_per_entity=3, n_relations=3,
                                   paraphrases_per_relation=2, n_triples=60, noise=0.2,
                                   seed=seed)
@@ -627,6 +630,8 @@ class TestOneTuningProtocol:
         def recording_run(cfg, kb, **kwargs):
             matrices.clear()
             clustering = run_baseline(cfg, kb, **kwargs)
+            if cfg.name.value in self.OVERLAP_BASELINES:
+                matrices.append(reference_overlap_matrix(cfg.name.value, kb))
             runs[cfg.name.value] = clustering, matrices[0] if matrices else None
             return clustering
 

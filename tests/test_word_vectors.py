@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+
+import kbcanon.embedding
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +32,16 @@ def test_fasttext_vec_trailing_space(tmp_path):
     vectors, dim = load_word_vectors(path)
     assert dim == 3
     assert np.array_equal(vectors["new"], [1.0, 0.0, 0.5])
+
+
+@pytest.mark.parametrize("count", [1, 3, 10])
+def test_header_count_must_match_rows(tmp_path, count):
+    # a truncated download keeps its header: two rows of a declared three
+    path = tmp_path / "vectors.txt"
+    path.write_text(f"{count} 2\nnew 1 0\nyork 0 1\n", encoding="utf-8")
+    with pytest.raises(ParseError,
+                       match=rf"vectors\.txt:1: the header counts {count} rows, the file holds 2"):
+        load_word_vectors(path)
 
 
 def test_header_dimension_must_match_rows(tmp_path):
@@ -119,7 +131,8 @@ def test_utf8_tokens_and_any_line_end_load(tmp_path):
 
 _ENTRY = st.one_of(
     st.floats().map(repr),
-    st.text(alphabet="0123456789.eE+-_ naifINFty\t١٣٥０　", min_size=1, max_size=8),
+    st.text(alphabet="0123456789.eE+-_ naifINFty\t\x0b\x0c\x1c\x1f\x85١٣٥０　",
+            min_size=1, max_size=8),
     st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r"),
             min_size=1, max_size=4),
 )
@@ -130,6 +143,7 @@ _ENTRY = st.one_of(
 @given(st.lists(_ENTRY, min_size=1, max_size=5))
 @example(["1_0", "nan", "-inf", "1e400", "١"])
 @example(["1", "0x1"])
+@example(["\t1", "-nan", "-0.0", "5e-324", "1\x1c"])
 def test_row_conversion_is_float_of_each_entry(tmp_path, entries):
     path = tmp_path / "vectors.txt"
     line = "w " + " ".join(entries) + "\n"
@@ -146,3 +160,45 @@ def test_row_conversion_is_float_of_each_entry(tmp_path, entries):
         vectors, dim = load_word_vectors(path)
         assert dim == len(parts) - 1
         assert vectors["w"].tobytes() == expected.tobytes()
+
+
+_ROWS = ["new 1 0 0.5", "york 0 1 -0.5", "zoo 2 2 2", "ant -1 1e400 nan", "bee 5e-324 -0.0 3"]
+
+
+@pytest.mark.parametrize("bad", [
+    {2: "zoo 2 2"},                         # a width change...
+    {2: "zoo 2 2", 3: "ant -1 x nan"},      # ...then a bad entry on the next line
+    {1: "york 0 x -0.5", 2: "zoo 2 2"},     # a bad entry, then a width change
+    {3: "ant 2 2 2 2", 4: "bee 1_0 1 1"},   # float() accepts 1_0, numpy's reader does not
+    {2: "zoo", 3: "ant 0x1 2 2"},           # a row without entries
+    {4: "bee 1\x1c 1 1"},                   # numpy's reader strips \x1c, float() does not
+])
+def test_chunk_boundary_inside_an_invalid_region(tmp_path, monkeypatch, bad):
+    # Cut the rows into chunks at every size from one character up: the
+    # chunk boundary then falls before, inside and after the invalid
+    # lines, and the first of them is always the one named, as when the
+    # whole file is one chunk.
+    rows = [bad.get(k, row) for k, row in enumerate(_ROWS)]
+    path = tmp_path / "vectors.txt"
+    path.write_text("".join(f"{row}\n" for row in rows), encoding="utf-8")
+    with pytest.raises(ParseError) as whole:
+        load_word_vectors(path)
+    assert whole.value.line_no == min(bad) + 1
+    for size in range(1, sum(map(len, rows)) + 2):
+        monkeypatch.setattr(kbcanon.embedding, "_VECTOR_CHUNK", size)
+        with pytest.raises(ParseError) as chunked:
+            load_word_vectors(path)
+        assert str(chunked.value) == str(whole.value)
+
+
+def test_any_chunk_size_loads_the_same_bits(tmp_path, monkeypatch):
+    path = tmp_path / "vectors.txt"
+    path.write_text("5 3\n" + "".join(f"{row}\n" for row in _ROWS), encoding="utf-8")
+    expected = {r.split(" ")[0]: np.array([float(x) for x in r.split(" ")[1:]])
+                for r in _ROWS}
+    for size in range(1, sum(map(len, _ROWS)) + 2):
+        monkeypatch.setattr(kbcanon.embedding, "_VECTOR_CHUNK", size)
+        vectors, dim = load_word_vectors(path)
+        assert dim == 3
+        assert {t: v.tobytes() for t, v in vectors.items()} == {
+            t: v.tobytes() for t, v in expected.items()}
