@@ -154,14 +154,16 @@ def _unit_rows(X: np.ndarray, labels: Sequence | None = None) -> np.ndarray:
     return X / norms[:, None]
 
 
-# Entries of an n×n matrix that one row block covers (at least one row):
-# the temporaries of a block-wise pass stay a few MB whatever n is.
+# Entries of an n×n matrix that one row block covers: the temporaries of a
+# block-wise pass stay a few MB whatever n is. BLAS multiplies thin blocks
+# slowly, so a block has at least _MIN_ROWS rows (not 17 at 15K rows).
 _BLOCK = 1 << 18
+_MIN_ROWS = 64
 
 
 def _row_blocks(n: int) -> Iterable[tuple[int, int]]:
     """(r0, r1) of each row block of an n-row matrix, in order."""
-    step = max(1, _BLOCK // max(n, 1))
+    step = max(_MIN_ROWS, _BLOCK // max(n, 1))
     return ((r0, min(r0 + step, n)) for r0 in range(0, n, step))
 
 

@@ -521,10 +521,10 @@ def load_word_vectors(path, kb: OpenKB | None = None) -> WordVectors:
     `tokenize` (the only rows `wordvec_phrase_embedding` can look up) are
     kept. The entries are converted about ``_VECTOR_CHUNK`` characters of
     rows at a time by `np.loadtxt`, whose C reader calls the string to
-    double routine of float(); a chunk it refuses, or whose width is not
-    the file's, is parsed one line at a time, with float()'s values and
-    errors, so every entry float() accepts loads and every other one is a
-    ParseError naming its line."""
+    double routine of float(); a chunk it refuses, whose width is not the
+    file's, or with a tab in a token is parsed one line at a time, with
+    float()'s values and errors, so every entry float() accepts loads and
+    every other one, or a tab in a token, is a ParseError naming its line."""
     keep = None if kb is None else {
         t for p in (*kb.np_vocab, *kb.rel_vocab) for t in tokenize(p.text)}
     vectors: dict[str, np.ndarray] = {}
@@ -539,7 +539,7 @@ def load_word_vectors(path, kb: OpenKB | None = None) -> WordVectors:
         nonlocal dim, dim_from, rows
         tokens, _, entries = zip(*(line.partition(" ") for _, line in chunk))
         M = _loadtxt(entries)
-        if M is None or dim is not None and M.shape[1] != dim:
+        if M is None or dim is not None and M.shape[1] != dim or "\t" in "".join(tokens):
             M = []
             for line_no, line in chunk:
                 vec = _vector_row(path, line_no, line)
@@ -595,11 +595,11 @@ def _loadtxt(entries: Sequence[str]) -> np.ndarray | None:
 
 def _vector_row(path, line_no: int, line: str) -> np.ndarray:
     """The vector of one `token v_1 ... v_d` line (trailing whitespace
-    stripped), each entry converted by float(); a line with no entry or
-    with an entry float() refuses raises ParseError naming the line."""
+    stripped), each entry converted by float(); a line with no entry, a
+    tab in its token or an entry float() refuses is a ParseError naming it."""
     parts = line.split(" ")
-    if len(parts) < 2:
-        raise ParseError(path, line_no, "expected 'token v_1 ... v_d'")
+    if len(parts) < 2 or "\t" in parts[0]:
+        raise ParseError(path, line_no, "expected 'token v_1 ... v_d' separated by single spaces")
     try:
         # numpy converts each str with float(): same values, same errors
         return np.array(parts[1:], dtype=float)

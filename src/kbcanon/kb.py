@@ -16,7 +16,6 @@ import json
 import logging
 import os
 import random
-import re
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -30,8 +29,6 @@ import yaml
 from .errors import EmptyKBError, InvariantViolation, ParseError
 
 logger = logging.getLogger(__name__)
-
-_WS = re.compile(r"\s+")
 
 
 class PhraseKind(Enum):
@@ -47,7 +44,7 @@ class TripleFormat(Enum):
 def normalize_whitespace(text: str) -> str:
     """Trim and collapse internal whitespace; phrase identity is defined
     on this normal form (no case folding at ingestion)."""
-    return _WS.sub(" ", text.strip())
+    return " ".join(text.split())
 
 
 @dataclass(frozen=True)

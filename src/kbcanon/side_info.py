@@ -5,7 +5,8 @@ believed equivalent: morphological normal-form collisions, IDF-weighted
 token overlap, entity-linker agreement, paraphrase-database clusters,
 shared synsets, shared relation categories, and mined relation implication
 rules. The pair sets act as soft constraints during embedding training and
-as hard equivalences for some baselines.
+as hard equivalences for some baselines. Every source finds its pairs with
+one inverted-index join on integer arrays, `key_pairs`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain
 from pathlib import Path
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -139,14 +140,15 @@ def make_pair_set(
 
 def shared_key_pairs(rows: Iterable[tuple[int, Hashable]]) -> frozenset[tuple[int, int]]:
     """Every pair (a, b), a < b, of distinct ids that share a key, from
-    (id, key) rows; an id may carry several keys."""
-    # one list per key, not one set: sets raised peak RSS measurably
-    groups = defaultdict(list)
-    for pid, key in rows:
-        groups[key].append(pid)
-    return frozenset(
-        pair for ids in groups.values() for pair in combinations(sorted(set(ids)), 2)
-    )
+    (id, key) rows; an id may carry several keys. The keys are numbered in
+    first-seen order and joined by `key_pairs`."""
+    number: dict[Hashable, int] = {}
+    flat = np.fromiter(chain.from_iterable(
+        (pid, number.setdefault(k, len(number))) for pid, k in rows), dtype=np.int64)
+    ids, pos = np.unique(flat[0::2], return_inverse=True)
+    # one int object per id, not a new one for each end of each pair
+    a, b = ids.astype(object)[np.stack(key_pairs(pos, flat[1::2])[:2])]
+    return frozenset(zip(a, b))
 
 
 def _distinct_rows(pos: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -159,9 +161,9 @@ def _distinct_rows(pos: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def key_pairs(pos: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The join of `shared_key_pairs` on integer arrays: (a, b, key), one
-    row for every key and every two distinct positions a < b that carry
-    it, from (pos[i], key[i]) rows; a repeated row counts once."""
+    """The inverted-index join on integer arrays: (a, b, key), one row for
+    every key and every two distinct positions a < b that carry it, from
+    (pos[i], key[i]) rows; a repeated row counts once."""
     pos, key = _distinct_rows(pos, key)
     # row r pairs with the rows after it up to its key's last row, s
     last = np.flatnonzero(np.append(key[1:] != key[:-1], True))
@@ -544,16 +546,6 @@ def kbp_equivalences(kbp_file, kb: OpenKB) -> EquivalencePairSet:
 # implication-rule mining
 
 
-def relation_argument_pairs(kb: OpenKB) -> dict[int, frozenset[tuple[str, str]]]:
-    """Distinct (subject, object) argument pairs per relation, with NPs
-    replaced by their morphological normal forms first."""
-    canon = {p.id: morph_normalize(p.text) for p in kb.np_vocab}
-    pairs: dict[int, set[tuple[str, str]]] = defaultdict(set)
-    for s, p, o in zip(*kb.spo.tolist()):
-        pairs[p].add((canon[s], canon[o]))
-    return {r: frozenset(s) for r, s in pairs.items()}
-
-
 def amie_mine(
     kb: OpenKB, support_min: int = 2, confidence_min: float = 0.2
 ) -> EquivalencePairSet:
@@ -562,18 +554,25 @@ def amie_mine(
     For relations r, r' with argument-pair sets S_r, S_r' (distinct
     morph-canonical (subject, object) pairs), support(r => r') is
     |S_r & S_r'| and confidence is support / |S_r|. A pair is emitted iff
-    both directions meet the support and confidence thresholds. Only the
-    relation pairs that share an argument pair (``shared_key_pairs``) are
-    scored; every other pair has support 0.
-    """
-    arg_pairs = relation_argument_pairs(kb)
-    candidates = shared_key_pairs((r, xy) for r, xys in arg_pairs.items() for xy in xys)
-    support = {(a, b): len(arg_pairs[a] & arg_pairs[b]) for a, b in candidates}
-    return EquivalencePairSet("amie", PhraseKind.REL, frozenset(
-        (a, b) for (a, b), ov in support.items()
-        if ov >= support_min and ov / len(arg_pairs[a]) >= confidence_min
-        and ov / len(arg_pairs[b]) >= confidence_min
-    ))
+    both directions meet the support and confidence thresholds. Each
+    argument pair is coded as one integer key, so S_r is relation r's
+    distinct (r, key) rows, and a relation pair's support is its number of
+    `key_pairs` rows, one per shared key; every other pair has support 0.
+    The confidences divide int64 counts in float64, which rounds as
+    Python's int / int does (the counts are below 2**53)."""
+    number: dict[str, int] = {}
+    canon = np.array([number.setdefault(morph_normalize(p.text), len(number))
+                      for p in kb.np_vocab], dtype=np.int64)
+    s, r, o = kb.spo
+    rel, arg = _distinct_rows(r, canon[s] * len(number) + canon[o])
+    size = np.bincount(rel)
+    a, b, _ = key_pairs(rel, arg)
+    pair, support = np.unique(a * kb.n_rels + b, return_counts=True)
+    a, b = np.divmod(pair, kb.n_rels)
+    # rounding is monotone, so the lower confidence is support / max |S|
+    keep = (support >= support_min) & (support / np.maximum(size[a], size[b]) >= confidence_min)
+    return EquivalencePairSet("amie", PhraseKind.REL,
+                              frozenset(zip(a[keep].tolist(), b[keep].tolist())))
 
 
 # ---------------------------------------------------------------------------

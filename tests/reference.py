@@ -11,7 +11,7 @@ import math
 from collections import Counter, defaultdict, deque
 from itertools import combinations
 from math import comb
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Collection, Hashable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from kbcanon.side_info import (
     content_tokens,
     idf_overlap_score,
     morph_normalize,
-    shared_key_pairs,
 )
 
 
@@ -412,6 +411,57 @@ def reference_components(n: int, edges: Iterable[tuple[int, int]]) -> list[list[
     return out
 
 
+# The package's original inverted-index join and AMIE miner, kept
+# verbatim but for their names: a dict of id lists per key expanded with
+# `combinations`, and one Python set intersection per candidate pair of
+# relations.
+
+
+def reference_shared_key_pairs(rows: Iterable[tuple[int, Hashable]]) -> frozenset[tuple[int, int]]:
+    """Every pair (a, b), a < b, of distinct ids that share a key, from
+    (id, key) rows; an id may carry several keys."""
+    # one list per key, not one set: sets raised peak RSS measurably
+    groups = defaultdict(list)
+    for pid, key in rows:
+        groups[key].append(pid)
+    return frozenset(
+        pair for ids in groups.values() for pair in combinations(sorted(set(ids)), 2)
+    )
+
+
+def reference_relation_argument_pairs(kb: OpenKB) -> dict[int, frozenset[tuple[str, str]]]:
+    """Distinct (subject, object) argument pairs per relation, with NPs
+    replaced by their morphological normal forms first."""
+    canon = {p.id: morph_normalize(p.text) for p in kb.np_vocab}
+    pairs: dict[int, set[tuple[str, str]]] = defaultdict(set)
+    for s, p, o in zip(*kb.spo.tolist()):
+        pairs[p].add((canon[s], canon[o]))
+    return {r: frozenset(s) for r, s in pairs.items()}
+
+
+def reference_amie_mine(
+    kb: OpenKB, support_min: int = 2, confidence_min: float = 0.2
+) -> EquivalencePairSet:
+    """Mine mutual implication rules between relation phrases.
+
+    For relations r, r' with argument-pair sets S_r, S_r' (distinct
+    morph-canonical (subject, object) pairs), support(r => r') is
+    |S_r & S_r'| and confidence is support / |S_r|. A pair is emitted iff
+    both directions meet the support and confidence thresholds. Only the
+    relation pairs that share an argument pair (``shared_key_pairs``) are
+    scored; every other pair has support 0.
+    """
+    arg_pairs = reference_relation_argument_pairs(kb)
+    candidates = reference_shared_key_pairs(
+        (r, xy) for r, xys in arg_pairs.items() for xy in xys)
+    support = {(a, b): len(arg_pairs[a] & arg_pairs[b]) for a, b in candidates}
+    return EquivalencePairSet("amie", PhraseKind.REL, frozenset(
+        (a, b) for (a, b), ov in support.items()
+        if ov >= support_min and ov / len(arg_pairs[a]) >= confidence_min
+        and ov / len(arg_pairs[b]) >= confidence_min
+    ))
+
+
 # The package's original IDF side information, kept verbatim: it scores
 # every pair that shares any content token, where the package scores only
 # the pairs that share a prefix token.
@@ -421,12 +471,12 @@ def reference_idf_equivalences(
     kb: OpenKB, df: DocumentFrequency, cutoff: float
 ) -> EquivalencePairSet:
     """All NP pairs (a, b), a < b, with idf_overlap_score >= cutoff. Only
-    pairs that share a non-stopword token (``shared_key_pairs``) are
-    scored; any other pair scores 0, so none is lost for cutoff > 0."""
+    pairs that share a non-stopword token (``reference_shared_key_pairs``)
+    are scored; any other pair scores 0, so none is lost for cutoff > 0."""
     if not 0.0 <= cutoff <= 1.0:
         raise ValueError(f"cutoff must be in [0, 1], got {cutoff}")
     toks = {p.id: content_tokens(p.text) for p in kb.np_vocab}
-    candidates = shared_key_pairs((pid, t) for pid, ts in toks.items() for t in ts)
+    candidates = reference_shared_key_pairs((pid, t) for pid, ts in toks.items() for t in ts)
     return EquivalencePairSet("idf_overlap", PhraseKind.NP, frozenset(
         (a, b) for a, b in candidates
         if idf_overlap_score(toks[a], toks[b], df) >= cutoff

@@ -348,6 +348,7 @@ class TestComponentCut:
         # row blocks.
         if block:
             monkeypatch.setattr(kbcanon.canonicalize, "_BLOCK", block)
+            monkeypatch.setattr(kbcanon.canonicalize, "_MIN_ROWS", 1)
         for D in self.matrices():
             n, history = len(D), reference_merge_history(D)
             heights = np.unique(D[np.triu_indices(n, 1)])
@@ -377,6 +378,7 @@ class TestComponentCut:
         # on the diagonal, below it, and above it outside the one component
         # {0, 1}, in a row block after the first
         monkeypatch.setattr(kbcanon.canonicalize, "_BLOCK", 20)
+        monkeypatch.setattr(kbcanon.canonicalize, "_MIN_ROWS", 1)
         D = np.ones((10, 10))
         np.fill_diagonal(D, 0.0)
         D[0, 1] = D[1, 0] = 0.1
@@ -413,12 +415,29 @@ class TestCosineCut:
         # holds D's upper triangle bit for bit.
         if block:
             monkeypatch.setattr(kbcanon.canonicalize, "_BLOCK", block)
+            monkeypatch.setattr(kbcanon.canonicalize, "_MIN_ROWS", 1)
         for X in self.inputs():
             ids = list(range(len(X)))
             D = cosine_distance_matrix(X)
             assert (cosine_triangle(X).values.tobytes()
                     == D[np.triu_indices(len(X), 1)].tobytes())
             heights = np.unique([d for d, _, _ in hac_merge_history(D.copy())])
+            for t in [0.0, 2.0, *(heights[1:] + heights[:-1]) / 2]:
+                assert hac_complete_linkage(ids, X, t) == hac_from_distance_matrix(ids, D, t)
+
+    def test_row_floor_keeps_dense_cut(self, monkeypatch):
+        # a 7-entry block would be one row; the floor makes blocks of 64
+        monkeypatch.setattr(kbcanon.canonicalize, "_BLOCK", 7)
+        assert list(kbcanon.canonicalize._row_blocks(150)) == [(0, 64), (64, 128), (128, 150)]
+        rand = random.Random(31)
+        for quantized in (False, True):
+            X = random_points(rand, 150, 4, quantized=quantized)
+            ids = list(range(len(X)))
+            D = cosine_distance_matrix(X)
+            assert (cosine_triangle(X).values.tobytes()
+                    == D[np.triu_indices(len(X), 1)].tobytes())
+            heights = np.unique([d for d, _, _ in hac_merge_history(D.copy())])
+            heights = heights[::max(1, len(heights) // 30)]
             for t in [0.0, 2.0, *(heights[1:] + heights[:-1]) / 2]:
                 assert hac_complete_linkage(ids, X, t) == hac_from_distance_matrix(ids, D, t)
 

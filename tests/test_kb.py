@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -145,6 +146,13 @@ class TestNormalizeWhitespace:
 
     def test_plain_text_unchanged(self):
         assert normalize_whitespace("barack obama") == "barack obama"
+
+    def test_agrees_with_regex_form_on_every_code_point(self):
+        # the earlier form: trim, then collapse every run of \s to a space
+        ws = re.compile(r"\s+")
+        for c in map(chr, range(0x110000)):
+            text = f"{c}a{c}b{c}"  # at both ends and between letters
+            assert normalize_whitespace(text) == ws.sub(" ", text.strip()), hex(ord(c))
 
 
 def contains(kb, s: int, p: int, o: int) -> bool:

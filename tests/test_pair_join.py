@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kbcanon.baselines
@@ -44,6 +44,7 @@ from .reference import (
     reference_distance_matrix,
     reference_jaro_winkler,
     reference_overlap_matrix,
+    reference_shared_key_pairs,
 )
 
 # every token of these is a stopword, so their content-token sets are empty
@@ -68,9 +69,13 @@ def kb_with_edge_cases(rand):
 
 class TestSharedKeyPairs:
     @given(st.lists(st.tuples(st.integers(0, 12),
-                              st.sampled_from([0, 1, 2, "x", "y", ("s", 1)])),
+                              st.sampled_from([0, 1, 2, "x", "y", ("s", 1), None])),
                     max_size=40))
     @settings(max_examples=200, deadline=None)
+    @example([])
+    @example([(4, "x"), (4, "x"), (2, "x"), (2, "x")])  # repeated rows
+    @example([(0, "x"), (0, None), (0, ("s", 1)), (1, None), (2, ("s", 1)), (3, 0)])
+    @example([(5, 1), (3, 1), (7, "1"), (9, (1,)), (8, None), (6, "None")])
     def test_matches_brute_force(self, rows):
         keys = defaultdict(set)
         for pid, key in rows:
@@ -78,6 +83,7 @@ class TestSharedKeyPairs:
         expected = {(a, b) for a, b in combinations(sorted(keys), 2)
                     if keys[a] & keys[b]}
         assert shared_key_pairs(rows) == expected
+        assert shared_key_pairs(iter(rows)) == reference_shared_key_pairs(rows)
 
     def test_ordered_pairs_of_distinct_ids(self):
         rows = [(3, "k"), (1, "k"), (3, "k"), (2, "j"), (1, "j")]

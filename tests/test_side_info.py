@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -36,7 +37,13 @@ from kbcanon.side_info import (
 )
 
 from .conftest import records_from_spo
-from .reference import brute_force_rule_pairs, random_kb, reference_components
+from .reference import (
+    brute_force_rule_pairs,
+    random_kb,
+    reference_amie_mine,
+    reference_components,
+    reference_relation_argument_pairs,
+)
 
 
 def np_kb(*texts):
@@ -390,6 +397,43 @@ class TestRuleMining:
                 for a, b in brute_force_rule_pairs(kb, 2, 0.2)
             }
             assert mined == brute
+
+
+_RULE_WORDS = ["city", "river", "port", "lake", "hill", "bay", "fort"]
+_CONFIDENCES = (0.0, 0.1, 0.2, 1 / 3, 0.5, 1.0)
+
+
+def rule_kb(rand):
+    """A KB whose relations hold 1, 2, 3, 5, 6 or 10 argument pairs of one
+    small pool, so that supports over sizes land exactly on the cutoffs
+    0.1, 0.2, 1/3, 0.5 and 1. Some NPs are morphological variants of
+    others ("the citys" of "city"), so two pool pairs can be one."""
+    words = rand.sample(_RULE_WORDS, 4)
+    nps = words + [f"the {w}s" for w in words[:2]]
+    pool = rand.sample([(s, o) for s in nps for o in nps if s != o], 14)
+    rows = []
+    for r in range(rand.randint(2, 7)):
+        rows += [(s, f"rel {r}", o) for s, o in rand.sample(pool, rand.choice([1, 2, 3, 5, 6, 10]))]
+    return build_kb(records_from_spo(rows))
+
+
+class TestRuleMiningMatchesSetIntersections:
+    def test_every_support_and_confidence(self):
+        rand = random.Random(59)
+        on_cutoff = set()
+        for k in range(40):
+            kb = rule_kb(rand) if k % 2 else random_kb(rand)
+            args = reference_relation_argument_pairs(kb)
+            for a, b in combinations(args, 2):
+                ov = len(args[a] & args[b])
+                on_cutoff.update(c for x in (a, b) for c in _CONFIDENCES[1:]
+                                 if ov and ov / len(args[x]) == c)
+            for support in (1, 2, 3):
+                for confidence in _CONFIDENCES:
+                    assert (amie_mine(kb, support, confidence).pairs
+                            == reference_amie_mine(kb, support, confidence).pairs)
+        # every nonzero cutoff is met with equality by some ratio
+        assert on_cutoff == set(_CONFIDENCES[1:])
 
 
 class TestPairSetInvariants:

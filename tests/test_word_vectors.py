@@ -129,6 +129,22 @@ def test_utf8_tokens_and_any_line_end_load(tmp_path):
     assert sorted(vectors) == ["naïve", "zoo", "été"]
 
 
+@pytest.mark.parametrize("rows, c_reader", [
+    (["new\t1 0 0", "york 0 1"], True),          # the C reader converts the chunk
+    (["york 1_0 0 1", "new\t1 0 0 1"], False),   # it refuses 1_0: line by line
+])
+def test_tab_in_a_token_names_its_line(tmp_path, rows, c_reader):
+    # split at the first space, the tab's line would load as the token
+    # "new\t1" with one entry fewer
+    entries = [row.partition(" ")[2] for row in rows]
+    assert (kbcanon.embedding._loadtxt(entries) is not None) == c_reader
+    path = tmp_path / "vectors.txt"
+    path.write_text("".join(f"{row}\n" for row in rows), encoding="utf-8")
+    line_no = 1 + next(k for k, row in enumerate(rows) if "\t" in row)
+    with pytest.raises(ParseError, match=rf"vectors\.txt:{line_no}: expected .* separated by single spaces"):
+        load_word_vectors(path)
+
+
 _ENTRY = st.one_of(
     st.floats().map(repr),
     st.text(alphabet="0123456789.eE+-_ naifINFty\t\x0b\x0c\x1c\x1f\x85١٣٥０　",
@@ -172,6 +188,7 @@ _ROWS = ["new 1 0 0.5", "york 0 1 -0.5", "zoo 2 2 2", "ant -1 1e400 nan", "bee 5
     {3: "ant 2 2 2 2", 4: "bee 1_0 1 1"},   # float() accepts 1_0, numpy's reader does not
     {2: "zoo", 3: "ant 0x1 2 2"},           # a row without entries
     {4: "bee 1\x1c 1 1"},                   # numpy's reader strips \x1c, float() does not
+    {2: "zoo\t2 2 2 2"},                    # a tab in a token, entries of the file's width
 ])
 def test_chunk_boundary_inside_an_invalid_region(tmp_path, monkeypatch, bad):
     # Cut the rows into chunks at every size from one character up: the
