@@ -23,21 +23,20 @@ its own triangle. A corollary: replacing any entry above t by another
 value above t leaves the cut unchanged, so a component's triangle may
 hold its edges' distances and a finite sentinel above t everywhere else.
 
-Two cuts find the edges one row block of distances at a time.
-`hac_from_distance_matrix` reads the blocks from a dense D (the
-Jaro-Winkler baseline's) and agglomerates each component on the
-triangle of its submatrix, gathered from D a row at a time.
-`hac_complete_linkage` computes each block from its diagonal on,
-1 - N[r0:r1] @ N[r0:].T for the unit rows N, the way
-`cosine_distance_matrix` computes its rows, so both read the same bits.
-It keeps the edges with their distances (12 bytes each) and builds each
-component's triangle from them with the sentinel, so it never holds an
-n×n array: beyond the vectors, it holds the edges, one row block and the
-components' triangles. `hac_from_pairs` cuts the overlap baselines'
-distances, listed only at the pairs that share a key and 1 at every
-other pair: its edges are the listed pairs at distance <= t, whose
-components' triangles are built the same way; from t >= 1 on every pair
-is an edge, and the one component's triangle holds 1 off the list.
+One edge-list cut, `_cut_edges`, serves all three distance sources: it
+links the edges (the pairs at distance <= t, with their distances),
+builds each component's triangle from them with the sentinel just above
+t, and agglomerates it, so no cut holds an n×n array beyond its input.
+`hac_complete_linkage` finds its edges one row block at a time,
+computing each block from its diagonal on, 1 - N[r0:r1] @ N[r0:].T for
+the unit rows N, the way `cosine_distance_matrix` computes its rows, so
+both read the same bits, and keeps each edge as an int32 index into its
+block and its distance, 12 bytes. `hac_from_distance_matrix` scans the
+same row blocks of a dense D (the Jaro-Winkler baseline's) into the same
+edges. `hac_from_pairs` cuts the overlap baselines' distances, listed
+only at the pairs that share a key and 1 at every other pair: its edges
+are the listed pairs at distance <= t; from t >= 1 on every linkage is
+within t, and the cut is one cluster.
 
 Every method tunes its threshold (`tune_threshold`) on one history over
 the validation phrases (`hac_merge_history`), which `best_cut` replays
@@ -320,8 +319,7 @@ def cut_history(
             for members in components(len(ids), ((i, j) for _, i, j in merges))]
 
 
-def _check_ids(ids: Sequence[int], rows: np.ndarray | Triangle) -> None:
-    n = rows.shape[0]
+def _check_ids(ids: Sequence[int], n: int) -> None:
     if list(ids) != sorted(ids):
         raise ValueError("ids must be sorted ascending")
     if len(ids) != n:
@@ -332,21 +330,19 @@ def hac_from_distance_matrix(
     ids: Sequence[int], D: np.ndarray, threshold: float
 ) -> list[frozenset[int]]:
     """Complete-linkage HAC over a precomputed distance matrix, cut at the
-    threshold one connected component at a time (see the module
-    docstring), each component agglomerated on the packed upper triangle
-    of its submatrix.
+    threshold one connected component at a time on its edges' distances
+    and the sentinel (see the module docstring).
     ``ids`` label D's rows and must be sorted ascending so the tie-break
     is id-based. D is read, never written, and must be square and finite;
     only its upper triangle is used."""
-    _check_ids(ids, D)
+    _check_ids(ids, D.shape[0])
     _check_square(D)
 
     def rows(r0: int, r1: int) -> np.ndarray:
         _check_finite(D[r0:r1, :r0])  # the scan checks the rest
         return D[r0:r1, r0:]
 
-    found, _ = _threshold_graph(len(D), rows, threshold, keep=False)
-    return _cut_components(ids, ((c, Triangle.of(D, c)) for c in found), threshold)
+    return _cut_edges(ids, _threshold_edges(len(D), rows, threshold), threshold)
 
 
 def hac_complete_linkage(
@@ -355,18 +351,13 @@ def hac_complete_linkage(
     """Cluster the rows of X, labelled by the ascending ``ids``, by cosine
     distance with complete linkage, cut at the threshold one connected
     component at a time. The distances are `cosine_distance_matrix`'s,
-    computed a row block at a time, and only those <= threshold are kept;
-    each component is agglomerated on a matrix of its edges' distances and
-    a sentinel above the threshold elsewhere, so no n×n array is built
-    (see the module docstring). A zero row is named by its ``labels``
-    entry (by default its id)."""
+    computed a row block at a time, and only those <= threshold are kept,
+    so no n×n array is built (see the module docstring). A zero row is
+    named by its ``labels`` entry (by default its id)."""
     N = _unit_rows(X, ids if labels is None else labels)
-    _check_ids(ids, N)
-    n = len(N)
-    found, edges = _threshold_graph(n, lambda r0, r1: _cosine_rows(N, r0, r1), threshold,
-                                    keep=True)
-    matrices = _edge_matrices(n, found, _block_edges(n, edges), np.nextafter(threshold, np.inf))
-    return _cut_components(ids, zip(found, matrices), threshold)
+    _check_ids(ids, len(N))
+    edges = _threshold_edges(len(N), lambda r0, r1: _cosine_rows(N, r0, r1), threshold)
+    return _cut_edges(ids, edges, threshold)
 
 
 def hac_from_pairs(ids: Sequence[int], a: np.ndarray, b: np.ndarray, d: np.ndarray,
@@ -376,24 +367,14 @@ def hac_from_pairs(ids: Sequence[int], a: np.ndarray, b: np.ndarray, d: np.ndarr
     and ``far`` (at least every d) at every other pair, cut at the
     threshold one connected component at a time (see the module
     docstring); no n×n array is built. Below ``far`` the edges are the
-    listed pairs at distance <= threshold, each component agglomerated on
-    their distances and the sentinel; from ``far`` on every pair is an
-    edge, and the one component's triangle holds ``far`` off the list."""
+    listed pairs at distance <= threshold; from ``far`` on every linkage
+    is within the threshold, so the cut is one cluster."""
     n = len(ids)
-    if list(ids) != sorted(ids):
-        raise ValueError("ids must be sorted ascending")
+    _check_ids(ids, n)
     if threshold >= far:
-        found = [list(range(n))] if n > 1 else []
-        fill = far
-    else:
-        near = d <= threshold
-        a, b, d = a[near], b[near], d[near]
-        parent = np.arange(n)
-        link(parent, a, b)
-        found = [c for c in groups(parent) if len(c) > 1]
-        fill = np.nextafter(threshold, np.inf)
-    matrices = _edge_matrices(n, found, [(a, b, d)], fill)
-    return _cut_components(ids, zip(found, matrices), threshold)
+        return [frozenset(ids)] if n else []
+    near = d <= threshold
+    return _cut_edges(ids, [(0, a[near].astype(np.int64) * n + b[near], d[near])], threshold)
 
 
 def pair_triangle(n: int, a: np.ndarray, b: np.ndarray, d: np.ndarray, far: float) -> Triangle:
@@ -402,15 +383,11 @@ def pair_triangle(n: int, a: np.ndarray, b: np.ndarray, d: np.ndarray, far: floa
     return _edge_matrices(n, [list(range(n))], [(a, b, d)], far)[0]
 
 
-def _threshold_graph(n: int, rows, threshold: float, keep: bool):
-    """(components, edges) of the graph that joins positions a < b when
-    their distance is <= threshold, for the n×n matrix whose rows r0:r1
-    from column r0 on `rows(r0, r1)` returns (each block is checked
-    finite): the components of two or more positions, each ascending,
-    ordered by smallest member, and when ``keep``, the edges, one (r0,
-    flat indices into the block, distances) per row block holding any,
-    12 bytes an edge."""
-    parent = np.arange(n)
+def _threshold_edges(n: int, rows, threshold: float) -> list:
+    """The edges, a < b, at distance <= threshold of the n×n matrix whose
+    rows r0:r1 from column r0 on `rows(r0, r1)` returns (each block is
+    checked finite): one (r0, int32 flat indices into the block,
+    distances) per row block holding any, 12 bytes an edge."""
     edges = []
     for r0, r1 in _row_blocks(n):
         block = rows(r0, r1)
@@ -421,17 +398,14 @@ def _threshold_graph(n: int, rows, threshold: float, keep: bool):
         near[:, :r1 - r0] &= ~np.tri(r1 - r0, dtype=bool)
         near = np.flatnonzero(near)
         if near.size:
-            a, b = np.divmod(near, n - r0)
-            link(parent, a + r0, b + r0)
-            if keep:
-                edges.append((r0, near.astype(np.int32), block[a, b]))
+            edges.append((r0, near.astype(np.int32), block[np.divmod(near, n - r0)]))
         del block  # before the next one is computed
-    return [c for c in groups(parent) if len(c) > 1], edges
+    return edges
 
 
 def _block_edges(n: int, edges: list) -> Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """(a, b, d) position arrays of the row blocks' ``edges`` (see
-    `_threshold_graph`), emptying the list last row block first: the later
+    `_threshold_edges`), emptying the list last row block first: the later
     blocks hold fewer edges, so the index temporaries stay small beside
     the edges not yet decoded."""
     while edges:
@@ -465,13 +439,23 @@ def _edge_matrices(n: int, found: list[list[int]],
     return [Triangle(k, W[off:off + k * (k - 1) // 2]) for off, k in shapes]
 
 
-def _cut_components(ids: Sequence[int], components: Iterable[tuple[list[int], Triangle]],
-                    threshold: float) -> list[frozenset[int]]:
-    """The cut at ``threshold`` from each component's working triangle: a
-    pair is one merge, a larger component is agglomerated on its own, and
-    all the merges go to one `cut_history` call."""
+def _cut_edges(ids: Sequence[int], edges: list, threshold: float) -> list[frozenset[int]]:
+    """The cut at ``threshold`` of the positions of ``ids`` from the row
+    blocks' ``edges`` (see `_threshold_edges`), all at distance <=
+    threshold, which it empties: the edges link the components, each of
+    two or more positions gets a triangle of its edges' distances and a
+    sentinel just above the threshold, a pair is one merge, a larger
+    component is agglomerated on its own, and all the merges go to one
+    `cut_history` call."""
+    n = len(ids)
+    parent = np.arange(n)
+    for r0, near, _ in edges:
+        a, b = np.divmod(near, n - r0)
+        link(parent, a + r0, b + r0)
+    found = [c for c in groups(parent) if len(c) > 1]
+    matrices = _edge_matrices(n, found, _block_edges(n, edges), np.nextafter(threshold, np.inf))
     merges: list[tuple[float, int, int]] = []
-    for c, T in components:
+    for c, T in zip(found, matrices):
         if len(c) == 2:
             merges.append((float(T.values[0]), c[0], c[1]))
         else:
@@ -497,7 +481,7 @@ def tune_threshold(ids: Sequence[int], D: np.ndarray | Triangle,
     if not ids:
         raise ConfigError("no phrases to tune a threshold on")
     upto = _tuning_bound(validation_gold, grid)
-    _check_ids(ids, D)
+    _check_ids(ids, D.shape[0])
     return best_cut(ids, hac_merge_history(D, upto), validation_gold, grid)
 
 

@@ -29,6 +29,7 @@ from kbcanon.canonicalize import (
     cut_history,
     hac_complete_linkage,
     hac_from_distance_matrix,
+    hac_from_pairs,
     hac_merge_history,
     save_canonicalized,
     save_clusters,
@@ -345,17 +346,29 @@ class TestComponentCut:
     def test_equals_cut_of_reference_history(self, block, monkeypatch):
         # Checked at 0, at 2, at distances that occur in D (up to 30 of
         # them) and between them; a 7-entry block makes the scan and the mirroring span many
-        # row blocks.
+        # row blocks. The pair cut lists a random subset of D's upper
+        # pairs, with far = D.max() at the others, and is checked against
+        # the reference cut of that matrix.
         if block:
             monkeypatch.setattr(kbcanon.canonicalize, "_BLOCK", block)
             monkeypatch.setattr(kbcanon.canonicalize, "_MIN_ROWS", 1)
+        rng = np.random.default_rng(32)
         for D in self.matrices():
             n, history = len(D), reference_merge_history(D)
+            a, b = np.triu_indices(n, 1)
+            listed = rng.random(len(a)) < 0.6
+            a, b = a[listed], b[listed]
+            far = float(D.max())
+            P = np.full((n, n), far)
+            P[a, b] = P[b, a] = D[a, b]
+            pair_history = reference_merge_history(P)
             heights = np.unique(D[np.triu_indices(n, 1)])
             heights = heights[::max(1, len(heights) // 30)]
             thresholds = [0.0, 2.0, *heights, *(heights[1:] + heights[:-1]) / 2]
             for t in thresholds:
                 assert hac_from_distance_matrix(range(n), D, t) == reference_cut(n, history, t)
+                assert (hac_from_pairs(range(n), a, b, D[a, b], t, far)
+                        == reference_cut(n, pair_history, t))
 
     def test_equals_naive_reclustering_across_twin_components(self):
         rng = np.random.default_rng(24)
@@ -474,6 +487,24 @@ class TestComponentCutMemory:
         # a working copy beside D, and this cut may not hold more
         D = cosine_distance_matrix(random_points(random.Random(26), self.N, 8, quantized=False))
         assert self.traced_peak(D, 2.0) <= 2 * D.nbytes
+
+
+class TestPairCutMemory:
+    """At a threshold of at least ``far`` every linkage is within it, so
+    the pair cut is one cluster and builds no triangle."""
+
+    def test_one_cluster_at_far_allocates_no_triangle(self):
+        # an n-position triangle would take 36 MB
+        n = 3000
+        none = np.array([], dtype=np.int64)
+        tracemalloc.start()
+        try:
+            cut = hac_from_pairs(range(n), none, none, np.array([]), 1.0, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cut == [frozenset(range(n))]
+        assert peak < 2**20
 
 
 class TestCosineCutMemory:
