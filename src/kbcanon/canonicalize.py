@@ -316,7 +316,7 @@ def cut_history(
     """Partition from replaying merges with distance <= threshold."""
     merges = takewhile(lambda merge: merge[0] <= threshold, history)
     return [frozenset(ids[x] for x in members)
-            for members in components(len(ids), ((i, j) for _, i, j in merges))]
+            for members in components(len(ids), [(i, j) for _, i, j in merges])]
 
 
 def _check_ids(ids: Sequence[int], n: int) -> None:

@@ -376,14 +376,10 @@ def _side_pair_arrays(
     ``kind`` with pairs and nonzero weight, concatenated in collection
     order."""
     sources = side.np_sources if kind is PhraseKind.NP else side.rel_sources
-    pairs, weights = [], []
-    for src in sources:
-        lam = h.lambda_for(kind, src.source_name)
-        if lam != 0.0 and src.pairs:
-            pairs += sorted(src.pairs)
-            weights += [lam / len(src.pairs)] * len(src.pairs)
-    ia, ib = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
-    return ia, ib, np.asarray(weights, dtype=float)
+    used = [(src.pairs, lam / len(src)) for src in sources
+            if (lam := h.lambda_for(kind, src.source_name)) != 0.0 and len(src)]
+    ia, ib = np.concatenate([np.empty((0, 2), dtype=np.intp), *(p for p, _ in used)]).T
+    return ia, ib, np.repeat([w for _, w in used], [len(p) for p, _ in used])
 
 
 def _penalties(E: np.ndarray, R: np.ndarray, terms, h: HyperParams) -> tuple[float, float, float]:

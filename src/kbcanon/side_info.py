@@ -6,7 +6,9 @@ token overlap, entity-linker agreement, paraphrase-database clusters,
 shared synsets, shared relation categories, and mined relation implication
 rules. The pair sets act as soft constraints during embedding training and
 as hard equivalences for some baselines. Every source finds its pairs with
-one inverted-index join on integer arrays, `key_pairs`.
+one inverted-index join on integer arrays, `key_pairs`, and keeps them as
+one sorted (m, 2) int64 array from the provider to the trainer, the
+baselines and ``side_info.json``.
 """
 
 from __future__ import annotations
@@ -112,43 +114,51 @@ def morph_normalize(text: str) -> str:
 # pair-set containers
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquivalencePairSet:
-    """Unordered, irreflexive phrase-id pairs from one evidence source."""
+    """Unordered, irreflexive phrase-id pairs from one evidence source: a
+    read-only (m, 2) int64 array of rows (a, b), a < b, each pair once, in
+    lexicographic order (see `make_pair_set`), compared by value."""
 
     source_name: str
     kind: PhraseKind
-    pairs: frozenset[tuple[int, int]]
+    pairs: np.ndarray
+
+    def __post_init__(self):
+        self.pairs.flags.writeable = False
+
+    def __eq__(self, other):
+        return (isinstance(other, EquivalencePairSet) and np.array_equal(self.pairs, other.pairs)
+                and (self.source_name, self.kind) == (other.source_name, other.kind))
 
     def __len__(self) -> int:
         return len(self.pairs)
 
     @property
-    def covered_ids(self) -> frozenset[int]:
-        return frozenset(i for pair in self.pairs for i in pair)
+    def covered_ids(self) -> np.ndarray:
+        return np.flatnonzero(np.bincount(self.pairs.ravel()))
+
+
+def _sorted_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The distinct rows (a[k], b[k]) of ids 0 <= a[k] < b[k], in order:
+    one sort of the codes a·n + b, n above every id."""
+    n = int(b.max()) + 1 if len(b) else 1
+    code = np.sort(a * n + b)
+    code = code[np.diff(code, prepend=-1) != 0]
+    pairs = np.empty((len(code), 2), dtype=np.int64)
+    np.divmod(code, n, out=(pairs[:, 0], pairs[:, 1]))
+    return pairs
 
 
 def make_pair_set(
-    source_name: str, kind: PhraseKind, pairs: Iterable[tuple[int, int]]
+    source_name: str, kind: PhraseKind, pairs: np.ndarray | Sequence[tuple[int, int]]
 ) -> EquivalencePairSet:
-    """Canonicalize pairs to (min, max) order and drop self-pairs."""
-    canon = frozenset(
-        (a, b) if a < b else (b, a) for a, b in pairs if a != b
-    )
-    return EquivalencePairSet(source_name, kind, canon)
-
-
-def shared_key_pairs(rows: Iterable[tuple[int, Hashable]]) -> frozenset[tuple[int, int]]:
-    """Every pair (a, b), a < b, of distinct ids that share a key, from
-    (id, key) rows; an id may carry several keys. The keys are numbered in
-    first-seen order and joined by `key_pairs`."""
-    number: dict[Hashable, int] = {}
-    flat = np.fromiter(chain.from_iterable(
-        (pid, number.setdefault(k, len(number))) for pid, k in rows), dtype=np.int64)
-    ids, pos = np.unique(flat[0::2], return_inverse=True)
-    # one int object per id, not a new one for each end of each pair
-    a, b = ids.astype(object)[np.stack(key_pairs(pos, flat[1::2])[:2])]
-    return frozenset(zip(a, b))
+    """A pair set of any pairs of non-negative ids, an (m, 2) array or a
+    list: each pair kept once as (min, max), self-pairs dropped."""
+    ends = np.sort(np.asarray(pairs, dtype=np.int64).reshape(-1, 2), axis=1)
+    if ends[:, 0].min(initial=0) < 0:
+        raise ValueError(f"{source_name}: pair ids must be non-negative")
+    return EquivalencePairSet(source_name, kind, _sorted_pairs(*ends[ends[:, 0] != ends[:, 1]].T))
 
 
 def _distinct_rows(pos: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -242,8 +252,13 @@ def _label_pair_set(
     source_name: str, kind: PhraseKind, labelled: Iterable[tuple[int, Hashable]]
 ) -> EquivalencePairSet:
     """Pair every two distinct ids that carry a common label, from
-    (id, label) rows; an id may carry several labels."""
-    return EquivalencePairSet(source_name, kind, shared_key_pairs(labelled))
+    (id, label) rows; an id may carry several labels. The labels are
+    numbered in first-seen order and joined by `key_pairs`."""
+    number: dict[Hashable, int] = {}
+    flat = np.fromiter(chain.from_iterable(
+        (pid, number.setdefault(k, len(number))) for pid, k in labelled), dtype=np.int64)
+    a, b = key_pairs(flat[0::2], flat[1::2])[:2]
+    return EquivalencePairSet(source_name, kind, _sorted_pairs(a, b))
 
 
 @dataclass(frozen=True)
@@ -295,10 +310,10 @@ def groups(parent: np.ndarray) -> list[list[int]]:
     return [order[lo:hi] for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
 
 
-def components(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
+def components(n: int, edges: np.ndarray | Sequence[tuple[int, int]]) -> list[list[int]]:
     """Connected components of positions 0..n-1 under ``edges``, each in
     ascending order, ordered by smallest member."""
-    ends = np.fromiter(chain.from_iterable(edges), dtype=np.intp).reshape(-1, 2)
+    ends = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
     parent = np.arange(n)
     link(parent, ends[:, 0], ends[:, 1])
     return groups(parent)
@@ -387,7 +402,7 @@ def idf_equivalences(
     """All NP pairs (a, b), a < b, with idf_overlap_score >= cutoff.
 
     Candidates come from a weighted prefix filter (Bayardo et al. 2007):
-    ``shared_key_pairs`` gets one (id, token) row per prefix token, as
+    ``_label_pair_set`` gets one (id, token) row per prefix token, as
     ``_idf_prefix`` gives it. The filter is exact. Every NP orders its
     tokens the same global way, and the tokens after its prefix weigh
     less than cutoff·|x|_w. If the first token that a and b share, in
@@ -400,11 +415,10 @@ def idf_equivalences(
         raise ValueError(f"cutoff must be in [0, 1], got {cutoff}")
     toks = {p.id: content_tokens(p.text) for p in kb.np_vocab}
     rows = [(pid, t) for pid, ts in toks.items() for t in _idf_prefix(ts, df, cutoff)]
-    candidates = shared_key_pairs(rows)
-    pairs = frozenset(
-        (a, b) for a, b in candidates
-        if idf_overlap_score(toks[a], toks[b], df) >= cutoff
-    )
+    candidates = _label_pair_set("idf_overlap", PhraseKind.NP, rows).pairs
+    keep = np.array([idf_overlap_score(toks[a], toks[b], df) >= cutoff
+                     for a, b in candidates.tolist()], dtype=bool)
+    pairs = candidates[keep]
     logger.info("idf_overlap: %d prefix rows, %d candidates scored, %d pairs kept",
                 len(rows), len(candidates), len(pairs))
     return EquivalencePairSet("idf_overlap", PhraseKind.NP, pairs)
@@ -422,13 +436,6 @@ def entity_link_equivalences(kb: OpenKB) -> EquivalencePairSet:
 
 # ---------------------------------------------------------------------------
 # resource-file providers (matching is case-insensitive on normalized text)
-
-
-def _lower_index(kb: OpenKB, kind: PhraseKind) -> dict[str, list[int]]:
-    index = defaultdict(list)
-    for p in kb.vocab(kind):
-        index[p.text.lower()].append(p.id)
-    return index
 
 
 def load_ppdb(path, confidence_min: float) -> tuple[list[tuple[str, str]], int]:
@@ -470,31 +477,24 @@ def ppdb_equivalences(
     nothing."""
     rows, _ = load_ppdb(ppdb_file, confidence_min)
     position: dict[str, int] = {}  # resource strings in first-seen order
-    edges = [(position.setdefault(p1, len(position)),
-              position.setdefault(p2, len(position))) for p1, p2 in rows]
-    smallest = [0] * len(position)
-    for members in components(len(position), edges):
-        for x in members:
-            smallest[x] = members[0]
-    return _label_pair_set("ppdb", kind, (
-        (pid, smallest[position[text]])
-        for text, ids in _lower_index(kb, kind).items() if text in position
-        for pid in ids
-    ))
+    ends = np.array([(position.setdefault(p1, len(position)),
+                      position.setdefault(p2, len(position))) for p1, p2 in rows],
+                    dtype=np.intp).reshape(-1, 2)
+    parent = np.arange(len(position))
+    link(parent, ends[:, 0], ends[:, 1])
+    # a string's label is its component's smallest position
+    return _shared_label_pairs("ppdb", kind, {
+        text: (root,) for text, root in zip(position, parent.tolist())}, kb)
 
 
 def _shared_label_pairs(
-    source_name: str, kind: PhraseKind, labels: Mapping[str, Iterable[str]],
+    source_name: str, kind: PhraseKind, labels: Mapping[str, Iterable[Hashable]],
     kb: OpenKB,
 ) -> EquivalencePairSet:
     """Pair KB phrases whose lowercased texts share a label in ``labels``.
     Phrases absent from ``labels`` contribute nothing."""
     return _label_pair_set(source_name, kind, (
-        (pid, label)
-        for text, ids in _lower_index(kb, kind).items()
-        for label in labels.get(text, ())
-        for pid in ids
-    ))
+        (p.id, label) for p in kb.vocab(kind) for label in labels.get(p.text.lower(), ())))
 
 
 def _two_field_rows(path, expected: str):
@@ -571,8 +571,7 @@ def amie_mine(
     a, b = np.divmod(pair, kb.n_rels)
     # rounding is monotone, so the lower confidence is support / max |S|
     keep = (support >= support_min) & (support / np.maximum(size[a], size[b]) >= confidence_min)
-    return EquivalencePairSet("amie", PhraseKind.REL,
-                              frozenset(zip(a[keep].tolist(), b[keep].tolist())))
+    return EquivalencePairSet("amie", PhraseKind.REL, np.stack((a[keep], b[keep]), axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +680,7 @@ def save_side_info(collection: SideInfoCollection, path, kb: OpenKB) -> None:
     pairs index; byte-deterministic."""
     payload = {
         key: [{"source_name": s.source_name, "kind": s.kind.value,
-               "pairs": sorted(list(p) for p in s.pairs)} for s in sources]
+               "pairs": s.pairs.tolist()} for s in sources]
         for key, sources in (("np_sources", collection.np_sources),
                              ("rel_sources", collection.rel_sources))
     }
@@ -692,30 +691,30 @@ def save_side_info(collection: SideInfoCollection, path, kb: OpenKB) -> None:
 def load_side_info(path, kb: OpenKB) -> SideInfoCollection:
     """Read a ``save_side_info`` file for the KB its pairs index; a damaged
     one raises ParseError naming the file. A file built from another
-    vocabulary raises a ConfigError naming it, and a pair id that is not
-    an int in [0, n) for its kind's n phrases a ParseError."""
+    vocabulary raises a ConfigError naming it, and a pair that is not two
+    ints in [0, n), for its kind's n phrases, a ParseError. Every JSON id
+    is checked before any is read into an array."""
     with Path(path).open(encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-            np_sources, rel_sources = (
-                tuple(make_pair_set(e["source_name"], PhraseKind(e["kind"]),
-                                    [tuple(p) for p in e["pairs"]])
-                      for e in payload[key])
+            np_entries, rel_entries = (
+                [(e["source_name"], PhraseKind(e["kind"]), list(e["pairs"]))
+                 for e in payload[key]]
                 for key in ("np_sources", "rel_sources"))
         except (KeyError, TypeError, ValueError) as e:
             raise ParseError(path, None, f"not a side-information file: {e!r}") from e
     if payload.get("vocab_hash") != vocab_hash(kb):
         raise ConfigError(f"{path}: side information was built from a different "
                           "vocabulary; run sideinfo again")
-    for s in np_sources + rel_sources:
-        n = len(kb.vocab(s.kind))
-        bad = [i for pair in s.pairs for i in pair
-               if type(i) is not int or not 0 <= i < n]
+    for name, kind, pairs in np_entries + rel_entries:
+        n = len(kb.vocab(kind))
+        bad = [p for p in pairs if type(p) is not list or len(p) != 2
+               or any(type(i) is not int or not 0 <= i < n for i in p)]
         if bad:
-            raise ParseError(path, None, f"{s.kind.value} source {s.source_name!r}: "
-                             f"pair id {min(bad, key=repr)!r} is not one of the "
-                             f"KB's {n} phrase ids")
-    return SideInfoCollection(np_sources, rel_sources)
+            raise ParseError(path, None, f"{kind.value} source {name!r}: {bad[0]!r} is not "
+                             f"a pair of the KB's {n} phrase ids")
+    return SideInfoCollection(*(tuple(make_pair_set(*entry) for entry in entries)
+                                for entries in (np_entries, rel_entries)))
 
 
 def coverage_report(collection: SideInfoCollection, kb: OpenKB) -> list[str]:

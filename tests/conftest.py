@@ -23,6 +23,11 @@ def records_from_spo(spo_list, extra_by_index=None):
     return records
 
 
+def pair_tuples(pair_set) -> set[tuple[int, int]]:
+    """The rows of a pair set's (m, 2) pair array as (a, b) int tuples."""
+    return {(a, b) for a, b in pair_set.pairs.tolist()}
+
+
 def checkout_env() -> dict[str, str]:
     """The environment with this checkout's ``src/`` first on PYTHONPATH,
     so a subprocess imports kbcanon from it, installed or not."""

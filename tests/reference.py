@@ -32,6 +32,7 @@ from kbcanon.side_info import (
     build_df,
     content_tokens,
     idf_overlap_score,
+    make_pair_set,
     morph_normalize,
 )
 
@@ -448,18 +449,19 @@ def reference_amie_mine(
     morph-canonical (subject, object) pairs), support(r => r') is
     |S_r & S_r'| and confidence is support / |S_r|. A pair is emitted iff
     both directions meet the support and confidence thresholds. Only the
-    relation pairs that share an argument pair (``shared_key_pairs``) are
-    scored; every other pair has support 0.
+    relation pairs that share an argument pair
+    (``reference_shared_key_pairs``) are scored; every other pair has
+    support 0.
     """
     arg_pairs = reference_relation_argument_pairs(kb)
     candidates = reference_shared_key_pairs(
         (r, xy) for r, xys in arg_pairs.items() for xy in xys)
     support = {(a, b): len(arg_pairs[a] & arg_pairs[b]) for a, b in candidates}
-    return EquivalencePairSet("amie", PhraseKind.REL, frozenset(
+    return make_pair_set("amie", PhraseKind.REL, [
         (a, b) for (a, b), ov in support.items()
         if ov >= support_min and ov / len(arg_pairs[a]) >= confidence_min
         and ov / len(arg_pairs[b]) >= confidence_min
-    ))
+    ])
 
 
 # The package's original IDF side information, kept verbatim: it scores
@@ -477,10 +479,10 @@ def reference_idf_equivalences(
         raise ValueError(f"cutoff must be in [0, 1], got {cutoff}")
     toks = {p.id: content_tokens(p.text) for p in kb.np_vocab}
     candidates = reference_shared_key_pairs((pid, t) for pid, ts in toks.items() for t in ts)
-    return EquivalencePairSet("idf_overlap", PhraseKind.NP, frozenset(
+    return make_pair_set("idf_overlap", PhraseKind.NP, [
         (a, b) for a, b in candidates
         if idf_overlap_score(toks[a], toks[b], df) >= cutoff
-    ))
+    ])
 
 
 def attribute_sets(kb: OpenKB) -> dict[int, frozenset[tuple[str, int, int]]]:
@@ -653,9 +655,9 @@ def _side_pair_arrays(
     out = []
     for src in sources:
         lam = h.lambda_for(kind, src.source_name)
-        if lam == 0.0 or not src.pairs:
+        if lam == 0.0 or not len(src):
             continue
-        pairs = sorted(src.pairs)
+        pairs = sorted(map(tuple, src.pairs.tolist()))
         ia = np.asarray([a for a, _ in pairs], dtype=np.intp)
         ib = np.asarray([b for _, b in pairs], dtype=np.intp)
         out.append((ia, ib, lam / len(pairs)))

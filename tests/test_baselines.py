@@ -542,7 +542,7 @@ class TestSimilarityBaselines:
         join = sum(g * (g - 1) // 2 for g in holders.values()) * 5 * 8
         a, b, d = overlap_distances(BaselineName.IDF_HAC, kb)
         near = d <= clustering.threshold_used
-        component = max(len(c) for c in components(kb.n_nps, zip(a[near], b[near])))
+        component = max(len(c) for c in components(kb.n_nps, np.stack((a[near], b[near]), 1)))
         triangle = max(len(val), component) ** 2 // 2 * 8
         assert peak < triangle + join + 2**20 < kb.n_nps ** 2 * 8
 

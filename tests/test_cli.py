@@ -447,7 +447,8 @@ class TestErrorHandling:
         assert err.startswith(f"error: {run_dir / 'side_info.json'}")
         assert "different vocabulary" in err
 
-    @pytest.mark.parametrize("pair", [[0, 1000000], [-1, 0], [1.7, 4], [True, 0]])
+    @pytest.mark.parametrize("pair", [[0, 1000000], [-1, 0], [1.7, 4], [True, 0],
+                                      [1.0, 4], ["1", 2], [1], [1, 2, 3]])
     def test_side_info_pair_id_outside_the_kb_exits_2_naming_the_file(
         self, tmp_path, capsys, pair
     ):

@@ -26,7 +26,7 @@ from kbcanon.side_info import (
 )
 from kbcanon.synth import make_synthetic_kb
 
-from .conftest import records_from_spo
+from .conftest import pair_tuples, records_from_spo
 from .reference import reference_idf_equivalences
 
 # common tokens repeat so that df is skewed; "the" and "of" are stopwords,
@@ -62,8 +62,7 @@ class TestIdfEquivalencesMatchReference:
             st.floats(0.0, 1.0),
             st.sampled_from(scores or [0.0]),
         ))
-        assert (idf_equivalences(kb, df, cutoff).pairs
-                == reference_idf_equivalences(kb, df, cutoff).pairs)
+        assert idf_equivalences(kb, df, cutoff) == reference_idf_equivalences(kb, df, cutoff)
 
 
 class TestCandidatesScored:
@@ -88,7 +87,7 @@ class TestCandidatesScored:
         kb = _kb([["acme", "inc"], ["acme"], ["zenith", "inc"], ["zenith", "group"]])
         with caplog.at_level(logging.INFO, logger="kbcanon.side_info"):
             pairs = idf_equivalences(kb, build_df(kb), 0.5)
-        assert pairs.pairs == {(0, 1)}
+        assert pair_tuples(pairs) == {(0, 1)}
         assert ("idf_overlap: 6 prefix rows, 2 candidates scored, 1 pairs kept"
                 in caplog.messages)
 

@@ -32,7 +32,7 @@ from kbcanon.kb import (
 )
 from kbcanon.side_info import SideInfoConfig, assemble_side_info
 
-from .conftest import records_from_spo
+from .conftest import pair_tuples, records_from_spo
 
 
 def write_jsonl(path, records):
@@ -411,7 +411,7 @@ class TestGoldIsolation:
             init = init_embeddings(kb, None, h.dim, default_init_rng(h.seed))
             emb = train(kb, side, h, init)
             clustering = cluster_phrases(kb, PhraseKind.NP, emb.np_vectors, 0.4)
-            pair_sets = {s.source_name: s.pairs for s in side.np_sources}
+            pair_sets = {s.source_name: pair_tuples(s) for s in side.np_sources}
             outputs.append((pair_sets, emb.np_vectors, clustering.member_sets()))
         assert outputs[0][0] == outputs[1][0]
         assert np.array_equal(outputs[0][1], outputs[1][1])

@@ -27,6 +27,7 @@ from kbcanon.canonicalize import hac_from_distance_matrix, hac_from_pairs
 from kbcanon.kb import PhraseKind, build_kb
 from kbcanon.side_info import (
     DocumentFrequency,
+    _label_pair_set,
     build_df,
     content_tokens,
     idf_equivalences,
@@ -34,10 +35,9 @@ from kbcanon.side_info import (
     idf_weight,
     key_pairs,
     overlap_scores,
-    shared_key_pairs,
 )
 
-from .conftest import records_from_spo
+from .conftest import pair_tuples, records_from_spo
 from .reference import (
     jaccard,
     random_kb,
@@ -67,7 +67,7 @@ def kb_with_edge_cases(rand):
     return build_kb(records_from_spo(rows))
 
 
-class TestSharedKeyPairs:
+class TestLabelPairSet:
     @given(st.lists(st.tuples(st.integers(0, 12),
                               st.sampled_from([0, 1, 2, "x", "y", ("s", 1), None])),
                     max_size=40))
@@ -82,12 +82,16 @@ class TestSharedKeyPairs:
             keys[pid].add(key)
         expected = {(a, b) for a, b in combinations(sorted(keys), 2)
                     if keys[a] & keys[b]}
-        assert shared_key_pairs(rows) == expected
-        assert shared_key_pairs(iter(rows)) == reference_shared_key_pairs(rows)
+        got = _label_pair_set("x", PhraseKind.NP, iter(rows))
+        assert pair_tuples(got) == expected == reference_shared_key_pairs(rows)
+        # one sorted row per pair
+        assert got.pairs.dtype == np.int64 and got.pairs.shape == (len(expected), 2)
+        assert got.pairs.tolist() == sorted(map(list, expected))
 
     def test_ordered_pairs_of_distinct_ids(self):
         rows = [(3, "k"), (1, "k"), (3, "k"), (2, "j"), (1, "j")]
-        assert shared_key_pairs(rows) == {(1, 3), (1, 2)}
+        got = _label_pair_set("x", PhraseKind.NP, rows)
+        assert got.pairs.tolist() == [[1, 2], [1, 3]]
 
 
 class TestIdfEquivalencesMatchAllPairs:
@@ -103,7 +107,7 @@ class TestIdfEquivalencesMatchAllPairs:
                 (a, b) for a, b in combinations(sorted(toks), 2)
                 if idf_overlap_score(toks[a], toks[b], df) >= cutoff
             }
-            assert idf_equivalences(kb, df, cutoff).pairs == scan
+            assert pair_tuples(idf_equivalences(kb, df, cutoff)) == scan
             found += len(scan)
         assert found > 0
 
@@ -265,4 +269,5 @@ class TestKeyPairs:
             holders[x].add(p)
         assert got == sorted((a, b, x) for x, ps in holders.items()
                              for a, b in combinations(sorted(ps), 2))
-        assert {(a, b) for a, b, _ in got} == shared_key_pairs(rows)
+        labelled = _label_pair_set("x", PhraseKind.NP, rows)
+        assert {(a, b) for a, b, _ in got} == pair_tuples(labelled)

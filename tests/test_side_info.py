@@ -7,6 +7,7 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -36,7 +37,7 @@ from kbcanon.side_info import (
     synset_equivalences,
 )
 
-from .conftest import records_from_spo
+from .conftest import pair_tuples, records_from_spo
 from .reference import (
     brute_force_rule_pairs,
     random_kb,
@@ -391,7 +392,7 @@ class TestRuleMining:
         rand = random.Random(17)
         for _ in range(25):
             kb = random_kb(rand)
-            mined = amie_mine(kb, 2, 0.2).pairs
+            mined = pair_tuples(amie_mine(kb, 2, 0.2))
             brute = {
                 (min(a, b), max(a, b))
                 for a, b in brute_force_rule_pairs(kb, 2, 0.2)
@@ -430,8 +431,8 @@ class TestRuleMiningMatchesSetIntersections:
                                  if ov and ov / len(args[x]) == c)
             for support in (1, 2, 3):
                 for confidence in _CONFIDENCES:
-                    assert (amie_mine(kb, support, confidence).pairs
-                            == reference_amie_mine(kb, support, confidence).pairs)
+                    assert (amie_mine(kb, support, confidence)
+                            == reference_amie_mine(kb, support, confidence))
         # every nonzero cutoff is met with equality by some ratio
         assert on_cutoff == set(_CONFIDENCES[1:])
 
@@ -441,9 +442,36 @@ class TestPairSetInvariants:
     @given(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 20))))
     def test_irreflexive_and_canonical(self, raw_pairs):
         ps = make_pair_set("x", PhraseKind.NP, raw_pairs)
-        for a, b in ps.pairs:
-            assert a < b
-            assert (b, a) not in ps.pairs
+        expected = sorted({(min(a, b), max(a, b)) for a, b in raw_pairs if a != b})
+        assert ps.pairs.dtype == np.int64 and ps.pairs.shape == (len(expected), 2)
+        # rows (a, b), a < b, each pair once, in lexicographic order
+        assert ps.pairs.tolist() == [list(p) for p in expected]
+        assert make_pair_set("x", PhraseKind.NP, np.array(raw_pairs, dtype=np.int64)) == ps
+        assert not ps.pairs.flags.writeable
+
+
+def every_provider_config(tmp_path, synth_data) -> SideInfoConfig:
+    """Every provider on, over resource files that cover the synthetic
+    KB: the alias paraphrases plus relation paraphrase rows (one below
+    the cutoff), synsets by gold cluster with one synset over every
+    alias ending in "inc", and relation categories by gold group."""
+    synth = synth_data["synth"]
+    rels = sorted(synth.rel_gold)
+    ppdb = tmp_path / "ppdb.tsv"
+    ppdb.write_text(synth_data["side_ppdb"].read_text(encoding="utf-8")
+                    + f"{rels[0]}\t{rels[1]}\t0.9\n{rels[2]}\t{rels[3]}\t0.1\n",
+                    encoding="utf-8")
+    wordnet = tmp_path / "wordnet.tsv"
+    wordnet.write_text("".join(
+        f"{text}\t{gold}" + (",inc" if text.endswith(" inc") else "") + "\n"
+        for text, gold in sorted({**synth.np_gold, **synth.rel_gold}.items())),
+        encoding="utf-8")
+    kbp = tmp_path / "kbp.tsv"
+    kbp.write_text("".join(f"{text}\tcat {gold}\n"
+                           for text, gold in sorted(synth.rel_gold.items())), encoding="utf-8")
+    return SideInfoConfig(ppdb_np=True, ppdb_rel=True, wordnet_np=True, wordnet_rel=True,
+                          kbp=True, ppdb_file=str(ppdb), wordnet_file=str(wordnet),
+                          kbp_file=str(kbp))
 
 
 class TestAssembleSideInfo:
@@ -488,17 +516,26 @@ class TestAssembleSideInfo:
         assert tuple(s.source_name for s in side.np_sources) == NP_SOURCES
         assert tuple(s.source_name for s in side.rel_sources) == REL_SOURCES
 
-    def test_round_trip_and_determinism(self, tmp_path, synth_kb):
-        side = assemble_side_info(synth_kb, SideInfoConfig())
-        p1, p2 = tmp_path / "s1.json", tmp_path / "s2.json"
+    @pytest.mark.parametrize("every_provider", [False, True], ids=["default", "every"])
+    def test_round_trip_and_determinism(self, tmp_path, synth_data, synth_kb, every_provider):
+        cfg = (every_provider_config(tmp_path, synth_data) if every_provider
+               else SideInfoConfig())
+        side = assemble_side_info(synth_kb, cfg)
+        if every_provider:
+            assert tuple(s.source_name for s in side.np_sources) == NP_SOURCES
+            assert tuple(s.source_name for s in side.rel_sources) == REL_SOURCES
+            # every resource file pairs something (this KB has no links
+            # and no morph collisions)
+            assert all(len(s) for s in side.np_sources + side.rel_sources
+                       if s.source_name in ("ppdb", "wordnet", "kbp"))
+        p1, p2, p3 = tmp_path / "s1.json", tmp_path / "s2.json", tmp_path / "s3.json"
         save_side_info(side, p1, synth_kb)
         save_side_info(side, p2, synth_kb)
         assert p1.read_bytes() == p2.read_bytes()
         loaded = load_side_info(p1, synth_kb)
-        assert [s.source_name for s in loaded.np_sources] == \
-            [s.source_name for s in side.np_sources]
-        for a, b in zip(loaded.np_sources, side.np_sources):
-            assert a.pairs == b.pairs
+        assert loaded == side
+        save_side_info(loaded, p3, synth_kb)
+        assert p3.read_bytes() == p1.read_bytes()
 
     def test_load_refuses_side_info_of_another_vocabulary(self, tmp_path, synth_kb, toy_kb):
         path = tmp_path / "side_info.json"
