@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -24,7 +24,6 @@ from .canonicalize import (
     Triangle,
     choose_threshold,
     cluster_phrases,
-    hac_from_distance_matrix,
     hac_from_pairs,
     hac_merge_history,  # noqa: F401 -- bound here too, where the benchmark's tracer rebinds it
     pair_triangle,
@@ -109,10 +108,84 @@ class BaselineConfig:
 # similarity functions
 
 
-# a block of jaro_winkler_distances holds _JW_BLOCK // (w + 8) pairs, at least
-# one, for w the longest text among its rows: its working arrays take about 25
-# bytes per pair and character, with the per-pair arrays as 8 more characters
-_JW_BLOCK = 2**17
+# a block of `_jw_distances` holds _JW_BLOCK // (w1 + w2 + 8) pairs, at least
+# one, for w1 and w2 its longest s1 and s2: its working arrays take at most
+# about 9 bytes per pair and character, with the per-pair arrays as 8 more
+# characters, so about 2.4 MB
+_JW_BLOCK = 2**18
+# the pairs `_length_pairs` hands on at a time, so that no step holds them all
+_PAIR_CHUNK = 2**12
+# The shared-character bound counts code points mod _JW_BUCKETS (a-z and the
+# space stay apart). A pair is dropped only when its bound is below
+# 1 - threshold by more than _JW_SLACK, which absorbs the float rounding of
+# the bound and of the score.
+_JW_BUCKETS = 32
+_JW_SLACK = 1e-9
+
+
+class _Texts(NamedTuple):
+    """Texts as code points: row k of ``codes`` holds the code points from
+    position k of the concatenated texts, text t starts at ``starts[t]``
+    and is ``lens[t]`` long, and ``ident[t]`` is the first position of a
+    text equal to it."""
+    codes: np.ndarray
+    starts: np.ndarray
+    lens: np.ndarray
+    ident: np.ndarray
+
+
+def _pack(texts: Sequence[str]) -> _Texts:
+    lens = np.array([len(t) for t in texts], dtype=np.int64)
+    longest = int(lens.max(initial=1))
+    codes = sliding_window_view(np.concatenate((
+        np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), dtype="<i4"),
+        np.zeros(longest, dtype=np.int32))), longest)
+    first: dict[str, int] = {}
+    ident = np.array([first.setdefault(t, k) for k, t in enumerate(texts)], dtype=np.int64)
+    return _Texts(codes, np.cumsum(lens) - lens, lens, ident)
+
+
+def _jw_distances(texts: _Texts, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """1 - Jaro-Winkler similarity of each listed pair (i[k], j[k]), i < j,
+    with s1 the text i, and 0 for equal texts. The pairs are scored in
+    order of s1 length, then of s2 length, longest first, in blocks sized
+    to ``_JW_BLOCK`` by their own s1 and s2 widths: a long text widens
+    only the blocks of its own pairs, and only on its own side."""
+    n1, n2 = texts.lens[i], texts.lens[j]
+    order = np.lexsort((-n2, -n1))
+    n1, n2 = n1[order], n2[order]
+    out = np.empty(len(order))
+    lo = 0
+    while lo < len(order):
+        # the longest prefix of the pairs from lo on that the widths allow
+        w2 = np.maximum.accumulate(n2[lo:lo + max(_JW_BLOCK // (n1[lo] + 8), 1)])
+        cost = np.arange(1, len(w2) + 1) * (n1[lo] + w2 + 8)
+        block = order[lo:lo + max(int(np.searchsorted(cost, _JW_BLOCK, side="right")), 1)]
+        a, b = i[block], j[block]
+        sim = _jaro_winkler_block(texts.codes, texts.starts, texts.lens, a, b)
+        sim[texts.ident[a] == texts.ident[b]] = 1.0
+        out[block] = 1.0 - sim
+        lo += len(block)
+    return out
+
+
+def _length_pairs(lens: np.ndarray, ratio: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The pairs i < j of positions whose shorter text is at least
+    ``ratio`` (in [0, 1]) times as long as the longer, as (i, j) arrays of
+    at most ``_PAIR_CHUNK`` pairs: row by row over the positions sorted
+    longest first, each row paired with the rows after it, so that all
+    the pairs of one text come together."""
+    order = np.argsort(-lens, kind="stable")
+    L = lens[order]
+    # row r pairs with the rows after it whose texts are at least ratio·L[r] long
+    counts = np.searchsorted(-L, -ratio * L, side="right") - np.arange(1, len(L) + 1)
+    row_start = np.cumsum(counts) - counts
+    total = int(counts.sum())
+    for lo in range(0, total, _PAIR_CHUNK):
+        k = np.arange(lo, min(lo + _PAIR_CHUNK, total))
+        r = np.searchsorted(row_start, k, side="right") - 1
+        a, b = order[r], order[k - row_start[r] + r + 1]
+        yield np.minimum(a, b), np.maximum(a, b)
 
 
 def jaro_winkler_distances(texts: Sequence[str]) -> np.ndarray:
@@ -122,39 +195,70 @@ def jaro_winkler_distances(texts: Sequence[str]) -> np.ndarray:
     score 1 and an empty text against a non-empty one 0. Texts are compared
     by code point, as ``str`` compares them, and every value is the same
     IEEE result as the scalar formula with s1 the text that comes first
-    in ``texts``. The pairs are scored in blocks sized to ``_JW_BLOCK``, so
-    the memory beyond D does not grow with the length of a text."""
-    n = len(texts)
-    lens = np.array([len(t) for t in texts], dtype=np.int64)
-    # row k of the view: `longest` code points from position k of the texts
-    longest = int(lens.max(initial=1))
-    codes = sliding_window_view(np.concatenate((
-        np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"), dtype="<i4"),
-        np.zeros(longest, dtype=np.int32))), longest)
-    starts = np.cumsum(lens) - lens
-    first: dict[str, int] = {}
-    ident = np.array([first.setdefault(t, k) for k, t in enumerate(texts)],
-                     dtype=np.int64)
-    # The pairs are walked row by row over the texts sorted longest first,
-    # so a block is as wide as the text of its first row, not as the
-    # longest text of all. row_start[r]: the index of the pair (r, r + 1).
-    order = np.argsort(-lens, kind="stable")
-    row_start = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
-    pairs = n * (n - 1) // 2
-    D = np.zeros((n, n))
-    lo = 0
-    while lo < pairs:
-        width = lens[order[np.searchsorted(row_start, lo, side="right") - 1]]
-        hi = min(lo + max(_JW_BLOCK // (width + 8), 1), pairs)
-        k = np.arange(lo, hi)
-        r = np.searchsorted(row_start, k, side="right") - 1
-        a, b = order[r], order[k - row_start[r] + r + 1]
-        i, j = np.minimum(a, b), np.maximum(a, b)
-        sim = _jaro_winkler_block(codes, starts, lens, i, j)
-        sim[ident[i] == ident[j]] = 1.0
-        D[i, j] = D[j, i] = 1.0 - sim
-        lo = hi
+    in ``texts``. The pairs are generated and scored in bounded chunks and
+    blocks, so the memory beyond D grows neither with n nor with the
+    length of a text."""
+    packed = _pack(texts)
+    D = np.zeros((len(texts), len(texts)))
+    for i, j in _length_pairs(packed.lens, 0.0):
+        D[i, j] = D[j, i] = _jw_distances(packed, i, j)
     return D
+
+
+def jaro_winkler_triangle(texts: Sequence[str], rows: Sequence[int]) -> Triangle:
+    """The `Triangle` of the `jaro_winkler_distances` among the ascending
+    positions ``rows``, each pair scored straight into its condensed slot,
+    with no square matrix."""
+    packed = _pack(texts)
+    rows = np.asarray(rows, dtype=np.int64)
+    m = len(rows)
+    T = Triangle(m)
+    for a, b in _length_pairs(packed.lens[rows], 0.0):
+        T.values[a * (2 * m - a - 1) // 2 + b - a - 1] = _jw_distances(packed, rows[a], rows[b])
+    return T
+
+
+def _jw_candidates(texts: _Texts, threshold: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(i, j) chunks, i < j, of the pairs of texts whose Jaro-Winkler
+    distance an upper bound on their similarity cannot put above
+    ``threshold``. JW <= 0.4 + 0.6·jaro, the prefix being at most 4, and
+    jaro <= (c/n1 + c/n2 + 1)/3 for c the size of the shared multiset of
+    the texts' characters, since m <= c; counting characters by bucket
+    only raises c. A pair is dropped when 0.6 + 0.2·(c/n1 + c/n2) is
+    below 1 - threshold by more than ``_JW_SLACK``; equal texts, two empty
+    ones included, are always kept. As c <= min(n1, n2), only pairs of
+    texts of similar length are counted."""
+    lens = texts.lens
+    n = len(lens)
+    owner = np.repeat(np.arange(n), lens)
+    counts = np.bincount(owner * _JW_BUCKETS + texts.codes[:len(owner), 0] % _JW_BUCKETS,
+                         minlength=n * _JW_BUCKETS).reshape(n, _JW_BUCKETS)
+    counts = counts.astype(np.min_scalar_type(lens.max(initial=0)))
+    need = (0.4 - threshold - _JW_SLACK) / 0.2  # what c/n1 + c/n2 must reach
+    for i, j in _length_pairs(lens, min(max(need - 1.0, 0.0), 1.0)):
+        c = np.minimum(counts[i], counts[j]).sum(axis=1)
+        keep = c / np.maximum(lens[i], 1) + c / np.maximum(lens[j], 1) >= need
+        keep |= texts.ident[i] == texts.ident[j]
+        yield i[keep], j[keep]
+
+
+def jaro_winkler_edges(texts: Sequence[str], threshold: float
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, d): every pair a < b of ``texts`` at Jaro-Winkler distance
+    d <= threshold, as `jaro_winkler_distances` scores it, found among
+    the `_jw_candidates` only. From threshold 1 on, where every pair is
+    within it, none is listed: `hac_from_pairs` with ``far`` 1 needs none
+    there."""
+    a, b, d = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    if threshold < 1.0:
+        packed = _pack(texts)
+        for i, j in _jw_candidates(packed, threshold):
+            dist = _jw_distances(packed, i, j)
+            near = dist <= threshold
+            a.append(i[near])
+            b.append(j[near])
+            d.append(dist[near])
+    return np.concatenate(a), np.concatenate(b), np.concatenate(d)
 
 
 def _jaro_winkler_block(codes: np.ndarray, starts: np.ndarray, lens: np.ndarray,
@@ -269,13 +373,16 @@ def run_baseline(cfg: BaselineConfig, kb: OpenKB, *, ppdb_file=None,
     without a threshold tunes one as the system does, on the distances of
     the ascending ``validation_ids`` scored against ``validation_gold``,
     and cuts the whole vocabulary there; without a threshold or both of
-    those, or with an input missing, a method fails before work.
-    `strsim_hac` builds the dense Jaro-Winkler D. `idf_hac` and
-    `attr_hac` build none: they score the pairs that share a key
+    those, or with an input missing, a method fails before work. No
+    similarity method builds an n×n D, and each cuts with
+    `hac_from_pairs`. `strsim_hac` tunes on the `jaro_winkler_triangle`
+    of the validation positions and cuts on the `jaro_winkler_edges`,
+    scoring only the pairs a shared-character bound cannot put above the
+    threshold. `idf_hac` and `attr_hac` score the pairs that share a key
     (`overlap_distances`), tune on the `pair_triangle` of the validation
-    positions' pairs, 1 where no key is shared, and cut with
-    `hac_from_pairs`. ``word_vectors`` is a `load_word_vectors` table,
-    which `wordvec_avg` and `hole_pretrained` need."""
+    positions' pairs, 1 where no key is shared, and cut on them.
+    ``word_vectors`` is a `load_word_vectors` table, which `wordvec_avg`
+    and `hole_pretrained` need."""
     cfg.validate()
     kind = cfg.kind
     vocab = kb.vocab(kind)
@@ -300,10 +407,12 @@ def run_baseline(cfg: BaselineConfig, kb: OpenKB, *, ppdb_file=None,
         return _freq_clustering(kb, kind, components(len(vocab), pair_set.pairs), NO_THRESHOLD)
 
     if name is BaselineName.STRSIM_HAC:
-        D = jaro_winkler_distances([p.text for p in vocab])
+        texts = [p.text for p in vocab]
         if threshold is None:
-            threshold = tune_threshold_on_matrix(val, Triangle.of(D, val), validation_gold, grid)
-        member_sets = hac_from_distance_matrix(range(len(vocab)), D, threshold)
+            threshold = tune_threshold_on_matrix(val, jaro_winkler_triangle(texts, val),
+                                                 validation_gold, grid)
+        member_sets = hac_from_pairs(range(len(vocab)), *jaro_winkler_edges(texts, threshold),
+                                     threshold, 1.0)
         return _freq_clustering(kb, kind, member_sets, threshold)
 
     if name in (BaselineName.IDF_HAC, BaselineName.ATTR_HAC):

@@ -32,20 +32,21 @@ computing each block from its diagonal on, 1 - N[r0:r1] @ N[r0:].T for
 the unit rows N, the way `cosine_distance_matrix` computes its rows, so
 both read the same bits, and keeps each edge as an int32 index into its
 block and its distance, 12 bytes. `hac_from_distance_matrix` scans the
-same row blocks of a dense D (the Jaro-Winkler baseline's) into the same
-edges. `hac_from_pairs` cuts the overlap baselines' distances, listed
-only at the pairs that share a key and 1 at every other pair: its edges
-are the listed pairs at distance <= t; from t >= 1 on every linkage is
-within t, and the cut is one cluster.
+same row blocks of a dense D into the same edges. `hac_from_pairs` cuts
+distances listed only at some pairs and 1 at every other pair: the
+overlap baselines list the pairs that share a key, and the Jaro-Winkler
+baseline the pairs within t, since by the corollary a pair above t may
+sit at 1 instead. Its edges are the listed pairs at distance <= t; from
+t >= 1 on every linkage is within t, and the cut is one cluster.
 
 Every method tunes its threshold (`tune_threshold`) on one history over
 the validation phrases (`hac_merge_history`), which `best_cut` replays
 once, scoring every grid value on the way. The history is merged in the
 packed triangle of their distances, built for the call with no square
-matrix (by `cosine_triangle` from the same row blocks, by `Triangle.of`
-from the Jaro-Winkler D, or by `pair_triangle` from the overlap
-baselines' listed pairs), so tuning holds half of one n×n float64
-array: 7.0 MB against 14.0 MB at 1,322 validation phrases, and 202 MB
+matrix (by `cosine_triangle` from the same row blocks, by
+`baselines.jaro_winkler_triangle` pair by pair, or by `pair_triangle`
+from the overlap baselines' listed pairs), so tuning holds half of one
+n×n float64 array: 7.0 MB against 14.0 MB at 1,322 validation phrases, and 202 MB
 against 404 MB at the 7,105 validation NPs of the 15,000-NP top rung.
 """
 

@@ -17,6 +17,8 @@ from kbcanon.baselines import (
     NO_THRESHOLD,
     BaselineConfig,
     BaselineName,
+    _jw_candidates,
+    _pack,
     jaro_winkler_distances,
     overlap_distances,
     run_baseline,
@@ -27,6 +29,7 @@ from kbcanon.canonicalize import (
     DEFAULT_THRESHOLD_GRID,
     cosine_distance_matrix,
     hac_from_distance_matrix,
+    tune_threshold,
 )
 from kbcanon.embedding import (
     HyperParams,
@@ -37,7 +40,7 @@ from kbcanon.embedding import (
     wordvec_phrase_embedding,
 )
 from kbcanon.errors import ConfigError, ZeroVectorError
-from kbcanon.kb import GoldClustering, PhraseKind, build_kb
+from kbcanon.kb import GoldClustering, OpenKB, Phrase, PhraseKind, build_kb
 from kbcanon.side_info import EMPTY_SIDE_INFO, components, content_tokens
 
 from .conftest import records_from_spo
@@ -161,6 +164,71 @@ class TestJaroWinklerDistances:
             finally:
                 tracemalloc.stop()
             assert peak < D.nbytes + 4 * 2**20
+
+
+def texts_kb(texts) -> OpenKB:
+    """A KB without triples whose NP and REL vocabularies are both
+    ``texts``, in order, repeated and empty texts included."""
+    return OpenKB(triples=(), **{
+        f"{kind.value.lower()}_vocab": tuple(Phrase(k, t, kind, 1) for k, t in enumerate(texts))
+        for kind in PhraseKind})
+
+
+# below, at and above the thresholds where the bound starts to drop pairs
+_STRSIM_THRESHOLDS = (0.0, 0.05, 0.3, 0.45, 0.95, 1.0, 1.5)
+
+
+class TestStrsimCut:
+    """`strsim_hac` scores only the validation pairs and the pairs the
+    character bound keeps, and cuts like the all-pairs matrix."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(texts=jw_text_lists(), data=st.data())
+    @example(texts=[], data=None)
+    @example(texts=["aaaab", "aaaac", "abcdx", "abcdy", "", ""], data=None)
+    def test_equals_cut_of_the_reference_matrix(self, texts, data):
+        kb = texts_kb(texts)
+        ids = range(len(texts))
+        D = reference_distance_matrix(texts, reference_jaro_winkler)
+        for kind in PhraseKind:
+            for t in _STRSIM_THRESHOLDS:
+                got = run_baseline(BaselineConfig(BaselineName.STRSIM_HAC, kind=kind,
+                                                  threshold=t), kb)
+                assert got.member_sets() == hac_from_distance_matrix(ids, D, t)
+            if not texts:
+                continue
+            if data is None:
+                val = list(ids)
+                labels = [f"g{k % 2}" for k in val]
+            else:
+                val = sorted(data.draw(st.sets(st.sampled_from(ids), min_size=1)))
+                labels = data.draw(st.lists(st.sampled_from("xyz"), min_size=len(val),
+                                            max_size=len(val)))
+            gold = GoldClustering(kind, dict(zip(val, labels)))
+            got = run_baseline(BaselineConfig(BaselineName.STRSIM_HAC, kind=kind), kb,
+                               validation_gold=gold, validation_ids=val)
+            t = tune_threshold(val, D[np.ix_(val, val)], gold)[0]
+            assert got.threshold_used == t
+            assert got.member_sets() == hac_from_distance_matrix(ids, D, t)
+
+    @settings(max_examples=150, deadline=None)
+    @given(texts=jw_text_lists())
+    # the bound is exact here: "aaaab" and "aaaac" match 4 characters in
+    # order under a 4-character prefix
+    @example(texts=["aaaab", "aaaac", "abcdx", "abcdy", "", "", "a"])
+    def test_bound_never_drops_a_pair_within_the_threshold(self, texts):
+        D = reference_distance_matrix(texts, reference_jaro_winkler)
+        i, j = np.triu_indices(len(texts), 1)
+        # every pair's own distance is a threshold that just admits it
+        for t in sorted({*D[i, j].tolist(), *_STRSIM_THRESHOLDS}):
+            kept = {(a, b) for x, y in _jw_candidates(_pack(texts), t)
+                    for a, b in zip(x.tolist(), y.tolist())}
+            assert kept >= {(a, b) for a, b in zip(i.tolist(), j.tolist()) if D[a, b] <= t}
+
+    def test_bound_drops_distant_pairs(self):
+        texts = ["colour", "color", "zebra", "quartz", "colours", "a", "bb", "zebras"]
+        kept = sum(len(x) for x, _ in _jw_candidates(_pack(texts), 0.05))
+        assert 0 < kept < len(texts) * (len(texts) - 1) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +369,8 @@ class TestBaselineConfig:
             raise AssertionError("work started before the threshold check")
 
         for fn in ("train", "init_embeddings", "average_word_vectors",
-                   "jaro_winkler_distances", "build_df", "overlap_scores"):
+                   "jaro_winkler_distances", "jaro_winkler_triangle", "jaro_winkler_edges",
+                   "_jw_distances", "build_df", "overlap_scores"):
             monkeypatch.setattr(kbcanon.baselines, fn, no_work)
         kb = np_kb("alpha", "beta", "gamma", "delta")
         with pytest.raises(ConfigError, match=f"{name.value} needs a threshold"):
@@ -495,20 +564,20 @@ class TestSimilarityBaselines:
         # no whole-vocabulary history.
         sizes, bounds, cuts = [], [], []
         original = kbcanon.canonicalize.hac_merge_history
-        original_cut = kbcanon.canonicalize.hac_from_distance_matrix
+        original_cut = kbcanon.canonicalize.hac_from_pairs
 
         def counting(D, upto=np.inf):
             sizes.append(D.shape[0])
             bounds.append(upto)
             return original(D, upto)
 
-        def cutting(ids, D, threshold):
-            cuts.append((D.shape[0], threshold))
-            return original_cut(ids, D, threshold)
+        def cutting(ids, a, b, d, threshold, far):
+            cuts.append((len(ids), threshold))
+            return original_cut(ids, a, b, d, threshold, far)
 
         for module in (kbcanon.canonicalize, kbcanon.baselines):
             monkeypatch.setattr(module, "hac_merge_history", counting)
-        monkeypatch.setattr(kbcanon.baselines, "hac_from_distance_matrix", cutting)
+        monkeypatch.setattr(kbcanon.baselines, "hac_from_pairs", cutting)
         kb = np_kb("colour", "color", "zebra", "quartz")
         gold = GoldClustering(PhraseKind.NP, {kb.np_id("colour"): "e1",
                                               kb.np_id("color"): "e1",
@@ -520,32 +589,46 @@ class TestSimilarityBaselines:
         assert bounds == [max(DEFAULT_THRESHOLD_GRID)]
         assert cuts == [(kb.n_nps, clustering.threshold_used)]
 
-    def test_holds_no_square_matrix(self):
-        # The whole tuned run: the join's rows (at most five int64 arrays of
-        # them at once), then the packed triangle of the validation
-        # phrases' distances while tuning, then the working triangle of the
-        # cut's largest component, and 1 MB for the rest; the dense D of
-        # all 1,200 NPs alone would be 11.5 MB.
+    @pytest.mark.parametrize("name", [BaselineName.IDF_HAC, BaselineName.STRSIM_HAC])
+    def test_holds_no_square_matrix(self, name):
+        # The whole tuned run: for idf_hac, the join's rows (at most five
+        # int64 arrays of them at once), then the packed triangle of the
+        # validation phrases' distances while tuning, then the working
+        # triangle of the cut's largest component, and 1 MB for the rest.
+        # strsim_hac joins nothing, and at its tuned threshold these texts
+        # form one component, whose triangle is half of D: the triangles of
+        # the tuning and of the cut, plus 1 MB, bound it, the cut's 21K
+        # edges taking the room the freed tuning triangle leaves. The dense
+        # D of all 1,200 NPs alone would be 11.5 MB.
         rand = random.Random(32)
         words = [f"w{k}" for k in range(400)]
         kb = np_kb(*sorted({" ".join(rand.sample(words, 2)) for _ in range(1300)})[:1200])
         val = [i for i in range(kb.n_nps) if i % 3]
         gold = GoldClustering(PhraseKind.NP, {i: f"g{i // 6}" for i in val})
-        cfg = BaselineConfig(BaselineName.IDF_HAC)
+        cfg = BaselineConfig(name)
         tracemalloc.start()
         try:
             clustering = run_baseline(cfg, kb, validation_gold=gold, validation_ids=val)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        holders = Counter(t for p in kb.np_vocab for t in content_tokens(p.text))
-        join = sum(g * (g - 1) // 2 for g in holders.values()) * 5 * 8
-        a, b, d = overlap_distances(BaselineName.IDF_HAC, kb)
-        near = d <= clustering.threshold_used
+        t = clustering.threshold_used
+        if name is BaselineName.IDF_HAC:
+            holders = Counter(t for p in kb.np_vocab for t in content_tokens(p.text))
+            join = sum(g * (g - 1) // 2 for g in holders.values()) * 5 * 8
+            a, b, d = overlap_distances(BaselineName.IDF_HAC, kb)
+        else:
+            join = 0
+            D = jaro_winkler_distances([p.text for p in kb.np_vocab])
+            a, b = np.triu_indices(kb.n_nps, 1)
+            d = D[a, b]
+        near = d <= t
         component = max(len(c) for c in components(kb.n_nps, np.stack((a[near], b[near]), 1)))
-        triangle = max(len(val), component) ** 2 // 2 * 8
-        assert peak < triangle + join + 2**20 < kb.n_nps ** 2 * 8
-
+        if name is BaselineName.IDF_HAC:
+            triangles = max(len(val), component) ** 2 // 2 * 8
+        else:
+            triangles = (len(val) ** 2 + component ** 2) // 2 * 8
+        assert peak < triangles + join + 2**20 < kb.n_nps ** 2 * 8
 
 # ---------------------------------------------------------------------------
 # embedding methods

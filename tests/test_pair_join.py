@@ -113,8 +113,8 @@ class TestIdfEquivalencesMatchAllPairs:
 
 
 class TestOverlapBaselineMatrices:
-    """The Jaro-Winkler baseline fills D at every pair; the oracle scores
-    every pair."""
+    """The Jaro-Winkler baseline lists every pair within the threshold at
+    its all-pairs matrix distance; the oracle scores every pair."""
 
     @pytest.mark.parametrize("name,kind", [
         (BaselineName.STRSIM_HAC, PhraseKind.NP),
@@ -122,13 +122,13 @@ class TestOverlapBaselineMatrices:
     ])
     def test_equals_all_pairs_matrix(self, name, kind, monkeypatch):
         captured = []
-        original = kbcanon.baselines.hac_from_distance_matrix
+        original = kbcanon.baselines.hac_from_pairs
 
-        def capturing(ids, D, *args):
-            captured.append(D.copy())
-            return original(ids, D, *args)
+        def capturing(ids, a, b, d, threshold, far):
+            captured.append((a.copy(), b.copy(), d.copy()))
+            return original(ids, a, b, d, threshold, far)
 
-        monkeypatch.setattr(kbcanon.baselines, "hac_from_distance_matrix", capturing)
+        monkeypatch.setattr(kbcanon.baselines, "hac_from_pairs", capturing)
         rand = random.Random(47)
         for _ in range(20):
             kb = kb_with_edge_cases(rand)
@@ -138,9 +138,15 @@ class TestOverlapBaselineMatrices:
             expected = reference_distance_matrix([texts[i] for i in ids],
                                                  reference_jaro_winkler)
             captured.clear()
-            run_baseline(BaselineConfig(name, kind=kind, threshold=0.5), kb)
+            got = run_baseline(BaselineConfig(name, kind=kind, threshold=0.5), kb)
             assert len(captured) == 1
-            assert np.array_equal(captured[0], expected)
+            a, b, d = captured[0]
+            i, j = np.triu_indices(len(ids), 1)
+            near = expected[i, j] <= 0.5
+            order = np.lexsort((b, a))
+            assert np.array_equal(a[order], i[near]) and np.array_equal(b[order], j[near])
+            assert np.array_equal(d[order], expected[i, j][near])
+            assert got.member_sets() == hac_from_distance_matrix(range(len(ids)), expected, 0.5)
 
 
 def dense(n: int, a, b, d) -> np.ndarray:

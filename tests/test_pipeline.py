@@ -69,7 +69,13 @@ from kbcanon.side_info import EMPTY_SIDE_INFO, SideInfoConfig, save_side_info
 from kbcanon.synth import make_synthetic_kb
 
 from .conftest import write_kb_vectors
-from .reference import reference_evaluate, reference_overlap_matrix, report_bits
+from .reference import (
+    reference_distance_matrix,
+    reference_evaluate,
+    reference_jaro_winkler,
+    reference_overlap_matrix,
+    report_bits,
+)
 
 SMALL_HP = {
     "dim": 16,
@@ -603,9 +609,8 @@ class TestOneTuningProtocol:
     def run_dataset(self, data: Path, seed: int, monkeypatch):
         """(config, kb, split, {baseline: (clustering, D or None)}) of
         `baselines_stage` on a synthetic KB whose NP gold leaves every
-        third alias unlabelled; D is the dense matrix a baseline cuts, the
-        reference all-pairs matrix for the overlap baselines, which build
-        none."""
+        third alias unlabelled; D is the reference all-pairs matrix of the
+        distances a matrix baseline cuts, which builds none."""
         synth = make_synthetic_kb(n_entities=8, aliases_per_entity=3, n_relations=3,
                                   paraphrases_per_relation=2, n_triples=60, noise=0.2,
                                   seed=seed)
@@ -623,25 +628,23 @@ class TestOneTuningProtocol:
             "hyperparams": dict(SMALL_HP, epochs=2),
         }, base_dir=data)
         split = make_split(kb, config)
-        runs, matrices = {}, []
+        runs = {}
         run_baseline = kbcanon.baselines.run_baseline
-        cut = kbcanon.baselines.hac_from_distance_matrix
 
         def recording_run(cfg, kb, **kwargs):
-            matrices.clear()
             clustering = run_baseline(cfg, kb, **kwargs)
             if cfg.name.value in self.OVERLAP_BASELINES:
-                matrices.append(reference_overlap_matrix(cfg.name.value, kb))
-            runs[cfg.name.value] = clustering, matrices[0] if matrices else None
+                D = reference_overlap_matrix(cfg.name.value, kb)
+            elif cfg.name.value == "strsim_hac":
+                D = reference_distance_matrix([p.text for p in kb.np_vocab],
+                                              reference_jaro_winkler)
+            else:
+                D = None
+            runs[cfg.name.value] = clustering, D
             return clustering
-
-        def recording_cut(ids, D, threshold):
-            matrices.append(D)
-            return cut(ids, D, threshold)
 
         with monkeypatch.context() as m:
             m.setattr(kbcanon.pipeline, "run_baseline", recording_run)
-            m.setattr(kbcanon.baselines, "hac_from_distance_matrix", recording_cut)
             baselines_stage(config, data, kb, split, None)
         return config, kb, split, runs
 
