@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -21,7 +22,8 @@ from .canonicalize import (
     DEFAULT_THRESHOLD_GRID,
     Cluster,
     Clustering,
-    Triangle,
+    PairChunks,
+    _tuning_bound,
     choose_threshold,
     cluster_phrases,
     hac_from_pairs,
@@ -188,36 +190,6 @@ def _length_pairs(lens: np.ndarray, ratio: float) -> Iterator[tuple[np.ndarray, 
         yield np.minimum(a, b), np.maximum(a, b)
 
 
-def jaro_winkler_distances(texts: Sequence[str]) -> np.ndarray:
-    """1 - Jaro-Winkler similarity for every pair of ``texts``, 0 on the
-    diagonal. Jaro similarity gets the Winkler common-prefix boost (prefix
-    length capped at 4, scaling factor 0.1) unconditionally; equal texts
-    score 1 and an empty text against a non-empty one 0. Texts are compared
-    by code point, as ``str`` compares them, and every value is the same
-    IEEE result as the scalar formula with s1 the text that comes first
-    in ``texts``. The pairs are generated and scored in bounded chunks and
-    blocks, so the memory beyond D grows neither with n nor with the
-    length of a text."""
-    packed = _pack(texts)
-    D = np.zeros((len(texts), len(texts)))
-    for i, j in _length_pairs(packed.lens, 0.0):
-        D[i, j] = D[j, i] = _jw_distances(packed, i, j)
-    return D
-
-
-def jaro_winkler_triangle(texts: Sequence[str], rows: Sequence[int]) -> Triangle:
-    """The `Triangle` of the `jaro_winkler_distances` among the ascending
-    positions ``rows``, each pair scored straight into its condensed slot,
-    with no square matrix."""
-    packed = _pack(texts)
-    rows = np.asarray(rows, dtype=np.int64)
-    m = len(rows)
-    T = Triangle(m)
-    for a, b in _length_pairs(packed.lens[rows], 0.0):
-        T.values[a * (2 * m - a - 1) // 2 + b - a - 1] = _jw_distances(packed, rows[a], rows[b])
-    return T
-
-
 def _jw_candidates(texts: _Texts, threshold: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(i, j) chunks, i < j, of the pairs of texts whose Jaro-Winkler
     distance an upper bound on their similarity cannot put above
@@ -229,12 +201,15 @@ def _jw_candidates(texts: _Texts, threshold: float) -> Iterator[tuple[np.ndarray
     ones included, are always kept. As c <= min(n1, n2), only pairs of
     texts of similar length are counted."""
     lens = texts.lens
+    need = (0.4 - threshold - _JW_SLACK) / 0.2  # what c/n1 + c/n2 must reach
+    if need <= 0.0:  # the bound drops no pair: all go on uncounted
+        yield from _length_pairs(lens, 0.0)
+        return
     n = len(lens)
     owner = np.repeat(np.arange(n), lens)
     counts = np.bincount(owner * _JW_BUCKETS + texts.codes[:len(owner), 0] % _JW_BUCKETS,
                          minlength=n * _JW_BUCKETS).reshape(n, _JW_BUCKETS)
     counts = counts.astype(np.min_scalar_type(lens.max(initial=0)))
-    need = (0.4 - threshold - _JW_SLACK) / 0.2  # what c/n1 + c/n2 must reach
     for i, j in _length_pairs(lens, min(max(need - 1.0, 0.0), 1.0)):
         c = np.minimum(counts[i], counts[j]).sum(axis=1)
         keep = c / np.maximum(lens[i], 1) + c / np.maximum(lens[j], 1) >= need
@@ -242,23 +217,20 @@ def _jw_candidates(texts: _Texts, threshold: float) -> Iterator[tuple[np.ndarray
         yield i[keep], j[keep]
 
 
-def jaro_winkler_edges(texts: Sequence[str], threshold: float
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a, b, d): every pair a < b of ``texts`` at Jaro-Winkler distance
-    d <= threshold, as `jaro_winkler_distances` scores it, found among
-    the `_jw_candidates` only. From threshold 1 on, where every pair is
-    within it, none is listed: `hac_from_pairs` with ``far`` 1 needs none
-    there."""
-    a, b, d = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)], [np.empty(0)]
-    if threshold < 1.0:
-        packed = _pack(texts)
-        for i, j in _jw_candidates(packed, threshold):
-            dist = _jw_distances(packed, i, j)
-            near = dist <= threshold
-            a.append(i[near])
-            b.append(j[near])
-            d.append(dist[near])
-    return np.concatenate(a), np.concatenate(b), np.concatenate(d)
+def jaro_winkler_pairs(texts: Sequence[str], threshold: float) -> PairChunks:
+    """The `PairChunks` of the pairs a < b of ``texts`` at distance d =
+    1 - Jaro-Winkler similarity <= threshold, scored among the
+    `_jw_candidates` only. The Winkler prefix boost (prefix capped at 4,
+    factor 0.1) is unconditional; equal texts score 1, an empty text
+    against a non-empty one 0. Texts compare by code point, and d is the
+    IEEE result of the scalar formula with s1 the text first in ``texts``.
+    Chunks and blocks are bounded, so memory grows neither with n nor
+    with the length of a text."""
+    packed = _pack(texts)
+    for i, j in _jw_candidates(packed, threshold):
+        d = _jw_distances(packed, i, j)
+        near = d <= threshold
+        yield i[near], j[near], d[near]
 
 
 def _jaro_winkler_block(codes: np.ndarray, starts: np.ndarray, lens: np.ndarray,
@@ -373,16 +345,15 @@ def run_baseline(cfg: BaselineConfig, kb: OpenKB, *, ppdb_file=None,
     without a threshold tunes one as the system does, on the distances of
     the ascending ``validation_ids`` scored against ``validation_gold``,
     and cuts the whole vocabulary there; without a threshold or both of
-    those, or with an input missing, a method fails before work. No
-    similarity method builds an n×n D, and each cuts with
-    `hac_from_pairs`. `strsim_hac` tunes on the `jaro_winkler_triangle`
-    of the validation positions and cuts on the `jaro_winkler_edges`,
-    scoring only the pairs a shared-character bound cannot put above the
-    threshold. `idf_hac` and `attr_hac` score the pairs that share a key
-    (`overlap_distances`), tune on the `pair_triangle` of the validation
-    positions' pairs, 1 where no key is shared, and cut on them.
-    ``word_vectors`` is a `load_word_vectors` table, which `wordvec_avg`
-    and `hole_pretrained` need."""
+    those, or with an input missing, a method fails before work. The
+    similarity methods build no n×n D: each lists the pairs that have a
+    distance, 1 at every other pair, tunes on the `pair_triangle` of the
+    validation positions' pairs and cuts with `hac_from_pairs`.
+    `strsim_hac` lists its `jaro_winkler_pairs` within the threshold (from
+    1 on, its cut scores none), `idf_hac` and `attr_hac` the pairs that
+    share a key (`overlap_distances`). ``word_vectors`` is a
+    `load_word_vectors` table, which `wordvec_avg` and `hole_pretrained`
+    need."""
     cfg.validate()
     kind = cfg.kind
     vocab = kb.vocab(kind)
@@ -406,26 +377,29 @@ def run_baseline(cfg: BaselineConfig, kb: OpenKB, *, ppdb_file=None,
         # connected components of the pairs, singletons elsewhere
         return _freq_clustering(kb, kind, components(len(vocab), pair_set.pairs), NO_THRESHOLD)
 
-    if name is BaselineName.STRSIM_HAC:
-        texts = [p.text for p in vocab]
+    if name in (BaselineName.STRSIM_HAC, BaselineName.IDF_HAC, BaselineName.ATTR_HAC):
+        # the listed pairs of the validation positions (renumbered) and of all
         if threshold is None:
-            threshold = tune_threshold_on_matrix(val, jaro_winkler_triangle(texts, val),
-                                                 validation_gold, grid)
-        member_sets = hac_from_pairs(range(len(vocab)), *jaro_winkler_edges(texts, threshold),
-                                     threshold, 1.0)
-        return _freq_clustering(kb, kind, member_sets, threshold)
+            upto = _tuning_bound(validation_gold, grid)  # before any pair is scored
+        if name is BaselineName.STRSIM_HAC:
+            texts = [p.text for p in vocab]
+            val_pairs = partial(jaro_winkler_pairs, [texts[i] for i in val])
+            pairs = partial(jaro_winkler_pairs, texts)
+        else:
+            a, b, d = overlap_distances(name, kb)
 
-    if name in (BaselineName.IDF_HAC, BaselineName.ATTR_HAC):
-        a, b, d = overlap_distances(name, kb)
+            def val_pairs(t: float) -> PairChunks:
+                at = np.full(len(vocab), -1)
+                at[val] = np.arange(len(val))
+                both = (at[a] >= 0) & (at[b] >= 0)
+                return [(at[a[both]], at[b[both]], d[both])]
+
+            def pairs(t: float) -> PairChunks:
+                return [(a, b, d)]
         if threshold is None:
-            # the validation positions' pairs, renumbered in the ascending val
-            at = np.full(len(vocab), -1)
-            at[val] = np.arange(len(val))
-            both = (at[a] >= 0) & (at[b] >= 0)
             threshold = tune_threshold_on_matrix(
-                val, pair_triangle(len(val), at[a[both]], at[b[both]], d[both], 1.0),
-                validation_gold, grid)
-        member_sets = hac_from_pairs(range(len(vocab)), a, b, d, threshold, 1.0)
+                val, pair_triangle(len(val), val_pairs(upto), 1.0), validation_gold, grid)
+        member_sets = hac_from_pairs(range(len(vocab)), pairs(threshold), threshold, 1.0)
         return _freq_clustering(kb, kind, member_sets, threshold)
 
     if name is BaselineName.WORDVEC_AVG:

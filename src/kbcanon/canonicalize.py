@@ -33,21 +33,21 @@ the unit rows N, the way `cosine_distance_matrix` computes its rows, so
 both read the same bits, and keeps each edge as an int32 index into its
 block and its distance, 12 bytes. `hac_from_distance_matrix` scans the
 same row blocks of a dense D into the same edges. `hac_from_pairs` cuts
-distances listed only at some pairs and 1 at every other pair: the
-overlap baselines list the pairs that share a key, and the Jaro-Winkler
-baseline the pairs within t, since by the corollary a pair above t may
-sit at 1 instead. Its edges are the listed pairs at distance <= t; from
-t >= 1 on every linkage is within t, and the cut is one cluster.
+distances listed only at some pairs, in `PairChunks`, and 1 at every
+other pair: the overlap baselines list the pairs that share a key, and
+the Jaro-Winkler baseline the pairs within t, since by the corollary a
+pair above t may sit at 1 instead. Its edges are the listed pairs at
+distance <= t; from t >= 1 on the cut is one cluster and reads no pair.
 
 Every method tunes its threshold (`tune_threshold`) on one history over
 the validation phrases (`hac_merge_history`), which `best_cut` replays
 once, scoring every grid value on the way. The history is merged in the
 packed triangle of their distances, built for the call with no square
-matrix (by `cosine_triangle` from the same row blocks, by
-`baselines.jaro_winkler_triangle` pair by pair, or by `pair_triangle`
-from the overlap baselines' listed pairs), so tuning holds half of one
-n×n float64 array: 7.0 MB against 14.0 MB at 1,322 validation phrases, and 202 MB
-against 404 MB at the 7,105 validation NPs of the 15,000-NP top rung.
+matrix, by `cosine_triangle` from the same row blocks or by
+`pair_triangle` from the baselines' listed pairs (within the grid's top,
+by the corollary), so tuning holds half of one n×n float64 array:
+7.0 MB against 14.0 MB at 1,322 validation phrases, and 202 MB against
+404 MB at the 7,105 validation NPs of the 15,000-NP top rung.
 """
 
 from __future__ import annotations
@@ -67,6 +67,8 @@ from .side_info import components, groups, link
 logger = logging.getLogger(__name__)
 
 DEFAULT_THRESHOLD_GRID = tuple(round(0.05 * k, 2) for k in range(1, 20))
+# (a, b, d) chunks: the distance d[k] of each position pair (a[k], b[k]), a < b
+PairChunks = Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -129,14 +131,12 @@ class Triangle:
         return self.values[start:start + self.n - a - 1]
 
     @classmethod
-    def of(cls, D: np.ndarray, rows: Sequence[int] | None = None) -> Triangle:
-        """The upper triangle of the square D, or of D[np.ix_(rows, rows)]
-        for the ascending ``rows``, gathered a row at a time, so no square
-        copy is made."""
-        rows = np.arange(len(D)) if rows is None else np.asarray(rows)
-        T = cls(len(rows))
-        for a, r in enumerate(rows):
-            T.row(a)[:] = D[r, rows[a + 1:]]
+    def of(cls, D: np.ndarray) -> Triangle:
+        """The upper triangle of the square D, gathered a row at a time, so
+        no square copy is made."""
+        T = cls(len(D))
+        for a in range(len(D)):
+            T.row(a)[:] = D[a, a + 1:]
         return T
 
 
@@ -361,27 +361,33 @@ def hac_complete_linkage(
     return _cut_edges(ids, edges, threshold)
 
 
-def hac_from_pairs(ids: Sequence[int], a: np.ndarray, b: np.ndarray, d: np.ndarray,
-                   threshold: float, far: float) -> list[frozenset[int]]:
+def hac_from_pairs(ids: Sequence[int], pairs: PairChunks, threshold: float,
+                   far: float) -> list[frozenset[int]]:
     """Complete-linkage HAC of the positions of the ascending ``ids`` over
-    the distance d[k] of each listed pair (a[k], b[k]), a < b, listed once,
-    and ``far`` (at least every d) at every other pair, cut at the
-    threshold one connected component at a time (see the module
-    docstring); no n×n array is built. Below ``far`` the edges are the
-    listed pairs at distance <= threshold; from ``far`` on every linkage
-    is within the threshold, so the cut is one cluster."""
+    the distances of the pairs listed, each once, in the chunks ``pairs``
+    and ``far`` (at least every listed distance) at every other pair, cut
+    at the threshold one connected component at a time (see the module
+    docstring); no n×n array is built. The edges, the listed pairs at
+    distance <= threshold, are coded a·n + b in one int64 block. From
+    ``far`` on the cut is one cluster, and ``pairs`` is not read."""
     n = len(ids)
     _check_ids(ids, n)
     if threshold >= far:
         return [frozenset(ids)] if n else []
-    near = d <= threshold
-    return _cut_edges(ids, [(0, a[near].astype(np.int64) * n + b[near], d[near])], threshold)
+    codes, dists = [np.empty(0, dtype=np.int64)], [np.empty(0)]
+    for a, b, d in pairs:
+        near = d <= threshold
+        codes.append(a[near].astype(np.int64, copy=False) * n + b[near])
+        dists.append(d[near])
+    edges = [(0, np.concatenate(codes), np.concatenate(dists))]
+    del codes, dists  # before the cut
+    return _cut_edges(ids, edges, threshold)
 
 
-def pair_triangle(n: int, a: np.ndarray, b: np.ndarray, d: np.ndarray, far: float) -> Triangle:
-    """The `Triangle` of the n×n distances holding d[k] at each listed
-    pair (a[k], b[k]), a < b, and ``far`` at every other pair."""
-    return _edge_matrices(n, [list(range(n))], [(a, b, d)], far)[0]
+def pair_triangle(n: int, pairs: PairChunks, far: float) -> Triangle:
+    """The `Triangle` of the n×n distances of the pairs listed, each once,
+    in the chunks ``pairs``, read one at a time, and ``far`` elsewhere."""
+    return _edge_matrices(n, [list(range(n))], pairs, far)[0]
 
 
 def _threshold_edges(n: int, rows, threshold: float) -> list:
@@ -404,7 +410,7 @@ def _threshold_edges(n: int, rows, threshold: float) -> list:
     return edges
 
 
-def _block_edges(n: int, edges: list) -> Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _block_edges(n: int, edges: list) -> PairChunks:
     """(a, b, d) position arrays of the row blocks' ``edges`` (see
     `_threshold_edges`), emptying the list last row block first: the later
     blocks hold fewer edges, so the index temporaries stay small beside
@@ -415,8 +421,7 @@ def _block_edges(n: int, edges: list) -> Iterable[tuple[np.ndarray, np.ndarray, 
         yield a + r0, b + r0, d
 
 
-def _edge_matrices(n: int, found: list[list[int]],
-                   edges: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
+def _edge_matrices(n: int, found: list[list[int]], edges: PairChunks,
                    sentinel: float) -> list[Triangle]:
     """The packed working triangle of each component (ascending
     positions) in ``found``, with its values a view into one buffer: the
@@ -453,6 +458,7 @@ def _cut_edges(ids: Sequence[int], edges: list, threshold: float) -> list[frozen
     for r0, near, _ in edges:
         a, b = np.divmod(near, n - r0)
         link(parent, a + r0, b + r0)
+        del a, b  # before the next block, or the triangles, are decoded
     found = [c for c in groups(parent) if len(c) > 1]
     matrices = _edge_matrices(n, found, _block_edges(n, edges), np.nextafter(threshold, np.inf))
     merges: list[tuple[float, int, int]] = []

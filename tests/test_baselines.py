@@ -19,7 +19,7 @@ from kbcanon.baselines import (
     BaselineName,
     _jw_candidates,
     _pack,
-    jaro_winkler_distances,
+    jaro_winkler_pairs,
     overlap_distances,
     run_baseline,
     train_structure_only,
@@ -70,9 +70,21 @@ def np_kb(*texts):
 # string similarity
 
 
+def jw_matrix(texts) -> np.ndarray:
+    """The n×n `jaro_winkler_pairs` of ``texts`` at threshold 1, 0 on the
+    diagonal, after checking that every pair i < j is listed exactly once."""
+    n = len(texts)
+    D, listed = np.zeros((n, n)), np.zeros((n, n), dtype=int)
+    for a, b, d in jaro_winkler_pairs(texts, 1.0):
+        np.add.at(listed, (a, b), 1)
+        D[a, b] = D[b, a] = d
+    assert np.array_equal(listed, np.triu(np.ones((n, n), dtype=int), 1))
+    return D
+
+
 def jw_distance(s1: str, s2: str) -> float:
-    """1 - Jaro-Winkler similarity of one pair, read off the matrix."""
-    return jaro_winkler_distances([s1, s2])[0, 1]
+    """1 - Jaro-Winkler similarity of one pair, read off the listed pairs."""
+    return jw_matrix([s1, s2])[0, 1]
 
 
 class TestJaroWinkler:
@@ -143,7 +155,7 @@ class TestJaroWinklerDistances:
         # 100 pair-characters a block, 1 to 12 pairs: a matrix spans
         # several blocks, and a block boundary falls inside a row
         monkeypatch.setattr(kbcanon.baselines, "_JW_BLOCK", 100)
-        D = jaro_winkler_distances(texts)
+        D = jw_matrix(texts)
         assert np.array_equal(D, reference_distance_matrix(texts, reference_jaro_winkler))
 
     def test_extra_memory_is_bounded_by_the_block(self):
@@ -151,19 +163,23 @@ class TestJaroWinklerDistances:
         texts = ["".join(rand.choices("abcdefgh ", k=rand.randint(0, 12)))
                  for _ in range(1000)]
         long_text = "".join(rand.choices("abcdefgh ", k=2000))
-        # The short texts alone: their blocks take about 2.4 MiB, while two
-        # int64 index arrays over all C(1000, 2) pairs, as np.triu_indices
-        # builds, would alone take 8 MB. Then one 2,000-character text
-        # first among 300 of them: its blocks hold 65 pairs each, where one
-        # block of 8,192 pairs padded to 2,000 characters took about 80 MiB.
+        # Every pair is listed at t = 1, and the chunks are counted, not
+        # kept. The short texts alone:
+        # their blocks are capped by the 4,096-pair chunks of
+        # `_length_pairs`, while two int64 index arrays over all C(1000, 2)
+        # pairs, as np.triu_indices builds, would alone take 8 MB. Then one
+        # 2,000-character text first among 300 of them: a block of its
+        # pairs holds 2^18 // 2,020 = 129 pairs, where one block of 8,192
+        # pairs padded to 2,000 characters took about 80 MiB.
         for case in (texts, [long_text] + texts[:300]):
             tracemalloc.start()
             try:
-                D = jaro_winkler_distances(case)
+                listed = sum(len(d) for _, _, d in jaro_winkler_pairs(case, 1.0))
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < D.nbytes + 4 * 2**20
+            assert listed == len(case) * (len(case) - 1) // 2
+            assert peak < 4 * 2**20
 
 
 def texts_kb(texts) -> OpenKB:
@@ -175,7 +191,8 @@ def texts_kb(texts) -> OpenKB:
 
 
 # below, at and above the thresholds where the bound starts to drop pairs
-_STRSIM_THRESHOLDS = (0.0, 0.05, 0.3, 0.45, 0.95, 1.0, 1.5)
+# (0.4) and where the cut scores no pair (1)
+_STRSIM_THRESHOLDS = (0.0, 0.05, 0.3, 0.4, 0.45, 0.95, 1.0, 1.5)
 
 
 class TestStrsimCut:
@@ -205,11 +222,52 @@ class TestStrsimCut:
                 labels = data.draw(st.lists(st.sampled_from("xyz"), min_size=len(val),
                                             max_size=len(val)))
             gold = GoldClustering(kind, dict(zip(val, labels)))
-            got = run_baseline(BaselineConfig(BaselineName.STRSIM_HAC, kind=kind), kb,
-                               validation_gold=gold, validation_ids=val)
-            t = tune_threshold(val, D[np.ix_(val, val)], gold)[0]
+            # the default grid, and one whose top lists every validation pair
+            for grid in (DEFAULT_THRESHOLD_GRID, (0.2, 0.6, 1.2)):
+                got = run_baseline(BaselineConfig(BaselineName.STRSIM_HAC, kind=kind), kb,
+                                   validation_gold=gold, validation_ids=val, grid=grid)
+                t = tune_threshold(val, D[np.ix_(val, val)], gold, grid)[0]
+                assert got.threshold_used == t
+                assert got.member_sets() == hac_from_distance_matrix(ids, D, t)
+
+    def test_tuned_past_1_cuts_without_scoring(self, monkeypatch):
+        # "abc" and "xyz" share no character, so only a cut at t >= 1
+        # joins them, and the gold puts the four validation texts in one
+        # cluster: tuning on the grid (0.2, 0.6, 1.2) scores their pairs
+        # and picks 1.2, and the cut of all five texts there scores none
+        texts = ["abc", "xyz", "abd", "", "xyz"]
+        val = [0, 1, 2, 3]
+        D = reference_distance_matrix(texts, reference_jaro_winkler)
+        gold = GoldClustering(PhraseKind.NP, {k: "e1" for k in val})
+        grid = (0.2, 0.6, 1.2)
+        t = tune_threshold(val, D[np.ix_(val, val)], gold, grid)[0]
+        assert t == 1.2
+        scored = []
+        original = kbcanon.baselines._jw_distances
+
+        def scoring(packed, i, j):
+            scored.append(len(packed.lens))
+            return original(packed, i, j)
+
+        monkeypatch.setattr(kbcanon.baselines, "_jw_distances", scoring)
+        got = run_baseline(BaselineConfig(BaselineName.STRSIM_HAC), texts_kb(texts),
+                           validation_gold=gold, validation_ids=val, grid=grid)
+        assert got.threshold_used == t
+        assert got.member_sets() == hac_from_distance_matrix(range(len(texts)), D, t)
+        assert scored and set(scored) == {len(val)}
+
+    @pytest.mark.parametrize("t", [1.0, 1.5])
+    def test_cut_from_1_on_scores_no_pair(self, t, monkeypatch):
+        def no_scoring(*args):
+            raise AssertionError("a pair was scored")
+
+        monkeypatch.setattr(kbcanon.baselines, "_jw_distances", no_scoring)
+        texts = ["abc", "xyz", "abd", "", "xyz"]
+        for kind in PhraseKind:
+            got = run_baseline(BaselineConfig(BaselineName.STRSIM_HAC, kind=kind, threshold=t),
+                               texts_kb(texts))
+            assert got.member_sets() == [frozenset(range(len(texts)))]
             assert got.threshold_used == t
-            assert got.member_sets() == hac_from_distance_matrix(ids, D, t)
 
     @settings(max_examples=150, deadline=None)
     @given(texts=jw_text_lists())
@@ -369,8 +427,7 @@ class TestBaselineConfig:
             raise AssertionError("work started before the threshold check")
 
         for fn in ("train", "init_embeddings", "average_word_vectors",
-                   "jaro_winkler_distances", "jaro_winkler_triangle", "jaro_winkler_edges",
-                   "_jw_distances", "build_df", "overlap_scores"):
+                   "jaro_winkler_pairs", "_jw_distances", "build_df", "overlap_scores"):
             monkeypatch.setattr(kbcanon.baselines, fn, no_work)
         kb = np_kb("alpha", "beta", "gamma", "delta")
         with pytest.raises(ConfigError, match=f"{name.value} needs a threshold"):
@@ -571,9 +628,9 @@ class TestSimilarityBaselines:
             bounds.append(upto)
             return original(D, upto)
 
-        def cutting(ids, a, b, d, threshold, far):
+        def cutting(ids, pairs, threshold, far):
             cuts.append((len(ids), threshold))
-            return original_cut(ids, a, b, d, threshold, far)
+            return original_cut(ids, pairs, threshold, far)
 
         for module in (kbcanon.canonicalize, kbcanon.baselines):
             monkeypatch.setattr(module, "hac_merge_history", counting)
@@ -619,9 +676,8 @@ class TestSimilarityBaselines:
             a, b, d = overlap_distances(BaselineName.IDF_HAC, kb)
         else:
             join = 0
-            D = jaro_winkler_distances([p.text for p in kb.np_vocab])
-            a, b = np.triu_indices(kb.n_nps, 1)
-            d = D[a, b]
+            a, b, d = map(np.concatenate,
+                          zip(*jaro_winkler_pairs([p.text for p in kb.np_vocab], t)))
         near = d <= t
         component = max(len(c) for c in components(kb.n_nps, np.stack((a[near], b[near]), 1)))
         if name is BaselineName.IDF_HAC:

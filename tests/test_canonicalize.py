@@ -367,7 +367,7 @@ class TestComponentCut:
             thresholds = [0.0, 2.0, *heights, *(heights[1:] + heights[:-1]) / 2]
             for t in thresholds:
                 assert hac_from_distance_matrix(range(n), D, t) == reference_cut(n, history, t)
-                assert (hac_from_pairs(range(n), a, b, D[a, b], t, far)
+                assert (hac_from_pairs(range(n), [(a, b, D[a, b])], t, far)
                         == reference_cut(n, pair_history, t))
 
     def test_equals_naive_reclustering_across_twin_components(self):
@@ -499,7 +499,7 @@ class TestPairCutMemory:
         none = np.array([], dtype=np.int64)
         tracemalloc.start()
         try:
-            cut = hac_from_pairs(range(n), none, none, np.array([]), 1.0, 1.0)
+            cut = hac_from_pairs(range(n), [(none, none, np.array([]))], 1.0, 1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -124,9 +124,10 @@ class TestOverlapBaselineMatrices:
         captured = []
         original = kbcanon.baselines.hac_from_pairs
 
-        def capturing(ids, a, b, d, threshold, far):
-            captured.append((a.copy(), b.copy(), d.copy()))
-            return original(ids, a, b, d, threshold, far)
+        def capturing(ids, pairs, threshold, far):
+            chunks = list(pairs)
+            captured.append(tuple(np.concatenate(x) for x in zip(*chunks)))
+            return original(ids, chunks, threshold, far)
 
         monkeypatch.setattr(kbcanon.baselines, "hac_from_pairs", capturing)
         rand = random.Random(47)
@@ -220,7 +221,7 @@ class TestOverlapScores:
         d = 1.0 - np.array(list(got.values()))
         ids = range(len(sets))
         for t in (0.5, 1.0, 1.5):
-            assert hac_from_pairs(ids, a, b, d, t, 1.0) == hac_from_distance_matrix(ids, D, t)
+            assert hac_from_pairs(ids, [(a, b, d)], t, 1.0) == hac_from_distance_matrix(ids, D, t)
 
     @given(st.lists(st.frozensets(st.integers(0, 6), max_size=5), max_size=9))
     @settings(max_examples=200, deadline=None)
